@@ -33,6 +33,10 @@ class DataError(PromptLabError, ValueError):
     """A dataset or split does not satisfy a precondition."""
 
 
+class IndexRangeError(PromptLabError, IndexError):
+    """A class label or token id is outside the range it indexes."""
+
+
 class TokenizationError(PromptLabError, KeyError):
     """A word is not present in the active vocabulary."""
 

@@ -309,7 +309,7 @@ class LayerState:
 
 
 def _hard_rows(encoder, word: str) -> Tensor:
-    return encoder.embed_tokens(encoder.vocabulary.encode(word))
+    return encoder.frozen_rows(encoder.vocabulary.encode(word))
 
 
 def _assemble(pieces, class_name: str) -> ComposedPrompt:
@@ -365,9 +365,9 @@ def compose_shallow(encoder, bank: SoftPromptBank, layout: PromptLayout,
     """Attribute-anchored prompt (or the classic form when no attributes)."""
     layout.validate(encoder.config.num_layers)
     vocab = encoder.vocabulary
-    pieces = [("sentinel_prefix", "", encoder.embed_tokens([vocab.sos_id]))]
+    pieces = [("sentinel_prefix", "", encoder.frozen_rows([vocab.sos_id]))]
     pieces.extend(_ordered_units(encoder, bank, layout, class_name))
-    pieces.append(("sentinel_suffix", "", encoder.embed_tokens([vocab.eos_id])))
+    pieces.append(("sentinel_suffix", "", encoder.frozen_rows([vocab.eos_id])))
     return _assemble(pieces, class_name)
 
 
@@ -469,3 +469,29 @@ def class_text_features(encoder, bank: SoftPromptBank, layout: PromptLayout, cla
         else:
             feats.append(encoder.encode_text(p.embeds))
     return T.stack(feats)
+
+
+def candidate_features(encoder, candidates, class_names) -> list:
+    """Class features [C, joint] for every (bank, layout) pair, from few encoder passes.
+
+    Depth-1 candidates whose prompts have equal length share one
+    ``[k*C, L, d]`` pass, split back per candidate. A depth >= 2 layout, or
+    class names of unequal token length, goes alone through
+    ``class_text_features``.
+    """
+    class_names = list(class_names)
+    uniform = len({len(encoder.vocabulary.encode(n)) for n in class_names}) == 1
+    feats = [None] * len(candidates)
+    groups: dict = {}
+    for i, (bank, layout) in enumerate(candidates):
+        if layout.depth >= 2 or not uniform:
+            feats[i] = class_text_features(encoder, bank, layout, class_names)
+            continue
+        prompts = [compose_shallow(encoder, bank, layout, n) for n in class_names]
+        groups.setdefault(prompts[0].length, []).append((i, prompts))
+    c = len(class_names)
+    for members in groups.values():
+        out = encoder.encode_text(T.stack([p.embeds for _, prompts in members for p in prompts]))
+        for j, (i, _) in enumerate(members):
+            feats[i] = T.narrow(out, 0, j * c, (j + 1) * c)
+    return feats

@@ -22,7 +22,13 @@ from . import tensor as T
 from .data import Task
 from .errors import ConfigError, DataError, NumericsError, ParameterError, ParseError
 from .optim import SGD, Adam
-from .prompts import PromptLayout, SoftPromptBank, class_text_features, template_rows_for
+from .prompts import (
+    PromptLayout,
+    SoftPromptBank,
+    candidate_features,
+    class_text_features,
+    template_rows_for,
+)
 from .serialize import dumps_json
 
 RESULT_KIND = "search_result"
@@ -97,18 +103,6 @@ class SearchConfig:
 
 def _subseed(seed: int, tag: str) -> int:
     return int(np.random.SeedSequence([int(seed), zlib.crc32(tag.encode())]).generate_state(1)[0])
-
-
-def _frozen_view(bank: SoftPromptBank) -> SoftPromptBank:
-    """Same storage, no graph: alpha steps must not reach the soft blocks."""
-    def cut(t):
-        return T.Tensor(t.data, requires_grad=False, name=t.name)
-
-    return SoftPromptBank(
-        class_block=cut(bank.class_block),
-        attribute_blocks={k: cut(v) for k, v in bank.attribute_blocks.items()},
-        deep_class_blocks=[cut(t) for t in bank.deep_class_blocks],
-    )
 
 
 def build_candidate_banks(pool, config: SearchConfig, encoder) -> dict:
@@ -217,6 +211,37 @@ def select_candidate(pool, weights) -> tuple:
     return tuple(pool[int(np.argmax(np.asarray(weights)))])
 
 
+def _mixture_loss(encoder, feats, weights, batch) -> T.Tensor:
+    x, y = batch
+    u = encoder.encode_image(x)
+    return T.cross_entropy(mixture_logits([encoder.class_logits(u, f) for f in feats], weights), y)
+
+
+def _descend(opt, loss: T.Tensor, what: str) -> None:
+    if not np.isfinite(loss.data):
+        raise NumericsError(f"non-finite {what}")
+    opt.zero_grad()
+    loss.backward()
+    opt.step()
+
+
+def search_step(encoder, candidates, class_names, alpha: AlphaVector, alpha_opt, theta_opt,
+                val_batch, train_batch, where: str = "") -> None:
+    """One alpha step on a validation batch, then one theta step on a training batch.
+
+    The mixture is linear in the candidates' class logits, so the text
+    features depend on theta only: one forward serves both steps. The alpha
+    step sees them as constants; the theta step backpropagates through them
+    with alpha's weights as constants. The step's graph is released on return.
+    """
+    feats = candidate_features(encoder, candidates, class_names)
+    frozen = [T.Tensor(f.data) for f in feats]
+    _descend(alpha_opt, _mixture_loss(encoder, frozen, T.softmax(alpha.logits), val_batch),
+             f"alpha loss at {where}")
+    _descend(theta_opt, _mixture_loss(encoder, feats, alpha.weights(), train_batch),
+             f"theta loss at {where}")
+
+
 def alternating_search(task: Task, bases, config: SearchConfig, encoder,
                        config_hash: str = "") -> SearchResult:
     """First-order alternation: alpha on validation batches, theta on training ones.
@@ -253,43 +278,19 @@ def alternating_search(task: Task, bases, config: SearchConfig, encoder,
         rows = order[(step % count) * config.batch_size : (step % count + 1) * config.batch_size]
         return x[rows], y[rows]
 
+    candidates = [(banks[c], layouts[c]) for c in pool]
     val_step = 0
     val_order = order_rng.permutation(len(y_val))
     for epoch in range(config.epochs):
         train_order = order_rng.permutation(len(y_train))
         for b in range(steps_per_epoch):
-            # alpha step: theta frozen via detached banks
             if val_step % val_steps == 0 and val_step:
                 val_order = order_rng.permutation(len(y_val))
-            xb, yb = batches(x_val, y_val, val_order, val_steps, val_step)
+            val_batch = batches(x_val, y_val, val_order, val_steps, val_step)
             val_step += 1
-            u = encoder.encode_image(xb)
-            w = T.softmax(alpha.logits)
-            logits = [
-                candidate_logits(encoder, _frozen_view(banks[c]), layouts[c], task.class_names, u)
-                for c in pool
-            ]
-            loss = T.cross_entropy(mixture_logits(logits, w), yb)
-            if not np.isfinite(loss.data):
-                raise NumericsError(f"non-finite alpha loss at epoch {epoch}, batch {b}")
-            alpha_opt.zero_grad()
-            loss.backward()
-            alpha_opt.step()
-
-            # theta step: alpha enters as constants only
-            xb, yb = batches(x_train, y_train, train_order, steps_per_epoch, b)
-            u = encoder.encode_image(xb)
-            w_const = alpha.weights()
-            logits = [
-                candidate_logits(encoder, banks[c], layouts[c], task.class_names, u)
-                for c in pool
-            ]
-            loss = T.cross_entropy(mixture_logits(logits, w_const), yb)
-            if not np.isfinite(loss.data):
-                raise NumericsError(f"non-finite theta loss at epoch {epoch}, batch {b}")
-            theta_opt.zero_grad()
-            loss.backward()
-            theta_opt.step()
+            search_step(encoder, candidates, task.class_names, alpha, alpha_opt, theta_opt,
+                        val_batch, batches(x_train, y_train, train_order, steps_per_epoch, b),
+                        where=f"epoch {epoch}, batch {b}")
 
     weights = alpha.weights()
     return SearchResult(

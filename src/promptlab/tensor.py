@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ContractError, NumericsError, ShapeError
+from .errors import ContractError, IndexRangeError, NumericsError, ShapeError
 
 _FINITE_CHECKS = True
 
@@ -37,7 +37,7 @@ def finite_checks_enabled() -> bool:
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if _FINITE_CHECKS and not np.all(np.isfinite(data)):
+    if _FINITE_CHECKS and not np.isfinite(data).all():
         raise NumericsError(f"{op} produced non-finite values")
 
 
@@ -302,11 +302,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def vjp(g):
-        if a.ndim == 2 and b.ndim == 2:
-            return g @ b.data.T, a.data.T @ g
+        # a frozen operand (an encoder weight, most often) gets no gradient
+        ga = g @ b.data.swapaxes(-1, -2) if a.requires_grad else None
+        if not b.requires_grad:
+            return ga, None
         if a.ndim == 3 and b.ndim == 2:
-            return g @ b.data.T, np.einsum("bmk,bmn->kn", a.data, g)
-        return g @ b.data.transpose(0, 2, 1), a.data.transpose(0, 2, 1) @ g
+            return ga, np.einsum("bmk,bmn->kn", a.data, g)
+        return ga, a.data.swapaxes(-1, -2) @ g
 
     return _make(data, (a, b), vjp, "matmul")
 
@@ -371,14 +373,20 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     data = xhat * gain.data + bias.data
 
     def vjp(g):
-        gx_hat = g * gain.data
-        gx = inv * (
-            gx_hat
-            - gx_hat.mean(axis=-1, keepdims=True)
-            - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True)
-        )
+        gx = ggain = gbias = None
+        if a.requires_grad:
+            gx_hat = g * gain.data
+            gx = inv * (
+                gx_hat
+                - gx_hat.mean(axis=-1, keepdims=True)
+                - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True)
+            )
         lead = tuple(range(a.ndim - 1))
-        return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+        if gain.requires_grad:
+            ggain = (g * xhat).sum(axis=lead)
+        if bias.requires_grad:
+            gbias = g.sum(axis=lead)
+        return gx, ggain, gbias
 
     return _make(data, (a, gain, bias), vjp, "layer_norm")
 
@@ -417,7 +425,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ShapeError(f"cross_entropy: labels must have shape ({b},), got {labels.shape}")
     if labels.min(initial=0) < 0 or labels.max(initial=-1) >= n:
         bad = labels[(labels < 0) | (labels >= n)][0]
-        raise IndexError(f"cross_entropy: label {bad} out of range for {n} classes")
+        raise IndexRangeError(f"cross_entropy: label {bad} out of range for {n} classes")
     m = logits.data.max(axis=1, keepdims=True)
     e = np.exp(logits.data - m)
     z = e.sum(axis=1, keepdims=True)
@@ -444,7 +452,7 @@ def embedding(table: Tensor, ids) -> Tensor:
     if ids.ndim != 1:
         raise ShapeError(f"embedding: ids must be 1D, got shape {ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IndexError(f"embedding: id out of range for table of {table.shape[0]} rows")
+        raise IndexRangeError(f"embedding: id out of range for table of {table.shape[0]} rows")
     data = table.data[ids].copy()
 
     def vjp(g):

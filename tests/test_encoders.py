@@ -286,6 +286,39 @@ def test_full_stack_every_parameter_gradient():
     assert_gradients_match(build, params)
 
 
+def test_frozen_rows_are_built_once_and_follow_the_table():
+    enc = make_encoder()
+    ids = enc.vocabulary.encode("red cat")
+    rows = enc.frozen_rows(ids)
+    assert enc.frozen_rows(list(ids)) is rows
+    np.testing.assert_array_equal(rows.data, enc.token_embedding.data[ids])
+    assert not rows.requires_grad
+    enc.token_embedding.data = enc.token_embedding.data + 1.0  # replaced weights
+    np.testing.assert_array_equal(enc.frozen_rows(ids).data, enc.token_embedding.data[ids])
+
+
+def test_frozen_rows_keep_gradients_of_an_unfrozen_table():
+    enc = make_encoder()
+    enc.token_embedding.requires_grad = True
+    T.tsum(enc.frozen_rows([2, 3])).backward()
+    assert enc.token_embedding.grad[2:4].all() and not enc.token_embedding.grad[4:].any()
+
+
+def test_loaded_encoder_rows_come_from_the_checkpoint(tmp_path):
+    import json
+
+    enc = make_encoder()
+    ids = enc.vocabulary.encode("cat")
+    enc.frozen_rows(ids)
+    path = tmp_path / "enc.json"
+    enc.save(str(path))
+    payload = json.loads(path.read_text())
+    payload["weights"]["token_embedding"] = (2.0 * enc.token_embedding.data).tolist()
+    path.write_text(json.dumps(payload))
+    clone = DualEncoder.load(str(path))
+    np.testing.assert_array_equal(clone.frozen_rows(ids).data, 2.0 * enc.token_embedding.data[ids])
+
+
 def test_checkpoint_round_trip():
     import os
     import tempfile

@@ -11,6 +11,7 @@ from promptlab.prompts import (
     PromptLayout,
     SoftPromptBank,
     apply_drop_policy,
+    candidate_features,
     class_text_features,
     compose_classic,
     compose_shallow,
@@ -486,3 +487,52 @@ def test_training_step_changes_only_bank():
     loss.backward()
     opt.step()
     assert enc.weights_fingerprint() == before
+
+
+# -- grouped candidate features ---------------------------------------------------------
+
+
+def candidate_set(enc, style, depth):
+    out = []
+    for seed, attrs in enumerate(((), ("color",), ("shape",), ("color", "shape"))):
+        bank = make_bank(enc, attrs=attrs, depth=depth, seed=seed)
+        layout = PromptLayout(attribute_names=attrs, attribute_position_style=style, depth=depth)
+        out.append((bank, layout))
+    return out
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("style", ["interval", "adjacent_end"])
+@pytest.mark.parametrize("names", [("cat", "dog", "bird"), ("cat", "red fish")])
+def test_candidate_features_equal_per_candidate_features(depth, style, names):
+    enc = make_encoder()
+    candidates = candidate_set(enc, style, depth)
+    grouped = candidate_features(enc, candidates, names)
+    targets = [T.Tensor(np.random.default_rng(i).standard_normal(f.shape))
+               for i, f in enumerate(grouped)]
+    T.tsum(T.concat([T.mul(f, t) for f, t in zip(grouped, targets)], axis=0)).backward()
+    params = list({id(p): p for bank, _ in candidates for p in bank.parameters()}.values())
+    grads = [p.grad.copy() for p in params]
+    for p in params:
+        p.zero_grad()
+    singles = [class_text_features(enc, bank, layout, names) for bank, layout in candidates]
+    for f, ref in zip(grouped, singles):
+        np.testing.assert_allclose(f.data, ref.data, rtol=0, atol=1e-12)
+    T.tsum(T.concat([T.mul(f, t) for f, t in zip(singles, targets)], axis=0)).backward()
+    for g, p in zip(grads, params):
+        np.testing.assert_allclose(g, p.grad, rtol=0, atol=1e-12)
+
+
+def test_candidate_features_run_one_pass_per_prompt_length(monkeypatch):
+    enc = make_encoder()
+    calls = []
+    encode = enc.encode_text
+
+    def counting(embeds, deep_hook=None):
+        calls.append(embeds.shape)
+        return encode(embeds, deep_hook=deep_hook)
+
+    monkeypatch.setattr(enc, "encode_text", counting)
+    candidate_features(enc, candidate_set(enc, "interval", 1), ("cat", "dog", "bird"))
+    # (), the two singletons stacked, the pair
+    assert sorted(calls) == [(3, 5, 32), (3, 11, 32), (6, 8, 32)]

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promptlab import tensor as T
-from promptlab.errors import ContractError, NumericsError, ShapeError
+from promptlab.errors import (
+    ContractError,
+    IndexRangeError,
+    NumericsError,
+    PromptLabError,
+    ShapeError,
+)
 from gradcheck import assert_gradients_match
 
 
@@ -188,6 +194,15 @@ def test_embedding_id_out_of_range():
         T.embedding(T.Tensor(np.ones((3, 2))), [0, 3])
 
 
+def test_range_errors_are_typed_package_errors():
+    # the CLI reports PromptLabError as an error line; a bare IndexError escaped it
+    with pytest.raises(PromptLabError):
+        T.cross_entropy(T.Tensor(np.zeros((1, 3))), [3])
+    with pytest.raises(PromptLabError):
+        T.embedding(T.Tensor(np.ones((3, 2))), [5])
+    assert issubclass(IndexRangeError, IndexError)
+
+
 def test_finite_check_catches_overflow():
     big = T.Tensor([1e308])
     with np.errstate(over="ignore"):
@@ -259,6 +274,53 @@ def test_grad_layer_norm():
     x, g, b = leaf(rng, 4, 6), leaf(rng, 6), leaf(rng, 6)
     w = T.Tensor(rng.standard_normal((4, 6)))
     assert_gradients_match(lambda: T.tsum(T.mul(T.layer_norm(x, g, b), w)), [x, g, b])
+
+
+# -- frozen parents: no gradient computed, the trainable side still exact ---------------
+
+
+def frozen(rng, *shape):
+    return T.Tensor(rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("shapes", [((3, 4), (4, 2)), ((2, 3, 4), (4, 2)), ((2, 3, 4), (2, 4, 3))])
+@pytest.mark.parametrize("trainable", ["a", "b"])
+def test_grad_matmul_one_side_frozen(shapes, trainable):
+    rng = np.random.default_rng(30)
+    make_a = leaf if trainable == "a" else frozen
+    make_b = leaf if trainable == "b" else frozen
+    a, b = make_a(rng, *shapes[0]), make_b(rng, *shapes[1])
+    param = a if trainable == "a" else b
+    assert_gradients_match(lambda: T.tsum(T.gelu(T.matmul(a, b))), [param])
+
+
+def test_grad_layer_norm_frozen_affine():
+    rng = np.random.default_rng(31)
+    x = leaf(rng, 2, 4, 6)
+    g, b = frozen(rng, 6), frozen(rng, 6)
+    w = T.Tensor(rng.standard_normal((2, 4, 6)))
+    assert_gradients_match(lambda: T.tsum(T.mul(T.layer_norm(x, g, b), w)), [x])
+
+
+def test_grad_layer_norm_trainable_gain_only():
+    rng = np.random.default_rng(32)
+    x, g, b = frozen(rng, 4, 6), leaf(rng, 6), frozen(rng, 6)
+    w = T.Tensor(rng.standard_normal((4, 6)))
+    assert_gradients_match(lambda: T.tsum(T.mul(T.layer_norm(x, g, b), w)), [g])
+
+
+def test_frozen_parent_vjp_slot_is_none():
+    rng = np.random.default_rng(33)
+    x, w = leaf(rng, 2, 3, 4), frozen(rng, 4, 5)
+    out = T.matmul(x, w)
+    gx, gw = out._vjp(np.ones(out.shape))
+    assert gx.shape == x.shape and gw is None
+    out = T.matmul(frozen(rng, 3, 4), leaf(rng, 4, 2))
+    assert out._vjp(np.ones(out.shape))[0] is None
+    gain, bias = leaf(rng, 4), frozen(rng, 4)
+    out = T.layer_norm(frozen(rng, 3, 4), gain, bias)
+    gx, ggain, gbias = out._vjp(np.ones(out.shape))
+    assert gx is None and gbias is None and ggain.shape == (4,)
 
 
 def test_grad_l2_normalize():

@@ -27,7 +27,7 @@ from .errors import (
     RemoteError,
 )
 from .search import SearchResult, parse_result
-from .serialize import dumps_json
+from .serialize import dump_json
 
 PROVENANCES = ("fixture", "llm", "manual")
 
@@ -152,29 +152,26 @@ class HttpTransport:
         self.config = config.validate()
 
     def __call__(self, prompt: str) -> str:
-        import requests
+        import http.client  # imported here so that commands which never call out start faster
+        import urllib.request
 
         token = os.environ.get(self.config.credential_env)
         if not token:
             raise RemoteError(
                 f"environment variable {self.config.credential_env} is not set"
             )
-        body = {
+        body = json.dumps({
             "model": self.config.model,
             "messages": [{"role": "user", "content": prompt}],
-        }
+        }).encode()
+        headers = {"Authorization": f"Bearer {token}", "Content-Type": "application/json"}
         last_error = None
         for _ in range(self.config.max_retries + 1):
             try:
-                reply = requests.post(
-                    self.config.endpoint,
-                    json=body,
-                    headers={"Authorization": f"Bearer {token}"},
-                    timeout=self.config.timeout,
-                )
-                reply.raise_for_status()
-                return reply.json()["choices"][0]["message"]["content"]
-            except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+                request = urllib.request.Request(self.config.endpoint, data=body, headers=headers)
+                with urllib.request.urlopen(request, timeout=self.config.timeout) as reply:
+                    return json.load(reply)["choices"][0]["message"]["content"]
+            except (OSError, http.client.HTTPException, LookupError, TypeError, ValueError) as exc:
                 # the exception text may embed the URL but never the token
                 last_error = f"{type(exc).__name__}: {exc}"
         raise RemoteError(
@@ -227,11 +224,7 @@ class ResponseCache:
         return payload["reply"]
 
     def put(self, model: str, key: str, reply: str) -> None:
-        path = self._path(model, key)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(dumps_json({"model": model, "key": key, "reply": reply}))
-        os.replace(tmp, path)
+        dump_json({"model": model, "key": key, "reply": reply}, self._path(model, key))
 
 
 class LlmClient:

@@ -16,11 +16,9 @@ import sys
 from dataclasses import replace
 from itertools import permutations
 
-import numpy as np
-
 from .attributes import LlmClient, ResponseCache, describe_categories, fixture_bases, summarize_bases
-from .config import RunConfig, config_hash, load_run_config, named_subseed, save_run_config
-from .data import Task, make_base_novel_task
+from .config import RunConfig, config_hash, load_run_config, save_run_config
+from .data import Task, make_base_novel_task, subseed
 from .encoders import DualEncoder, build_config_for
 from .errors import CheckpointError, ConfigError, DataError, PromptLabError
 from .prompts import (
@@ -34,13 +32,10 @@ from .prompts import (
 from .search import alternating_search, describe_config, export_result, load_result
 from .serialize import dump_json, expect_version, file_sha256, load_json
 from .training import (
-    EvalReport,
     aggregate_reports,
-    evaluate,
-    harmonic_mean,
+    base_novel_report,
     load_report_records,
     make_bank,
-    per_class_accuracy,
     run_base_to_novel,
     save_report_records,
     train_prompts,
@@ -89,13 +84,13 @@ def _tasks_for(config: RunConfig):
         base = Task.load(f"{root}.base{ext}")
         novel = Task.load(f"{root}.novel{ext}")
         return base, novel
-    spec = replace(config.task_spec, seed=named_subseed(config.seed, "data"))
+    spec = replace(config.task_spec, seed=subseed(config.seed, "data"))
     return make_base_novel_task(spec)
 
 
 def _encoder_for(config: RunConfig, vocabulary) -> DualEncoder:
     cfg = build_config_for(vocabulary, **config.encoder_overrides)
-    return DualEncoder(cfg, vocabulary, seed=named_subseed(config.seed, "encoder"))
+    return DualEncoder(cfg, vocabulary, seed=subseed(config.seed, "encoder"))
 
 
 def _resolve_bases(config: RunConfig, task: Task):
@@ -130,7 +125,7 @@ def cmd_gen_data(args) -> int:
     _ensure_out(config)
     if config.task_spec is None:
         raise ConfigError("gen-data needs an inline task spec, not a dataset path")
-    spec = replace(config.task_spec, seed=named_subseed(config.seed, "data"))
+    spec = replace(config.task_spec, seed=subseed(config.seed, "data"))
     base, novel = make_base_novel_task(spec)
     entries = []
     for task, name in ((base, "base.json"), (novel, "novel.json")):
@@ -164,7 +159,7 @@ def cmd_search_attrs(args) -> int:
     base, _ = _tasks_for(config)
     bases = _resolve_bases(config, base)
     encoder = _encoder_for(config, base.vocabulary)
-    search_cfg = replace(config.search, seed=named_subseed(config.seed, "search"))
+    search_cfg = replace(config.search, seed=subseed(config.seed, "search"))
     result = alternating_search(
         base, bases, search_cfg, encoder,
         config_hash=config_hash(describe_config(search_cfg)),
@@ -178,23 +173,22 @@ def cmd_search_attrs(args) -> int:
 def _train_one(config: RunConfig, base: Task, novel: Task, seed: int, classic: bool):
     encoder = _encoder_for(config, base.vocabulary)
     attrs = () if classic else _selected_attributes(config)
-    train_cfg = replace(
-        config.train, attributes=attrs, seed=named_subseed(seed, "train")
-    )
+    train_cfg = replace(config.train, attributes=attrs, seed=subseed(seed, "train"))
     bank = make_bank(train_cfg, encoder)
     bank, _ = train_prompts(base, train_cfg, bank, encoder)
-    layout = train_cfg.effective_layout()
-    base_acc = evaluate(encoder, bank, layout, base, "test")
-    novel_acc = evaluate(encoder, bank, layout, novel, "test")
-    per_class = per_class_accuracy(encoder, bank, layout, base, "test")
-    per_class.update(per_class_accuracy(encoder, bank, layout, novel, "test"))
-    report = EvalReport(
-        base_accuracy=base_acc,
-        novel_accuracy=novel_acc,
-        harmonic_mean=harmonic_mean(base_acc, novel_acc),
-        per_class_accuracy=per_class,
-    ).validate()
+    report = base_novel_report(encoder, bank, train_cfg.effective_layout(), base, novel)
     return report, bank, train_cfg
+
+
+def _save_reports(config: RunConfig, reports, name: str):
+    """Write (seed, report) pairs and their aggregate, under seed -1, to one report file."""
+    aggregate = aggregate_reports(report for _, report in reports)
+    records = [
+        {"config_hash": config.fingerprint(), "seed": seed, "report": report}
+        for seed, report in [*reports, (-1, aggregate)]
+    ]
+    save_report_records(records, _path(config, name))
+    return aggregate
 
 
 def cmd_train(args) -> int:
@@ -203,7 +197,7 @@ def cmd_train(args) -> int:
     base, novel = _tasks_for(config)
     classic = bool(getattr(args, "classic", False))
     tag = "classic" if classic else "atprompt"
-    records = []
+    reports = []
     for seed in config.seed_list():
         report, bank, train_cfg = _train_one(config, base, novel, seed, classic)
         checkpoint = {
@@ -217,10 +211,8 @@ def cmd_train(args) -> int:
             "bank": bank.to_dict(),
         }
         dump_json(checkpoint, _path(config, f"checkpoint_{tag}_s{seed}.json"))
-        records.append({"config_hash": config.fingerprint(), "seed": seed, "report": report})
-    aggregate = aggregate_reports([r["report"] for r in records])
-    records.append({"config_hash": config.fingerprint(), "seed": -1, "report": aggregate})
-    save_report_records(records, _path(config, f"report_{tag}.json"))
+        reports.append((seed, report))
+    aggregate = _save_reports(config, reports, f"report_{tag}.json")
     print(
         f"{tag}: base {aggregate.base_accuracy:.2f} novel {aggregate.novel_accuracy:.2f} "
         f"hm {aggregate.harmonic_mean:.2f} over {aggregate.seeds_aggregated} seed(s)"
@@ -247,25 +239,15 @@ def cmd_eval(args) -> int:
     base, novel = _tasks_for(config)
     classic = bool(getattr(args, "classic", False))
     tag = "classic" if classic else "atprompt"
-    records = []
+    reports = []
     for seed in config.seed_list():
         bank, layout, _ = _load_checkpoint(config, tag, seed)
         encoder = _encoder_for(config, base.vocabulary)
-        base_acc = evaluate(encoder, bank, layout, base, "test")
-        novel_acc = evaluate(encoder, bank, layout, novel, "test")
-        per_class = per_class_accuracy(encoder, bank, layout, base, "test")
-        per_class.update(per_class_accuracy(encoder, bank, layout, novel, "test"))
-        report = EvalReport(
-            base_accuracy=base_acc,
-            novel_accuracy=novel_acc,
-            harmonic_mean=harmonic_mean(base_acc, novel_acc),
-            per_class_accuracy=per_class,
-        ).validate()
-        records.append({"config_hash": config.fingerprint(), "seed": seed, "report": report})
-        print(f"seed {seed}: base {base_acc:.2f} novel {novel_acc:.2f} hm {report.harmonic_mean:.2f}")
-    aggregate = aggregate_reports([r["report"] for r in records])
-    records.append({"config_hash": config.fingerprint(), "seed": -1, "report": aggregate})
-    save_report_records(records, _path(config, f"eval_report_{tag}.json"))
+        report = base_novel_report(encoder, bank, layout, base, novel)
+        reports.append((seed, report))
+        print(f"seed {seed}: base {report.base_accuracy:.2f} novel {report.novel_accuracy:.2f} "
+              f"hm {report.harmonic_mean:.2f}")
+    _save_reports(config, reports, f"eval_report_{tag}.json")
     return 0
 
 
@@ -312,7 +294,7 @@ def cmd_ablate(args) -> int:
         reports = []
         for seed in config.seed_list():
             encoder = _encoder_for(config, base.vocabulary)
-            cell_cfg = replace(train_cfg, seed=named_subseed(seed, "train"))
+            cell_cfg = replace(train_cfg, seed=subseed(seed, "train"))
             reports.append(run_base_to_novel(base, novel, cell_cfg, encoder))
         agg = aggregate_reports(reports)
         rows.append(

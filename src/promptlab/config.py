@@ -13,33 +13,18 @@ from __future__ import annotations
 
 import hashlib
 import os
-import zlib
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .attributes import LlmClientConfig
 from .data import TaskSpec
 from .errors import ConfigError, DataError
 from .prompts import PromptLayout
 from .search import SearchConfig
-from .serialize import dumps_json, load_json
+from .serialize import dump_json, dumps_json, load_json
 from .training import TrainConfig
 
 RUN_CONFIG_KIND = "run_config"
 RUN_CONFIG_VERSION = 1
-
-SUBSEED_NAMES = ("data", "encoder", "init", "search", "train")
-
-
-def named_subseed(seed: int, name: str) -> int:
-    """Stable per-component stream: crc32 keying keeps streams order-free."""
-    if name not in SUBSEED_NAMES:
-        raise ConfigError(f"unknown sub-seed name {name!r}; use one of {SUBSEED_NAMES}")
-    return int(
-        np.random.SeedSequence([int(seed), zlib.crc32(name.encode())]).generate_state(1)[0]
-    )
-
 
 def config_hash(payload) -> str:
     """Short content address of any JSON-serializable object."""
@@ -217,9 +202,5 @@ def load_run_config(path: str, overrides: dict = None) -> RunConfig:
 
 
 def save_run_config(config: RunConfig, path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(config.to_dict()))
-    os.replace(tmp, path)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    dump_json(config.to_dict(), path)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .serialize import dump_json, expect_version, load_json
 from .vocab import EOS, SOS, Vocabulary
 
@@ -38,6 +38,19 @@ DATASET_VERSION = 1
 SPLITS = ("train", "val", "test")
 
 TEMPLATE_WORDS = ("a", "photo", "of")
+
+SUBSEED_NAMES = (
+    "data", "encoder", "init", "search", "train", "search.banks", "search.order", "train.order",
+)
+
+
+def subseed(seed: int, name: str) -> int:
+    """Stable per-component seed drawn from a run seed; crc32 keying keeps streams order-free."""
+    if name not in SUBSEED_NAMES:
+        raise ConfigError(f"unknown sub-seed name {name!r}; use one of {SUBSEED_NAMES}")
+    return int(
+        np.random.SeedSequence([int(seed), zlib.crc32(name.encode())]).generate_state(1)[0]
+    )
 
 
 def _rng(*keys):

@@ -279,15 +279,6 @@ class ComposedPrompt:
     def segments_of(self, kind: str) -> list:
         return [s for s in self.segments if s.kind == kind]
 
-    def check_partition(self) -> None:
-        cursor = 0
-        for seg in self.segments:
-            if seg.start != cursor:
-                raise ContractError(f"segment map has a gap/overlap at {seg}")
-            cursor = seg.stop
-        if cursor != self.length:
-            raise ContractError(f"segment map covers {cursor} of {self.length} positions")
-
 
 @dataclass
 class LayerState:
@@ -296,16 +287,16 @@ class LayerState:
     hidden: Tensor  # [L, d] or [C, L, d]
     segments: list
 
-    def check_partition(self) -> None:
-        cursor = 0
-        for seg in self.segments:
-            if seg.start != cursor:
-                raise ContractError(f"segment map has a gap/overlap at {seg}")
-            cursor = seg.stop
-        if cursor != self.hidden.shape[-2]:
-            raise ContractError(
-                f"segment map covers {cursor} of {self.hidden.shape[-2]} positions"
-            )
+
+def check_partition(segments, length: int) -> None:
+    """The segments must tile positions [0, length) in order, with no gap or overlap."""
+    cursor = 0
+    for seg in segments:
+        if seg.start != cursor:
+            raise ContractError(f"segment map has a gap/overlap at {seg}")
+        cursor = seg.stop
+    if cursor != length:
+        raise ContractError(f"segment map covers {cursor} of {length} positions")
 
 
 def _hard_rows(encoder, word: str) -> Tensor:
@@ -322,7 +313,7 @@ def _assemble(pieces, class_name: str) -> ComposedPrompt:
         cursor += length
         tensors.append(tens)
     prompt = ComposedPrompt(T.concat(tensors, axis=0), segments, class_name)
-    prompt.check_partition()
+    check_partition(segments, prompt.length)
     return prompt
 
 
@@ -401,7 +392,7 @@ def apply_drop_policy(state: LayerState, policy: str, replacements: dict) -> Lay
     """
     if policy not in DROP_POLICIES:
         raise ParameterError(f"unknown drop policy {policy!r}")
-    state.check_partition()
+    check_partition(state.segments, state.hidden.shape[-2])
     batched = state.hidden.ndim == 3
     pieces = []
     for seg in state.segments:
@@ -452,8 +443,10 @@ def _deep_encode(encoder, bank, layout, embeds, segments):
 def class_text_features(encoder, bank: SoftPromptBank, layout: PromptLayout, class_names):
     """Features for many classes [N, joint], batching equal-length prompts.
 
-    This is the single entry point used by training, evaluation, and the
-    attribute search; it dispatches on layout.depth.
+    Training and evaluation call it directly; the attribute search goes
+    through ``candidate_features``, which falls back to it for depth >= 2
+    layouts and class names of unequal token length. It dispatches on
+    layout.depth.
     """
     prompts = [compose_shallow(encoder, bank, layout, n) for n in class_names]
     lengths = {p.length for p in prompts}

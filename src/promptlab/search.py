@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 import re
-import zlib
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
 
 from . import tensor as T
-from .data import Task
+from .data import Task, subseed
 from .errors import ConfigError, DataError, NumericsError, ParameterError, ParseError
 from .optim import SGD, Adam
 from .prompts import (
@@ -29,7 +28,7 @@ from .prompts import (
     class_text_features,
     template_rows_for,
 )
-from .serialize import dumps_json
+from .serialize import atomic_write, dumps_json
 
 RESULT_KIND = "search_result"
 RESULT_VERSION = 1
@@ -101,17 +100,13 @@ class SearchConfig:
         return self
 
 
-def _subseed(seed: int, tag: str) -> int:
-    return int(np.random.SeedSequence([int(seed), zlib.crc32(tag.encode())]).generate_state(1)[0])
-
-
 def build_candidate_banks(pool, config: SearchConfig, encoder) -> dict:
     """One bank per candidate, all sharing a single class block object.
 
     Block init is content keyed, so a base's attribute block starts identical
     in every candidate that contains it and across any pool ordering.
     """
-    seed = _subseed(config.seed, "search.banks")
+    seed = subseed(config.seed, "search.banks")
     rows = template_rows_for(encoder)
     shared = SoftPromptBank.create(
         embed_dim=encoder.config.embed_dim,
@@ -145,7 +140,7 @@ def candidate_logits(encoder, bank: SoftPromptBank, layout: PromptLayout,
 
 
 def mixture_logits(per_candidate, weights) -> T.Tensor:
-    """Convex combination of pre-softmax class scores.
+    """Convex combination of pre-softmax class scores, as one [1, k] @ [k, B*C] product.
 
     weights may be a Tensor (softmax of alpha, for alpha steps) or a plain
     array of constants (for theta steps, keeping alpha out of the graph).
@@ -153,26 +148,14 @@ def mixture_logits(per_candidate, weights) -> T.Tensor:
     per_candidate = list(per_candidate)
     if not per_candidate:
         raise ParameterError("empty candidate list")
-    if isinstance(weights, T.Tensor):
-        if weights.data.shape != (len(per_candidate),):
-            raise ParameterError(
-                f"weights shape {weights.data.shape} does not match {len(per_candidate)} candidates"
-            )
-        mixed = None
-        for i, logits in enumerate(per_candidate):
-            term = T.mul(logits, T.narrow(weights, 0, i, i + 1))
-            mixed = term if mixed is None else T.add(mixed, term)
-        return mixed
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(per_candidate),):
-        raise ParameterError(
-            f"weights shape {weights.shape} does not match {len(per_candidate)} candidates"
-        )
-    mixed = None
-    for w, logits in zip(weights, per_candidate):
-        term = T.scale(logits, float(w))
-        mixed = term if mixed is None else T.add(mixed, term)
-    return mixed
+    if not isinstance(weights, T.Tensor):
+        weights = T.Tensor(weights)
+    k = len(per_candidate)
+    if weights.shape != (k,):
+        raise ParameterError(f"weights shape {weights.shape} does not match {k} candidates")
+    shape = per_candidate[0].shape
+    stacked = T.reshape(T.stack(per_candidate), (k, per_candidate[0].size))
+    return T.reshape(T.matmul(T.reshape(weights, (1, k)), stacked), shape)
 
 
 @dataclass
@@ -270,7 +253,7 @@ def alternating_search(task: Task, bases, config: SearchConfig, encoder,
     x_val, y_val = task.split("val")
     if len(y_train) == 0 or len(y_val) == 0:
         raise DataError("search needs non-empty train and val splits")
-    order_rng = np.random.default_rng(_subseed(config.seed, "search.order"))
+    order_rng = np.random.default_rng(subseed(config.seed, "search.order"))
     steps_per_epoch = math.ceil(len(y_train) / config.batch_size)
     val_steps = math.ceil(len(y_val) / config.batch_size)
 
@@ -325,20 +308,7 @@ def format_result(result: SearchResult) -> str:
 
 
 def export_result(result: SearchResult, path: str) -> None:
-    text = format_result(result)
-    import os
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".search-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, format_result(result))
 
 
 def parse_result(text: str, path: str = "<string>") -> SearchResult:

@@ -14,12 +14,27 @@ import os
 from .errors import DataError
 
 
+def atomic_write(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` in one rename: readers see the old file or the new.
+
+    The text goes to a uniquely named file next to the target, so concurrent
+    writers never share a temporary file; on any failure that file is removed
+    and the target is left as it was. The new file's permission bits follow
+    the umask, as a plain ``open`` would create them.
+    """
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def dump_json(obj, path: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, dumps_json(obj))
 
 
 def dumps_json(obj) -> str:

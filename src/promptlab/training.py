@@ -11,13 +11,12 @@ half zero-shot, summarized by the harmonic mean.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tensor as T
-from .data import Task
+from .data import Task, subseed
 from .errors import ContractError, DataError, NumericsError
 from .optim import SGD, cosine_lr
 from .prompts import PromptLayout, SoftPromptBank, class_text_features, template_rows_for
@@ -70,14 +69,10 @@ def make_bank(config: TrainConfig, encoder) -> SoftPromptBank:
         attribute_names=layout.attribute_names,
         attr_soft_len=config.attr_soft_len,
         depth=layout.depth,
-        seed=_subseed(config.seed, "init"),
+        seed=subseed(config.seed, "init"),
         scheme=config.init_scheme,
         template_rows=template_rows_for(encoder),
     )
-
-
-def _subseed(seed: int, tag: str) -> int:
-    return int(np.random.SeedSequence([int(seed), zlib.crc32(tag.encode())]).generate_state(1)[0])
 
 
 # -- core loops -----------------------------------------------------------------
@@ -95,7 +90,7 @@ def train_prompts(task: Task, config: TrainConfig, bank: SoftPromptBank, encoder
     if len(y) == 0:
         raise DataError("empty training split")
     opt = SGD(bank.parameters(), lr=config.lr_init)
-    rng = np.random.default_rng(_subseed(config.seed, "train.order"))
+    rng = np.random.default_rng(subseed(config.seed, "train.order"))
     steps_per_epoch = math.ceil(len(y) / config.batch_size)
     total_steps = config.epochs * steps_per_epoch
     history = []
@@ -124,29 +119,30 @@ def train_prompts(task: Task, config: TrainConfig, bank: SoftPromptBank, encoder
     return bank, history
 
 
-def evaluate(encoder, bank: SoftPromptBank, layout: PromptLayout, task: Task,
-             split: str = "test") -> float:
-    """Top-1 accuracy in percent; class features computed once per call."""
+def _score(encoder, bank: SoftPromptBank, layout: PromptLayout, task: Task, split: str):
+    """Top-1 and per-class accuracy in percent, both from one forward and one argmax."""
     x, y = task.split(split)
     if len(y) == 0:
         raise DataError(f"empty split {split!r}")
     feats = class_text_features(encoder, bank, layout, task.class_names)
-    u = encoder.encode_image(x)
-    logits = encoder.class_logits(u, feats)
-    pred = logits.data.argmax(axis=1)  # np.argmax: ties go to the lowest index
-    return float((pred == y).mean() * 100.0)
+    # np.argmax: ties go to the lowest index
+    pred = encoder.class_logits(encoder.encode_image(x), feats).data.argmax(axis=1)
+    per_class = {}
+    for c, name in enumerate(task.class_names):
+        mask = y == c
+        per_class[name] = float((pred[mask] == c).mean() * 100.0) if mask.any() else 0.0
+    return float((pred == y).mean() * 100.0), per_class
+
+
+def evaluate(encoder, bank: SoftPromptBank, layout: PromptLayout, task: Task,
+             split: str = "test") -> float:
+    """Top-1 accuracy in percent; class features computed once per call."""
+    return _score(encoder, bank, layout, task, split)[0]
 
 
 def per_class_accuracy(encoder, bank: SoftPromptBank, layout: PromptLayout, task: Task,
                        split: str = "test") -> dict:
-    x, y = task.split(split)
-    feats = class_text_features(encoder, bank, layout, task.class_names)
-    pred = encoder.class_logits(encoder.encode_image(x), feats).data.argmax(axis=1)
-    out = {}
-    for c, name in enumerate(task.class_names):
-        mask = y == c
-        out[name] = float((pred[mask] == c).mean() * 100.0) if mask.any() else 0.0
-    return out
+    return _score(encoder, bank, layout, task, split)[1]
 
 
 # -- protocol helpers --------------------------------------------------------------
@@ -211,23 +207,33 @@ class EvalReport:
             seeds_aggregated=payload.get("seeds_aggregated", 1),
         ).validate()
 
+    @classmethod
+    def from_accuracies(cls, base_accuracy: float, novel_accuracy: float,
+                        per_class_accuracy: dict, seeds_aggregated: int = 1) -> "EvalReport":
+        """A validated report whose harmonic mean is computed from the two accuracies."""
+        return cls(
+            base_accuracy=base_accuracy,
+            novel_accuracy=novel_accuracy,
+            harmonic_mean=harmonic_mean(base_accuracy, novel_accuracy),
+            per_class_accuracy=per_class_accuracy,
+            seeds_aggregated=seeds_aggregated,
+        ).validate()
+
+
+def base_novel_report(encoder, bank: SoftPromptBank, layout: PromptLayout,
+                      base_task: Task, novel_task: Task) -> EvalReport:
+    """Score both halves' test splits, one forward each, into a base/novel report."""
+    base_acc, per_class = _score(encoder, bank, layout, base_task, "test")
+    novel_acc, novel_per_class = _score(encoder, bank, layout, novel_task, "test")
+    return EvalReport.from_accuracies(base_acc, novel_acc, {**per_class, **novel_per_class})
+
 
 def run_base_to_novel(base_task: Task, novel_task: Task, config: TrainConfig,
                       encoder) -> EvalReport:
     """Train on the base half, evaluate both halves, report with the HM."""
     bank = make_bank(config, encoder)
     train_prompts(base_task, config, bank, encoder)
-    layout = config.effective_layout()
-    base_acc = evaluate(encoder, bank, layout, base_task, "test")
-    novel_acc = evaluate(encoder, bank, layout, novel_task, "test")
-    per_class = per_class_accuracy(encoder, bank, layout, base_task, "test")
-    per_class.update(per_class_accuracy(encoder, bank, layout, novel_task, "test"))
-    return EvalReport(
-        base_accuracy=base_acc,
-        novel_accuracy=novel_acc,
-        harmonic_mean=harmonic_mean(base_acc, novel_acc),
-        per_class_accuracy=per_class,
-    ).validate()
+    return base_novel_report(encoder, bank, config.effective_layout(), base_task, novel_task)
 
 
 def aggregate_reports(reports) -> EvalReport:
@@ -241,13 +247,9 @@ def aggregate_reports(reports) -> EvalReport:
     per_class = {
         n: float(np.mean([r.per_class_accuracy.get(n, 0.0) for r in reports])) for n in names
     }
-    return EvalReport(
-        base_accuracy=base,
-        novel_accuracy=novel,
-        harmonic_mean=harmonic_mean(base, novel),
-        per_class_accuracy=per_class,
-        seeds_aggregated=sum(r.seeds_aggregated for r in reports),
-    ).validate()
+    return EvalReport.from_accuracies(
+        base, novel, per_class, seeds_aggregated=sum(r.seeds_aggregated for r in reports)
+    )
 
 
 # -- report files ---------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import json
 import os
+import threading
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -113,6 +116,87 @@ def test_http_transport_refuses_to_run_without_the_named_variable(monkeypatch):
     transport = HttpTransport(LlmClientConfig(credential_env="PROMPTLAB_TEST_KEY"))
     with pytest.raises(RemoteError, match="PROMPTLAB_TEST_KEY"):
         transport("hello")
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    """Answers each POST with the next scripted status; the last status repeats."""
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append((self.headers["Authorization"], json.loads(body)))
+        statuses = self.server.statuses
+        status = statuses.pop(0) if len(statuses) > 1 else statuses[0]
+        payload = json.dumps(self.server.reply).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def chat_server(monkeypatch, statuses,
+                reply={"choices": [{"message": {"content": "color, shape"}}]}):
+    """A loopback chat endpoint on a thread, with the transport's credential set."""
+    for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("PROMPTLAB_TEST_KEY", "sk-test-secret")
+    server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
+    server.statuses, server.seen, server.reply = list(statuses), [], reply
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server, LlmClientConfig(
+            endpoint=f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
+            model="test-model", credential_env="PROMPTLAB_TEST_KEY", timeout=5.0,
+            max_retries=2,
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_http_transport_posts_the_prompt_and_returns_the_reply(monkeypatch):
+    from promptlab.attributes import HttpTransport
+
+    with chat_server(monkeypatch, [200]) as (server, config):
+        assert HttpTransport(config)("hello") == "color, shape"
+    assert server.seen == [(
+        "Bearer sk-test-secret",
+        {"model": "test-model", "messages": [{"role": "user", "content": "hello"}]},
+    )]
+
+
+def test_http_transport_retries_after_a_server_error(monkeypatch):
+    from promptlab.attributes import HttpTransport
+
+    with chat_server(monkeypatch, [500, 200]) as (server, config):
+        assert HttpTransport(config)("hello") == "color, shape"
+    assert len(server.seen) == 2
+
+
+def test_http_transport_gives_up_without_leaking_the_token(monkeypatch):
+    from promptlab.attributes import HttpTransport
+
+    with chat_server(monkeypatch, [500]) as (server, config):
+        with pytest.raises(RemoteError, match="after 3 attempts") as info:
+            HttpTransport(config)("hello")
+    assert len(server.seen) == config.max_retries + 1
+    assert "sk-test-secret" not in str(info.value)
+
+
+@pytest.mark.parametrize("reply", [{"choices": None}, {"choices": []}, {"other": 1}])
+def test_http_transport_reports_a_reply_without_content_as_remote_error(monkeypatch, reply):
+    from promptlab.attributes import HttpTransport
+
+    with chat_server(monkeypatch, [200], reply) as (server, config):
+        with pytest.raises(RemoteError, match="after 3 attempts"):
+            HttpTransport(config)("hello")
 
 
 # -- describe step ---------------------------------------------------------------

@@ -4,13 +4,11 @@ from promptlab.attributes import LlmClientConfig
 from promptlab.config import (
     AttributeSource,
     RunConfig,
-    SUBSEED_NAMES,
     config_hash,
     load_run_config,
-    named_subseed,
     save_run_config,
 )
-from promptlab.data import LatentAttribute, TaskSpec
+from promptlab.data import SUBSEED_NAMES, LatentAttribute, TaskSpec, subseed
 from promptlab.errors import ConfigError, DataError
 
 
@@ -41,14 +39,28 @@ def toy_config(**kw):
 
 
 def test_named_subseeds_are_stable_and_distinct():
-    streams = {name: named_subseed(7, name) for name in SUBSEED_NAMES}
-    assert streams == {name: named_subseed(7, name) for name in SUBSEED_NAMES}
+    streams = {name: subseed(7, name) for name in SUBSEED_NAMES}
+    assert streams == {name: subseed(7, name) for name in SUBSEED_NAMES}
     assert len(set(streams.values())) == len(SUBSEED_NAMES)
 
 
 def test_named_subseed_rejects_unknown_components():
     with pytest.raises(ConfigError):
-        named_subseed(7, "cache")
+        subseed(7, "cache")
+
+
+def test_subseeds_are_pinned_for_every_component():
+    # each value seeds a stream behind saved artifacts; a change here moves them all
+    assert {name: subseed(0, name) for name in SUBSEED_NAMES} == {
+        "data": 890424286, "encoder": 579547007, "init": 3501147124,
+        "search": 2353253374, "train": 1550685491, "search.banks": 2700969913,
+        "search.order": 2095722251, "train.order": 3431036499,
+    }
+    assert {name: subseed(7, name) for name in SUBSEED_NAMES} == {
+        "data": 3290748406, "encoder": 2077350394, "init": 1512160537,
+        "search": 566585586, "train": 368164322, "search.banks": 1634806952,
+        "search.order": 1244855497, "train.order": 1254550084,
+    }
 
 
 def test_config_hash_is_order_insensitive_and_content_sensitive():

@@ -1,0 +1,41 @@
+"""The package needs nothing at run time beyond the standard library, numpy and scipy."""
+
+import ast
+import pathlib
+import re
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "promptlab"
+THIRD_PARTY = {"numpy", "scipy"}
+
+
+def imported_roots(path):
+    """Top-level names of every absolute import in a module, function-level ones included."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_package_imports_only_the_standard_library_numpy_and_scipy():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    foreign = sorted(
+        f"{path.relative_to(PACKAGE)}: {root}"
+        for path in modules
+        for root in imported_roots(path)
+        if root not in sys.stdlib_module_names and root not in THIRD_PARTY | {"promptlab"}
+    )
+    assert not foreign, foreign
+
+
+def test_declared_runtime_dependencies_are_numpy_and_scipy():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower()
+             for dep in project["dependencies"]}
+    assert names == THIRD_PARTY

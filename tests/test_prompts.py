@@ -12,6 +12,7 @@ from promptlab.prompts import (
     SoftPromptBank,
     apply_drop_policy,
     candidate_features,
+    check_partition,
     class_text_features,
     compose_classic,
     compose_shallow,
@@ -161,7 +162,7 @@ def test_every_style_partitions_and_preserves_length():
         layout = PromptLayout(attribute_names=("color", "shape"),
                               attribute_position_style=style)
         prompt = compose_shallow(enc, bank, layout, "cat")
-        prompt.check_partition()
+        check_partition(prompt.segments, prompt.length)
         lengths.add(prompt.length)
     assert len(lengths) == 1
 

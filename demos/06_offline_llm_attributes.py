@@ -50,7 +50,8 @@ with tempfile.TemporaryDirectory() as cache_dir:
     bases = summarize_bases(described, 3, client, dataset_name="birds2")
     print("extracted bases:", bases.bases, f"(provenance: {bases.provenance})")
 
-    # replies were cached, so a dead transport can still serve the same request
+    # every request was cached, so a dead transport replays both steps
     offline = LlmClient(config, transport=MockTransport([]), cache=ResponseCache(cache_dir))
-    again = describe_categories(["robin", "eagle"], offline)
-    print("served from cache:", again == described)
+    again = summarize_bases(describe_categories(["robin", "eagle"], offline), 3, offline,
+                            dataset_name="birds2")
+    print("served from cache:", again == bases)

@@ -12,6 +12,7 @@ cache or result file.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -195,36 +196,35 @@ class MockTransport:
 
 
 class ResponseCache:
-    """Append-only directory of raw reply files keyed by (model, class name).
+    """Append-only directory of raw reply files keyed by (model, request text).
 
-    Entries are one structured-text file each, so a cache directory can be
-    inspected or committed as a recorded transcript. Writing an existing key
-    overwrites it (last write wins); nothing is ever deleted.
+    Each file is named by a digest of the model and the full request text and
+    holds both, so a cache directory can be inspected or committed as a
+    recorded transcript. Writing an existing key overwrites it (last write
+    wins); nothing is ever deleted.
     """
 
     def __init__(self, directory: str):
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
 
-    @staticmethod
-    def _slug(part: str) -> str:
-        return re.sub(r"[^a-z0-9]+", "-", part.lower()).strip("-") or "blank"
+    def _path(self, model: str, request: str) -> str:
+        digest = hashlib.sha256(json.dumps([model, request]).encode()).hexdigest()
+        return os.path.join(self.directory, f"{digest}.json")
 
-    def _path(self, model: str, key: str) -> str:
-        return os.path.join(self.directory, f"{self._slug(model)}__{self._slug(key)}.json")
-
-    def get(self, model: str, key: str):
-        path = self._path(model, key)
+    def get(self, model: str, request: str):
+        path = self._path(model, request)
         if not os.path.exists(path):
             return None
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        if payload.get("model") != model or payload.get("key") != key:
+        if payload.get("model") != model or payload.get("request") != request:
             raise DataError(f"cache file {path} does not match its key")
         return payload["reply"]
 
-    def put(self, model: str, key: str, reply: str) -> None:
-        dump_json({"model": model, "key": key, "reply": reply}, self._path(model, key))
+    def put(self, model: str, request: str, reply: str) -> None:
+        dump_json({"model": model, "request": request, "reply": reply},
+                  self._path(model, request))
 
 
 class LlmClient:
@@ -235,16 +235,17 @@ class LlmClient:
         self.transport = transport if transport is not None else HttpTransport(self.config)
         self.cache = cache
 
-    def ask(self, prompt: str, cache_key: str = None) -> str:
-        if self.cache is not None and cache_key is not None:
-            hit = self.cache.get(self.config.model, cache_key)
+    def ask(self, prompt: str) -> str:
+        """The reply to one prompt; with a cache, each distinct prompt is sent once."""
+        if self.cache is not None:
+            hit = self.cache.get(self.config.model, prompt)
             if hit is not None:
                 return hit
         reply = self.transport(prompt)
         if not isinstance(reply, str):
             raise RemoteError(f"transport returned {type(reply).__name__}, expected text")
-        if self.cache is not None and cache_key is not None:
-            self.cache.put(self.config.model, cache_key, reply)
+        if self.cache is not None:
+            self.cache.put(self.config.model, prompt, reply)
         return reply
 
 
@@ -255,7 +256,7 @@ def describe_categories(class_names, client: LlmClient) -> dict:
     """One description per class; repeat queries for a class hit the cache."""
     out = {}
     for name in class_names:
-        out[name] = client.ask(DESCRIBE_TEMPLATE.format(name=name), cache_key=name)
+        out[name] = client.ask(DESCRIBE_TEMPLATE.format(name=name))
     return out
 
 

@@ -74,18 +74,29 @@ def _load_config(args) -> RunConfig:
     return load_run_config(args.config, overrides)
 
 
+def _data_spec(config: RunConfig):
+    """The inline task spec with its data sub-seed: what gen-data writes and commands expect."""
+    if config.task_spec is None:
+        return None
+    return replace(config.task_spec, seed=subseed(config.seed, "data"))
+
+
 def _tasks_for(config: RunConfig):
-    """Base and novel halves, either loaded from files or generated on demand."""
+    """Base and novel halves, either loaded from files or generated on demand.
+
+    Files in the output directory must have been generated from this config's
+    task spec; a stale pair (the spec changed since gen-data) is a DataError.
+    """
     base_path, novel_path = _path(config, "base.json"), _path(config, "novel.json")
     if os.path.exists(base_path) and os.path.exists(novel_path):
-        return Task.load(base_path), Task.load(novel_path)
+        spec = _data_spec(config)
+        return Task.load(base_path, spec), Task.load(novel_path, spec)
     if config.dataset_path is not None:
         root, ext = os.path.splitext(config.dataset_path)
         base = Task.load(f"{root}.base{ext}")
         novel = Task.load(f"{root}.novel{ext}")
         return base, novel
-    spec = replace(config.task_spec, seed=subseed(config.seed, "data"))
-    return make_base_novel_task(spec)
+    return make_base_novel_task(_data_spec(config))
 
 
 def _encoder_for(config: RunConfig, vocabulary) -> DualEncoder:
@@ -125,8 +136,7 @@ def cmd_gen_data(args) -> int:
     _ensure_out(config)
     if config.task_spec is None:
         raise ConfigError("gen-data needs an inline task spec, not a dataset path")
-    spec = replace(config.task_spec, seed=subseed(config.seed, "data"))
-    base, novel = make_base_novel_task(spec)
+    base, novel = make_base_novel_task(_data_spec(config))
     entries = []
     for task, name in ((base, "base.json"), (novel, "novel.json")):
         path = _path(config, name)

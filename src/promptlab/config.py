@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .attributes import LlmClientConfig
 from .data import TaskSpec
@@ -29,6 +29,12 @@ RUN_CONFIG_VERSION = 1
 def config_hash(payload) -> str:
     """Short content address of any JSON-serializable object."""
     return hashlib.sha256(dumps_json(payload).encode()).hexdigest()[:12]
+
+
+def _hyperparameters(section) -> dict:
+    """A search/train section's fields, less the seed and layout the run config owns."""
+    return {f.name: getattr(section, f.name) for f in fields(section)
+            if f.name not in ("seed", "layout")}
 
 
 @dataclass(frozen=True)
@@ -122,25 +128,8 @@ class RunConfig:
             "kind": RUN_CONFIG_KIND,
             "format_version": RUN_CONFIG_VERSION,
             "attributes": self.attributes.to_dict(),
-            "search": {
-                "epochs": self.search.epochs,
-                "batch_size": self.search.batch_size,
-                "theta_lr": self.search.theta_lr,
-                "alpha_lr": self.search.alpha_lr,
-                "soft_len": self.search.soft_len,
-                "attr_soft_len": self.search.attr_soft_len,
-                "init_scheme": self.search.init_scheme,
-            },
-            "train": {
-                "epochs": self.train.epochs,
-                "batch_size": self.train.batch_size,
-                "lr_init": self.train.lr_init,
-                "schedule": self.train.schedule,
-                "attributes": list(self.train.attributes),
-                "soft_len": self.train.soft_len,
-                "attr_soft_len": self.train.attr_soft_len,
-                "init_scheme": self.train.init_scheme,
-            },
+            "search": _hyperparameters(self.search),
+            "train": _hyperparameters(self.train),
             "layout": self.layout.to_dict(),
             "encoder_overrides": dict(self.encoder_overrides),
             "out": self.out_dir,

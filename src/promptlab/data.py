@@ -53,7 +53,7 @@ def subseed(seed: int, name: str) -> int:
     )
 
 
-def _rng(*keys):
+def keyed_rng(*keys):
     """Generator keyed by integers and strings (content-addressed streams)."""
     entropy = [k if isinstance(k, int) else zlib.crc32(str(k).encode()) for k in keys]
     return np.random.default_rng(entropy)
@@ -249,24 +249,24 @@ def _build_vocabulary(spec: TaskSpec, id_words) -> Vocabulary:
     hop), while value and id words stay invisible to the readout directly.
     """
     d = spec.embed_dim
-    rng = _rng(spec.seed, "vocab")
-    axis = _unit(_rng(spec.seed, "attribute_axis").standard_normal(d))
+    rng = keyed_rng(spec.seed, "vocab")
+    axis = _unit(keyed_rng(spec.seed, "attribute_axis").standard_normal(d))
     words = [SOS, EOS]
     vectors = [_unit(rng.standard_normal(d)), axis.copy()]
     for word in TEMPLATE_WORDS:
         words.append(word)
         vectors.append(_unit(rng.standard_normal(d)))
     for attr in spec.latent_attributes:
-        distinct = _unit(_rng(spec.seed, "base", attr.name).standard_normal(d))
+        distinct = _unit(keyed_rng(spec.seed, "base", attr.name).standard_normal(d))
         words.append(attr.name)
         vectors.append(_unit(axis + distinct))
         for value in attr.values:
-            noise = _unit(_rng(spec.seed, "value", value).standard_normal(d))
+            noise = _unit(keyed_rng(spec.seed, "value", value).standard_normal(d))
             words.append(value)
             vectors.append(_unit(distinct + spec.value_spread * noise))
     for word in id_words:
         words.append(word)
-        vectors.append(_unit(_rng(spec.seed, "id", word).standard_normal(d)))
+        vectors.append(_unit(keyed_rng(spec.seed, "id", word).standard_normal(d)))
     return Vocabulary(words, np.asarray(vectors))
 
 
@@ -275,7 +275,7 @@ def _build_vocabulary(spec: TaskSpec, id_words) -> Vocabulary:
 
 def _draw_signatures(spec: TaskSpec, count: int, stream: str):
     """``count`` distinct informative signatures plus free values elsewhere."""
-    rng = _rng(spec.seed, "signatures", stream)
+    rng = keyed_rng(spec.seed, "signatures", stream)
     informative = [spec.attribute(n) for n in spec.informative_attributes]
     seen = set()
     signatures = []
@@ -305,7 +305,7 @@ def _feature_map(spec: TaskSpec) -> np.ndarray:
     # text content can match without learning a change of basis
     if spec.feature_map == "identity":
         return np.eye(spec.raw_feature_dim)
-    rng = _rng(spec.seed, "feature_map")
+    rng = keyed_rng(spec.seed, "feature_map")
     return rng.standard_normal((spec.raw_feature_dim, spec.embed_dim)) / math.sqrt(
         spec.embed_dim
     )
@@ -317,7 +317,7 @@ def _prototype(spec: TaskSpec, vocab: Vocabulary, fmap: np.ndarray, signature: d
         vocab.vectors[vocab.id_of(signature[n])] for n in spec.informative_attributes
     )
     systematic = _unit(fmap @ content)
-    offset = _unit(_rng(spec.seed, "offset", id_word).standard_normal(spec.raw_feature_dim))
+    offset = _unit(keyed_rng(spec.seed, "offset", id_word).standard_normal(spec.raw_feature_dim))
     s = spec.attribute_signal
     return _unit(s * systematic + (1.0 - s) * offset)
 
@@ -325,13 +325,13 @@ def _prototype(spec: TaskSpec, vocab: Vocabulary, fmap: np.ndarray, signature: d
 def _sample_split(spec: TaskSpec, prototypes: np.ndarray, split: str, task_tag: str):
     xs, ys = [], []
     for c in range(len(prototypes)):
-        rng = _rng(spec.seed, "samples", task_tag, split, c)
+        rng = keyed_rng(spec.seed, "samples", task_tag, split, c)
         noise = rng.standard_normal((spec.samples_per_class, spec.raw_feature_dim))
         xs.append(prototypes[c] + spec.noise_std * noise)
         ys.append(np.full(spec.samples_per_class, c, dtype=np.int64))
     x = np.concatenate(xs)
     y = np.concatenate(ys)
-    order = _rng(spec.seed, "order", task_tag, split).permutation(len(y))
+    order = keyed_rng(spec.seed, "order", task_tag, split).permutation(len(y))
     return x[order], y[order]
 
 

@@ -12,12 +12,12 @@ drop policy deciding which attribute positions are re-added alongside it.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .data import keyed_rng
 from .errors import ConfigError, ContractError, ParameterError
 from .tensor import Tensor
 from .vocab import PHOTO_TEMPLATE
@@ -28,12 +28,6 @@ DROP_POLICIES = ("retain_all", "partial_drop", "full_drop")
 INIT_SCHEMES = ("random_normal", "phrase_init")
 
 SOFT_INIT_STD = 0.02
-
-
-def _block_rng(seed: int, tag: str):
-    # content-keyed stream: the same block gets the same draw regardless of
-    # the order blocks are created in
-    return np.random.default_rng([int(seed), zlib.crc32(tag.encode())])
 
 
 @dataclass(frozen=True)
@@ -219,8 +213,9 @@ def init_soft_tokens(
     if scheme not in INIT_SCHEMES:
         raise ParameterError(f"unknown init scheme {scheme!r}")
 
+    # content-keyed streams: a block gets the same draw whatever order blocks are made in
     def fill_normal(tensor: Tensor, tag: str):
-        rng = _block_rng(seed, tag)
+        rng = keyed_rng(int(seed), tag)
         tensor.data[...] = rng.standard_normal(tensor.data.shape) * SOFT_INIT_STD
 
     def fill_phrase(tensor: Tensor, tag: str):
@@ -230,7 +225,7 @@ def init_soft_tokens(
         rows = np.asarray(template_rows, dtype=np.float64)[:m]
         tensor.data[: len(rows)] = rows
         if len(rows) < m:
-            pad = _block_rng(seed, f"{tag}.pad").standard_normal(
+            pad = keyed_rng(int(seed), f"{tag}.pad").standard_normal(
                 (m - len(rows), bank.embed_dim)
             )
             tensor.data[len(rows):] = pad * SOFT_INIT_STD
@@ -441,50 +436,44 @@ def _deep_encode(encoder, bank, layout, embeds, segments):
 
 
 def class_text_features(encoder, bank: SoftPromptBank, layout: PromptLayout, class_names):
-    """Features for many classes [N, joint], batching equal-length prompts.
-
-    Training and evaluation call it directly; the attribute search goes
-    through ``candidate_features``, which falls back to it for depth >= 2
-    layouts and class names of unequal token length. It dispatches on
-    layout.depth.
-    """
-    prompts = [compose_shallow(encoder, bank, layout, n) for n in class_names]
-    lengths = {p.length for p in prompts}
-    if len(lengths) == 1:
-        embeds = T.stack([p.embeds for p in prompts])
-        if layout.depth >= 2:
-            return _deep_encode(encoder, bank, layout, embeds, prompts[0].segments)
-        return encoder.encode_text(embeds)
-    feats = []
-    for p in prompts:
-        if layout.depth >= 2:
-            feats.append(_deep_encode(encoder, bank, layout, p.embeds, p.segments))
-        else:
-            feats.append(encoder.encode_text(p.embeds))
-    return T.stack(feats)
+    """Features for many classes [N, joint]: one candidate of ``candidate_features``."""
+    return candidate_features(encoder, [(bank, layout)], class_names)[0]
 
 
 def candidate_features(encoder, candidates, class_names) -> list:
     """Class features [C, joint] for every (bank, layout) pair, from few encoder passes.
 
-    Depth-1 candidates whose prompts have equal length share one
-    ``[k*C, L, d]`` pass, split back per candidate. A depth >= 2 layout, or
-    class names of unequal token length, goes alone through
-    ``class_text_features``.
+    The only path from composed prompts to class features. Every (candidate,
+    class) prompt of one length shares a single ``[n, L, d]`` pass; a depth >= 2
+    layout keeps its own passes, since the deep hook swaps in that candidate's
+    blocks. Each candidate's rows come back in class order: one slice when they
+    are contiguous (always so for class names of equal token length), else the
+    concatenation of their contiguous runs.
     """
-    class_names = list(class_names)
-    uniform = len({len(encoder.vocabulary.encode(n)) for n in class_names}) == 1
-    feats = [None] * len(candidates)
-    groups: dict = {}
+    groups: dict = {}  # (length, candidate or -1) -> (bank, layout, prompts of one pass)
+    slots = []  # per candidate, in class order: (group key, row in the group's pass)
     for i, (bank, layout) in enumerate(candidates):
-        if layout.depth >= 2 or not uniform:
-            feats[i] = class_text_features(encoder, bank, layout, class_names)
-            continue
-        prompts = [compose_shallow(encoder, bank, layout, n) for n in class_names]
-        groups.setdefault(prompts[0].length, []).append((i, prompts))
-    c = len(class_names)
-    for members in groups.values():
-        out = encoder.encode_text(T.stack([p.embeds for _, prompts in members for p in prompts]))
-        for j, (i, _) in enumerate(members):
-            feats[i] = T.narrow(out, 0, j * c, (j + 1) * c)
+        slots.append([])
+        for name in class_names:
+            prompt = compose_shallow(encoder, bank, layout, name)
+            key = (prompt.length, i if layout.depth >= 2 else -1)
+            prompts = groups.setdefault(key, (bank, layout, []))[2]
+            slots[i].append((key, len(prompts)))
+            prompts.append(prompt)
+    outs = {
+        key: _deep_encode(encoder, bank, layout, T.stack([p.embeds for p in prompts]),
+                          prompts[0].segments)
+        for key, (bank, layout, prompts) in groups.items()
+    }
+    feats = []
+    for rows in slots:
+        runs = []  # [group key, start, stop]
+        for key, row in rows:
+            if runs and runs[-1][0] == key and runs[-1][2] == row:
+                runs[-1][2] = row + 1
+            else:
+                runs.append([key, row, row + 1])
+        parts = [outs[key] if (start, stop) == (0, outs[key].shape[0])
+                 else T.narrow(outs[key], 0, start, stop) for key, start, stop in runs]
+        feats.append(parts[0] if len(parts) == 1 else T.concat(parts, axis=0))
     return feats

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -369,15 +369,4 @@ def load_result(path: str) -> SearchResult:
 
 def describe_config(config: SearchConfig) -> str:
     """Stable serialization used for hashing search setups."""
-    payload = {
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "theta_lr": config.theta_lr,
-        "alpha_lr": config.alpha_lr,
-        "seed": config.seed,
-        "soft_len": config.soft_len,
-        "attr_soft_len": config.attr_soft_len,
-        "init_scheme": config.init_scheme,
-        "layout": config.layout.to_dict(),
-    }
-    return dumps_json(payload)
+    return dumps_json(asdict(config))

@@ -230,7 +230,39 @@ def test_cache_round_trips_replies_bit_identically(tmp_path):
     cache.put("m", "cat", reply)
     assert cache.get("m", "cat") == reply
     assert cache.get("m", "dog") is None
-    assert cache.get("other-model", "cat") is None  # keyed by (model, class)
+    assert cache.get("other-model", "cat") is None  # keyed by (model, request)
+
+
+def test_cached_pipeline_replays_describe_and_summarize_offline(tmp_path):
+    cache = ResponseCache(str(tmp_path / "cache"))
+    client, _ = offline_client(
+        ["sleek fur.", "feathers.", "Color; size", "color, size"], cache=cache)
+    bases = summarize_bases(describe_categories(["cat", "bird"], client), 2, client)
+    replay, transport = offline_client([], cache=cache)
+    again = summarize_bases(describe_categories(["cat", "bird"], replay), 2, replay)
+    assert again == bases
+    assert transport.prompts == []
+
+
+def test_names_with_equal_slugs_get_separate_cache_entries(tmp_path):
+    cache = ResponseCache(str(tmp_path / "cache"))
+    client, _ = offline_client(["a red car.", "a car in red."], cache=cache)
+    first = describe_categories(["Red car", "red-car"], client)
+    assert first == {"Red car": "a red car.", "red-car": "a car in red."}
+    assert len(os.listdir(tmp_path / "cache")) == 2
+    replay, _ = offline_client([], cache=cache)
+    assert describe_categories(["Red car", "red-car"], replay) == first
+
+
+def test_cache_file_that_does_not_match_its_key_is_a_data_error(tmp_path):
+    cache = ResponseCache(str(tmp_path / "cache"))
+    cache.put("m", "describe cat", "furry")
+    (path,) = (tmp_path / "cache").iterdir()
+    payload = json.loads(path.read_text())
+    payload["request"] = "describe dog"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError):
+        cache.get("m", "describe cat")
 
 
 def test_cache_files_are_structured_text_without_credentials(tmp_path, monkeypatch):

@@ -70,6 +70,18 @@ def test_gen_data_requires_an_inline_spec(tmp_path):
     assert main(["gen-data", "--config", cfg]) == 1
 
 
+def test_train_on_datasets_of_a_changed_task_spec_is_a_data_error(tmp_path, capsys):
+    cfg, out = write_config(tmp_path)
+    assert main(["gen-data", "--config", cfg]) == 0
+    with open(cfg) as fh:
+        payload = json.load(fh)
+    payload["task"]["num_classes"] = 5
+    with open(cfg, "w") as fh:
+        json.dump(payload, fh)
+    assert main(["train", "--config", cfg, "--classic"]) == 1
+    assert capsys.readouterr().err.strip().splitlines()[-1].startswith("error: DataError:")
+
+
 def test_search_attrs_writes_the_result_file(tmp_path, capsys):
     cfg, out = write_config(tmp_path)
     assert main(["gen-data", "--config", cfg]) == 0

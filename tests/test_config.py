@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from promptlab.attributes import LlmClientConfig
@@ -10,6 +12,8 @@ from promptlab.config import (
 )
 from promptlab.data import SUBSEED_NAMES, LatentAttribute, TaskSpec, subseed
 from promptlab.errors import ConfigError, DataError
+from promptlab.search import describe_config
+from promptlab.serialize import file_sha256
 
 
 def toy_spec():
@@ -152,3 +156,41 @@ def test_load_rejects_non_object_files(tmp_path):
     path.write_text("[1, 2, 3]\n")
     with pytest.raises(DataError):
         load_run_config(str(path))
+
+
+# -- serialized sections, pinned on the command-line pipeline's config --------------------
+
+PIPELINE_CONFIG = {
+    "task": {
+        "num_classes": 6, "samples_per_class": 8, "noise_std": 0.1,
+        "latent_attributes": [
+            ["color", ["color0", "color1", "color2", "color3", "color4", "color5"]],
+            ["shape", ["shape0", "shape1"]],
+        ],
+        "informative_attributes": ["color"], "seed": 0,
+    },
+    "attributes": {"explicit": ["color", "shape"]},
+    "search": {"epochs": 2, "batch_size": 16, "theta_lr": 0.05, "alpha_lr": 0.02},
+    "train": {"epochs": 3, "batch_size": 16, "lr_init": 0.05},
+    "layout": {"depth": 1},
+    "out": "out",
+    "seed": 3,
+}
+
+
+def test_search_description_is_pinned():
+    config = RunConfig.from_dict(PIPELINE_CONFIG)
+    search = replace(config.search, seed=subseed(config.seed, "search"))
+    assert describe_config(search) == (
+        '{\n  "alpha_lr": 0.02,\n  "attr_soft_len": 2,\n  "batch_size": 16,\n  "epochs": 2,\n'
+        '  "init_scheme": "phrase_init",\n  "layout": {\n    "attribute_names": [],\n'
+        '    "attribute_position_style": "interval",\n    "class_token_position": "end",\n'
+        '    "depth": 1,\n    "drop_policy": "retain_all"\n  },\n  "seed": 2864331607,\n'
+        '  "soft_len": 2,\n  "theta_lr": 0.05\n}\n'
+    )
+
+
+def test_saved_run_config_bytes_are_pinned(tmp_path):
+    path = str(tmp_path / "run_config.json")
+    save_run_config(RunConfig.from_dict(PIPELINE_CONFIG), path)
+    assert file_sha256(path) == "12b02924bd13b43b3863efcc8832ac38fa2ac7e136eff776b10f30b778397084"

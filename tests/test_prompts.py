@@ -242,6 +242,29 @@ def test_phrase_init_truncates_and_pads():
     assert np.any(tail != 0)
 
 
+def test_block_init_values_are_pinned():
+    # draws of the content-keyed block streams; any change to the streams moves them
+    bank = SoftPromptBank.create(embed_dim=4, soft_len=2, attribute_names=("color", "shape"),
+                                 depth=2, seed=7)
+    np.testing.assert_array_equal(bank.class_block.data[0], [
+        -0.017299063862585173, 0.008094228744241466, 0.017599310926066817,
+        -0.018083504468071637])
+    np.testing.assert_array_equal(bank.attribute_blocks["shape"].data[1], [
+        -0.0004516516932060911, -0.008649453271912114, 0.011871512658826256,
+        -0.0021628662438972343])
+    np.testing.assert_array_equal(bank.deep_class_blocks[0].data[1], [
+        -0.004692477384677228, -0.012494515538683991, -0.005031631109113032,
+        0.005909061163973565])
+    padded = SoftPromptBank.create(embed_dim=4, soft_len=2, attribute_names=("color",), seed=3,
+                                   scheme="phrase_init", template_rows=np.ones((1, 4)))
+    np.testing.assert_array_equal(padded.class_block.data[1], [
+        -0.011410313678655177, 0.020533045116995014, -0.019406519298790403,
+        -0.0021712058469168143])
+    np.testing.assert_array_equal(padded.attribute_blocks["color"].data[1], [
+        -0.010847264589600504, 0.00964857354062446, 0.05103884609147794,
+        0.0015939724908049658])
+
+
 def test_unknown_init_scheme_rejected():
     enc = make_encoder()
     bank = make_bank(enc)
@@ -502,26 +525,34 @@ def candidate_set(enc, style, depth):
     return out
 
 
+def per_class_reference(enc, candidates, names):
+    """Each candidate's features as a stack of single-prompt deep_forward passes."""
+    return [T.stack([deep_forward(enc, bank, layout, n) for n in names])
+            for bank, layout in candidates]
+
+
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("style", ["interval", "adjacent_end"])
-@pytest.mark.parametrize("names", [("cat", "dog", "bird"), ("cat", "red fish")])
+@pytest.mark.parametrize(
+    "names", [("cat", "dog", "bird"), ("cat", "red fish"), ("cat", "red fish", "dog")])
 def test_candidate_features_equal_per_candidate_features(depth, style, names):
     enc = make_encoder()
     candidates = candidate_set(enc, style, depth)
-    grouped = candidate_features(enc, candidates, names)
-    targets = [T.Tensor(np.random.default_rng(i).standard_normal(f.shape))
-               for i, f in enumerate(grouped)]
-    T.tsum(T.concat([T.mul(f, t) for f, t in zip(grouped, targets)], axis=0)).backward()
     params = list({id(p): p for bank, _ in candidates for p in bank.parameters()}.values())
-    grads = [p.grad.copy() for p in params]
-    for p in params:
-        p.zero_grad()
-    singles = [class_text_features(enc, bank, layout, names) for bank, layout in candidates]
-    for f, ref in zip(grouped, singles):
-        np.testing.assert_allclose(f.data, ref.data, rtol=0, atol=1e-12)
-    T.tsum(T.concat([T.mul(f, t) for f, t in zip(singles, targets)], axis=0)).backward()
-    for g, p in zip(grads, params):
-        np.testing.assert_allclose(g, p.grad, rtol=0, atol=1e-12)
+    results = []
+    for compute in (candidate_features, per_class_reference):
+        feats = compute(enc, candidates, names)
+        targets = [T.Tensor(np.random.default_rng(i).standard_normal(f.shape))
+                   for i, f in enumerate(feats)]
+        T.tsum(T.concat([T.mul(f, t) for f, t in zip(feats, targets)], axis=0)).backward()
+        results.append(([f.data for f in feats], [p.grad.copy() for p in params]))
+        for p in params:
+            p.zero_grad()
+    (grouped, grouped_grads), (reference, reference_grads) = results
+    for f, ref in zip(grouped, reference):
+        np.testing.assert_allclose(f, ref, rtol=0, atol=1e-12)
+    for g, ref in zip(grouped_grads, reference_grads):
+        np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12)
 
 
 def test_candidate_features_run_one_pass_per_prompt_length(monkeypatch):
@@ -534,6 +565,18 @@ def test_candidate_features_run_one_pass_per_prompt_length(monkeypatch):
         return encode(embeds, deep_hook=deep_hook)
 
     monkeypatch.setattr(enc, "encode_text", counting)
-    candidate_features(enc, candidate_set(enc, "interval", 1), ("cat", "dog", "bird"))
-    # (), the two singletons stacked, the pair
-    assert sorted(calls) == [(3, 5, 32), (3, 11, 32), (6, 8, 32)]
+    cases = [
+        # (), the two singletons stacked, the pair
+        (("cat", "dog", "bird"), 1, [(3, 5, 32), (3, 11, 32), (6, 8, 32)]),
+        # every length of every layout once, the two classes of one length together
+        (("cat", "red fish", "dog"), 1,
+         [(1, 6, 32), (1, 12, 32), (2, 5, 32), (2, 9, 32), (2, 11, 32), (4, 8, 32)]),
+        # depth 2: one pass per length and candidate
+        (("cat", "red fish", "dog"), 2,
+         [(1, 6, 32), (1, 9, 32), (1, 9, 32), (1, 12, 32),
+          (2, 5, 32), (2, 8, 32), (2, 8, 32), (2, 11, 32)]),
+    ]
+    for names, depth, passes in cases:
+        calls.clear()
+        candidate_features(enc, candidate_set(enc, "interval", depth), names)
+        assert sorted(calls) == passes, (names, depth)

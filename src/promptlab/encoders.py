@@ -184,11 +184,14 @@ class DualEncoder:
 
     # -- text branch ---------------------------------------------------------------
 
-    def _attention(self, layer: int, x: Tensor) -> Tensor:
+    def _attention(self, layer: int, x: Tensor, q_len: int) -> Tensor:
+        """Attention of the last ``q_len`` positions over every position of ``x``."""
         cfg = self.config
         p = self._params
         base = f"layers.{layer}."
-        q = T.matmul(x, p[base + "attn.wq"])
+        seq_len = x.data.shape[-2]
+        queries = x if q_len == seq_len else T.narrow(x, -2, seq_len - q_len, seq_len)
+        q = T.matmul(queries, p[base + "attn.wq"])
         k = T.matmul(x, p[base + "attn.wk"])
         v = T.matmul(x, p[base + "attn.wv"])
         head_dim = cfg.embed_dim // cfg.num_heads
@@ -196,8 +199,7 @@ class DualEncoder:
         # self-scores are masked out: with tied q/k projections the diagonal
         # always wins the softmax, which starves cross-token routing; the
         # residual stream already carries each token's own content
-        seq_len = x.data.shape[-2]
-        mask = Tensor(np.diag(np.full(seq_len, -1e9)), requires_grad=False)
+        mask = Tensor(np.diag(np.full(seq_len, -1e9))[seq_len - q_len:], requires_grad=False)
         heads = []
         for h in range(cfg.num_heads):
             lo, hi = h * head_dim, (h + 1) * head_dim
@@ -208,11 +210,15 @@ class DualEncoder:
             heads.append(T.matmul(T.softmax(scores + mask, axis=-1), vh))
         return T.matmul(T.concat(heads, axis=-1), p[base + "attn.wo"])
 
-    def _block(self, layer: int, h: Tensor) -> Tensor:
+    def _block(self, layer: int, h: Tensor, readout: bool = False) -> Tensor:
+        """One pre-norm block; ``readout`` keeps only the final position's output."""
         p = self._params
         base = f"layers.{layer}."
         normed = T.layer_norm(h, p[base + "ln1.gain"], p[base + "ln1.bias"])
-        h = h + self._attention(layer, normed)
+        if readout:
+            seq_len = h.shape[-2]
+            h = T.narrow(h, -2, seq_len - 1, seq_len)
+        h = h + self._attention(layer, normed, h.shape[-2])
         normed = T.layer_norm(h, p[base + "ln2.gain"], p[base + "ln2.bias"])
         inner = T.gelu(T.matmul(normed, p[base + "mlp.w1"]) + p[base + "mlp.b1"])
         return h + T.matmul(inner, p[base + "mlp.w2"]) + p[base + "mlp.b2"]
@@ -224,7 +230,9 @@ class DualEncoder:
         is the L2-normalized projection of the hidden state at the final
         (end-sentinel) position. ``deep_hook(i, hidden) -> hidden`` is
         invoked after block ``i`` (1-based) for 1 <= i < num_layers, which is
-        the injection point for deep prompt replacement.
+        the injection point for deep prompt replacement. The last block reads
+        keys and values from every position but computes the rest (queries,
+        residual, MLP, final norm) at the read-out position only.
         """
         cfg = self.config
         if embeds.ndim not in (2, 3):
@@ -238,18 +246,17 @@ class DualEncoder:
             )
         pos = T.narrow(self._params["pos_embedding"], 0, 0, seq_len)
         h = embeds + pos
+        last = cfg.num_layers - 1
         for i in range(cfg.num_layers):
-            h = self._block(i, h)
-            if deep_hook is not None and i + 1 < cfg.num_layers:
+            h = self._block(i, h, readout=i == last)
+            if deep_hook is not None and i < last:
                 h = deep_hook(i + 1, h)
         h = T.layer_norm(h, self._params["ln_final.gain"], self._params["ln_final.bias"])
-        last = T.narrow(h, -2, seq_len - 1, seq_len)
         if embeds.ndim == 3:
-            last = T.reshape(last, (embeds.shape[0], cfg.embed_dim))
-            feat = T.matmul(last, self._params["text_proj"])
+            feat = T.matmul(T.reshape(h, (embeds.shape[0], cfg.embed_dim)),
+                            self._params["text_proj"])
         else:
-            last = T.reshape(last, (1, cfg.embed_dim))
-            feat = T.reshape(T.matmul(last, self._params["text_proj"]), (cfg.joint_dim,))
+            feat = T.reshape(T.matmul(h, self._params["text_proj"]), (cfg.joint_dim,))
         return T.l2_normalize(feat)
 
     def encode_class_names(self, names) -> Tensor:

@@ -266,6 +266,7 @@ class ComposedPrompt:
     embeds: Tensor  # [L, embed_dim]
     segments: list
     class_name: str
+    pieces: tuple  # the tensors concatenated into embeds, in order
 
     @property
     def length(self) -> int:
@@ -307,7 +308,7 @@ def _assemble(pieces, class_name: str) -> ComposedPrompt:
         segments.append(Segment(kind, name, cursor, cursor + length))
         cursor += length
         tensors.append(tens)
-    prompt = ComposedPrompt(T.concat(tensors, axis=0), segments, class_name)
+    prompt = ComposedPrompt(T.concat(tensors, axis=0), segments, class_name, tuple(tensors))
     check_partition(segments, prompt.length)
     return prompt
 
@@ -441,39 +442,70 @@ def class_text_features(encoder, bank: SoftPromptBank, layout: PromptLayout, cla
 
 
 def candidate_features(encoder, candidates, class_names) -> list:
-    """Class features [C, joint] for every (bank, layout) pair, from few encoder passes.
+    """Class features [C, joint] for every (bank, layout) pair; see ``FeaturePlan``."""
+    return FeaturePlan(encoder, candidates, class_names).features()
 
-    The only path from composed prompts to class features. Every (candidate,
-    class) prompt of one length shares a single ``[n, L, d]`` pass; a depth >= 2
-    layout keeps its own passes, since the deep hook swaps in that candidate's
-    blocks. Each candidate's rows come back in class order: one slice when they
-    are contiguous (always so for class names of equal token length), else the
-    concatenation of their contiguous runs.
+
+class FeaturePlan:
+    """The only path from composed prompts to class features, composed once.
+
+    Building the plan composes every (candidate, class) prompt with
+    ``compose_shallow``, so layouts are validated and position maps checked,
+    and records which rows of which piece tensors (soft blocks, frozen hard
+    rows) each prompt is made of. Every prompt of one length shares a single
+    ``[n, L, d]`` pass; a depth >= 2 layout keeps its own passes, since the
+    deep hook swaps in that candidate's blocks.
+
+    ``features()`` reads the pieces' current data, so one plan serves every
+    step of a training loop: one ``concat`` of the distinct pieces, one row
+    gather per pass, the encoder passes, and each candidate's rows in class
+    order (the pass output itself, one slice, or the concatenation of its
+    contiguous runs for class names of unequal token length).
     """
-    groups: dict = {}  # (length, candidate or -1) -> (bank, layout, prompts of one pass)
-    slots = []  # per candidate, in class order: (group key, row in the group's pass)
-    for i, (bank, layout) in enumerate(candidates):
-        slots.append([])
-        for name in class_names:
-            prompt = compose_shallow(encoder, bank, layout, name)
-            key = (prompt.length, i if layout.depth >= 2 else -1)
-            prompts = groups.setdefault(key, (bank, layout, []))[2]
-            slots[i].append((key, len(prompts)))
-            prompts.append(prompt)
-    outs = {
-        key: _deep_encode(encoder, bank, layout, T.stack([p.embeds for p in prompts]),
-                          prompts[0].segments)
-        for key, (bank, layout, prompts) in groups.items()
-    }
-    feats = []
-    for rows in slots:
-        runs = []  # [group key, start, stop]
-        for key, row in rows:
-            if runs and runs[-1][0] == key and runs[-1][2] == row:
-                runs[-1][2] = row + 1
-            else:
-                runs.append([key, row, row + 1])
-        parts = [outs[key] if (start, stop) == (0, outs[key].shape[0])
-                 else T.narrow(outs[key], 0, start, stop) for key, start, stop in runs]
-        feats.append(parts[0] if len(parts) == 1 else T.concat(parts, axis=0))
-    return feats
+
+    def __init__(self, encoder, candidates, class_names):
+        self.encoder = encoder
+        self._pieces = []  # distinct piece tensors, in order of first use
+        first_row = {}  # id(piece) -> its first row in the concatenated pieces
+        num_rows = 0
+        passes = []  # (bank, layout, segments, one row list per prompt)
+        pass_of = {}  # (length, candidate or -1) -> index into passes
+        self._runs = []  # per candidate: [pass index, start, stop] runs in class order
+        for i, (bank, layout) in enumerate(candidates):
+            runs = []
+            for name in class_names:
+                prompt = compose_shallow(encoder, bank, layout, name)
+                rows = []
+                for piece in prompt.pieces:
+                    if id(piece) not in first_row:
+                        first_row[id(piece)] = num_rows
+                        num_rows += piece.shape[0]
+                        self._pieces.append(piece)
+                    start = first_row[id(piece)]
+                    rows.extend(range(start, start + piece.shape[0]))
+                key = (prompt.length, i if layout.depth >= 2 else -1)
+                if key not in pass_of:
+                    pass_of[key] = len(passes)
+                    passes.append((bank, layout, prompt.segments, []))
+                g = pass_of[key]
+                row = len(passes[g][3])
+                passes[g][3].append(rows)
+                if runs and runs[-1][0] == g and runs[-1][2] == row:
+                    runs[-1][2] = row + 1
+                else:
+                    runs.append([g, row, row + 1])
+            self._runs.append(runs)
+        self._passes = [(bank, layout, segments, np.array(rows, dtype=np.int64))
+                        for bank, layout, segments, rows in passes]
+
+    def features(self) -> list:
+        """Class features [C, joint] per candidate, from the pieces' current data."""
+        table = T.concat(self._pieces, axis=0)
+        outs = [_deep_encode(self.encoder, bank, layout, T.gather_rows(table, rows), segments)
+                for bank, layout, segments, rows in self._passes]
+        feats = []
+        for runs in self._runs:
+            parts = [outs[g] if (start, stop) == (0, outs[g].shape[0])
+                     else T.narrow(outs[g], 0, start, stop) for g, start, stop in runs]
+            feats.append(parts[0] if len(parts) == 1 else T.concat(parts, axis=0))
+        return feats

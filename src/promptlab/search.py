@@ -22,9 +22,9 @@ from .data import Task, subseed
 from .errors import ConfigError, DataError, NumericsError, ParameterError, ParseError
 from .optim import SGD, Adam
 from .prompts import (
+    FeaturePlan,
     PromptLayout,
     SoftPromptBank,
-    candidate_features,
     class_text_features,
     template_rows_for,
 )
@@ -140,10 +140,13 @@ def candidate_logits(encoder, bank: SoftPromptBank, layout: PromptLayout,
 
 
 def mixture_logits(per_candidate, weights) -> T.Tensor:
-    """Convex combination of pre-softmax class scores, as one [1, k] @ [k, B*C] product.
+    """Convex combination of per-candidate arrays of one shape, as one [1, k] @ [k, n] product.
 
-    weights may be a Tensor (softmax of alpha, for alpha steps) or a plain
-    array of constants (for theta steps, keeping alpha out of the graph).
+    The arrays are pre-softmax class scores, or the class features behind
+    them: scores are linear in the features, so mixing the features first
+    gives the mixed scores from one scoring product. weights may be a Tensor
+    (softmax of alpha, for alpha steps) or a plain array of constants (for
+    theta steps, keeping alpha out of the graph).
     """
     per_candidate = list(per_candidate)
     if not per_candidate:
@@ -197,7 +200,7 @@ def select_candidate(pool, weights) -> tuple:
 def _mixture_loss(encoder, feats, weights, batch) -> T.Tensor:
     x, y = batch
     u = encoder.encode_image(x)
-    return T.cross_entropy(mixture_logits([encoder.class_logits(u, f) for f in feats], weights), y)
+    return T.cross_entropy(encoder.class_logits(u, mixture_logits(feats, weights)), y)
 
 
 def _descend(opt, loss: T.Tensor, what: str) -> None:
@@ -208,16 +211,18 @@ def _descend(opt, loss: T.Tensor, what: str) -> None:
     opt.step()
 
 
-def search_step(encoder, candidates, class_names, alpha: AlphaVector, alpha_opt, theta_opt,
+def search_step(encoder, plan: FeaturePlan, alpha: AlphaVector, alpha_opt, theta_opt,
                 val_batch, train_batch, where: str = "") -> None:
     """One alpha step on a validation batch, then one theta step on a training batch.
 
-    The mixture is linear in the candidates' class logits, so the text
-    features depend on theta only: one forward serves both steps. The alpha
-    step sees them as constants; the theta step backpropagates through them
-    with alpha's weights as constants. The step's graph is released on return.
+    ``plan`` builds the candidates' class features from the current soft
+    blocks. The mixture is linear in those features, so they depend on theta
+    only: one forward serves both steps, and each step scores the images once,
+    against the alpha-weighted features. The alpha step sees the features as
+    constants; the theta step backpropagates through them with alpha's
+    weights as constants. The step's graph is released on return.
     """
-    feats = candidate_features(encoder, candidates, class_names)
+    feats = plan.features()
     frozen = [T.Tensor(f.data) for f in feats]
     _descend(alpha_opt, _mixture_loss(encoder, frozen, T.softmax(alpha.logits), val_batch),
              f"alpha loss at {where}")
@@ -261,7 +266,7 @@ def alternating_search(task: Task, bases, config: SearchConfig, encoder,
         rows = order[(step % count) * config.batch_size : (step % count + 1) * config.batch_size]
         return x[rows], y[rows]
 
-    candidates = [(banks[c], layouts[c]) for c in pool]
+    plan = FeaturePlan(encoder, [(banks[c], layouts[c]) for c in pool], task.class_names)
     val_step = 0
     val_order = order_rng.permutation(len(y_val))
     for epoch in range(config.epochs):
@@ -271,8 +276,8 @@ def alternating_search(task: Task, bases, config: SearchConfig, encoder,
                 val_order = order_rng.permutation(len(y_val))
             val_batch = batches(x_val, y_val, val_order, val_steps, val_step)
             val_step += 1
-            search_step(encoder, candidates, task.class_names, alpha, alpha_opt, theta_opt,
-                        val_batch, batches(x_train, y_train, train_order, steps_per_epoch, b),
+            search_step(encoder, plan, alpha, alpha_opt, theta_opt, val_batch,
+                        batches(x_train, y_train, train_order, steps_per_epoch, b),
                         where=f"epoch {epoch}, batch {b}")
 
     weights = alpha.weights()

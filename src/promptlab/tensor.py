@@ -16,7 +16,6 @@ import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractError, IndexRangeError, NumericsError, ShapeError
 
@@ -218,12 +217,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}")
-    return _make(
-        data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-        "add",
-    )
+
+    def vjp(g):
+        # a frozen operand (an encoder bias, most often) gets no gradient
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return _make(data, (a, b), vjp, "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -232,12 +232,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}")
-    return _make(
-        data,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
-        "mul",
-    )
+
+    def vjp(g):
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+
+    return _make(data, (a, b), vjp, "mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -248,6 +248,9 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """Exact erf-based GELU."""
+    # imported here, not at module level: scipy is slow to import and only gelu needs it
+    from scipy.special import erf
+
     a = _as_tensor(a)
     e = erf(a.data * _INV_SQRT2)
     data = 0.5 * a.data * (1.0 + e)
@@ -444,22 +447,37 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 def embedding(table: Tensor, ids) -> Tensor:
     """Gather rows of ``table`` by integer index; gradient scatter-adds."""
-    table = _as_tensor(table)
-    if table.ndim != 2:
-        raise ShapeError(f"embedding: table must be 2D, got {table.shape}")
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ShapeError(f"embedding: ids must be 1D, got shape {ids.shape}")
+    return _gather(_as_tensor(table), ids, "embedding")
+
+
+def gather_rows(src: Tensor, index) -> Tensor:
+    """``src[index]`` for a 2D ``src`` and an integer index array of any shape.
+
+    The result has shape ``index.shape + (src.shape[1],)``; rows may repeat,
+    and the gradient scatter-adds back into ``src``.
+    """
+    # recorded under narrow, an op the benchmark tracer (perfbench/spans.py)
+    # already knows: it is a row selection along axis 0 with a zero-fill VJP
+    return _gather(_as_tensor(src), np.asarray(index, dtype=np.int64), "narrow", "gather_rows")
+
+
+def _gather(table: Tensor, ids: np.ndarray, op: str, label: str = None) -> Tensor:
+    label = label or op
+    if table.ndim != 2:
+        raise ShapeError(f"{label}: table must be 2D, got {table.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IndexRangeError(f"embedding: id out of range for table of {table.shape[0]} rows")
-    data = table.data[ids].copy()
+        raise IndexRangeError(f"{label}: id out of range for table of {table.shape[0]} rows")
+    data = table.data[ids]
 
     def vjp(g):
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
+        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
         return (gt,)
 
-    return _make(data, (table,), vjp, "embedding")
+    return _make(data, (table,), vjp, op)
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

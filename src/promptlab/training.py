@@ -19,7 +19,13 @@ from . import tensor as T
 from .data import Task, subseed
 from .errors import ContractError, DataError, NumericsError
 from .optim import SGD, cosine_lr
-from .prompts import PromptLayout, SoftPromptBank, class_text_features, template_rows_for
+from .prompts import (
+    FeaturePlan,
+    PromptLayout,
+    SoftPromptBank,
+    class_text_features,
+    template_rows_for,
+)
 from .serialize import dump_json, expect_version, load_json
 
 REPORT_KIND = "eval_report"
@@ -82,7 +88,8 @@ def train_prompts(task: Task, config: TrainConfig, bank: SoftPromptBank, encoder
     """Minimize Eq.-7-style cross-entropy over a task's train split.
 
     Returns (bank, history) where history is the per-epoch mean loss.
-    Class text features are recomposed every step since the bank changes.
+    The prompts are composed once, into a ``FeaturePlan``; every step
+    re-encodes them from the bank's current soft blocks.
     """
     config.validate()
     layout = config.effective_layout().validate(encoder.config.num_layers)
@@ -93,6 +100,7 @@ def train_prompts(task: Task, config: TrainConfig, bank: SoftPromptBank, encoder
     rng = np.random.default_rng(subseed(config.seed, "train.order"))
     steps_per_epoch = math.ceil(len(y) / config.batch_size)
     total_steps = config.epochs * steps_per_epoch
+    plan = FeaturePlan(encoder, [(bank, layout)], task.class_names)
     history = []
     step = 0
     for epoch in range(config.epochs):
@@ -103,7 +111,7 @@ def train_prompts(task: Task, config: TrainConfig, bank: SoftPromptBank, encoder
             if config.schedule == "cosine":
                 opt.lr = cosine_lr(step, total_steps, config.lr_init)
             try:
-                feats = class_text_features(encoder, bank, layout, task.class_names)
+                (feats,) = plan.features()
                 u = encoder.encode_image(x[rows])
                 loss = T.cross_entropy(encoder.class_logits(u, feats), y[rows])
             except NumericsError as exc:

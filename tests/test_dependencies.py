@@ -1,8 +1,10 @@
 """The package needs nothing at run time beyond the standard library, numpy and scipy."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -39,3 +41,13 @@ def test_declared_runtime_dependencies_are_numpy_and_scipy():
     names = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower()
              for dep in project["dependencies"]}
     assert names == THIRD_PARTY
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy is only needed by gelu, and importing it costs a large share of CLI start-up
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = "import sys, promptlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

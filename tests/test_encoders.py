@@ -93,6 +93,42 @@ def test_batched_encode_matches_single():
         np.testing.assert_allclose(batched.data[i], single.data, atol=1e-12)
 
 
+# features of two random [5, 8] sequences from a last block computed at every
+# position, which the read-out-only block must reproduce; keyed by
+# (num_layers, num_heads)
+TEXT_FEATURE_PINS = {
+    (1, 1): [
+        [-0.5578062740366821, 0.36180146251858925, 0.6878883469520752, -0.2911382566606629],
+        [0.09927813810541918, -0.23995848062448252, 0.684229438871625, 0.6814644919956502],
+    ],
+    (1, 4): [
+        [-0.49380544982716384, -0.11908416402273488, -0.8592362764983003, 0.06073022927747386],
+        [0.047149179971845465, 0.10421584024722268, -0.9631016350519088, 0.24362112804322175],
+    ],
+    (2, 1): [
+        [-0.14725522043711883, 0.6865933276381215, -0.17190474289252833, 0.6909082875945507],
+        [0.6120259220208348, 0.4960483018032993, -0.18137226569675818, 0.5886123123816187],
+    ],
+    (2, 4): [
+        [0.5351115529597794, -0.24729143873419268, -0.8074256486806795, -0.023798993033220122],
+        [0.4690279990292099, -0.6816387274423664, -0.12196086160556936, -0.5481851234870583],
+    ],
+}
+
+
+@pytest.mark.parametrize("layers, heads", sorted(TEXT_FEATURE_PINS))
+def test_encode_text_features_are_pinned(layers, heads):
+    vocab = make_vocab(dim=8)
+    cfg = EncoderConfig(vocab_size=len(vocab), embed_dim=8, num_layers=layers, num_heads=heads,
+                        max_seq_len=16, joint_dim=4, image_dim=5, image_hidden_dim=7)
+    enc = DualEncoder(cfg, vocab, 11)
+    embeds = np.random.default_rng(layers * 10 + heads).standard_normal((2, 5, 8))
+    pinned = np.array(TEXT_FEATURE_PINS[layers, heads])
+    np.testing.assert_allclose(enc.encode_text(T.Tensor(embeds)).data, pinned, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(enc.encode_text(T.Tensor(embeds[1])).data, pinned[1],
+                               rtol=0, atol=1e-12)
+
+
 def test_encode_class_names_rejects_ragged():
     enc = make_encoder()
     with pytest.raises(ShapeError):

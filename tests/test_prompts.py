@@ -7,6 +7,7 @@ from promptlab.optim import SGD
 from promptlab.prompts import (
     DROP_POLICIES,
     POSITION_STYLES,
+    FeaturePlan,
     LayerState,
     PromptLayout,
     SoftPromptBank,
@@ -580,3 +581,32 @@ def test_candidate_features_run_one_pass_per_prompt_length(monkeypatch):
         calls.clear()
         candidate_features(enc, candidate_set(enc, "interval", depth), names)
         assert sorted(calls) == passes, (names, depth)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_one_plan_serves_every_step(depth):
+    # a plan built before the loop must track the soft blocks the optimizer moves
+    enc = make_encoder()
+    names = ("cat", "red fish", "dog")
+    candidates = candidate_set(enc, "interval", depth)
+    params = list({id(p): p for bank, _ in candidates for p in bank.parameters()}.values())
+    opt = SGD(params, lr=0.5)
+    plan = FeaturePlan(enc, candidates, names)
+    for step in range(3):
+        results = []
+        for current in (plan, FeaturePlan(enc, candidates, names)):
+            feats = current.features()
+            targets = [T.Tensor(np.random.default_rng(i).standard_normal(f.shape))
+                       for i, f in enumerate(feats)]
+            opt.zero_grad()
+            T.tsum(T.concat([T.mul(f, t) for f, t in zip(feats, targets)], axis=0)).backward()
+            results.append(([f.data for f in feats], [p.grad.copy() for p in params]))
+        (reused, reused_grads), (fresh, fresh_grads) = results
+        for f, ref in zip(reused, fresh):
+            np.testing.assert_array_equal(f, ref)
+        for g, ref in zip(reused_grads, fresh_grads):
+            np.testing.assert_array_equal(g, ref)
+        if step == 0:
+            first = reused
+        opt.step()
+    assert not np.allclose(first[0], reused[0])  # the steps did move the features

@@ -2,13 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptlab import tensor as T
 from promptlab.data import LatentAttribute, TaskSpec, generate_task
 from promptlab.encoders import DualEncoder, build_config_for
 from promptlab.errors import ConfigError, DataError, ParameterError, ParseError
 from promptlab.optim import SGD, Adam
-from promptlab.prompts import PromptLayout
+from promptlab.prompts import FeaturePlan, PromptLayout
 from promptlab.search import (
     MAX_BASES,
     AlphaVector,
@@ -290,17 +292,16 @@ def one_step_setup(task, enc):
     params = list({id(p): p for b in banks.values() for p in b.parameters()}.values())
     alpha = AlphaVector.create(len(pool))
     x, y = task.split("train")
-    return candidates, params, alpha, (x[:8], y[:8])
+    return FeaturePlan(enc, candidates, task.class_names), params, alpha, (x[:8], y[:8])
 
 
 def test_alpha_step_writes_no_gradient_into_soft_blocks():
     task = search_task()
     enc = search_encoder(task)
-    candidates, params, alpha, batch = one_step_setup(task, enc)
+    plan, params, alpha, batch = one_step_setup(task, enc)
     before = [p.data.copy() for p in params]
     spy = ThetaSpy(params)
-    search_step(enc, candidates, task.class_names, alpha, Adam([alpha.logits], lr=0.05), spy,
-                batch, batch)
+    search_step(enc, plan, alpha, Adam([alpha.logits], lr=0.05), spy, batch, batch)
     grads, data = spy.after_alpha
     assert np.abs(alpha.logits.data).max() > 0  # the alpha step did run
     for p, g, d, d0 in zip(params, grads, data, before):
@@ -308,9 +309,9 @@ def test_alpha_step_writes_no_gradient_into_soft_blocks():
         np.testing.assert_array_equal(d, d0)
 
 
-# measured with one grouped text forward per step; the step it replaced, one
-# forward per candidate in each half, built 822 ops
-OPS_PER_TOY_STEP = 277
+# measured: prompts composed once per search, one grouped text forward per
+# step, a read-out-only last block and one scoring product per half-step
+OPS_PER_TOY_STEP = 252
 
 
 def test_search_step_op_count_stays_low(monkeypatch):
@@ -318,9 +319,9 @@ def test_search_step_op_count_stays_low(monkeypatch):
     # here without timing noise (3 candidates, 4 classes, 2 layers, 4 heads)
     task = search_task()
     enc = search_encoder(task)
-    candidates, params, alpha, batch = one_step_setup(task, enc)
+    plan, params, alpha, batch = one_step_setup(task, enc)
     alpha_opt, theta_opt = Adam([alpha.logits], lr=0.05), SGD(params, lr=0.05)
-    search_step(enc, candidates, task.class_names, alpha, alpha_opt, theta_opt, batch, batch)
+    search_step(enc, plan, alpha, alpha_opt, theta_opt, batch, batch)
     ops = []
     make = T._make
 
@@ -329,7 +330,7 @@ def test_search_step_op_count_stays_low(monkeypatch):
         return make(data, parents, vjp, op)
 
     monkeypatch.setattr(T, "_make", counting)
-    search_step(enc, candidates, task.class_names, alpha, alpha_opt, theta_opt, batch, batch)
+    search_step(enc, plan, alpha, alpha_opt, theta_opt, batch, batch)
     assert len(ops) <= OPS_PER_TOY_STEP, f"{len(ops)} ops per step"
     assert "embedding" not in ops  # the first step filled the encoder's hard-row cache
 
@@ -410,6 +411,27 @@ def test_export_then_load_round_trips_to_stored_precision(tmp_path):
     assert back.selected == res.selected
     assert back.config_hash == res.config_hash
     np.testing.assert_allclose(back.weights, np.round(res.weights, 3), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bases=st.lists(st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=8),
+                   min_size=1, max_size=4, unique=True),
+    config_hash=st.one_of(st.just(""), st.text("0123456789abcdef", min_size=1, max_size=16)),
+    data=st.data(),
+)
+def test_parse_of_format_returns_the_result(bases, config_hash, data):
+    # any valid pool, with weights already at the three decimals the format stores
+    pool = tuple(enumerate_pool(bases))
+    raw = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(pool),
+                                      max_size=len(pool)).filter(lambda w: sum(w) > 0)))
+    weights = np.round(raw / raw.sum(), 3)
+    result = SearchResult(tuple(bases), pool, weights, select_candidate(pool, weights),
+                          config_hash).validate()
+    back = parse_result(format_result(result))
+    assert (back.bases, back.candidates, back.selected, back.config_hash) == (
+        result.bases, result.candidates, result.selected, result.config_hash)
+    np.testing.assert_array_equal(back.weights, result.weights)
 
 
 def test_parse_rejects_malformed_rows_with_location():

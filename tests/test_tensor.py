@@ -321,6 +321,14 @@ def test_frozen_parent_vjp_slot_is_none():
     out = T.layer_norm(frozen(rng, 3, 4), gain, bias)
     gx, ggain, gbias = out._vjp(np.ones(out.shape))
     assert gx is None and gbias is None and ggain.shape == (4,)
+    for op in (T.add, T.mul):
+        x, b = leaf(rng, 2, 3, 4), frozen(rng, 4)
+        out = op(x, b)
+        gx, gb = out._vjp(np.ones(out.shape))
+        assert gx.shape == x.shape and gb is None
+        out = op(b, x)
+        gb, gx = out._vjp(np.ones(out.shape))
+        assert gb is None and gx.shape == x.shape
 
 
 def test_grad_l2_normalize():
@@ -355,6 +363,27 @@ def test_grad_embedding_fd():
     w = T.Tensor(rng.standard_normal((4, 3)))
     ids = [0, 2, 2, 4]
     assert_gradients_match(lambda: T.tsum(T.mul(T.embedding(table, ids), w)), [table])
+
+
+def test_grad_gather_rows_fd():
+    # a 2D index with repeated rows, within one index row and across rows
+    rng = np.random.default_rng(27)
+    src = leaf(rng, 5, 3)
+    index = [[0, 2, 2], [4, 0, 2]]
+    w = T.Tensor(rng.standard_normal((2, 3, 3)))
+    assert_gradients_match(lambda: T.tsum(T.mul(T.gather_rows(src, index), w)), [src])
+
+
+def test_gather_rows_values_scatter_and_range():
+    src = T.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    out = T.gather_rows(src, [[2, 0], [2, 2]])
+    np.testing.assert_array_equal(out.data, [[[4, 5], [0, 1]], [[4, 5], [4, 5]]])
+    T.tsum(out).backward()
+    np.testing.assert_array_equal(src.grad, [[1, 1], [0, 0], [3, 3]])
+    with pytest.raises(IndexRangeError):
+        T.gather_rows(src, [[0, 3]])
+    with pytest.raises(ShapeError):
+        T.gather_rows(T.Tensor(np.ones(3)), [0])
 
 
 def test_grad_concat_and_narrow():

@@ -16,7 +16,6 @@ vocabulary, and the positional table and image biases use std 0.02.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -184,44 +183,21 @@ class DualEncoder:
 
     # -- text branch ---------------------------------------------------------------
 
-    def _attention(self, layer: int, x: Tensor, q_len: int) -> Tensor:
-        """Attention of the last ``q_len`` positions over every position of ``x``."""
-        cfg = self.config
-        p = self._params
-        base = f"layers.{layer}."
-        seq_len = x.data.shape[-2]
-        queries = x if q_len == seq_len else T.narrow(x, -2, seq_len - q_len, seq_len)
-        q = T.matmul(queries, p[base + "attn.wq"])
-        k = T.matmul(x, p[base + "attn.wk"])
-        v = T.matmul(x, p[base + "attn.wv"])
-        head_dim = cfg.embed_dim // cfg.num_heads
-        inv_sqrt = 1.0 / math.sqrt(head_dim)
-        # self-scores are masked out: with tied q/k projections the diagonal
-        # always wins the softmax, which starves cross-token routing; the
-        # residual stream already carries each token's own content
-        mask = Tensor(np.diag(np.full(seq_len, -1e9))[seq_len - q_len:], requires_grad=False)
-        heads = []
-        for h in range(cfg.num_heads):
-            lo, hi = h * head_dim, (h + 1) * head_dim
-            qh = T.narrow(q, -1, lo, hi)
-            kh = T.narrow(k, -1, lo, hi)
-            vh = T.narrow(v, -1, lo, hi)
-            scores = T.scale(T.matmul(qh, T.transpose_last(kh)), inv_sqrt)
-            heads.append(T.matmul(T.softmax(scores + mask, axis=-1), vh))
-        return T.matmul(T.concat(heads, axis=-1), p[base + "attn.wo"])
-
     def _block(self, layer: int, h: Tensor, readout: bool = False) -> Tensor:
         """One pre-norm block; ``readout`` keeps only the final position's output."""
         p = self._params
         base = f"layers.{layer}."
-        normed = T.layer_norm(h, p[base + "ln1.gain"], p[base + "ln1.bias"])
-        if readout:
-            seq_len = h.shape[-2]
-            h = T.narrow(h, -2, seq_len - 1, seq_len)
-        h = h + self._attention(layer, normed, h.shape[-2])
-        normed = T.layer_norm(h, p[base + "ln2.gain"], p[base + "ln2.bias"])
-        inner = T.gelu(T.matmul(normed, p[base + "mlp.w1"]) + p[base + "mlp.b1"])
-        return h + T.matmul(inner, p[base + "mlp.w2"]) + p[base + "mlp.b2"]
+        # self-scores are masked out inside the attention op: with tied q/k
+        # projections the diagonal always wins the softmax, which starves
+        # cross-token routing; the residual stream already carries each
+        # token's own content
+        h = T.attention_sublayer(
+            h, p[base + "ln1.gain"], p[base + "ln1.bias"], p[base + "attn.wq"],
+            p[base + "attn.wk"], p[base + "attn.wv"], p[base + "attn.wo"],
+            self.config.num_heads, 1 if readout else h.shape[-2])
+        return T.mlp_sublayer(
+            h, p[base + "ln2.gain"], p[base + "ln2.bias"], p[base + "mlp.w1"],
+            p[base + "mlp.b1"], p[base + "mlp.w2"], p[base + "mlp.b2"])
 
     def encode_text(self, embeds: Tensor, deep_hook=None) -> Tensor:
         """Joint-space feature(s) for one composed sequence [L, d] or a batch [C, L, d].

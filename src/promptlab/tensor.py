@@ -23,16 +23,13 @@ _FINITE_CHECKS = True
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LN_EPS = 1e-5
 
 
 def set_finite_checks(enabled: bool) -> None:
     """Toggle NaN/Inf detection after every operation (on by default)."""
     global _FINITE_CHECKS
     _FINITE_CHECKS = bool(enabled)
-
-
-def finite_checks_enabled() -> bool:
-    return _FINITE_CHECKS
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
@@ -246,20 +243,40 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(a.data * c, (a,), lambda g: (g * c,), "scale")
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Exact erf-based GELU."""
+def _gelu_fwd(z: np.ndarray):
+    """Exact erf-based GELU of an array: (gelu(z), erf(z / sqrt 2))."""
     # imported here, not at module level: scipy is slow to import and only gelu needs it
     from scipy.special import erf
 
+    # in-place steps keep fewer large temporaries alive, which saves page
+    # faults; the result rounds as 0.5 * z * (1 + e) does, since halving a
+    # normal float is exact
+    e = z * _INV_SQRT2
+    erf(e, out=e)
+    y = e + 1.0
+    y *= 0.5
+    y *= z
+    return y, e
+
+
+def _gelu_slope(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """d gelu / dz from the forward's erf term: 0.5 (1 + e) + z exp(-z^2 / 2) / sqrt(2 pi)."""
+    t = -0.5 * z
+    t *= z
+    np.exp(t, out=t)
+    t *= z
+    t *= _INV_SQRT2PI
+    slope = e + 1.0
+    slope *= 0.5
+    slope += t
+    return slope
+
+
+def gelu(a: Tensor) -> Tensor:
+    """Exact erf-based GELU."""
     a = _as_tensor(a)
-    e = erf(a.data * _INV_SQRT2)
-    data = 0.5 * a.data * (1.0 + e)
-
-    def vjp(g):
-        local = 0.5 * (1.0 + e) + a.data * np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
-        return (g * local,)
-
-    return _make(data, (a,), vjp, "gelu")
+    data, e = _gelu_fwd(a.data)
+    return _make(data, (a,), lambda g: (g * _gelu_slope(a.data, e),), "gelu")
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -363,34 +380,60 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(y, (a,), vjp, "softmax")
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def _layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
+    """LayerNorm over the last axis of an array: (output, xhat, 1 / std).
+
+    Means are sums times 1/d: bit-identical to ``.mean``, without numpy's
+    ``_mean`` wrapper.
+    """
+    d = x.shape[-1]
+    xhat = x - x.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
+    xhat *= inv
+    out = xhat * gain
+    out += bias
+    return out, xhat, inv
+
+
+def _layer_norm_vjp(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                    x: Tensor, gain: Tensor, bias: Tensor) -> tuple:
+    """(gx, ggain, gbias) of ``_layer_norm_fwd``; None for a parent without requires_grad."""
+    gx = ggain = gbias = None
+    if x.requires_grad:
+        # inv * (gx_hat - mean(gx_hat) - xhat * mean(gx_hat * xhat)), in place
+        d = g.shape[-1]
+        gx = g * gain.data
+        t = gx * xhat
+        proj = t.sum(axis=-1, keepdims=True) / d
+        gx -= gx.sum(axis=-1, keepdims=True) / d
+        np.multiply(xhat, proj, out=t)
+        gx -= t
+        gx *= inv
+    if gain.requires_grad:
+        ggain = _sum_lead(g * xhat)
+    if bias.requires_grad:
+        gbias = _sum_lead(g)
+    return gx, ggain, gbias
+
+
+def _sum_lead(g: np.ndarray) -> np.ndarray:
+    """Sum over every axis but the last (the gradient of a broadcast bias)."""
+    return g.sum(axis=tuple(range(g.ndim - 1)))
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
+    _check_norm_params("layer_norm", a, gain, bias)
+    data, xhat, inv = _layer_norm_fwd(a.data, gain.data, bias.data, eps)
+    return _make(data, (a, gain, bias),
+                 lambda g: _layer_norm_vjp(g, xhat, inv, a, gain, bias), "layer_norm")
+
+
+def _check_norm_params(op: str, a: Tensor, gain: Tensor, bias: Tensor) -> None:
     d = a.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"layer_norm: gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
-    xc = a.data - a.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
-    xhat = xc * inv
-    data = xhat * gain.data + bias.data
-
-    def vjp(g):
-        gx = ggain = gbias = None
-        if a.requires_grad:
-            gx_hat = g * gain.data
-            gx = inv * (
-                gx_hat
-                - gx_hat.mean(axis=-1, keepdims=True)
-                - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True)
-            )
-        lead = tuple(range(a.ndim - 1))
-        if gain.requires_grad:
-            ggain = (g * xhat).sum(axis=lead)
-        if bias.requires_grad:
-            gbias = g.sum(axis=lead)
-        return gx, ggain, gbias
-
-    return _make(data, (a, gain, bias), vjp, "layer_norm")
+        raise ShapeError(f"{op}: gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
 
 
 def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
@@ -531,3 +574,134 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         return (ga,)
 
     return _make(a.data[idx].copy(), (a,), vjp, "narrow")
+
+
+# -- fused encoder sub-layers ------------------------------------------------------
+#
+# Each op is one pre-norm transformer sub-layer with its residual. Both record
+# their ``_make`` under an op name the benchmark tracer (perfbench/spans.py)
+# already knows: attention under softmax, the MLP under gelu.
+
+
+def attention_sublayer(h: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, wk: Tensor,
+                       wv: Tensor, wo: Tensor, num_heads: int, q_len: int) -> Tensor:
+    """``h[..., -q_len:, :] + attention(layer_norm(h))`` for ``h`` of shape [L, d] or [n, L, d].
+
+    Queries come from the last ``q_len`` normalized positions, keys and values
+    from all L. Each of ``num_heads`` heads scores with scaled dot products of
+    width d / num_heads, and each query's score against its own position is
+    lowered by 1e9 before the softmax. The merged heads go through ``wo`` and
+    are added to the last ``q_len`` rows of ``h``. Heads are an axis of one
+    array, never slices. The forward keeps the normalized input, q, k, v, the
+    attention weights and the merged context for the VJP.
+    """
+    h, gain, bias, wq, wk, wv, wo = map(_as_tensor, (h, gain, bias, wq, wk, wv, wo))
+    if h.ndim not in (2, 3):
+        raise ShapeError(f"attention_sublayer: expected [L, d] or [n, L, d], got {h.shape}")
+    length, d = h.shape[-2:]
+    if d % num_heads or not 1 <= q_len <= length:
+        raise ShapeError(f"attention_sublayer: {num_heads} heads, q_len {q_len} for {h.shape}")
+    _check_norm_params("attention_sublayer", h, gain, bias)
+    first = length - q_len
+    n, xhat, inv = _layer_norm_fwd(h.data, gain.data, bias.data, _LN_EPS)
+    nq = n[..., first:, :]
+    q = _split_heads(nq @ wq.data, num_heads)
+    k = _split_heads(n @ wk.data, num_heads)
+    v = _split_heads(n @ wv.data, num_heads)
+    inv_sqrt = 1.0 / math.sqrt(d // num_heads)
+    # contiguous heads, a contiguous k-transpose and, in the VJP, the k
+    # gradient as (q^T gs)^T keep every product on the BLAS path of the same
+    # block built from primitive ops (a transposed operand takes another
+    # kernel), so results match it bit for bit
+    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
+    y = q @ kt  # the scores, then in place the attention weights
+    y *= inv_sqrt
+    y[..., np.arange(q_len), np.arange(first, length)] -= 1e9
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    ctx = _merge_heads(y @ v)
+    data = ctx @ wo.data
+    data += h.data[..., first:, :]
+
+    def vjp(g):
+        into_n = h.requires_grad or gain.requires_grad or bias.requires_grad
+        gh = ggain = gbias = gwq = gwk = gwv = None
+        gwo = _weight_grad(ctx, g) if wo.requires_grad else None
+        if into_n or wq.requires_grad or wk.requires_grad or wv.requires_grad:
+            gc = _split_heads(g @ wo.data.T, num_heads)
+            gs = gc @ v.swapaxes(-1, -2)
+            gs -= (gs * y).sum(axis=-1, keepdims=True)
+            gs *= y
+            gs *= inv_sqrt
+            gq = _merge_heads(gs @ kt.swapaxes(-1, -2))
+            gk = _merge_heads((q.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+            gv = _merge_heads(y.swapaxes(-1, -2) @ gc)
+            gwq = _weight_grad(nq, gq) if wq.requires_grad else None
+            gwk = _weight_grad(n, gk) if wk.requires_grad else None
+            gwv = _weight_grad(n, gv) if wv.requires_grad else None
+            if into_n:
+                # k, then q, then v: the order the primitive-op block sums them in
+                gn = gk @ wk.data.T
+                gn[..., first:, :] += gq @ wq.data.T
+                gn += gv @ wv.data.T
+                gh, ggain, gbias = _layer_norm_vjp(gn, xhat, inv, h, gain, bias)
+        if h.requires_grad:
+            gh[..., first:, :] += g
+        return gh, ggain, gbias, gwq, gwk, gwv, gwo
+
+    return _make(data, (h, gain, bias, wq, wk, wv, wo), vjp, "softmax")
+
+
+def mlp_sublayer(h: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+                 b2: Tensor) -> Tensor:
+    """``h + gelu(layer_norm(h) @ w1 + b1) @ w2 + b2`` over the last axis of ``h``.
+
+    The forward keeps the normalized input, the pre-activation, its erf term
+    and the activation, so the VJP recomputes none of them.
+    """
+    h, gain, bias, w1, b1, w2, b2 = map(_as_tensor, (h, gain, bias, w1, b1, w2, b2))
+    _check_norm_params("mlp_sublayer", h, gain, bias)
+    n, xhat, inv = _layer_norm_fwd(h.data, gain.data, bias.data, _LN_EPS)
+    z = n @ w1.data
+    z += b1.data
+    a, e = _gelu_fwd(z)
+    data = a @ w2.data
+    np.add(h.data, data, out=data)  # (h + mlp) + b2, as the primitive ops add
+    data += b2.data
+
+    def vjp(g):
+        into_n = h.requires_grad or gain.requires_grad or bias.requires_grad
+        gh = ggain = gbias = gw1 = gb1 = None
+        gw2 = _weight_grad(a, g) if w2.requires_grad else None
+        gb2 = _sum_lead(g) if b2.requires_grad else None
+        if into_n or w1.requires_grad or b1.requires_grad:
+            gz = g @ w2.data.T
+            gz *= _gelu_slope(z, e)
+            gw1 = _weight_grad(n, gz) if w1.requires_grad else None
+            gb1 = _sum_lead(gz) if b1.requires_grad else None
+            if into_n:
+                gh, ggain, gbias = _layer_norm_vjp(gz @ w1.data.T, xhat, inv, h, gain, bias)
+        if h.requires_grad:
+            gh += g
+        return gh, ggain, gbias, gw1, gb1, gw2, gb2
+
+    return _make(data, (h, gain, bias, w1, b1, w2, b2), vjp, "gelu")
+
+
+def _split_heads(a: np.ndarray, num_heads: int) -> np.ndarray:
+    """[..., L, d] -> [..., H, L, d / H], contiguous (no copy when H is 1)."""
+    *lead, length, d = a.shape
+    return np.ascontiguousarray(
+        a.reshape(*lead, length, num_heads, d // num_heads).swapaxes(-2, -3))
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """[..., H, L, d / H] -> [..., L, d], contiguous; the inverse of ``_split_heads``."""
+    *lead, heads, length, width = a.shape
+    return np.ascontiguousarray(a.swapaxes(-2, -3).reshape(*lead, length, heads * width))
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of ``W`` in ``x @ W``, summed over every leading axis."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])

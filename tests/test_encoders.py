@@ -262,6 +262,52 @@ def test_nonpositive_temperature_rejected():
         enc.class_logits(u, w, temperature=-0.07)
 
 
+def oracle_block(enc, layer, h, readout):
+    """One encoder block from primitive ops, with per-head slices (the fused block's oracle)."""
+    p, cfg = enc.parameters(), enc.config
+    base = f"layers.{layer}."
+    seq_len = h.shape[-2]
+    q_len = 1 if readout else seq_len
+    normed = T.layer_norm(h, p[base + "ln1.gain"], p[base + "ln1.bias"])
+    q = T.matmul(T.narrow(normed, -2, seq_len - q_len, seq_len), p[base + "attn.wq"])
+    k = T.matmul(normed, p[base + "attn.wk"])
+    v = T.matmul(normed, p[base + "attn.wv"])
+    head_dim = cfg.embed_dim // cfg.num_heads
+    mask = T.Tensor(np.diag(np.full(seq_len, -1e9))[seq_len - q_len:])
+    heads = []
+    for lo in range(0, cfg.embed_dim, head_dim):
+        qh, kh, vh = (T.narrow(t, -1, lo, lo + head_dim) for t in (q, k, v))
+        scores = T.scale(T.matmul(qh, T.transpose_last(kh)), 1.0 / math.sqrt(head_dim))
+        heads.append(T.matmul(T.softmax(scores + mask, axis=-1), vh))
+    h = T.narrow(h, -2, seq_len - q_len, seq_len) + T.matmul(
+        T.concat(heads, axis=-1), p[base + "attn.wo"])
+    normed = T.layer_norm(h, p[base + "ln2.gain"], p[base + "ln2.bias"])
+    inner = T.gelu(T.matmul(normed, p[base + "mlp.w1"]) + p[base + "mlp.b1"])
+    return h + T.matmul(inner, p[base + "mlp.w2"]) + p[base + "mlp.b2"]
+
+
+@pytest.mark.parametrize("readout", [False, True], ids=["full", "readout"])
+@pytest.mark.parametrize("heads", [1, 4])
+def test_fused_block_matches_primitive_ops(heads, readout):
+    enc = make_encoder(num_heads=heads, num_layers=2)
+    rng = np.random.default_rng(heads)
+    # non-trivial norms and biases, so every parameter of the block is exercised
+    for name, param in enc.parameters().items():
+        if name.startswith("layers.1.") and param.ndim == 1:
+            param.data = param.data + 0.3 * rng.standard_normal(param.shape)
+    x = rng.standard_normal((3, 6, enc.config.embed_dim))
+    target = rng.standard_normal((3, 1 if readout else 6, enc.config.embed_dim))
+    results = []
+    for block in (lambda h: enc._block(1, h, readout), lambda h: oracle_block(enc, 1, h, readout)):
+        h = T.Tensor(x, requires_grad=True)
+        out = block(h)
+        T.tsum(T.mul(out, T.Tensor(target))).backward()
+        results.append((out.data, h.grad))
+    (fused, fused_grad), (oracle, oracle_grad) = results
+    np.testing.assert_allclose(fused, oracle, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fused_grad, oracle_grad, rtol=0, atol=1e-12)
+
+
 # -- freezing ----------------------------------------------------------------------
 
 

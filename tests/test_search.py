@@ -310,8 +310,9 @@ def test_alpha_step_writes_no_gradient_into_soft_blocks():
 
 
 # measured: prompts composed once per search, one grouped text forward per
-# step, a read-out-only last block and one scoring product per half-step
-OPS_PER_TOY_STEP = 252
+# step, two fused ops per encoder block, a read-out-only last block and one
+# scoring product per half-step
+OPS_PER_TOY_STEP = 56
 
 
 def test_search_step_op_count_stays_low(monkeypatch):

@@ -276,6 +276,53 @@ def test_grad_layer_norm():
     assert_gradients_match(lambda: T.tsum(T.mul(T.layer_norm(x, g, b), w)), [x, g, b])
 
 
+# -- fused encoder sub-layers -------------------------------------------------------
+
+
+def sublayer_params(rng, d, make, hidden=None):
+    """LN gain and bias, then the four attention weights, or MLP (w1, b1, w2, b2)."""
+    gain, bias = make(rng, d), make(rng, d)
+    if hidden is None:
+        return [gain, bias] + [make(rng, d, d) for _ in range(4)]
+    return [gain, bias, make(rng, d, hidden), make(rng, hidden), make(rng, hidden, d), make(rng, d)]
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["L_d", "n_L_d"])
+@pytest.mark.parametrize("q_len", ["full", 1])
+@pytest.mark.parametrize("num_heads", [1, 2])
+def test_grad_attention_sublayer(num_heads, q_len, lead):
+    rng = np.random.default_rng(40)
+    length, d = 3, 4
+    rows = length if q_len == "full" else 1
+    h = leaf(rng, *lead, length, d)
+    params = sublayer_params(rng, d, leaf)
+    w = T.Tensor(rng.standard_normal(lead + (rows, d)))
+    out = T.attention_sublayer(h, *params, num_heads, rows)
+    assert out.shape == lead + (rows, d)
+    assert_gradients_match(
+        lambda: T.tsum(T.mul(T.attention_sublayer(h, *params, num_heads, rows), w)),
+        [h, *params])
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["L_d", "n_L_d"])
+def test_grad_mlp_sublayer(lead):
+    rng = np.random.default_rng(41)
+    h = leaf(rng, *lead, 3, 4)
+    params = sublayer_params(rng, 4, leaf, hidden=5)
+    w = T.Tensor(rng.standard_normal(h.shape))
+    assert_gradients_match(lambda: T.tsum(T.mul(T.mlp_sublayer(h, *params), w)), [h, *params])
+
+
+def test_attention_sublayer_rejects_bad_heads_and_rows():
+    rng = np.random.default_rng(42)
+    h, params = frozen(rng, 3, 4), sublayer_params(rng, 4, frozen)
+    for heads, rows in ((3, 3), (2, 0), (2, 4)):
+        with pytest.raises(ShapeError):
+            T.attention_sublayer(h, *params, heads, rows)
+    with pytest.raises(ShapeError):
+        T.attention_sublayer(frozen(rng, 4), *params, 1, 1)
+
+
 # -- frozen parents: no gradient computed, the trainable side still exact ---------------
 
 
@@ -329,6 +376,18 @@ def test_frozen_parent_vjp_slot_is_none():
         out = op(b, x)
         gb, gx = out._vjp(np.ones(out.shape))
         assert gb is None and gx.shape == x.shape
+    # fused sub-layers: a trainable input with frozen weights, then the reverse
+    sublayers = (lambda h, ps: T.attention_sublayer(h, *ps, 2, 1),
+                 lambda h, ps: T.mlp_sublayer(h, *ps))
+    for op, hidden in zip(sublayers, (None, 5)):
+        x = leaf(rng, 2, 3, 4)
+        out = op(x, sublayer_params(rng, 4, frozen, hidden))
+        gx, *rest = out._vjp(np.ones(out.shape))
+        assert gx.shape == x.shape and rest == [None] * 6
+        params = sublayer_params(rng, 4, leaf, hidden)
+        out = op(frozen(rng, 2, 3, 4), params)
+        gx, *rest = out._vjp(np.ones(out.shape))
+        assert gx is None and [g.shape for g in rest] == [p.shape for p in params]
 
 
 def test_grad_l2_normalize():

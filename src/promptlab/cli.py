@@ -70,7 +70,10 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "out", None) is not None:
         overrides["out"] = args.out
     if getattr(args, "seeds", None):
-        overrides["seeds"] = [int(s) for s in args.seeds.split(",") if s.strip()]
+        try:
+            overrides["seeds"] = [int(s) for s in args.seeds.split(",") if s.strip()]
+        except ValueError:
+            raise ConfigError(f"--seeds must be integers, got {args.seeds!r}") from None
     return load_run_config(args.config, overrides)
 
 
@@ -406,12 +409,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PromptLabError as exc:
-        print(f"error: {type(exc).__name__}: {str(exc) or exc!r}".replace("\n", " "),
-              file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {type(exc).__name__}: {exc}".replace("\n", " "), file=sys.stderr)
+    except (PromptLabError, OSError) as exc:
+        message = str(exc) or repr(exc)
+        print(f"error: {type(exc).__name__}: {message}".replace("\n", " "), file=sys.stderr)
         return 1
 
 

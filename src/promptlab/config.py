@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 from .attributes import LlmClientConfig
 from .data import TaskSpec
-from .errors import ConfigError, DataError
+from .encoders import EncoderConfig
+from .errors import ConfigError, DataError, PromptLabError
 from .prompts import PromptLayout
 from .search import SearchConfig
 from .serialize import dump_json, dumps_json, load_json
@@ -29,6 +31,17 @@ RUN_CONFIG_VERSION = 1
 def config_hash(payload) -> str:
     """Short content address of any JSON-serializable object."""
     return hashlib.sha256(dumps_json(payload).encode()).hexdigest()[:12]
+
+
+@contextmanager
+def _section(what: str):
+    """An unknown key or a value of the wrong type in ``what`` is a ConfigError naming it."""
+    try:
+        yield
+    except PromptLabError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 def _hyperparameters(section) -> dict:
@@ -113,6 +126,9 @@ class RunConfig:
         self.search.validate()
         self.train.validate()
         self.layout.validate()
+        unknown = set(self.encoder_overrides) - {f.name for f in fields(EncoderConfig)}
+        if unknown:
+            raise ConfigError(f"unknown encoder_overrides keys: {sorted(unknown)}")
         if not self.out_dir:
             raise ConfigError("output directory must be set")
         for s in self.seeds:
@@ -149,25 +165,31 @@ class RunConfig:
         version = payload.get("format_version", RUN_CONFIG_VERSION)
         if version != RUN_CONFIG_VERSION:
             raise ConfigError(f"unsupported run config version {version!r}")
-        layout = PromptLayout.from_dict(payload.get("layout", {}))
-        search_kw = dict(payload.get("search", {}))
-        train_kw = dict(payload.get("train", {}))
-        train_kw["attributes"] = tuple(train_kw.get("attributes", ()))
-        try:
-            search = SearchConfig(layout=replace(layout, attribute_names=()), **search_kw)
-            train = TrainConfig(layout=layout, **train_kw)
-        except TypeError as exc:
-            raise ConfigError(f"bad search/train section: {exc}")
+        with _section("layout section"):
+            layout = PromptLayout.from_dict(payload.get("layout", {}))
+        with _section("task section"):
+            task_spec = TaskSpec.from_dict(payload["task"]) if "task" in payload else None
+        with _section("attributes section"):
+            attributes = AttributeSource.from_dict(payload.get("attributes", {"explicit": ["color"]}))
+        with _section("search section"):
+            search_kw = dict(payload.get("search", {}))
+            search = SearchConfig(layout=replace(layout, attribute_names=()), **search_kw).validate()
+        with _section("train section"):
+            train_kw = dict(payload.get("train", {}))
+            train_kw["attributes"] = tuple(train_kw.get("attributes", ()))
+            train = TrainConfig(layout=layout, **train_kw).validate()
+        with _section("seed"):
+            seed = int(payload.get("seed", 0))
         return cls(
-            task_spec=TaskSpec.from_dict(payload["task"]) if "task" in payload else None,
+            task_spec=task_spec,
             dataset_path=payload.get("dataset"),
-            attributes=AttributeSource.from_dict(payload.get("attributes", {"explicit": ["color"]})),
+            attributes=attributes,
             search=search,
             train=train,
             layout=layout,
             encoder_overrides=dict(payload.get("encoder_overrides", {})),
             out_dir=payload.get("out", "runs/out"),
-            seed=int(payload.get("seed", 0)),
+            seed=seed,
             seeds=tuple(payload.get("seeds", ())),
         ).validate()
 

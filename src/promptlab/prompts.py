@@ -24,7 +24,14 @@ from .vocab import PHOTO_TEMPLATE
 
 CLASS_POSITIONS = ("front", "middle", "end")
 POSITION_STYLES = ("interval", "adjacent_front", "adjacent_middle", "adjacent_end", "separate")
-DROP_POLICIES = ("retain_all", "partial_drop", "full_drop")
+# drop policy -> the kinds of prompt position that re-enter with their own rows
+# at every deep layer; the class soft block always re-enters as a deep block
+REENTERED_KINDS = {
+    "retain_all": (),
+    "partial_drop": ("attr_soft",),
+    "full_drop": ("attr_soft", "attr_hard"),
+}
+DROP_POLICIES = tuple(REENTERED_KINDS)
 INIT_SCHEMES = ("random_normal", "phrase_init")
 
 SOFT_INIT_STD = 0.02
@@ -276,14 +283,6 @@ class ComposedPrompt:
         return [s for s in self.segments if s.kind == kind]
 
 
-@dataclass
-class LayerState:
-    """Hidden sequence at one transformer layer plus its position map."""
-
-    hidden: Tensor  # [L, d] or [C, L, d]
-    segments: list
-
-
 def check_partition(segments, length: int) -> None:
     """The segments must tile positions [0, length) in order, with no gap or overlap."""
     cursor = 0
@@ -363,146 +362,117 @@ def compose_classic(encoder, bank: SoftPromptBank, class_name: str) -> ComposedP
     return compose_shallow(encoder, bank, PromptLayout(), class_name)
 
 
-# -- deep variant --------------------------------------------------------------------
+# -- deep variant and batched class features ---------------------------------------------
 
 
-def _policy_replacements(encoder, bank: SoftPromptBank, layout: PromptLayout,
-                         hook_index: int) -> dict:
-    """Replacement blocks applied entering layer hook_index + 1."""
-    reps = {("class_soft", ""): bank.deep_class_blocks[hook_index - 1]}
-    if layout.drop_policy in ("partial_drop", "full_drop"):
-        for name in layout.attribute_names:
-            reps[("attr_soft", name)] = bank.attribute_blocks[name]
-    if layout.drop_policy == "full_drop":
-        for name in layout.attribute_names:
-            reps[("attr_hard", name)] = _hard_rows(encoder, name)
-    return reps
+def apply_drop_policy(hidden: Tensor, table: Tensor, index: np.ndarray) -> Tensor:
+    """Re-enter one deep layer: ``[n, L, d]`` hidden states, rows picked by ``index``.
 
-
-def apply_drop_policy(state: LayerState, policy: str, replacements: dict) -> LayerState:
-    """Swap hidden vectors at replaceable positions for fresh blocks.
-
-    ``replacements`` maps (kind, name) -> Tensor; sentinels and the class
-    token are never replaceable. Returns a new LayerState with the same
-    position map.
+    ``index`` ([n, L], built once by ``FeaturePlan``) addresses the hidden rows
+    followed by the plan's piece table: a value below ``n * L`` keeps the
+    incoming hidden row, a larger one swaps in a table row (a deep block, or
+    the prompt's own soft or hard rows, as the drop policy says).
     """
-    if policy not in DROP_POLICIES:
-        raise ParameterError(f"unknown drop policy {policy!r}")
-    check_partition(state.segments, state.hidden.shape[-2])
-    batched = state.hidden.ndim == 3
-    pieces = []
-    for seg in state.segments:
-        key = (seg.kind, seg.name)
-        rep = replacements.get(key)
-        if rep is None:
-            pieces.append(T.narrow(state.hidden, -2, seg.start, seg.stop))
-            continue
-        if seg.kind in ("sentinel_prefix", "sentinel_suffix", "class_hard"):
-            raise ContractError(f"{seg.kind} positions are never replaced")
-        if rep.shape[0] != seg.length:
-            raise ContractError(
-                f"replacement for {key} has length {rep.shape[0]}, segment has {seg.length}"
-            )
-        pieces.append(T.expand0(rep, state.hidden.shape[0]) if batched else rep)
-    return LayerState(T.concat(pieces, axis=-2), list(state.segments))
+    n, length, dim = hidden.shape
+    return T.gather_rows(T.concat([T.reshape(hidden, (n * length, dim)), table], axis=0), index)
 
 
 def deep_forward(encoder, bank: SoftPromptBank, layout: PromptLayout, class_name: str):
-    """Joint text feature with per-layer class-block refresh (depth >= 2)."""
-    prompt = compose_shallow(encoder, bank, layout, class_name)
-    return _deep_encode(encoder, bank, layout, prompt.embeds, prompt.segments)
-
-
-def _deep_encode(encoder, bank, layout, embeds, segments):
-    layout.validate(encoder.config.num_layers)
-    if layout.depth < 2:
-        return encoder.encode_text(embeds)
-    if len(bank.deep_class_blocks) < layout.depth - 1:
-        raise ConfigError(
-            f"depth {layout.depth} needs {layout.depth - 1} deep blocks, "
-            f"bank has {len(bank.deep_class_blocks)}"
-        )
-
-    def hook(i, hidden):
-        if i >= layout.depth:
-            return hidden
-        state = LayerState(hidden, segments)
-        reps = _policy_replacements(encoder, bank, layout, i)
-        return apply_drop_policy(state, layout.drop_policy, reps).hidden
-
-    return encoder.encode_text(embeds, deep_hook=hook)
-
-
-# -- batched class features ---------------------------------------------------------------
+    """Joint text feature [joint] of one prompt (any depth): a one-prompt ``FeaturePlan``."""
+    (feats,) = FeaturePlan(encoder, [(bank, layout)], [class_name]).features()
+    return T.reshape(feats, (encoder.config.joint_dim,))
 
 
 def class_text_features(encoder, bank: SoftPromptBank, layout: PromptLayout, class_names):
-    """Features for many classes [N, joint]: one candidate of ``candidate_features``."""
-    return candidate_features(encoder, [(bank, layout)], class_names)[0]
+    """Features for many classes [N, joint]: a one-candidate ``FeaturePlan``."""
+    return FeaturePlan(encoder, [(bank, layout)], class_names).features()[0]
 
 
-def candidate_features(encoder, candidates, class_names) -> list:
-    """Class features [C, joint] for every (bank, layout) pair; see ``FeaturePlan``."""
-    return FeaturePlan(encoder, candidates, class_names).features()
+def _reenter(table: Tensor, index: list):
+    """The ``deep_hook`` of one pass: the input of layer i + 1 re-enters through index[i - 1]."""
+    return lambda i, hidden: (apply_drop_policy(hidden, table, index[i - 1])
+                              if i <= len(index) else hidden)
 
 
 class FeaturePlan:
     """The only path from composed prompts to class features, composed once.
 
     Building the plan composes every (candidate, class) prompt with
-    ``compose_shallow``, so layouts are validated and position maps checked,
-    and records which rows of which piece tensors (soft blocks, frozen hard
-    rows) each prompt is made of. Every prompt of one length shares a single
-    ``[n, L, d]`` pass; a depth >= 2 layout keeps its own passes, since the
-    deep hook swaps in that candidate's blocks.
+    ``compose_shallow`` (validating layouts and position maps) and records
+    which rows of which piece tensors (soft blocks, frozen hard rows, deep
+    blocks) each prompt is made of. Prompts of one length share one
+    ``[n, L, d]`` pass; a depth >= 2 layout keeps its own passes, with one
+    ``apply_drop_policy`` index per deep layer: entering layer k + 1, the
+    class soft block takes the rows of deep block k - 1, and the attribute
+    positions its drop policy names take the prompt's own rows.
 
     ``features()`` reads the pieces' current data, so one plan serves every
     step of a training loop: one ``concat`` of the distinct pieces, one row
-    gather per pass, the encoder passes, and each candidate's rows in class
-    order (the pass output itself, one slice, or the concatenation of its
-    contiguous runs for class names of unequal token length).
+    gather per pass and per deep layer, the encoder passes, and each
+    candidate's rows in class order (the pass output itself, one slice, or
+    the concatenation of its contiguous runs for class names of unequal
+    token length).
     """
 
     def __init__(self, encoder, candidates, class_names):
         self.encoder = encoder
         self._pieces = []  # distinct piece tensors, in order of first use
         first_row = {}  # id(piece) -> its first row in the concatenated pieces
-        num_rows = 0
-        passes = []  # (bank, layout, segments, one row list per prompt)
+
+        def piece_rows(piece) -> range:
+            if id(piece) not in first_row:
+                first_row[id(piece)] = sum(p.shape[0] for p in self._pieces)
+                self._pieces.append(piece)
+            return range(first_row[id(piece)], first_row[id(piece)] + piece.shape[0])
+
+        passes = []  # per pass: (rows, re-entry rows per deep layer) for each prompt
         pass_of = {}  # (length, candidate or -1) -> index into passes
         self._runs = []  # per candidate: [pass index, start, stop] runs in class order
         for i, (bank, layout) in enumerate(candidates):
+            deep = bank.deep_class_blocks[:layout.depth - 1]
+            if len(deep) < layout.depth - 1:
+                raise ConfigError(f"depth {layout.depth} needs {layout.depth - 1} deep blocks, "
+                                  f"bank has {len(bank.deep_class_blocks)}")
             runs = []
             for name in class_names:
                 prompt = compose_shallow(encoder, bank, layout, name)
-                rows = []
-                for piece in prompt.pieces:
-                    if id(piece) not in first_row:
-                        first_row[id(piece)] = num_rows
-                        num_rows += piece.shape[0]
-                        self._pieces.append(piece)
-                    start = first_row[id(piece)]
-                    rows.extend(range(start, start + piece.shape[0]))
+                rows = [row for piece in prompt.pieces for row in piece_rows(piece)]
+                kinds = REENTERED_KINDS[layout.drop_policy]
+                reentry = []  # per deep layer: the piece row each position re-enters with, or -1
+                for block in deep:
+                    layer = [-1] * prompt.length
+                    for seg in prompt.segments:
+                        if seg.kind == "class_soft":
+                            layer[seg.start:seg.stop] = piece_rows(block)
+                        elif seg.kind in kinds:
+                            layer[seg.start:seg.stop] = rows[seg.start:seg.stop]
+                    reentry.append(layer)
                 key = (prompt.length, i if layout.depth >= 2 else -1)
                 if key not in pass_of:
                     pass_of[key] = len(passes)
-                    passes.append((bank, layout, prompt.segments, []))
+                    passes.append([])
                 g = pass_of[key]
-                row = len(passes[g][3])
-                passes[g][3].append(rows)
+                row = len(passes[g])
+                passes[g].append((rows, reentry))
                 if runs and runs[-1][0] == g and runs[-1][2] == row:
                     runs[-1][2] = row + 1
                 else:
                     runs.append([g, row, row + 1])
             self._runs.append(runs)
-        self._passes = [(bank, layout, segments, np.array(rows, dtype=np.int64))
-                        for bank, layout, segments, rows in passes]
+        self._passes = []  # (rows [n, L], one apply_drop_policy index [n, L] per deep layer)
+        for prompts in passes:
+            rows = np.array([r for r, _ in prompts], dtype=np.int64)
+            own = np.arange(rows.size).reshape(rows.shape)
+            index = [np.where(layer < 0, own, rows.size + layer)
+                     for layer in map(np.array, zip(*(reentry for _, reentry in prompts)))]
+            self._passes.append((rows, index))
 
     def features(self) -> list:
         """Class features [C, joint] per candidate, from the pieces' current data."""
         table = T.concat(self._pieces, axis=0)
-        outs = [_deep_encode(self.encoder, bank, layout, T.gather_rows(table, rows), segments)
-                for bank, layout, segments, rows in self._passes]
+        outs = [self.encoder.encode_text(T.gather_rows(table, rows),
+                                         deep_hook=_reenter(table, index) if index else None)
+                for rows, index in self._passes]
         feats = []
         for runs in self._runs:
             parts = [outs[g] if (start, stop) == (0, outs[g].shape[0])

@@ -94,6 +94,9 @@ class SearchConfig:
             raise ConfigError(
                 f"learning rates must be positive, got theta={self.theta_lr}, alpha={self.alpha_lr}"
             )
+        if min(self.soft_len, self.attr_soft_len) < 0:
+            raise ConfigError(f"soft lengths must be >= 0, got {self.soft_len}, "
+                              f"{self.attr_soft_len}")
         if self.layout.attribute_names:
             raise ConfigError("search layout must leave attribute_names empty; candidates fill it")
         self.layout.validate()

@@ -59,6 +59,9 @@ class TrainConfig:
             raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.schedule not in SCHEDULES:
             raise ContractError(f"unknown schedule {self.schedule!r}")
+        if min(self.soft_len, self.attr_soft_len) < 0:
+            raise ContractError(f"soft lengths must be >= 0, got {self.soft_len}, "
+                                f"{self.attr_soft_len}")
         self.layout.validate()
         return self
 

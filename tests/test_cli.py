@@ -1,5 +1,8 @@
 import json
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -111,8 +114,8 @@ def test_train_without_attributes_fails_with_guidance(tmp_path, capsys):
     rc = main(["train", "--config", cfg])
     err_lines = capsys.readouterr().err.strip().splitlines()
     assert rc == 1
-    assert err_lines[-1].startswith("error: ConfigError:")
-    assert "search-attrs" in err_lines[-1]
+    assert err_lines[-1] == ("error: ConfigError: no attributes to anchor on: "
+                             "set train.attributes or run search-attrs first")
 
 
 def test_classic_flag_skips_search_and_anchors_nothing(tmp_path):
@@ -230,3 +233,41 @@ def test_full_pipeline_is_deterministic_across_output_dirs(tmp_path):
             }
         )
     assert hashes[0] == hashes[1]
+
+
+def _set(section, key, value):
+    def edit(payload):
+        payload.setdefault(section, {})[key] = value
+    return edit
+
+
+# case -> (config edit, or None; the command that used to end in a traceback)
+BAD_INPUTS = {
+    "task_unknown_key": (_set("task", "bogus", 1), ["train"]),
+    "llm_unknown_key": (lambda payload: payload.update(attributes={"llm": {"bogus": 1}}),
+                        ["train"]),
+    "encoder_overrides_unknown_key": (_set("encoder_overrides", "bogus", 1), ["train"]),
+    "layout_depth_string": (_set("layout", "depth", "2"), ["train"]),
+    "train_batch_size_string": (_set("train", "batch_size", "16"), ["train"]),
+    "seed_not_integer": (lambda payload: payload.update(seed="x"), ["train"]),
+    "seeds_flag_not_integers": (None, ["train", "--seeds", "a,b"]),
+    "train_negative_soft_len": (_set("train", "soft_len", -1), ["train", "--classic"]),
+    "search_negative_soft_len": (_set("search", "soft_len", -1), ["search-attrs"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_config_input_is_one_error_line(case, tmp_path):
+    cfg, _ = write_config(tmp_path)
+    edit, command = BAD_INPUTS[case]
+    if edit is not None:
+        payload = json.load(open(cfg))
+        edit(payload)
+        json.dump(payload, open(cfg, "w"))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "promptlab.cli", *command, "--config", cfg],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert re.match(r"^error: \w+Error: ", proc.stderr.strip().splitlines()[-1]), proc.stderr

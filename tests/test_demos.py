@@ -1,0 +1,23 @@
+"""The quick demos run to completion as scripts.
+
+Demos 04, 05 and 07 are left out: they take several seconds each and repeat
+flows that the search, training and criterion-8 tests already cover.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", ["01_autodiff_and_gradcheck.py", "02_encode_and_score.py",
+                                  "03_prompt_anatomy.py", "06_offline_llm_attributes.py"])
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -8,11 +8,8 @@ from promptlab.prompts import (
     DROP_POLICIES,
     POSITION_STYLES,
     FeaturePlan,
-    LayerState,
     PromptLayout,
     SoftPromptBank,
-    apply_drop_policy,
-    candidate_features,
     check_partition,
     class_text_features,
     compose_classic,
@@ -21,6 +18,7 @@ from promptlab.prompts import (
     init_soft_tokens,
     template_rows_for,
 )
+from gradcheck import assert_gradients_match
 from toys import make_encoder
 
 
@@ -400,84 +398,135 @@ def test_drop_policies_differ_in_features_not_positions():
     assert not np.array_equal(feats["partial_drop"], feats["full_drop"])
 
 
-def test_apply_drop_policy_retain_all_keeps_attribute_positions():
+# -- deep re-entry: each hook of a plan against a segment-slicing oracle -----------------
+
+
+def reentry_oracle(enc, bank, layout, prompt, hidden, layer):
+    """What enters layer ``layer + 1``: ``hidden`` [L, d] with blocks swapped in by segment."""
+    out = hidden.copy()
+    for seg in prompt.segments:
+        if seg.kind == "class_soft":
+            out[seg.start:seg.stop] = bank.deep_class_blocks[layer - 1].data
+        elif seg.kind == "attr_soft" and layout.drop_policy in ("partial_drop", "full_drop"):
+            out[seg.start:seg.stop] = bank.attribute_blocks[seg.name].data
+        elif seg.kind == "attr_hard" and layout.drop_policy == "full_drop":
+            out[seg.start:seg.stop] = enc.token_embedding.data[enc.vocabulary.encode(seg.name)]
+    return out
+
+
+def reentered(enc, bank, layout, names, monkeypatch, seed=1):
+    """Run a one-candidate plan and call each pass's hook on a scrambled hidden state.
+
+    Yields (prompt, layer, hidden [L, d], what the hook returned [L, d]) for
+    every prompt and every hook layer that re-enters (1 <= layer < depth).
+    """
+    passes = []
+    encode = enc.encode_text
+
+    def capture(embeds, deep_hook=None):
+        passes.append((embeds.shape, deep_hook))
+        return encode(embeds, deep_hook=deep_hook)
+
+    monkeypatch.setattr(enc, "encode_text", capture)
+    FeaturePlan(enc, [(bank, layout)], names).features()
+    monkeypatch.undo()
+    prompts = [compose_shallow(enc, bank, layout, n) for n in names]
+    rng = np.random.default_rng(seed)
+    for shape, hook in passes:
+        group = [p for p in prompts if p.length == shape[1]]
+        assert len(group) == shape[0]
+        for layer in range(1, layout.depth):
+            hidden = rng.standard_normal(shape)
+            out = hook(layer, T.Tensor(hidden))
+            assert out.shape == shape  # the sequence length never changes
+            for p, prompt in enumerate(group):
+                yield prompt, layer, hidden[p], out.data[p]
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("policy", DROP_POLICIES)
+@pytest.mark.parametrize("style", POSITION_STYLES)
+def test_reentry_index_matches_segment_oracle(depth, policy, style, monkeypatch):
+    enc = make_encoder()
+    bank = make_bank(enc, depth=depth, seed=3)
+    layout = PromptLayout(attribute_names=("color", "shape"), attribute_position_style=style,
+                          drop_policy=policy, depth=depth)
+    seen = 0
+    for prompt, layer, hidden, out in reentered(
+            enc, bank, layout, ["cat", "red fish", "dog"], monkeypatch):
+        np.testing.assert_array_equal(out, reentry_oracle(enc, bank, layout, prompt, hidden, layer))
+        seen += 1
+    assert seen == 3 * (depth - 1)
+
+
+def test_reentry_retain_all_keeps_previous_layer_output(monkeypatch):
+    enc = make_encoder()
+    bank = make_bank(enc, depth=3)
+    layout = PromptLayout(attribute_names=("color",), depth=3)
+    for prompt, layer, hidden, out in reentered(enc, bank, layout, ["cat"], monkeypatch):
+        for seg in prompt.segments:
+            expected = (bank.deep_class_blocks[layer - 1].data if seg.kind == "class_soft"
+                        else hidden[seg.start:seg.stop])
+            np.testing.assert_array_equal(out[seg.start:seg.stop], expected)
+
+
+def test_reentry_partial_drop_restores_attribute_soft_blocks(monkeypatch):
     enc = make_encoder()
     bank = make_bank(enc, depth=2)
-    layout = PromptLayout(attribute_names=("color",), depth=2)
-    prompt = compose_shallow(enc, bank, layout, "cat")
-    state = LayerState(prompt.embeds, prompt.segments)
-    out = apply_drop_policy(
-        state, "retain_all", {("class_soft", ""): bank.deep_class_blocks[0]}
-    )
-    for seg in prompt.segments:
-        if seg.kind != "class_soft":
-            np.testing.assert_array_equal(
-                out.hidden.data[seg.start : seg.stop],
-                prompt.embeds.data[seg.start : seg.stop],
-            )
-    (cls,) = prompt.segments_of("class_soft")
-    np.testing.assert_array_equal(
-        out.hidden.data[cls.start : cls.stop], bank.deep_class_blocks[0].data
-    )
+    layout = PromptLayout(attribute_names=("color", "shape"), drop_policy="partial_drop",
+                          depth=2)
+    for prompt, _, hidden, out in reentered(enc, bank, layout, ["cat"], monkeypatch):
+        for seg in prompt.segments_of("attr_soft"):
+            np.testing.assert_array_equal(out[seg.start:seg.stop],
+                                          bank.attribute_blocks[seg.name].data)
+        for seg in prompt.segments_of("attr_hard"):
+            np.testing.assert_array_equal(out[seg.start:seg.stop], hidden[seg.start:seg.stop])
 
 
-def test_full_drop_restores_fresh_embedding_lookups():
+def test_reentry_full_drop_restores_hard_rows(monkeypatch):
     enc = make_encoder()
     bank = make_bank(enc, depth=2)
     layout = PromptLayout(attribute_names=("color",), drop_policy="full_drop", depth=2)
-    prompt = compose_shallow(enc, bank, layout, "cat")
-    # scramble the hidden state, then the policy must restore hard rows exactly
-    scrambled = T.Tensor(np.random.default_rng(1).standard_normal(prompt.embeds.shape))
-    state = LayerState(scrambled, prompt.segments)
-    reps = {
-        ("class_soft", ""): bank.deep_class_blocks[0],
-        ("attr_soft", "color"): bank.attribute_blocks["color"],
-        ("attr_hard", "color"): enc.embed_tokens(enc.vocabulary.encode("color")),
-    }
-    out = apply_drop_policy(state, "full_drop", reps)
-    (hard,) = [s for s in prompt.segments if s.kind == "attr_hard"]
-    fresh = enc.token_embedding.data[enc.vocabulary.encode("color")]
-    np.testing.assert_array_equal(out.hidden.data[hard.start : hard.stop], fresh)
+    # the hidden state is scrambled; the policy must restore the hard rows exactly
+    for prompt, _, _, out in reentered(enc, bank, layout, ["cat"], monkeypatch):
+        (hard,) = prompt.segments_of("attr_hard")
+        fresh = enc.token_embedding.data[enc.vocabulary.encode("color")]
+        np.testing.assert_array_equal(out[hard.start:hard.stop], fresh)
 
 
-def test_apply_drop_policy_preserves_length_for_all_policies():
+def test_reentry_preserves_length_for_all_policies(monkeypatch):
     enc = make_encoder()
-    bank = make_bank(enc, depth=2)
-    layout = PromptLayout(attribute_names=("color", "shape"), depth=2)
-    prompt = compose_shallow(enc, bank, layout, "cat")
-    state = LayerState(prompt.embeds, prompt.segments)
+    bank = make_bank(enc, depth=3)
     for policy in DROP_POLICIES:
-        reps = {("class_soft", ""): bank.deep_class_blocks[0]}
-        if policy in ("partial_drop", "full_drop"):
-            reps.update({("attr_soft", n): bank.attribute_blocks[n] for n in ("color", "shape")})
-        if policy == "full_drop":
-            reps.update(
-                {("attr_hard", n): enc.embed_tokens(enc.vocabulary.encode(n))
-                 for n in ("color", "shape")}
-            )
-        out = apply_drop_policy(state, policy, reps)
-        assert out.hidden.shape == prompt.embeds.shape
+        layout = PromptLayout(attribute_names=("color", "shape"), drop_policy=policy, depth=3)
+        for prompt, _, hidden, out in reentered(enc, bank, layout, ["cat"], monkeypatch):
+            assert out.shape == hidden.shape == (prompt.length, enc.config.embed_dim)
 
 
-def test_apply_drop_policy_rejects_wrong_length():
+def test_reentry_never_replaces_sentinels_or_class_name(monkeypatch):
     enc = make_encoder()
-    bank = make_bank(enc, depth=2)
-    layout = PromptLayout(attribute_names=("color",), depth=2)
-    prompt = compose_shallow(enc, bank, layout, "cat")
-    state = LayerState(prompt.embeds, prompt.segments)
-    bad = T.Tensor(np.zeros((bank.soft_len + 1, enc.config.embed_dim)))
-    with pytest.raises(ContractError):
-        apply_drop_policy(state, "retain_all", {("class_soft", ""): bad})
+    bank = make_bank(enc, depth=3)
+    fixed = ("sentinel_prefix", "sentinel_suffix", "class_hard")
+    for policy in DROP_POLICIES:
+        for style in POSITION_STYLES:
+            layout = PromptLayout(attribute_names=("color", "shape"), drop_policy=policy,
+                                  attribute_position_style=style, depth=3)
+            for prompt, _, hidden, out in reentered(
+                    enc, bank, layout, ["cat", "red fish"], monkeypatch):
+                for seg in (s for s in prompt.segments if s.kind in fixed):
+                    np.testing.assert_array_equal(out[seg.start:seg.stop],
+                                                  hidden[seg.start:seg.stop])
 
 
-def test_apply_drop_policy_never_touches_sentinels():
+@pytest.mark.parametrize("policy", DROP_POLICIES)
+def test_deep_forward_gradcheck(policy):
     enc = make_encoder()
-    bank = make_bank(enc, depth=2)
-    prompt = compose_shallow(enc, bank, PromptLayout(attribute_names=("color",), depth=2), "cat")
-    state = LayerState(prompt.embeds, prompt.segments)
-    rep = T.Tensor(np.zeros((1, enc.config.embed_dim)))
-    with pytest.raises(ContractError):
-        apply_drop_policy(state, "retain_all", {("sentinel_prefix", ""): rep})
+    bank = make_bank(enc, soft_len=1, attr_soft_len=1, depth=3, seed=5)
+    layout = PromptLayout(attribute_names=("color", "shape"), drop_policy=policy, depth=3)
+    target = T.Tensor(np.random.default_rng(6).standard_normal(enc.config.joint_dim))
+    params = [*bank.deep_class_blocks, *bank.attribute_blocks.values()]
+    assert_gradients_match(
+        lambda: T.tsum(T.mul(deep_forward(enc, bank, layout, "cat"), target)), params)
 
 
 def test_deep_batched_matches_single():
@@ -526,6 +575,10 @@ def candidate_set(enc, style, depth):
     return out
 
 
+def plan_features(enc, candidates, names):
+    return FeaturePlan(enc, candidates, names).features()
+
+
 def per_class_reference(enc, candidates, names):
     """Each candidate's features as a stack of single-prompt deep_forward passes."""
     return [T.stack([deep_forward(enc, bank, layout, n) for n in names])
@@ -541,7 +594,7 @@ def test_candidate_features_equal_per_candidate_features(depth, style, names):
     candidates = candidate_set(enc, style, depth)
     params = list({id(p): p for bank, _ in candidates for p in bank.parameters()}.values())
     results = []
-    for compute in (candidate_features, per_class_reference):
+    for compute in (plan_features, per_class_reference):
         feats = compute(enc, candidates, names)
         targets = [T.Tensor(np.random.default_rng(i).standard_normal(f.shape))
                    for i, f in enumerate(feats)]
@@ -579,7 +632,7 @@ def test_candidate_features_run_one_pass_per_prompt_length(monkeypatch):
     ]
     for names, depth, passes in cases:
         calls.clear()
-        candidate_features(enc, candidate_set(enc, "interval", depth), names)
+        FeaturePlan(enc, candidate_set(enc, "interval", depth), names).features()
         assert sorted(calls) == passes, (names, depth)
 
 

@@ -28,7 +28,7 @@ from .errors import (
     RemoteError,
 )
 from .search import SearchResult, parse_result
-from .serialize import dump_json
+from .serialize import JsonFields, dump_json
 
 PROVENANCES = ("fixture", "llm", "manual")
 
@@ -120,7 +120,7 @@ _ENV_NAME_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
 
 
 @dataclass(frozen=True)
-class LlmClientConfig:
+class LlmClientConfig(JsonFields):
     endpoint: str = "https://api.openai.com/v1/chat/completions"
     model: str = "gpt-4o"
     credential_env: str = "PROMPTLAB_API_KEY"  # variable NAME; value is read per request

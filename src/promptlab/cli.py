@@ -21,28 +21,21 @@ from .config import RunConfig, config_hash, load_run_config, save_run_config
 from .data import Task, make_base_novel_task, subseed
 from .encoders import DualEncoder, build_config_for
 from .errors import CheckpointError, ConfigError, DataError, PromptLabError
-from .prompts import (
-    CLASS_POSITIONS,
-    DROP_POLICIES,
-    INIT_SCHEMES,
-    POSITION_STYLES,
-    PromptLayout,
-    SoftPromptBank,
-)
+from .prompts import CLASS_POSITIONS, DROP_POLICIES, INIT_SCHEMES, POSITION_STYLES
 from .search import alternating_search, describe_config, export_result, load_result
-from .serialize import dump_json, expect_version, file_sha256, load_json
+from .serialize import dump_json, file_sha256
 from .training import (
     aggregate_reports,
     base_novel_report,
+    load_checkpoint,
     load_report_records,
     make_bank,
     run_base_to_novel,
+    save_checkpoint,
     save_report_records,
     train_prompts,
 )
 
-CHECKPOINT_KIND = "prompt_checkpoint"
-CHECKPOINT_VERSION = 1
 MANIFEST_KIND = "dataset_manifest"
 MANIFEST_VERSION = 1
 SWEEP_KIND = "ablation_sweep"
@@ -213,17 +206,8 @@ def cmd_train(args) -> int:
     reports = []
     for seed in config.seed_list():
         report, bank, train_cfg = _train_one(config, base, novel, seed, classic)
-        checkpoint = {
-            "kind": CHECKPOINT_KIND,
-            "format_version": CHECKPOINT_VERSION,
-            "config_hash": config.fingerprint(),
-            "tag": tag,
-            "seed": seed,
-            "attributes": list(train_cfg.attributes),
-            "layout": train_cfg.effective_layout().to_dict(),
-            "bank": bank.to_dict(),
-        }
-        dump_json(checkpoint, _path(config, f"checkpoint_{tag}_s{seed}.json"))
+        save_checkpoint(_path(config, f"checkpoint_{tag}_s{seed}.json"), bank, train_cfg,
+                        config_hash=config.fingerprint(), tag=tag, seed=seed)
         reports.append((seed, report))
     aggregate = _save_reports(config, reports, f"report_{tag}.json")
     print(
@@ -231,19 +215,6 @@ def cmd_train(args) -> int:
         f"hm {aggregate.harmonic_mean:.2f} over {aggregate.seeds_aggregated} seed(s)"
     )
     return 0
-
-
-def _load_checkpoint(config: RunConfig, tag: str, seed: int):
-    path = _path(config, f"checkpoint_{tag}_s{seed}.json")
-    if not os.path.exists(path):
-        raise CheckpointError(f"no checkpoint at {path}; run train first")
-    payload = load_json(path)
-    expect_version(payload, CHECKPOINT_KIND, CHECKPOINT_VERSION, path)
-    return (
-        SoftPromptBank.from_dict(payload["bank"]),
-        PromptLayout.from_dict(payload["layout"]),
-        payload,
-    )
 
 
 def cmd_eval(args) -> int:
@@ -254,7 +225,10 @@ def cmd_eval(args) -> int:
     tag = "classic" if classic else "atprompt"
     reports = []
     for seed in config.seed_list():
-        bank, layout, _ = _load_checkpoint(config, tag, seed)
+        path = _path(config, f"checkpoint_{tag}_s{seed}.json")
+        if not os.path.exists(path):
+            raise CheckpointError(f"no checkpoint at {path}; run train first")
+        bank, layout = load_checkpoint(path)
         encoder = _encoder_for(config, base.vocabulary)
         report = base_novel_report(encoder, bank, layout, base, novel)
         reports.append((seed, report))
@@ -265,7 +239,7 @@ def cmd_eval(args) -> int:
 
 
 def _ablation_cells(config: RunConfig, axis: str):
-    base_layout = config.layout
+    base_layout = config.train.layout
     if axis == "length":
         for n in (1, 2, 4):
             yield f"soft_len={n}", replace(config.train, soft_len=n, attr_soft_len=n)

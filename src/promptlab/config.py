@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import hashlib
 import os
-from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
+from typing import get_type_hints
 
 from .attributes import LlmClientConfig
 from .data import TaskSpec
 from .encoders import EncoderConfig
-from .errors import ConfigError, DataError, PromptLabError
+from .errors import ConfigError, DataError
 from .prompts import PromptLayout
 from .search import SearchConfig
-from .serialize import dump_json, dumps_json, load_json
+from .serialize import JsonFields, check_fields, dump_json, dumps_json, load_json
 from .training import TrainConfig
 
 RUN_CONFIG_KIND = "run_config"
@@ -33,25 +33,17 @@ def config_hash(payload) -> str:
     return hashlib.sha256(dumps_json(payload).encode()).hexdigest()[:12]
 
 
-@contextmanager
-def _section(what: str):
-    """An unknown key or a value of the wrong type in ``what`` is a ConfigError naming it."""
-    try:
-        yield
-    except PromptLabError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what}: {exc}") from exc
+def _hyperparameter_types(section_type) -> dict:
+    """A search/train section's field types, less the seed and layout the run config owns."""
+    return {k: v for k, v in get_type_hints(section_type).items() if k not in ("seed", "layout")}
 
 
 def _hyperparameters(section) -> dict:
-    """A search/train section's fields, less the seed and layout the run config owns."""
-    return {f.name: getattr(section, f.name) for f in fields(section)
-            if f.name not in ("seed", "layout")}
+    return {name: getattr(section, name) for name in _hyperparameter_types(type(section))}
 
 
 @dataclass(frozen=True)
-class AttributeSource:
+class AttributeSource(JsonFields):
     """Exactly one of: bundled fixture row, LLM pipeline, explicit base list."""
 
     fixture: str = None
@@ -71,33 +63,14 @@ class AttributeSource:
             self.llm.validate()
         return self
 
-    def to_dict(self) -> dict:
-        if self.fixture is not None:
-            return {"fixture": self.fixture}
-        if self.explicit is not None:
-            return {"explicit": list(self.explicit)}
-        return {
-            "llm": {
-                "endpoint": self.llm.endpoint,
-                "model": self.llm.model,
-                "credential_env": self.llm.credential_env,
-                "timeout": self.llm.timeout,
-                "max_retries": self.llm.max_retries,
-            }
-        }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "AttributeSource":
-        known = {"fixture", "llm", "explicit"}
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigError(f"unknown attribute source keys: {sorted(unknown)}")
-        llm = payload.get("llm")
-        return cls(
-            fixture=payload.get("fixture"),
-            llm=LlmClientConfig(**llm) if llm is not None else None,
-            explicit=tuple(payload["explicit"]) if "explicit" in payload else None,
-        ).validate()
+RUN_CONFIG_TYPES = {
+    "kind": str, "format_version": int, "task": TaskSpec, "dataset": str,
+    "attributes": AttributeSource, "search": dict, "train": dict, "layout": PromptLayout,
+    "encoder_overrides": dict, "out": str, "seed": int, "seeds": tuple,
+}
+# run config keys whose RunConfig field has another name
+RENAMED_KEYS = {"task": "task_spec", "dataset": "dataset_path", "out": "out_dir"}
 
 
 @dataclass(frozen=True)
@@ -106,8 +79,7 @@ class RunConfig:
     dataset_path: str = None            # ... or a saved dataset file
     attributes: AttributeSource = field(default_factory=lambda: AttributeSource(explicit=("color",)))
     search: SearchConfig = field(default_factory=SearchConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    layout: PromptLayout = field(default_factory=PromptLayout)
+    train: TrainConfig = field(default_factory=TrainConfig)  # its layout is the run's layout
     encoder_overrides: dict = field(default_factory=dict)
     out_dir: str = "runs/out"
     seed: int = 0
@@ -125,10 +97,7 @@ class RunConfig:
         self.attributes.validate()
         self.search.validate()
         self.train.validate()
-        self.layout.validate()
-        unknown = set(self.encoder_overrides) - {f.name for f in fields(EncoderConfig)}
-        if unknown:
-            raise ConfigError(f"unknown encoder_overrides keys: {sorted(unknown)}")
+        check_fields(get_type_hints(EncoderConfig), self.encoder_overrides, "encoder_overrides")
         if not self.out_dir:
             raise ConfigError("output directory must be set")
         for s in self.seeds:
@@ -146,7 +115,7 @@ class RunConfig:
             "attributes": self.attributes.to_dict(),
             "search": _hyperparameters(self.search),
             "train": _hyperparameters(self.train),
-            "layout": self.layout.to_dict(),
+            "layout": self.train.layout.to_dict(),
             "encoder_overrides": dict(self.encoder_overrides),
             "out": self.out_dir,
             "seed": self.seed,
@@ -160,38 +129,23 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
-        if payload.get("kind", RUN_CONFIG_KIND) != RUN_CONFIG_KIND:
-            raise ConfigError(f"not a run config (kind={payload.get('kind')!r})")
-        version = payload.get("format_version", RUN_CONFIG_VERSION)
+        given = check_fields(RUN_CONFIG_TYPES, payload, "")
+        kind = given.pop("kind", RUN_CONFIG_KIND)
+        if kind != RUN_CONFIG_KIND:
+            raise ConfigError(f"not a run config (kind={kind!r})")
+        version = given.pop("format_version", RUN_CONFIG_VERSION)
         if version != RUN_CONFIG_VERSION:
             raise ConfigError(f"unsupported run config version {version!r}")
-        with _section("layout section"):
-            layout = PromptLayout.from_dict(payload.get("layout", {}))
-        with _section("task section"):
-            task_spec = TaskSpec.from_dict(payload["task"]) if "task" in payload else None
-        with _section("attributes section"):
-            attributes = AttributeSource.from_dict(payload.get("attributes", {"explicit": ["color"]}))
-        with _section("search section"):
-            search_kw = dict(payload.get("search", {}))
-            search = SearchConfig(layout=replace(layout, attribute_names=()), **search_kw).validate()
-        with _section("train section"):
-            train_kw = dict(payload.get("train", {}))
-            train_kw["attributes"] = tuple(train_kw.get("attributes", ()))
-            train = TrainConfig(layout=layout, **train_kw).validate()
-        with _section("seed"):
-            seed = int(payload.get("seed", 0))
-        return cls(
-            task_spec=task_spec,
-            dataset_path=payload.get("dataset"),
-            attributes=attributes,
-            search=search,
-            train=train,
-            layout=layout,
-            encoder_overrides=dict(payload.get("encoder_overrides", {})),
-            out_dir=payload.get("out", "runs/out"),
-            seed=seed,
-            seeds=tuple(payload.get("seeds", ())),
-        ).validate()
+        layout = given.pop("layout", PromptLayout())
+        if layout.attribute_names:
+            raise ConfigError("layout.attribute_names must stay empty; "
+                              "set train.attributes to choose the anchored attributes")
+        sections = {
+            name: section(layout=layout, **check_fields(
+                _hyperparameter_types(section), given.pop(name, {}), name))
+            for name, section in (("search", SearchConfig), ("train", TrainConfig))
+        }
+        return cls(**sections, **{RENAMED_KEYS.get(k, k): v for k, v in given.items()}).validate()
 
     def fingerprint(self) -> str:
         # The hash identifies the experiment, not where its files land, so the

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .serialize import dump_json, expect_version, load_json
+from .serialize import JsonFields, dump_json, expect_version, load_json
 from .vocab import EOS, SOS, Vocabulary
 
 DATASET_KIND = "dataset"
@@ -80,8 +80,18 @@ def default_attributes(num_attributes: int = 4, values_per_attribute: int = 8):
     )
 
 
+def _latent_attribute(entry) -> LatentAttribute:
+    """A latent attribute, or one read from its JSON form ``[name, [values]]``."""
+    if isinstance(entry, LatentAttribute):
+        return entry
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], (list, tuple))):
+        raise ConfigError(f"latent_attributes entries must be [name, [values]], got {entry!r}")
+    return LatentAttribute(*entry)
+
+
 @dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(JsonFields):
     num_classes: int = 8
     raw_feature_dim: int = 16
     embed_dim: int = 32
@@ -96,7 +106,8 @@ class TaskSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "latent_attributes", tuple(self.latent_attributes))
+        object.__setattr__(self, "latent_attributes",
+                           tuple(map(_latent_attribute, self.latent_attributes)))
         object.__setattr__(self, "informative_attributes", tuple(self.informative_attributes))
 
     def validate(self) -> "TaskSpec":
@@ -141,30 +152,8 @@ class TaskSpec:
         raise DataError(f"no attribute named {name!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "raw_feature_dim": self.raw_feature_dim,
-            "embed_dim": self.embed_dim,
-            "latent_attributes": [[a.name, list(a.values)] for a in self.latent_attributes],
-            "informative_attributes": list(self.informative_attributes),
-            "samples_per_class": self.samples_per_class,
-            "noise_std": self.noise_std,
-            "attribute_signal": self.attribute_signal,
-            "value_spread": self.value_spread,
-            "include_id_words": self.include_id_words,
-            "feature_map": self.feature_map,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TaskSpec":
-        payload = dict(payload)
-        payload["latent_attributes"] = tuple(
-            LatentAttribute(name, tuple(values))
-            for name, values in payload.get("latent_attributes", [])
-        )
-        payload["informative_attributes"] = tuple(payload.get("informative_attributes", ()))
-        return cls(**payload).validate()
+        pairs = [[a.name, list(a.values)] for a in self.latent_attributes]
+        return {**super().to_dict(), "latent_attributes": pairs}
 
 
 @dataclass

@@ -16,13 +16,13 @@ vocabulary, and the positional table and image biases use std 0.02.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .errors import CapacityError, CheckpointError, ConfigError, ParameterError, ShapeError
-from .serialize import dump_json, expect_version, load_json
+from .serialize import JsonFields, dump_json, expect_version, load_json
 from .tensor import Tensor
 from .vocab import Vocabulary
 
@@ -31,7 +31,7 @@ CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class EncoderConfig:
+class EncoderConfig(JsonFields):
     vocab_size: int
     embed_dim: int = 32
     num_layers: int = 4
@@ -64,13 +64,6 @@ class EncoderConfig:
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
         return self
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EncoderConfig":
-        return cls(**payload).validate()
 
 
 class DualEncoder:

@@ -19,6 +19,7 @@ import numpy as np
 from . import tensor as T
 from .data import keyed_rng
 from .errors import ConfigError, ContractError, ParameterError
+from .serialize import JsonFields
 from .tensor import Tensor
 from .vocab import PHOTO_TEMPLATE
 
@@ -38,7 +39,7 @@ SOFT_INIT_STD = 0.02
 
 
 @dataclass(frozen=True)
-class PromptLayout:
+class PromptLayout(JsonFields):
     """Declarative description of how one text prompt is assembled."""
 
     attribute_names: tuple = ()
@@ -74,25 +75,6 @@ class PromptLayout:
                 "class_token_position other than 'end' is only defined for the interval style"
             )
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "attribute_names": list(self.attribute_names),
-            "class_token_position": self.class_token_position,
-            "attribute_position_style": self.attribute_position_style,
-            "drop_policy": self.drop_policy,
-            "depth": self.depth,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PromptLayout":
-        return cls(
-            attribute_names=tuple(payload.get("attribute_names", ())),
-            class_token_position=payload.get("class_token_position", "end"),
-            attribute_position_style=payload.get("attribute_position_style", "interval"),
-            drop_policy=payload.get("drop_policy", "retain_all"),
-            depth=payload.get("depth", 1),
-        ).validate()
 
 
 class SoftPromptBank:

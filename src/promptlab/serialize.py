@@ -2,7 +2,8 @@
 
 All artifact files are plain JSON with sorted keys so that identical runs
 produce byte-identical files (float64 values round-trip exactly through
-repr). Every format carries a ``format_version`` field.
+repr). Every format carries a ``format_version`` field. Config sections are
+read through one typed field check, ``check_fields``.
 """
 
 from __future__ import annotations
@@ -10,8 +11,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import asdict
+from typing import get_type_hints
 
-from .errors import DataError
+from .errors import ConfigError, DataError
+
+# the JSON type each Python field type is read from, named as errors print it
+JSON_TYPES = {str: "string", int: "integer", float: "number", bool: "boolean",
+              tuple: "list", dict: "object"}
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -66,3 +73,41 @@ def expect_version(payload: dict, kind: str, version: int, path: str) -> None:
         raise DataError(
             f"{path}: format_version {payload.get('format_version')!r}, expected {version}"
         )
+
+
+def check_fields(types: dict, payload, what: str) -> dict:
+    """The keyword arguments a JSON object gives, each checked against ``types[key]``.
+
+    Unknown keys and values of the wrong JSON type are ConfigErrors naming the
+    key under ``what``. An ``int`` field takes an int but not a bool; a
+    ``float`` field takes an int or a float, kept as written so no bytes move;
+    a ``tuple`` field takes a list and returns a tuple; a ``JsonFields`` field
+    takes an object, read by that class's ``from_dict``.
+    """
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{what or 'config'} must be a JSON object, got {payload!r}")
+    kwargs = {}
+    for key, value in payload.items():
+        where = f"{what}.{key}" if what else key
+        if key not in types:
+            raise ConfigError(f"unknown key {where!r}; known: {', '.join(sorted(types))}")
+        kind = types[key]
+        if issubclass(kind, JsonFields):
+            kwargs[key] = kind.from_dict(value, where)
+            continue
+        accepted = {float: (int, float), tuple: (list, tuple)}.get(kind, kind)
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise ConfigError(f"{where} must be a JSON {JSON_TYPES[kind]}, got {value!r}")
+        kwargs[key] = tuple(value) if kind is tuple else value
+    return kwargs
+
+
+class JsonFields:
+    """Dataclass mixin: JSON form is the fields, read back through ``check_fields``."""
+
+    def to_dict(self) -> dict:
+        return {k: v for k, v in asdict(self).items() if v is not None}
+
+    @classmethod
+    def from_dict(cls, payload, what: str = None):
+        return cls(**check_fields(get_type_hints(cls), payload, what or cls.__name__)).validate()

@@ -26,10 +26,12 @@ from .prompts import (
     class_text_features,
     template_rows_for,
 )
-from .serialize import dump_json, expect_version, load_json
+from .serialize import JsonFields, dump_json, expect_version, load_json
 
 REPORT_KIND = "eval_report"
 REPORT_VERSION = 1
+CHECKPOINT_KIND = "prompt_checkpoint"
+CHECKPOINT_VERSION = 1
 
 SCHEDULES = ("cosine", "constant")
 
@@ -179,7 +181,7 @@ def harmonic_mean(base_acc: float, novel_acc: float) -> float:
 
 
 @dataclass
-class EvalReport:
+class EvalReport(JsonFields):
     base_accuracy: float
     novel_accuracy: float
     harmonic_mean: float
@@ -198,25 +200,6 @@ class EvalReport:
                 f"({self.base_accuracy:.4f}, {self.novel_accuracy:.4f})"
             )
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "base_accuracy": self.base_accuracy,
-            "novel_accuracy": self.novel_accuracy,
-            "harmonic_mean": self.harmonic_mean,
-            "per_class_accuracy": dict(sorted(self.per_class_accuracy.items())),
-            "seeds_aggregated": self.seeds_aggregated,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EvalReport":
-        return cls(
-            base_accuracy=payload["base_accuracy"],
-            novel_accuracy=payload["novel_accuracy"],
-            harmonic_mean=payload["harmonic_mean"],
-            per_class_accuracy=dict(payload["per_class_accuracy"]),
-            seeds_aggregated=payload.get("seeds_aggregated", 1),
-        ).validate()
 
     @classmethod
     def from_accuracies(cls, base_accuracy: float, novel_accuracy: float,
@@ -296,6 +279,35 @@ def load_report_records(path: str):
         }
         for rec in payload["records"]
     ]
+
+
+# -- checkpoints ----------------------------------------------------------------------
+
+
+def save_checkpoint(path: str, bank: SoftPromptBank, config: TrainConfig, *,
+                    config_hash: str, tag: str, seed: int) -> None:
+    """Trained prompts, with the attributes and layout they were trained under."""
+    dump_json(
+        {
+            "kind": CHECKPOINT_KIND,
+            "format_version": CHECKPOINT_VERSION,
+            "config_hash": config_hash,
+            "tag": tag,
+            "seed": seed,
+            "attributes": list(config.attributes),
+            "layout": config.effective_layout().to_dict(),
+            "bank": bank.to_dict(),
+        },
+        path,
+    )
+
+
+def load_checkpoint(path: str):
+    """(bank, layout) from a checkpoint file; a wrong kind or version is a DataError."""
+    payload = load_json(path)
+    expect_version(payload, CHECKPOINT_KIND, CHECKPOINT_VERSION, path)
+    layout = PromptLayout.from_dict(payload["layout"], "layout")
+    return SoftPromptBank.from_dict(payload["bank"]), layout
 
 
 # -- cross-task transfer ------------------------------------------------------------------

@@ -241,25 +241,41 @@ def _set(section, key, value):
     return edit
 
 
-# case -> (config edit, or None; the command that used to end in a traceback)
+# case -> (config edit, or None; the command that used to fail without naming the
+# input; a key the last stderr line must name, or None)
 BAD_INPUTS = {
-    "task_unknown_key": (_set("task", "bogus", 1), ["train"]),
+    "task_unknown_key": (_set("task", "bogus", 1), ["train"], None),
     "llm_unknown_key": (lambda payload: payload.update(attributes={"llm": {"bogus": 1}}),
-                        ["train"]),
-    "encoder_overrides_unknown_key": (_set("encoder_overrides", "bogus", 1), ["train"]),
-    "layout_depth_string": (_set("layout", "depth", "2"), ["train"]),
-    "train_batch_size_string": (_set("train", "batch_size", "16"), ["train"]),
-    "seed_not_integer": (lambda payload: payload.update(seed="x"), ["train"]),
-    "seeds_flag_not_integers": (None, ["train", "--seeds", "a,b"]),
-    "train_negative_soft_len": (_set("train", "soft_len", -1), ["train", "--classic"]),
-    "search_negative_soft_len": (_set("search", "soft_len", -1), ["search-attrs"]),
+                        ["train"], None),
+    "encoder_overrides_unknown_key": (_set("encoder_overrides", "bogus", 1), ["train"], None),
+    "layout_depth_string": (_set("layout", "depth", "2"), ["train"], None),
+    "train_batch_size_string": (_set("train", "batch_size", "16"), ["train"], None),
+    "seed_not_integer": (lambda payload: payload.update(seed="x"), ["train"], None),
+    "seeds_flag_not_integers": (None, ["train", "--seeds", "a,b"], None),
+    "train_negative_soft_len": (_set("train", "soft_len", -1), ["train", "--classic"], None),
+    "search_negative_soft_len": (_set("search", "soft_len", -1), ["search-attrs"], None),
+    "encoder_overrides_string": (_set("encoder_overrides", "num_layers", "4"),
+                                 ["search-attrs"], "num_layers"),
+    "out_not_string": (lambda payload: payload.update(out=5), ["gen-data"], "out"),
+    "layout_attribute_names_string": (_set("layout", "attribute_names", "color"),
+                                      ["gen-data"], "attribute_names"),
+    "layout_attribute_names_set": (_set("layout", "attribute_names", ["color"]),
+                                   ["gen-data"], "train.attributes"),
+    "layout_misspelled_key": (_set("layout", "dpeth", 2), ["gen-data"], "dpeth"),
+    "top_level_misspelled_key": (lambda payload: payload.update(trian={"epochs": 1}),
+                                 ["gen-data"], "trian"),
+    "search_epochs_string": (_set("search", "epochs", "3"), ["gen-data"], "epochs"),
+    "llm_timeout_string": (lambda payload: payload.update(attributes={"llm": {"timeout": "5"}}),
+                           ["gen-data"], "timeout"),
+    "latent_attribute_without_values": (_set("task", "latent_attributes", [["color"]]),
+                                        ["gen-data"], "latent_attributes"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_config_input_is_one_error_line(case, tmp_path):
     cfg, _ = write_config(tmp_path)
-    edit, command = BAD_INPUTS[case]
+    edit, command, key = BAD_INPUTS[case]
     if edit is not None:
         payload = json.load(open(cfg))
         edit(payload)
@@ -271,3 +287,5 @@ def test_bad_config_input_is_one_error_line(case, tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert re.match(r"^error: \w+Error: ", proc.stderr.strip().splitlines()[-1]), proc.stderr
+    if key is not None:
+        assert key in proc.stderr.strip().splitlines()[-1], proc.stderr

@@ -1,6 +1,11 @@
+import json
+import os
+import tempfile
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptlab.attributes import LlmClientConfig
 from promptlab.config import (
@@ -11,9 +16,18 @@ from promptlab.config import (
     save_run_config,
 )
 from promptlab.data import SUBSEED_NAMES, LatentAttribute, TaskSpec, subseed
+from promptlab.encoders import EncoderConfig
 from promptlab.errors import ConfigError, DataError
-from promptlab.search import describe_config
-from promptlab.serialize import file_sha256
+from promptlab.prompts import (
+    CLASS_POSITIONS,
+    DROP_POLICIES,
+    INIT_SCHEMES,
+    POSITION_STYLES,
+    PromptLayout,
+)
+from promptlab.search import SearchConfig, describe_config
+from promptlab.serialize import dumps_json, file_sha256
+from promptlab.training import SCHEDULES, EvalReport, TrainConfig
 
 
 def toy_spec():
@@ -194,3 +208,115 @@ def test_saved_run_config_bytes_are_pinned(tmp_path):
     path = str(tmp_path / "run_config.json")
     save_run_config(RunConfig.from_dict(PIPELINE_CONFIG), path)
     assert file_sha256(path) == "12b02924bd13b43b3863efcc8832ac38fa2ac7e136eff776b10f30b778397084"
+
+
+# -- round trips over generated configs ---------------------------------------------------
+
+names = st.text(alphabet="abcdefgh", min_size=1, max_size=6)
+seeds = st.integers(0, 2**32 - 1)
+# float fields also take ints, which must come back as the ints they were written as
+positive_numbers = st.one_of(st.integers(1, 9), st.floats(1e-4, 9.0))
+fractions = st.one_of(st.integers(0, 1), st.floats(0.0, 1.0))
+sizes = st.integers(0, 4)
+
+
+def _valid(config):
+    try:
+        config.validate()
+    except ConfigError:
+        return False
+    return True
+
+
+def layouts(attribute_names=st.just(())):
+    return st.builds(
+        PromptLayout, attribute_names=attribute_names,
+        class_token_position=st.sampled_from(CLASS_POSITIONS),
+        attribute_position_style=st.sampled_from(POSITION_STYLES),
+        drop_policy=st.sampled_from(DROP_POLICIES), depth=st.integers(1, 4),
+    ).filter(_valid)
+
+
+llm_configs = st.builds(
+    LlmClientConfig, endpoint=names, model=names,
+    credential_env=st.from_regex(r"[A-Z][A-Z0-9_]{0,8}", fullmatch=True),
+    timeout=positive_numbers, max_retries=st.integers(0, 3),
+)
+attribute_sources = st.one_of(
+    st.builds(AttributeSource, fixture=names),
+    st.builds(AttributeSource, llm=llm_configs),
+    st.builds(AttributeSource, explicit=st.lists(names, min_size=1, max_size=3).map(tuple)),
+)
+task_specs = st.builds(
+    TaskSpec, num_classes=st.integers(2, 4), raw_feature_dim=st.integers(1, 32),
+    latent_attributes=st.just(toy_spec().latent_attributes),
+    informative_attributes=st.just(("color",)), samples_per_class=st.integers(1, 16),
+    noise_std=fractions, attribute_signal=fractions, value_spread=positive_numbers,
+    include_id_words=st.booleans(), seed=seeds,
+)
+encoder_configs = st.integers(1, 4).flatmap(lambda heads: st.builds(
+    EncoderConfig, vocab_size=st.integers(1, 99), embed_dim=st.integers(1, 8).map(heads.__mul__),
+    num_layers=st.integers(1, 4), num_heads=st.just(heads), max_seq_len=st.integers(1, 64),
+    temperature=positive_numbers,
+))
+encoder_overrides = st.fixed_dictionaries({}, optional={
+    "num_layers": st.integers(1, 4), "max_seq_len": st.integers(8, 64),
+    "temperature": positive_numbers,
+})
+eval_reports = st.builds(
+    EvalReport.from_accuracies, st.floats(0.0, 100.0), st.floats(0.0, 100.0),
+    st.dictionaries(names, st.floats(0.0, 100.0), max_size=3), st.integers(1, 5),
+)
+
+
+@st.composite
+def run_configs(draw):
+    layout = draw(layouts())
+    search = draw(st.builds(
+        SearchConfig, epochs=st.integers(1, 20), batch_size=st.integers(1, 64),
+        theta_lr=positive_numbers, alpha_lr=positive_numbers, soft_len=sizes,
+        attr_soft_len=sizes, init_scheme=st.sampled_from(INIT_SCHEMES), layout=st.just(layout),
+    ))
+    train = draw(st.builds(
+        TrainConfig, epochs=st.integers(1, 20), batch_size=st.integers(1, 64),
+        lr_init=positive_numbers, schedule=st.sampled_from(SCHEDULES),
+        attributes=st.lists(names, unique=True, max_size=3).map(tuple), soft_len=sizes,
+        attr_soft_len=sizes, init_scheme=st.sampled_from(INIT_SCHEMES), layout=st.just(layout),
+    ))
+    origin = draw(st.one_of(st.builds(dict, task_spec=task_specs),
+                            st.builds(dict, dataset_path=names)))
+    return RunConfig(
+        attributes=draw(attribute_sources), search=search, train=train,
+        encoder_overrides=draw(encoder_overrides), out_dir=draw(names), seed=draw(seeds),
+        seeds=tuple(draw(st.lists(seeds, max_size=3))), **origin,
+    ).validate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_configs())
+def test_run_config_round_trips_and_keeps_its_fingerprint(config):
+    assert RunConfig.from_dict(config.to_dict()) == config
+    assert RunConfig.from_dict(json.loads(dumps_json(config.to_dict()))) == config
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run_config.json")
+        save_run_config(config, path)
+        assert load_run_config(path).fingerprint() == config.fingerprint()
+
+
+JSON_FIELDS = {
+    "AttributeSource": attribute_sources,
+    "EncoderConfig": encoder_configs,
+    "EvalReport": eval_reports,
+    "LlmClientConfig": llm_configs,
+    "PromptLayout": layouts(st.lists(names, unique=True, max_size=3).map(tuple)),
+    "TaskSpec": task_specs,
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_json_fields_round_trip(name, data):
+    value = data.draw(JSON_FIELDS[name])
+    assert type(value).__name__ == name
+    assert type(value).from_dict(json.loads(dumps_json(value.to_dict()))) == value

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,12 @@ from promptlab.training import (
     cross_dataset_eval,
     evaluate,
     harmonic_mean,
+    load_checkpoint,
     load_report_records,
     make_bank,
     per_class_accuracy,
     run_base_to_novel,
+    save_checkpoint,
     save_report_records,
     train_prompts,
 )
@@ -216,6 +220,41 @@ def test_eval_report_round_trips():
     report = EvalReport(80.0, 60.0, harmonic_mean(80.0, 60.0), {"cat": 75.0}, seeds_aggregated=2)
     clone = EvalReport.from_dict(report.to_dict())
     assert clone == report
+
+
+def saved_checkpoint(tmp_path):
+    task = toy_task()
+    config = TrainConfig(layout=PromptLayout(depth=2, drop_policy="partial_drop"),
+                         attributes=("shape", "color"))
+    bank = make_bank(config, toy_encoder(task))
+    path = str(tmp_path / "checkpoint.json")
+    save_checkpoint(path, bank, config, config_hash="abc", tag="atprompt", seed=3)
+    return path, bank, config
+
+
+def test_checkpoint_round_trips_blocks_bit_for_bit_and_the_layout(tmp_path):
+    path, bank, config = saved_checkpoint(tmp_path)
+    loaded, layout = load_checkpoint(path)
+    assert layout == config.effective_layout()
+    assert set(loaded.attribute_blocks) == {"shape", "color"}
+    blocks, clones = ([b.class_block, b.attribute_blocks["shape"], b.attribute_blocks["color"],
+                       *b.deep_class_blocks] for b in (bank, loaded))
+    assert len(clones) == len(blocks) == 4
+    for block, clone in zip(blocks, clones):
+        assert clone.data.dtype == block.data.dtype
+        assert clone.data.tobytes() == block.data.tobytes()
+
+
+@pytest.mark.parametrize("key, value", [("kind", "eval_report"), ("format_version", 2)])
+def test_checkpoint_of_another_kind_or_version_is_a_data_error(tmp_path, key, value):
+    path, _, _ = saved_checkpoint(tmp_path)
+    with open(path) as fh:
+        payload = json.load(fh)
+    payload[key] = value
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(DataError):
+        load_checkpoint(path)
 
 
 def test_aggregate_recomputes_hm_from_mean_accuracies():

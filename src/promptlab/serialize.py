@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from typing import get_type_hints
 
 from .errors import ConfigError, DataError
@@ -110,4 +110,11 @@ class JsonFields:
 
     @classmethod
     def from_dict(cls, payload, what: str = None):
-        return cls(**check_fields(get_type_hints(cls), payload, what or cls.__name__)).validate()
+        """The validated instance a JSON object gives; a missing required key is a ConfigError."""
+        what = what or cls.__name__
+        kwargs = check_fields(get_type_hints(cls), payload, what)
+        missing = [f"{what}.{f.name}" for f in fields(cls) if f.name not in kwargs
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ConfigError(f"missing key {', '.join(map(repr, missing))}")
+        return cls(**kwargs).validate()

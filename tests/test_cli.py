@@ -9,7 +9,7 @@ import pytest
 from promptlab.cli import main
 from promptlab.search import load_result
 from promptlab.serialize import file_sha256, load_json
-from promptlab.training import load_report_records
+from promptlab.training import EvalReport, load_report_records, save_report_records
 
 
 def write_config(tmp_path, **overrides):
@@ -210,6 +210,22 @@ def test_report_with_no_artifacts_fails_cleanly(tmp_path, capsys):
     rc = main(["report", "--config", cfg])
     assert rc == 1
     assert capsys.readouterr().err.strip().splitlines()[-1].startswith("error: DataError:")
+
+
+def test_report_on_a_record_without_a_required_field_names_the_key(tmp_path, capsys):
+    cfg, out = write_config(tmp_path)
+    os.makedirs(out)
+    report = EvalReport.from_accuracies(80.0, 60.0, {"cat": 75.0})
+    path = os.path.join(out, "report_classic.json")
+    save_report_records([{"config_hash": "h", "seed": 3, "report": report}], path)
+    payload = load_json(path)
+    del payload["records"][0]["report"]["base_accuracy"]
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    assert main(["report", "--config", cfg]) == 1
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last == "error: ConfigError: missing key 'EvalReport.base_accuracy'"
 
 
 def test_full_pipeline_is_deterministic_across_output_dirs(tmp_path):

@@ -118,6 +118,21 @@ def test_attribute_source_rejects_unknown_keys():
         AttributeSource.from_dict({"fixtures": "dtd"})
 
 
+@pytest.mark.parametrize("value, key", [
+    (EvalReport.from_accuracies(80.0, 60.0, {"cat": 75.0}), "base_accuracy"),
+    (EvalReport.from_accuracies(80.0, 60.0, {"cat": 75.0}), "per_class_accuracy"),
+    (EncoderConfig(vocab_size=10), "vocab_size"),
+])
+def test_missing_required_key_is_a_config_error_naming_it(value, key):
+    payload = value.to_dict()
+    del payload[key]
+    name = type(value).__name__
+    with pytest.raises(ConfigError, match=rf"^missing key '{name}\.{key}'$"):
+        type(value).from_dict(payload)
+    with pytest.raises(ConfigError, match=rf"^missing key 'record\.{key}'$"):
+        type(value).from_dict(payload, "record")
+
+
 # -- run config ----------------------------------------------------------------------
 
 

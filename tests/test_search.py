@@ -1,3 +1,8 @@
+import os
+import pathlib
+import platform
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -285,14 +290,15 @@ class ThetaSpy:
         pass
 
 
-def one_step_setup(task, enc):
-    pool = enumerate_pool(("color", "shape"))
+def one_step_setup(task, enc, bases=("color", "shape"), batch_rows=8):
+    pool = enumerate_pool(bases)
     banks = build_candidate_banks(pool, SearchConfig(), enc)
     candidates = [(banks[c], PromptLayout(attribute_names=c)) for c in pool]
     params = list({id(p): p for b in banks.values() for p in b.parameters()}.values())
     alpha = AlphaVector.create(len(pool))
     x, y = task.split("train")
-    return FeaturePlan(enc, candidates, task.class_names), params, alpha, (x[:8], y[:8])
+    batch = (x[:batch_rows], y[:batch_rows])
+    return FeaturePlan(enc, candidates, task.class_names), params, alpha, batch
 
 
 def test_alpha_step_writes_no_gradient_into_soft_blocks():
@@ -334,6 +340,56 @@ def test_search_step_op_count_stays_low(monkeypatch):
     search_step(enc, plan, alpha, alpha_opt, theta_opt, batch, batch)
     assert len(ops) <= OPS_PER_TOY_STEP, f"{len(ops)} ops per step"
     assert "embedding" not in ops  # the first step filled the encoder's hard-row cache
+
+
+# warm search15-sized steps (15 candidates, 8 classes, a 32-dim one-head
+# encoder) in a fresh process; prints the minor page faults per step
+WARM_STEP_FAULTS_RUN = """
+import resource
+
+from promptlab.data import LatentAttribute, TaskSpec, generate_task
+from promptlab.encoders import DualEncoder, build_config_for
+from promptlab.optim import SGD, Adam
+from promptlab.search import search_step
+from test_search import one_step_setup
+
+bases = ("color", "shape", "size", "texture")
+attrs = (LatentAttribute("color", tuple(f"color{i}" for i in range(8))),
+         *(LatentAttribute(b, (b + "0",)) for b in bases[1:]))
+task = generate_task(TaskSpec(
+    num_classes=8, samples_per_class=32, latent_attributes=attrs,
+    informative_attributes=("color",), include_id_words=False, feature_map="identity",
+    raw_feature_dim=32, embed_dim=32, seed=300))
+enc = DualEncoder(build_config_for(task.vocabulary, num_heads=1, joint_dim=32, image_dim=32,
+                                   image_hidden_dim=32), task.vocabulary, seed=0)
+plan, params, alpha, batch = one_step_setup(task, enc, bases, batch_rows=32)
+alpha_opt, theta_opt = Adam([alpha.logits], lr=0.05), SGD(params, lr=0.05)
+
+
+def steps(n):
+    for _ in range(n):
+        search_step(enc, plan, alpha, alpha_opt, theta_opt, batch, batch)
+
+
+steps(3)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+steps(5)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator policy is glibc's")
+def test_warm_search_steps_reuse_freed_memory():
+    # a step frees its whole graph; with glibc's default thresholds the next
+    # step faulted about 1,300 pages back in, zero-filled
+    tests = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    proc = subprocess.run([sys.executable, "-c", WARM_STEP_FAULTS_RUN],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    faults = float(proc.stdout.split()[-1])
+    assert faults < 50, f"{faults} minor page faults per warm search step"
 
 
 # -- selection and validation ------------------------------------------------------

@@ -445,6 +445,23 @@ def test_gather_rows_values_scatter_and_range():
         T.gather_rows(T.Tensor(np.ones(3)), [0])
 
 
+@pytest.mark.parametrize("gather, index", [
+    (T.embedding, [3, 0, 3, 3, 5, 0, 1]),
+    (T.gather_rows, [[3, 0, 3], [3, 5, 0], [1, 3, 3]]),
+])
+def test_gather_vjp_bytes_match_add_at(gather, index):
+    # repeated ids sum in index order from zero, as np.add.at sums them
+    rng = np.random.default_rng(28)
+    table = T.Tensor(rng.standard_normal((7, 4)), requires_grad=True)
+    out = gather(table, index)
+    for _ in range(5):
+        g = rng.standard_normal(out.shape) * 10.0 ** rng.integers(-8, 8, out.shape)
+        expected = np.zeros_like(table.data)
+        np.add.at(expected, np.ravel(index), g.reshape(-1, 4))
+        (got,) = out._vjp(g)
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_grad_concat_and_narrow():
     rng = np.random.default_rng(23)
     a, b = leaf(rng, 2, 3), leaf(rng, 4, 3)

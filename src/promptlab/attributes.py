@@ -28,12 +28,11 @@ from .errors import (
     RemoteError,
 )
 from .search import SearchResult, parse_result
-from .serialize import JsonFields, dump_json
+from .serialize import FORMAT_VERSION, JsonFields, dump_json
 
 PROVENANCES = ("fixture", "llm", "manual")
 
 FIXTURE_KIND = "attribute_bases"
-FIXTURE_VERSION = 1
 
 DESCRIBE_TEMPLATE = (
     "Describe the visual characteristics of the category {name!r} in one "
@@ -81,7 +80,7 @@ class AttributeBases:
 def _fixture_payload() -> dict:
     text = resources.files("promptlab.fixtures").joinpath("attribute_bases.json").read_text()
     payload = json.loads(text)
-    if payload.get("kind") != FIXTURE_KIND or payload.get("format_version") != FIXTURE_VERSION:
+    if payload.get("kind") != FIXTURE_KIND or payload.get("format_version") != FORMAT_VERSION:
         raise DataError("bundled attribute fixture has an unexpected header")
     return payload["datasets"]
 

@@ -23,7 +23,7 @@ from .encoders import DualEncoder, build_config_for
 from .errors import CheckpointError, ConfigError, DataError, PromptLabError
 from .prompts import CLASS_POSITIONS, DROP_POLICIES, INIT_SCHEMES, POSITION_STYLES
 from .search import alternating_search, describe_config, export_result, load_result
-from .serialize import dump_json, file_sha256
+from .serialize import dump_artifact, file_sha256
 from .training import (
     aggregate_reports,
     base_novel_report,
@@ -37,19 +37,12 @@ from .training import (
 )
 
 MANIFEST_KIND = "dataset_manifest"
-MANIFEST_VERSION = 1
 SWEEP_KIND = "ablation_sweep"
-SWEEP_VERSION = 1
 
 ABLATION_AXES = ("length", "class_position", "drop_policy", "attr_order", "attr_position", "init")
 
 
 # -- plumbing --------------------------------------------------------------------
-
-
-def _ensure_out(config: RunConfig) -> str:
-    os.makedirs(config.out_dir, exist_ok=True)
-    return config.out_dir
 
 
 def _path(config: RunConfig, name: str) -> str:
@@ -95,9 +88,18 @@ def _tasks_for(config: RunConfig):
     return make_base_novel_task(_data_spec(config))
 
 
-def _encoder_for(config: RunConfig, vocabulary) -> DualEncoder:
-    cfg = build_config_for(vocabulary, **config.encoder_overrides)
-    return DualEncoder(cfg, vocabulary, seed=subseed(config.seed, "encoder"))
+def _run_inputs(args):
+    """(config, base, novel, encoder) for a command that runs the encoders.
+
+    The encoder depends only on the run seed and stays frozen, so one
+    instance serves every seed and ablation cell of the command.
+    """
+    config = _load_config(args)
+    os.makedirs(config.out_dir, exist_ok=True)
+    base, novel = _tasks_for(config)
+    cfg = build_config_for(base.vocabulary, **config.encoder_overrides)
+    return config, base, novel, DualEncoder(cfg, base.vocabulary,
+                                            seed=subseed(config.seed, "encoder"))
 
 
 def _resolve_bases(config: RunConfig, task: Task):
@@ -129,7 +131,7 @@ def _selected_attributes(config: RunConfig) -> tuple:
 
 def cmd_gen_data(args) -> int:
     config = _load_config(args)
-    _ensure_out(config)
+    os.makedirs(config.out_dir, exist_ok=True)
     if config.task_spec is None:
         raise ConfigError("gen-data needs an inline task spec, not a dataset path")
     base, novel = make_base_novel_task(_data_spec(config))
@@ -146,13 +148,11 @@ def cmd_gen_data(args) -> int:
             }
         )
     manifest = {
-        "kind": MANIFEST_KIND,
-        "format_version": MANIFEST_VERSION,
         "config_hash": config.fingerprint(),
         "seed": config.seed,
         "datasets": entries,
     }
-    dump_json(manifest, _path(config, "manifest.json"))
+    dump_artifact(MANIFEST_KIND, manifest, _path(config, "manifest.json"))
     save_run_config(config, _path(config, "run_config.json"))
     for e in entries:
         print(f"wrote {e['file']}: {e['classes']} classes, splits {e['splits']}")
@@ -160,11 +160,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_search_attrs(args) -> int:
-    config = _load_config(args)
-    _ensure_out(config)
-    base, _ = _tasks_for(config)
+    config, base, _, encoder = _run_inputs(args)
     bases = _resolve_bases(config, base)
-    encoder = _encoder_for(config, base.vocabulary)
     search_cfg = replace(config.search, seed=subseed(config.seed, "search"))
     result = alternating_search(
         base, bases, search_cfg, encoder,
@@ -174,16 +171,6 @@ def cmd_search_attrs(args) -> int:
     print(f"pool size {len(result.candidates)} over bases: {', '.join(result.bases)}")
     print(f"selected: ({', '.join(result.selected)})")
     return 0
-
-
-def _train_one(config: RunConfig, base: Task, novel: Task, seed: int, classic: bool):
-    encoder = _encoder_for(config, base.vocabulary)
-    attrs = () if classic else _selected_attributes(config)
-    train_cfg = replace(config.train, attributes=attrs, seed=subseed(seed, "train"))
-    bank = make_bank(train_cfg, encoder)
-    bank, _ = train_prompts(base, train_cfg, bank, encoder)
-    report = base_novel_report(encoder, bank, train_cfg.effective_layout(), base, novel)
-    return report, bank, train_cfg
 
 
 def _save_reports(config: RunConfig, reports, name: str):
@@ -198,17 +185,18 @@ def _save_reports(config: RunConfig, reports, name: str):
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args)
-    _ensure_out(config)
-    base, novel = _tasks_for(config)
+    config, base, novel, encoder = _run_inputs(args)
     classic = bool(getattr(args, "classic", False))
     tag = "classic" if classic else "atprompt"
+    attrs = () if classic else _selected_attributes(config)
     reports = []
     for seed in config.seed_list():
-        report, bank, train_cfg = _train_one(config, base, novel, seed, classic)
+        train_cfg = replace(config.train, attributes=attrs, seed=subseed(seed, "train"))
+        bank, _ = train_prompts(base, train_cfg, make_bank(train_cfg, encoder), encoder)
         save_checkpoint(_path(config, f"checkpoint_{tag}_s{seed}.json"), bank, train_cfg,
                         config_hash=config.fingerprint(), tag=tag, seed=seed)
-        reports.append((seed, report))
+        layout = train_cfg.effective_layout()
+        reports.append((seed, base_novel_report(encoder, bank, layout, base, novel)))
     aggregate = _save_reports(config, reports, f"report_{tag}.json")
     print(
         f"{tag}: base {aggregate.base_accuracy:.2f} novel {aggregate.novel_accuracy:.2f} "
@@ -218,9 +206,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args)
-    _ensure_out(config)
-    base, novel = _tasks_for(config)
+    config, base, novel, encoder = _run_inputs(args)
     classic = bool(getattr(args, "classic", False))
     tag = "classic" if classic else "atprompt"
     reports = []
@@ -229,7 +215,6 @@ def cmd_eval(args) -> int:
         if not os.path.exists(path):
             raise CheckpointError(f"no checkpoint at {path}; run train first")
         bank, layout = load_checkpoint(path)
-        encoder = _encoder_for(config, base.vocabulary)
         report = base_novel_report(encoder, bank, layout, base, novel)
         reports.append((seed, report))
         print(f"seed {seed}: base {report.base_accuracy:.2f} novel {report.novel_accuracy:.2f} "
@@ -270,9 +255,7 @@ def _ablation_cells(config: RunConfig, axis: str):
 
 
 def cmd_ablate(args) -> int:
-    config = _load_config(args)
-    _ensure_out(config)
-    base, novel = _tasks_for(config)
+    config, base, novel, encoder = _run_inputs(args)
     default_attrs = _selected_attributes(config) if args.axis != "attr_order" else ()
     rows = []
     for label, train_cfg in _ablation_cells(config, args.axis):
@@ -280,7 +263,6 @@ def cmd_ablate(args) -> int:
             train_cfg = replace(train_cfg, attributes=default_attrs)
         reports = []
         for seed in config.seed_list():
-            encoder = _encoder_for(config, base.vocabulary)
             cell_cfg = replace(train_cfg, seed=subseed(seed, "train"))
             reports.append(run_base_to_novel(base, novel, cell_cfg, encoder))
         agg = aggregate_reports(reports)
@@ -295,13 +277,11 @@ def cmd_ablate(args) -> int:
         )
     rows.sort(key=lambda r: -r["hm"])
     sweep = {
-        "kind": SWEEP_KIND,
-        "format_version": SWEEP_VERSION,
         "axis": args.axis,
         "config_hash": config.fingerprint(),
         "rows": rows,
     }
-    dump_json(sweep, _path(config, f"ablate_{args.axis}.json"))
+    dump_artifact(SWEEP_KIND, sweep, _path(config, f"ablate_{args.axis}.json"))
     print(f"{'cell':<24} {'base':>7} {'novel':>7} {'hm':>7}")
     for r in rows:
         print(f"{r['cell']:<24} {r['base']:>7.2f} {r['novel']:>7.2f} {r['hm']:>7.2f}")
@@ -322,6 +302,8 @@ def cmd_report(args) -> int:
                 continue
             found = True
             records = load_report_records(path)
+            if not records:
+                raise DataError(f"{path}: no records")
             agg = next((r["report"] for r in records if r["seed"] == -1), records[-1]["report"])
             name = tag if prefix == "report" else f"{tag} (eval)"
             print(

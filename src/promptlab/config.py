@@ -22,11 +22,10 @@ from .encoders import EncoderConfig
 from .errors import ConfigError, DataError
 from .prompts import PromptLayout
 from .search import SearchConfig
-from .serialize import JsonFields, check_fields, dump_json, dumps_json, load_json
+from .serialize import FORMAT_VERSION, JsonFields, check_fields, dump_json, dumps_json, load_json
 from .training import TrainConfig
 
 RUN_CONFIG_KIND = "run_config"
-RUN_CONFIG_VERSION = 1
 
 def config_hash(payload) -> str:
     """Short content address of any JSON-serializable object."""
@@ -111,7 +110,7 @@ class RunConfig:
     def to_dict(self) -> dict:
         payload = {
             "kind": RUN_CONFIG_KIND,
-            "format_version": RUN_CONFIG_VERSION,
+            "format_version": FORMAT_VERSION,
             "attributes": self.attributes.to_dict(),
             "search": _hyperparameters(self.search),
             "train": _hyperparameters(self.train),
@@ -133,8 +132,8 @@ class RunConfig:
         kind = given.pop("kind", RUN_CONFIG_KIND)
         if kind != RUN_CONFIG_KIND:
             raise ConfigError(f"not a run config (kind={kind!r})")
-        version = given.pop("format_version", RUN_CONFIG_VERSION)
-        if version != RUN_CONFIG_VERSION:
+        version = given.pop("format_version", FORMAT_VERSION)
+        if version != FORMAT_VERSION:
             raise ConfigError(f"unsupported run config version {version!r}")
         layout = given.pop("layout", PromptLayout())
         if layout.attribute_names:

@@ -29,11 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .serialize import JsonFields, dump_json, expect_version, load_json
+from .serialize import JsonFields, dump_artifact, load_artifact
 from .vocab import EOS, SOS, Vocabulary
 
 DATASET_KIND = "dataset"
-DATASET_VERSION = 1
 
 SPLITS = ("train", "val", "test")
 
@@ -179,10 +178,9 @@ class Task:
         return self.splits[name]
 
     def save(self, path: str) -> None:
-        dump_json(
+        dump_artifact(
+            DATASET_KIND,
             {
-                "kind": DATASET_KIND,
-                "format_version": DATASET_VERSION,
                 "spec": self.spec.to_dict(),
                 "name": self.name,
                 "vocabulary": self.vocabulary.to_dict(),
@@ -199,9 +197,8 @@ class Task:
 
     @classmethod
     def load(cls, path: str, expected_spec: TaskSpec = None) -> "Task":
-        payload = load_json(path)
-        expect_version(payload, DATASET_KIND, DATASET_VERSION, path)
-        spec = TaskSpec.from_dict(payload["spec"])
+        payload = load_artifact(path, DATASET_KIND)
+        spec = TaskSpec.from_dict(payload["spec"], f"{path}:spec")
         if expected_spec is not None and spec != expected_spec.validate():
             raise DataError(f"{path}: dataset spec does not match the runtime spec")
         splits = {

@@ -22,12 +22,11 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CapacityError, CheckpointError, ConfigError, ParameterError, ShapeError
-from .serialize import JsonFields, dump_json, expect_version, load_json
+from .serialize import JsonFields, dump_artifact, load_artifact
 from .tensor import Tensor
 from .vocab import Vocabulary
 
 CHECKPOINT_KIND = "encoder_checkpoint"
-CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -279,20 +278,17 @@ class DualEncoder:
 
     def save(self, path: str) -> None:
         payload = {
-            "kind": CHECKPOINT_KIND,
-            "format_version": CHECKPOINT_VERSION,
             "config": self.config.to_dict(),
             "seed": self.seed,
             "vocabulary": self.vocabulary.to_dict(),
             "weights": {name: t.data.tolist() for name, t in sorted(self._params.items())},
         }
-        dump_json(payload, path)
+        dump_artifact(CHECKPOINT_KIND, payload, path)
 
     @classmethod
     def load(cls, path: str, expected_config: EncoderConfig = None) -> "DualEncoder":
-        payload = load_json(path)
-        expect_version(payload, CHECKPOINT_KIND, CHECKPOINT_VERSION, path)
-        config = EncoderConfig.from_dict(payload["config"])
+        payload = load_artifact(path, CHECKPOINT_KIND)
+        config = EncoderConfig.from_dict(payload["config"], f"{path}:config")
         if expected_config is not None and config != expected_config:
             diffs = [
                 f"{k}: checkpoint {v!r} != runtime {getattr(expected_config, k)!r}"

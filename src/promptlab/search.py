@@ -28,10 +28,9 @@ from .prompts import (
     class_text_features,
     template_rows_for,
 )
-from .serialize import atomic_write, dumps_json
+from .serialize import FORMAT_VERSION, atomic_write, dumps_json
 
 RESULT_KIND = "search_result"
-RESULT_VERSION = 1
 
 MAX_BASES = 12  # 2^12 - 1 = 4095 candidates is already past desk scale
 
@@ -106,21 +105,13 @@ class SearchConfig:
 def build_candidate_banks(pool, config: SearchConfig, encoder) -> dict:
     """One bank per candidate, all sharing a single class block object.
 
+    The first candidate's bank creates the class block and the rest reuse it.
     Block init is content keyed, so a base's attribute block starts identical
     in every candidate that contains it and across any pool ordering.
     """
     seed = subseed(config.seed, "search.banks")
     rows = template_rows_for(encoder)
-    shared = SoftPromptBank.create(
-        embed_dim=encoder.config.embed_dim,
-        soft_len=config.soft_len,
-        attribute_names=(),
-        depth=config.layout.depth,
-        seed=seed,
-        scheme=config.init_scheme,
-        template_rows=rows,
-    )
-    banks = {}
+    banks, class_block = {}, None
     for cand in pool:
         banks[cand] = SoftPromptBank.create(
             embed_dim=encoder.config.embed_dim,
@@ -131,8 +122,9 @@ def build_candidate_banks(pool, config: SearchConfig, encoder) -> dict:
             seed=seed,
             scheme=config.init_scheme,
             template_rows=rows,
-            shared_class_block=shared.class_block,
+            shared_class_block=class_block,
         )
+        class_block = banks[cand].class_block
     return banks
 
 
@@ -206,16 +198,14 @@ def _mixture_loss(encoder, feats, weights, batch) -> T.Tensor:
     return T.cross_entropy(encoder.class_logits(u, mixture_logits(feats, weights)), y)
 
 
-def _descend(opt, loss: T.Tensor, what: str) -> None:
-    if not np.isfinite(loss.data):
-        raise NumericsError(f"non-finite {what}")
+def _descend(opt, loss: T.Tensor) -> None:
     opt.zero_grad()
     loss.backward()
     opt.step()
 
 
 def search_step(encoder, plan: FeaturePlan, alpha: AlphaVector, alpha_opt, theta_opt,
-                val_batch, train_batch, where: str = "") -> None:
+                val_batch, train_batch) -> None:
     """One alpha step on a validation batch, then one theta step on a training batch.
 
     ``plan`` builds the candidates' class features from the current soft
@@ -227,10 +217,8 @@ def search_step(encoder, plan: FeaturePlan, alpha: AlphaVector, alpha_opt, theta
     """
     feats = plan.features()
     frozen = [T.Tensor(f.data) for f in feats]
-    _descend(alpha_opt, _mixture_loss(encoder, frozen, T.softmax(alpha.logits), val_batch),
-             f"alpha loss at {where}")
-    _descend(theta_opt, _mixture_loss(encoder, feats, alpha.weights(), train_batch),
-             f"theta loss at {where}")
+    _descend(alpha_opt, _mixture_loss(encoder, frozen, T.softmax(alpha.logits), val_batch))
+    _descend(theta_opt, _mixture_loss(encoder, feats, alpha.weights(), train_batch))
 
 
 def alternating_search(task: Task, bases, config: SearchConfig, encoder,
@@ -279,9 +267,11 @@ def alternating_search(task: Task, bases, config: SearchConfig, encoder,
                 val_order = order_rng.permutation(len(y_val))
             val_batch = batches(x_val, y_val, val_order, val_steps, val_step)
             val_step += 1
-            search_step(encoder, plan, alpha, alpha_opt, theta_opt, val_batch,
-                        batches(x_train, y_train, train_order, steps_per_epoch, b),
-                        where=f"epoch {epoch}, batch {b}")
+            try:
+                search_step(encoder, plan, alpha, alpha_opt, theta_opt, val_batch,
+                            batches(x_train, y_train, train_order, steps_per_epoch, b))
+            except NumericsError as exc:
+                raise NumericsError(f"non-finite loss at epoch {epoch}, batch {b}: {exc}")
 
     weights = alpha.weights()
     return SearchResult(
@@ -304,7 +294,7 @@ def format_result(result: SearchResult) -> str:
     result.validate()
     lines = [
         f"# kind: {RESULT_KIND}",
-        f"# format_version: {RESULT_VERSION}",
+        f"# format_version: {FORMAT_VERSION}",
         f"# bases: {', '.join(result.bases)}",
         f"# pool_size: {len(result.candidates)}",
         f"# config_hash: {result.config_hash or 'none'}",
@@ -340,7 +330,7 @@ def parse_result(text: str, path: str = "<string>") -> SearchResult:
         rows.append((names, float(m.group("weight"))))
     if header.get("kind") != RESULT_KIND:
         raise ParseError(f"{path}: missing or wrong kind header (expected {RESULT_KIND})")
-    if header.get("format_version") != str(RESULT_VERSION):
+    if header.get("format_version") != str(FORMAT_VERSION):
         raise ParseError(f"{path}: unsupported format_version {header.get('format_version')!r}")
     if "bases" not in header:
         raise ParseError(f"{path}: missing bases header")

@@ -2,8 +2,11 @@
 
 All artifact files are plain JSON with sorted keys so that identical runs
 produce byte-identical files (float64 values round-trip exactly through
-repr). Every format carries a ``format_version`` field. Config sections are
-read through one typed field check, ``check_fields``.
+repr). This module owns the artifact header: every JSON artifact is written
+by ``dump_artifact`` with its ``kind`` and the one ``FORMAT_VERSION``, and
+read back by ``load_artifact``, which checks both. The run config, the
+bundled fixture and the search-result text file carry the same version.
+Config sections are read through one typed field check, ``check_fields``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from dataclasses import MISSING, asdict, fields
 from typing import get_type_hints
 
 from .errors import ConfigError, DataError
+
+# the version every artifact header carries; bump it when any format changes
+FORMAT_VERSION = 1
 
 # the JSON type each Python field type is read from, named as errors print it
 JSON_TYPES = {str: "string", int: "integer", float: "number", bool: "boolean",
@@ -66,23 +72,32 @@ def file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def expect_version(payload: dict, kind: str, version: int, path: str) -> None:
+def dump_artifact(kind: str, body: dict, path: str) -> None:
+    """Write ``body`` under the artifact header: its ``kind`` and ``FORMAT_VERSION``."""
+    dump_json({"kind": kind, "format_version": FORMAT_VERSION, **body}, path)
+
+
+def load_artifact(path: str, kind: str) -> dict:
+    """A JSON artifact's payload; a non-object, wrong kind or version is a DataError."""
+    payload = load_json(path)
     if not isinstance(payload, dict) or payload.get("kind") != kind:
         raise DataError(f"{path}: expected a {kind!r} file")
-    if payload.get("format_version") != version:
+    if payload.get("format_version") != FORMAT_VERSION:
         raise DataError(
-            f"{path}: format_version {payload.get('format_version')!r}, expected {version}"
+            f"{path}: format_version {payload.get('format_version')!r}, expected {FORMAT_VERSION}"
         )
+    return payload
 
 
-def check_fields(types: dict, payload, what: str) -> dict:
+def check_fields(types: dict, payload, what: str, required=()) -> dict:
     """The keyword arguments a JSON object gives, each checked against ``types[key]``.
 
-    Unknown keys and values of the wrong JSON type are ConfigErrors naming the
-    key under ``what``. An ``int`` field takes an int but not a bool; a
-    ``float`` field takes an int or a float, kept as written so no bytes move;
-    a ``tuple`` field takes a list and returns a tuple; a ``JsonFields`` field
-    takes an object, read by that class's ``from_dict``.
+    Unknown keys, missing ``required`` keys and values of the wrong JSON type
+    are ConfigErrors naming the key under ``what``. An ``int`` field takes an
+    int but not a bool; a ``float`` field takes an int or a float, kept as
+    written so no bytes move; a ``tuple`` field takes a list and returns a
+    tuple; a ``JsonFields`` field takes an object, read by that class's
+    ``from_dict``.
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"{what or 'config'} must be a JSON object, got {payload!r}")
@@ -99,6 +114,9 @@ def check_fields(types: dict, payload, what: str) -> dict:
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
             raise ConfigError(f"{where} must be a JSON {JSON_TYPES[kind]}, got {value!r}")
         kwargs[key] = tuple(value) if kind is tuple else value
+    missing = [f"{what}.{k}" if what else k for k in required if k not in kwargs]
+    if missing:
+        raise ConfigError(f"missing key {', '.join(map(repr, missing))}")
     return kwargs
 
 
@@ -111,10 +129,7 @@ class JsonFields:
     @classmethod
     def from_dict(cls, payload, what: str = None):
         """The validated instance a JSON object gives; a missing required key is a ConfigError."""
-        what = what or cls.__name__
-        kwargs = check_fields(get_type_hints(cls), payload, what)
-        missing = [f"{what}.{f.name}" for f in fields(cls) if f.name not in kwargs
-                   and f.default is MISSING and f.default_factory is MISSING]
-        if missing:
-            raise ConfigError(f"missing key {', '.join(map(repr, missing))}")
-        return cls(**kwargs).validate()
+        required = [f.name for f in fields(cls)
+                    if f.default is MISSING and f.default_factory is MISSING]
+        return cls(**check_fields(get_type_hints(cls), payload, what or cls.__name__,
+                                  required)).validate()

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import ContractError, IndexRangeError, NumericsError, ShapeError
 
-_FINITE_CHECKS = True
 _FREED_MEMORY_KEPT = False
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -31,14 +30,8 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LN_EPS = 1e-5
 
 
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle NaN/Inf detection after every operation (on by default)."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-
-
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if _FINITE_CHECKS and not np.isfinite(data).all():
+    if not np.isfinite(data).all():
         raise NumericsError(f"{op} produced non-finite values")
 
 

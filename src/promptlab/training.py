@@ -26,12 +26,10 @@ from .prompts import (
     class_text_features,
     template_rows_for,
 )
-from .serialize import JsonFields, dump_json, expect_version, load_json
+from .serialize import JsonFields, check_fields, dump_artifact, load_artifact
 
 REPORT_KIND = "eval_report"
-REPORT_VERSION = 1
 CHECKPOINT_KIND = "prompt_checkpoint"
-CHECKPOINT_VERSION = 1
 
 SCHEDULES = ("cosine", "constant")
 
@@ -251,10 +249,9 @@ def aggregate_reports(reports) -> EvalReport:
 
 def save_report_records(records, path: str) -> None:
     """records: list of {config_hash, seed, report: EvalReport}."""
-    dump_json(
+    dump_artifact(
+        REPORT_KIND,
         {
-            "kind": REPORT_KIND,
-            "format_version": REPORT_VERSION,
             "records": [
                 {
                     "config_hash": r["config_hash"],
@@ -268,17 +265,17 @@ def save_report_records(records, path: str) -> None:
     )
 
 
+# the fields of one report record, all required
+RECORD_TYPES = {"config_hash": str, "seed": int, "report": EvalReport}
+
+
 def load_report_records(path: str):
-    payload = load_json(path)
-    expect_version(payload, REPORT_KIND, REPORT_VERSION, path)
-    return [
-        {
-            "config_hash": rec["config_hash"],
-            "seed": rec["seed"],
-            "report": EvalReport.from_dict(rec["report"]),
-        }
-        for rec in payload["records"]
-    ]
+    """The records of a report file; an error names the file and the record's index."""
+    records = load_artifact(path, REPORT_KIND).get("records")
+    if not isinstance(records, list):
+        raise DataError(f"{path}: 'records' must be a JSON list")
+    return [check_fields(RECORD_TYPES, rec, f"{path}:records[{i}]", RECORD_TYPES)
+            for i, rec in enumerate(records)]
 
 
 # -- checkpoints ----------------------------------------------------------------------
@@ -287,10 +284,9 @@ def load_report_records(path: str):
 def save_checkpoint(path: str, bank: SoftPromptBank, config: TrainConfig, *,
                     config_hash: str, tag: str, seed: int) -> None:
     """Trained prompts, with the attributes and layout they were trained under."""
-    dump_json(
+    dump_artifact(
+        CHECKPOINT_KIND,
         {
-            "kind": CHECKPOINT_KIND,
-            "format_version": CHECKPOINT_VERSION,
             "config_hash": config_hash,
             "tag": tag,
             "seed": seed,
@@ -304,9 +300,8 @@ def save_checkpoint(path: str, bank: SoftPromptBank, config: TrainConfig, *,
 
 def load_checkpoint(path: str):
     """(bank, layout) from a checkpoint file; a wrong kind or version is a DataError."""
-    payload = load_json(path)
-    expect_version(payload, CHECKPOINT_KIND, CHECKPOINT_VERSION, path)
-    layout = PromptLayout.from_dict(payload["layout"], "layout")
+    payload = load_artifact(path, CHECKPOINT_KIND)
+    layout = PromptLayout.from_dict(payload["layout"], f"{path}:layout")
     return SoftPromptBank.from_dict(payload["bank"]), layout
 
 

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
+from promptlab import cli
 from promptlab.cli import main
 from promptlab.search import load_result
-from promptlab.serialize import file_sha256, load_json
+from promptlab.serialize import FORMAT_VERSION, file_sha256, load_json
 from promptlab.training import EvalReport, load_report_records, save_report_records
 
 
@@ -212,20 +213,75 @@ def test_report_with_no_artifacts_fails_cleanly(tmp_path, capsys):
     assert capsys.readouterr().err.strip().splitlines()[-1].startswith("error: DataError:")
 
 
-def test_report_on_a_record_without_a_required_field_names_the_key(tmp_path, capsys):
+def _report_with_bad_records(tmp_path, edit):
     cfg, out = write_config(tmp_path)
     os.makedirs(out)
     report = EvalReport.from_accuracies(80.0, 60.0, {"cat": 75.0})
     path = os.path.join(out, "report_classic.json")
-    save_report_records([{"config_hash": "h", "seed": 3, "report": report}], path)
+    save_report_records([{"config_hash": "h", "seed": 3, "report": report}] * 2, path)
     payload = load_json(path)
-    del payload["records"][0]["report"]["base_accuracy"]
+    edit(payload["records"])
     with open(path, "w") as fh:
         json.dump(payload, fh)
+    return cfg, path
+
+
+def test_report_on_a_record_without_a_required_field_names_the_key(tmp_path, capsys):
+    cfg, path = _report_with_bad_records(
+        tmp_path, lambda records: records[1]["report"].pop("base_accuracy"))
     capsys.readouterr()
     assert main(["report", "--config", cfg]) == 1
     last = capsys.readouterr().err.strip().splitlines()[-1]
-    assert last == "error: ConfigError: missing key 'EvalReport.base_accuracy'"
+    assert last == f"error: ConfigError: missing key '{path}:records[1].report.base_accuracy'"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda records: records[1].pop("seed"), "ConfigError: missing key '{path}:records[1].seed'"),
+    (lambda records: records[1].update(seed="3"),
+     "ConfigError: {path}:records[1].seed must be a JSON integer"),
+    (lambda records: records[1].update(extra=1),
+     "ConfigError: unknown key '{path}:records[1].extra'"),
+    (lambda records: records.clear(), "DataError: {path}: no records"),
+])
+def test_report_on_bad_records_is_one_error_line(tmp_path, capsys, edit, message):
+    cfg, path = _report_with_bad_records(tmp_path, edit)
+    capsys.readouterr()
+    assert main(["report", "--config", cfg]) == 1
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith(f"error: {message.format(path=path)}")
+
+
+def test_each_command_builds_one_encoder_for_all_seeds_and_cells(tmp_path, monkeypatch):
+    cfg, out = write_config(tmp_path, train={"epochs": 1, "batch_size": 16, "lr_init": 0.05,
+                                             "attributes": ["color"]})
+    built = []
+
+    class CountingEncoder(cli.DualEncoder):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "DualEncoder", CountingEncoder)
+    assert main(["gen-data", "--config", cfg]) == 0
+    for command in (["train"], ["eval"], ["ablate", "--axis", "init"]):
+        built.clear()
+        assert main([*command, "--seeds", "1,2", "--config", cfg]) == 0
+        assert len(built) == 1, command
+
+
+def test_every_json_artifact_carries_the_one_header(tmp_path):
+    cfg, out = write_config(tmp_path)
+    for command in (["gen-data"], ["search-attrs"], ["train"], ["train", "--classic"], ["eval"],
+                    ["ablate", "--axis", "length"], ["report"]):
+        assert main([*command, "--config", cfg]) == 0, command
+    names = sorted(f for f in os.listdir(out) if f.endswith(".json"))
+    assert len(names) == 10
+    for name in names:
+        payload = load_json(os.path.join(out, name))
+        assert isinstance(payload.get("kind"), str), name
+        assert payload["format_version"] == FORMAT_VERSION, name
+    with open(os.path.join(out, "search_result.txt")) as fh:
+        assert f"# format_version: {FORMAT_VERSION}\n" in fh.read()
 
 
 def test_full_pipeline_is_deterministic_across_output_dirs(tmp_path):

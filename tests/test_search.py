@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promptlab import tensor as T
-from promptlab.data import LatentAttribute, TaskSpec, generate_task
+from promptlab.data import LatentAttribute, TaskSpec, generate_task, subseed
 from promptlab.encoders import DualEncoder, build_config_for
-from promptlab.errors import ConfigError, DataError, ParameterError, ParseError
+from promptlab.errors import ConfigError, DataError, NumericsError, ParameterError, ParseError
 from promptlab.optim import SGD, Adam
-from promptlab.prompts import FeaturePlan, PromptLayout
+from promptlab.prompts import FeaturePlan, PromptLayout, SoftPromptBank, template_rows_for
 from promptlab.search import (
     MAX_BASES,
     AlphaVector,
@@ -200,6 +200,19 @@ def test_candidate_banks_share_one_class_block_object():
     assert len(blocks) == 1
 
 
+def test_shared_class_block_starts_as_a_stand_alone_class_block():
+    task = search_task()
+    enc = search_encoder(task)
+    cfg = SearchConfig()
+    banks = build_candidate_banks(enumerate_pool(("color", "shape")), cfg, enc)
+    alone = SoftPromptBank.create(
+        embed_dim=enc.config.embed_dim, soft_len=cfg.soft_len,
+        seed=subseed(cfg.seed, "search.banks"), scheme=cfg.init_scheme,
+        template_rows=template_rows_for(enc))
+    for bank in banks.values():
+        assert bank.class_block.data.tobytes() == alone.class_block.data.tobytes()
+
+
 def test_candidate_banks_key_attribute_blocks_by_content():
     # the same base word gets the same initial block in every candidate
     task = search_task()
@@ -273,6 +286,22 @@ def test_alternating_search_empty_split_is_data_error():
     starved = replace(task, splits={**task.splits, "val": (xv[:0], yv[:0])})
     with pytest.raises(DataError):
         alternating_search(starved, ("color", "shape"), SearchConfig(epochs=1), enc)
+
+
+def test_non_finite_search_loss_names_its_step():
+    task = search_task()
+    enc = search_encoder(task)
+    encode_image, batches = enc.encode_image, []
+
+    def poisoned(x):
+        batches.append(x)
+        # the third image batch is the alpha half of the second step
+        return encode_image(x * np.nan if len(batches) == 3 else x)
+
+    enc.encode_image = poisoned
+    with pytest.raises(NumericsError, match=r"^non-finite loss at epoch 0, batch 1: "
+                                            r"\w+ produced non-finite values$"):
+        alternating_search(task, ("color", "shape"), SearchConfig(epochs=1, batch_size=4), enc)
 
 
 class ThetaSpy:

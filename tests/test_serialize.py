@@ -6,8 +6,16 @@ import pytest
 from promptlab.attributes import ResponseCache, fixture_search_result
 from promptlab.config import RunConfig, save_run_config
 from promptlab.data import TaskSpec
+from promptlab.errors import DataError
 from promptlab.search import export_result
-from promptlab.serialize import atomic_write, dump_json, load_json
+from promptlab.serialize import (
+    FORMAT_VERSION,
+    atomic_write,
+    dump_artifact,
+    dump_json,
+    load_artifact,
+    load_json,
+)
 
 
 def test_failed_dump_leaves_the_target_and_no_temporary_file(tmp_path):
@@ -54,3 +62,25 @@ def test_every_writer_creates_files_under_the_umask(tmp_path, writer):
     files = os.listdir(tmp_path)
     assert len(files) == 1
     assert stat.S_IMODE(os.stat(tmp_path / files[0]).st_mode) == 0o640
+
+
+def test_artifact_header_round_trips(tmp_path):
+    path = str(tmp_path / "a.json")
+    dump_artifact("thing", {"x": [1.5]}, path)
+    assert load_json(path) == {"kind": "thing", "format_version": FORMAT_VERSION, "x": [1.5]}
+    assert load_artifact(path, "thing")["x"] == [1.5]
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"kind": "other", "format_version": FORMAT_VERSION}, "expected a 'thing' file"),
+    ({"kind": "thing", "format_version": FORMAT_VERSION + 1}, "format_version"),
+    ({"kind": "thing"}, "format_version None"),
+    ([{"kind": "thing", "format_version": FORMAT_VERSION}], "expected a 'thing' file"),
+])
+def test_load_artifact_rejects_a_wrong_header_naming_the_path(tmp_path, payload, message):
+    path = str(tmp_path / "a.json")
+    dump_json(payload, path)
+    with pytest.raises(DataError) as err:
+        load_artifact(path, "thing")
+    assert str(err.value).startswith(f"{path}: ")
+    assert message in str(err.value)

@@ -208,12 +208,6 @@ def test_finite_check_catches_overflow():
     with np.errstate(over="ignore"):
         with pytest.raises(NumericsError):
             big * T.Tensor([10.0])
-        T.set_finite_checks(False)
-        try:
-            out = big * T.Tensor([10.0])
-            assert np.isinf(out.data[0])
-        finally:
-            T.set_finite_checks(True)
 
 
 # -- gradients vs finite differences ----------------------------------------------

@@ -1,8 +1,10 @@
 """Drive the whole pipeline through the CLI, exactly as a shell session would.
 
 Every command reads one JSON config and writes versioned artifacts into the
-output directory. Running a command twice is byte-identical, so result files
-can be hashed and compared across machines.
+output directory. Running a command twice is byte-identical on one machine and
+BLAS kernel, so result files can be hashed and compared between runs there.
+Across BLAS kernels the datasets, the manifest and the checkpoints differ in
+their last bits; the README lists which files match.
 """
 
 import json

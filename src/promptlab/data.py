@@ -12,8 +12,8 @@ distractors that an anchored prompt can learn to ignore.
 
 Raw image vectors mix two parts, balanced by ``attribute_signal``: a
 systematic part (a fixed seeded linear map applied to the sum of the
-class's informative value vectors, shared across the whole task family)
-and an idiosyncratic per-class offset keyed to the id word. The offset is
+class's informative value vectors) and an idiosyncratic per-class offset
+keyed to the id word. The offset is
 unrelated to the id word's embedding, so no prompt can map novel id words
 to their offsets: whatever accuracy survives on unseen classes must come
 through the attribute path. That is the knob that makes "attributes help
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .serialize import JsonFields, dump_artifact, load_artifact
+from .serialize import JsonFields, check_fields, dump_artifact, load_artifact
 from .vocab import EOS, SOS, Vocabulary
 
 DATASET_KIND = "dataset"
@@ -197,27 +197,32 @@ class Task:
 
     @classmethod
     def load(cls, path: str, expected_spec: TaskSpec = None) -> "Task":
-        payload = load_artifact(path, DATASET_KIND)
-        spec = TaskSpec.from_dict(payload["spec"], f"{path}:spec")
-        if expected_spec is not None and spec != expected_spec.validate():
+        body = load_artifact(path, DATASET_KIND, TASK_TYPES)
+        if expected_spec is not None and body["spec"] != expected_spec.validate():
             raise DataError(f"{path}: dataset spec does not match the runtime spec")
-        splits = {
-            k: (
-                np.asarray(v["x"], dtype=np.float64),
-                np.asarray(v["y"], dtype=np.int64),
-            )
-            for k, v in payload["splits"].items()
-        }
+        splits = {}
+        for name, split in body["splits"].items():
+            xy = check_fields(SPLIT_TYPES, split, f"{path}:{DATASET_KIND}.splits.{name}",
+                              SPLIT_TYPES)
+            splits[name] = (np.asarray(xy["x"], dtype=np.float64),
+                            np.asarray(xy["y"], dtype=np.int64))
         return cls(
-            spec=spec,
-            name=payload["name"],
-            vocabulary=Vocabulary.from_dict(payload["vocabulary"]),
-            class_names=list(payload["class_names"]),
-            class_signatures=[dict(s) for s in payload["class_signatures"]],
-            attribute_names=list(payload["attribute_names"]),
-            prototypes=np.asarray(payload["prototypes"], dtype=np.float64),
+            spec=body["spec"],
+            name=body["name"],
+            vocabulary=body["vocabulary"],
+            class_names=list(body["class_names"]),
+            class_signatures=[dict(s) for s in body["class_signatures"]],
+            attribute_names=list(body["attribute_names"]),
+            prototypes=np.asarray(body["prototypes"], dtype=np.float64),
             splits=splits,
         )
+
+
+# the keys of a dataset file's body, and of each of its splits, all required
+TASK_TYPES = {"spec": TaskSpec, "name": str, "vocabulary": Vocabulary, "class_names": tuple,
+              "class_signatures": tuple, "attribute_names": tuple, "prototypes": tuple,
+              "splits": dict}
+SPLIT_TYPES = {"x": tuple, "y": tuple}
 
 
 # -- vocabulary construction ---------------------------------------------------------
@@ -259,13 +264,13 @@ def _build_vocabulary(spec: TaskSpec, id_words) -> Vocabulary:
 # -- class construction ------------------------------------------------------------------
 
 
-def _draw_signatures(spec: TaskSpec, count: int, stream: str):
-    """``count`` distinct informative signatures plus free values elsewhere."""
+def _draw_signatures(spec: TaskSpec, stream: str):
+    """One signature per class, distinct over the informative attributes, free elsewhere."""
     rng = keyed_rng(spec.seed, "signatures", stream)
     informative = [spec.attribute(n) for n in spec.informative_attributes]
     seen = set()
     signatures = []
-    while len(signatures) < count:
+    while len(signatures) < spec.num_classes:
         sig = tuple(attr.values[rng.integers(len(attr.values))] for attr in informative)
         if sig in seen:
             continue
@@ -321,7 +326,12 @@ def _sample_split(spec: TaskSpec, prototypes: np.ndarray, split: str, task_tag: 
     return x[order], y[order]
 
 
-def _build_task(spec: TaskSpec, vocab: Vocabulary, signatures, id_words, name: str) -> Task:
+def generate_task(spec: TaskSpec, name: str = "task0") -> Task:
+    """One task: vocabulary, classes with distinct informative signatures, splits."""
+    spec.validate()
+    id_words = [f"id{c}" for c in range(spec.num_classes)]
+    signatures = _draw_signatures(spec, name)
+    vocab = _build_vocabulary(spec, id_words)
     fmap = _feature_map(spec)
     prototypes = np.stack(
         [
@@ -336,20 +346,11 @@ def _build_task(spec: TaskSpec, vocab: Vocabulary, signatures, id_words, name: s
         name=name,
         vocabulary=vocab,
         class_names=names,
-        class_signatures=list(signatures),
+        class_signatures=signatures,
         attribute_names=[a.name for a in spec.latent_attributes],
         prototypes=prototypes,
         splits=splits,
     )
-
-
-def generate_task(spec: TaskSpec, name: str = "task0") -> Task:
-    """One task: vocabulary, classes with distinct informative signatures, splits."""
-    spec.validate()
-    id_words = [f"id{c}" for c in range(spec.num_classes)]
-    signatures = _draw_signatures(spec, spec.num_classes, name)
-    vocab = _build_vocabulary(spec, id_words)
-    return _build_task(spec, vocab, signatures, id_words, name)
 
 
 def make_base_novel_task(spec: TaskSpec, name: str = "task0"):
@@ -389,29 +390,3 @@ def _slice_classes(task: Task, class_ids, name: str) -> Task:
         splits=splits,
     )
 
-
-def make_task_family(spec: TaskSpec, num_tasks: int):
-    """Tasks sharing one vocabulary and feature map, for cross-task transfer.
-
-    Task t uses id words ``t{t}id{c}``; signatures are drawn independently
-    per task (distinct within a task, free to repeat across tasks).
-    """
-    spec.validate()
-    if num_tasks < 1:
-        raise DataError("num_tasks must be positive")
-    all_ids = [
-        [f"t{t}id{c}" for c in range(spec.num_classes)] for t in range(num_tasks)
-    ]
-    vocab = _build_vocabulary(spec, [w for ids in all_ids for w in ids])
-    tasks = []
-    for t in range(num_tasks):
-        signatures = _draw_signatures(spec, spec.num_classes, f"family{t}")
-        tasks.append(_build_task(spec, vocab, signatures, all_ids[t], f"family{t}"))
-    return tasks
-
-
-def nearest_prototype_accuracy(task: Task, split: str = "test") -> float:
-    """Bayes-ish oracle baseline: classify by nearest class prototype."""
-    x, y = task.split(split)
-    d2 = ((x[:, None, :] - task.prototypes[None, :, :]) ** 2).sum(axis=2)
-    return float((d2.argmin(axis=1) == y).mean())

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -43,18 +44,8 @@ class EncoderConfig(JsonFields):
     temperature: float = 0.07
 
     def validate(self) -> "EncoderConfig":
-        for field in (
-            "vocab_size",
-            "embed_dim",
-            "num_layers",
-            "num_heads",
-            "max_seq_len",
-            "joint_dim",
-            "image_dim",
-            "image_hidden_dim",
-            "mlp_ratio",
-        ):
-            if getattr(self, field) <= 0:
+        for field, kind in get_type_hints(EncoderConfig).items():
+            if kind is int and getattr(self, field) <= 0:
                 raise ConfigError(f"{field} must be positive, got {getattr(self, field)}")
         if self.embed_dim % self.num_heads != 0:
             raise ConfigError(
@@ -271,9 +262,6 @@ class DualEncoder:
             logits = T.reshape(logits, (class_features.shape[0],))
         return logits
 
-    def class_probabilities(self, u: Tensor, class_features: Tensor, temperature: float = None) -> Tensor:
-        return T.softmax(self.class_logits(u, class_features, temperature), axis=-1)
-
     # -- persistence ----------------------------------------------------------------------
 
     def save(self, path: str) -> None:
@@ -287,8 +275,9 @@ class DualEncoder:
 
     @classmethod
     def load(cls, path: str, expected_config: EncoderConfig = None) -> "DualEncoder":
-        payload = load_artifact(path, CHECKPOINT_KIND)
-        config = EncoderConfig.from_dict(payload["config"], f"{path}:config")
+        payload = load_artifact(path, CHECKPOINT_KIND, {
+            "config": EncoderConfig, "seed": int, "vocabulary": Vocabulary, "weights": dict})
+        config = payload["config"]
         if expected_config is not None and config != expected_config:
             diffs = [
                 f"{k}: checkpoint {v!r} != runtime {getattr(expected_config, k)!r}"
@@ -296,8 +285,7 @@ class DualEncoder:
                 if getattr(expected_config, k) != v
             ]
             raise CheckpointError(f"{path}: config mismatch ({'; '.join(diffs)})")
-        vocabulary = Vocabulary.from_dict(payload["vocabulary"])
-        enc = cls(config, vocabulary, payload["seed"])
+        enc = cls(config, payload["vocabulary"], payload["seed"])
         for name, tens in enc._params.items():
             stored = np.asarray(payload["weights"][name], dtype=np.float64)
             if stored.shape != tens.data.shape:

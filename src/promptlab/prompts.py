@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .data import keyed_rng
 from .errors import ConfigError, ContractError, ParameterError
-from .serialize import JsonFields
+from .serialize import JsonFields, check_fields
 from .tensor import Tensor
 from .vocab import PHOTO_TEMPLATE
 
@@ -36,6 +36,9 @@ DROP_POLICIES = tuple(REENTERED_KINDS)
 INIT_SCHEMES = ("random_normal", "phrase_init")
 
 SOFT_INIT_STD = 0.02
+
+# the keys of a bank's JSON form, all required
+BANK_TYPES = {"class_block": tuple, "attribute_blocks": dict, "deep_class_blocks": tuple}
 
 
 @dataclass(frozen=True)
@@ -99,16 +102,6 @@ class SoftPromptBank:
                 )
 
     @property
-    def soft_len(self) -> int:
-        return self.class_block.shape[0]
-
-    @property
-    def attr_soft_len(self) -> int:
-        for block in self.attribute_blocks.values():
-            return block.shape[0]
-        return 0
-
-    @property
     def embed_dim(self) -> int:
         return self.class_block.shape[1]
 
@@ -166,20 +159,17 @@ class SoftPromptBank:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "SoftPromptBank":
+    def from_dict(cls, payload, what: str = "SoftPromptBank") -> "SoftPromptBank":
+        """The bank a JSON object gives; all three keys are required."""
+        body = check_fields(BANK_TYPES, payload, what, BANK_TYPES)
+
+        def block(rows, name: str) -> Tensor:
+            return Tensor(np.asarray(rows, dtype=np.float64), requires_grad=True, name=name)
+
         return cls(
-            Tensor(np.asarray(payload["class_block"], dtype=np.float64), requires_grad=True,
-                   name="class_block"),
-            {
-                k: Tensor(np.asarray(v, dtype=np.float64), requires_grad=True,
-                          name=f"attr_block.{k}")
-                for k, v in payload["attribute_blocks"].items()
-            },
-            [
-                Tensor(np.asarray(b, dtype=np.float64), requires_grad=True,
-                       name=f"deep_block.{i}")
-                for i, b in enumerate(payload["deep_class_blocks"])
-            ],
+            block(body["class_block"], "class_block"),
+            {k: block(v, f"attr_block.{k}") for k, v in body["attribute_blocks"].items()},
+            [block(b, f"deep_block.{i}") for i, b in enumerate(body["deep_class_blocks"])],
         )
 
 
@@ -260,9 +250,6 @@ class ComposedPrompt:
     @property
     def length(self) -> int:
         return self.embeds.shape[0]
-
-    def segments_of(self, kind: str) -> list:
-        return [s for s in self.segments if s.kind == kind]
 
 
 def check_partition(segments, length: int) -> None:

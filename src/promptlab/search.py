@@ -182,10 +182,6 @@ class SearchResult:
             raise DataError("selected combination is not a maximal-weight candidate")
         return self
 
-    @property
-    def weight_by_candidate(self) -> dict:
-        return {c: float(w) for c, w in zip(self.candidates, self.weights)}
-
 
 def select_candidate(pool, weights) -> tuple:
     # np.argmax returns the first maximal entry, which is the tie-break rule

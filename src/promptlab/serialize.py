@@ -6,7 +6,7 @@ repr). This module owns the artifact header: every JSON artifact is written
 by ``dump_artifact`` with its ``kind`` and the one ``FORMAT_VERSION``, and
 read back by ``load_artifact``, which checks both. The run config, the
 bundled fixture and the search-result text file carry the same version.
-Config sections are read through one typed field check, ``check_fields``.
+Config sections and artifact bodies are read through one check, ``check_fields``.
 """
 
 from __future__ import annotations
@@ -77,8 +77,11 @@ def dump_artifact(kind: str, body: dict, path: str) -> None:
     dump_json({"kind": kind, "format_version": FORMAT_VERSION, **body}, path)
 
 
-def load_artifact(path: str, kind: str) -> dict:
-    """A JSON artifact's payload; a non-object, wrong kind or version is a DataError."""
+def load_artifact(path: str, kind: str, types: dict) -> dict:
+    """A JSON artifact's body, every key of ``types`` required, read by ``check_fields``.
+
+    A non-object, wrong kind or version is a DataError; a body error names ``<path>:<kind>``.
+    """
     payload = load_json(path)
     if not isinstance(payload, dict) or payload.get("kind") != kind:
         raise DataError(f"{path}: expected a {kind!r} file")
@@ -86,7 +89,8 @@ def load_artifact(path: str, kind: str) -> dict:
         raise DataError(
             f"{path}: format_version {payload.get('format_version')!r}, expected {FORMAT_VERSION}"
         )
-    return payload
+    body = {k: v for k, v in payload.items() if k not in ("kind", "format_version")}
+    return check_fields(types, body, f"{path}:{kind}", types)
 
 
 def check_fields(types: dict, payload, what: str, required=()) -> dict:
@@ -96,8 +100,8 @@ def check_fields(types: dict, payload, what: str, required=()) -> dict:
     are ConfigErrors naming the key under ``what``. An ``int`` field takes an
     int but not a bool; a ``float`` field takes an int or a float, kept as
     written so no bytes move; a ``tuple`` field takes a list and returns a
-    tuple; a ``JsonFields`` field takes an object, read by that class's
-    ``from_dict``.
+    tuple; a field whose class has a ``from_dict`` (a ``JsonFields`` class,
+    ``Vocabulary``, ``SoftPromptBank``) takes an object, read by that method.
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"{what or 'config'} must be a JSON object, got {payload!r}")
@@ -107,7 +111,7 @@ def check_fields(types: dict, payload, what: str, required=()) -> dict:
         if key not in types:
             raise ConfigError(f"unknown key {where!r}; known: {', '.join(sorted(types))}")
         kind = types[key]
-        if issubclass(kind, JsonFields):
+        if hasattr(kind, "from_dict"):
             kwargs[key] = kind.from_dict(value, where)
             continue
         accepted = {float: (int, float), tuple: (list, tuple)}.get(kind, kind)

@@ -110,10 +110,6 @@ class Tensor:
             raise ContractError(f"item() requires a single element, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        """Constant view of this tensor's data, cut out of the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self):
         head = f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}"
         if self.name:
@@ -134,15 +130,6 @@ class Tensor:
 
     def __neg__(self):
         return scale(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), scale(self, -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)

@@ -1,4 +1,4 @@
-"""Prompt training, base-to-novel evaluation, and the cross-task harness.
+"""Prompt training, base-to-novel evaluation, and the report and checkpoint files.
 
 Training minimizes batch-mean cross-entropy between image features and the
 composed per-class text features (encoder frozen, only soft tokens move),
@@ -159,17 +159,6 @@ def per_class_accuracy(encoder, bank: SoftPromptBank, layout: PromptLayout, task
 # -- protocol helpers --------------------------------------------------------------
 
 
-def base_novel_split(class_ids):
-    """Sorted ids; first ceil(N/2) are base, the rest novel."""
-    ids = sorted(class_ids)
-    if len(ids) < 2:
-        raise DataError(f"need at least 2 classes to split, got {len(ids)}")
-    if len(set(ids)) != len(ids):
-        raise DataError("duplicate class ids")
-    cut = (len(ids) + 1) // 2
-    return ids[:cut], ids[cut:]
-
-
 def harmonic_mean(base_acc: float, novel_acc: float) -> float:
     if base_acc < 0 or novel_acc < 0:
         raise ContractError(f"accuracies must be nonnegative, got {base_acc}, {novel_acc}")
@@ -271,9 +260,7 @@ RECORD_TYPES = {"config_hash": str, "seed": int, "report": EvalReport}
 
 def load_report_records(path: str):
     """The records of a report file; an error names the file and the record's index."""
-    records = load_artifact(path, REPORT_KIND).get("records")
-    if not isinstance(records, list):
-        raise DataError(f"{path}: 'records' must be a JSON list")
+    records = load_artifact(path, REPORT_KIND, {"records": tuple})["records"]
     return [check_fields(RECORD_TYPES, rec, f"{path}:records[{i}]", RECORD_TYPES)
             for i, rec in enumerate(records)]
 
@@ -298,29 +285,13 @@ def save_checkpoint(path: str, bank: SoftPromptBank, config: TrainConfig, *,
     )
 
 
+# the keys of a checkpoint's body, all required
+CHECKPOINT_TYPES = {"config_hash": str, "tag": str, "seed": int, "attributes": tuple,
+                    "layout": PromptLayout, "bank": SoftPromptBank}
+
+
 def load_checkpoint(path: str):
     """(bank, layout) from a checkpoint file; a wrong kind or version is a DataError."""
-    payload = load_artifact(path, CHECKPOINT_KIND)
-    layout = PromptLayout.from_dict(payload["layout"], f"{path}:layout")
-    return SoftPromptBank.from_dict(payload["bank"]), layout
+    body = load_artifact(path, CHECKPOINT_KIND, CHECKPOINT_TYPES)
+    return body["bank"], body["layout"]
 
-
-# -- cross-task transfer ------------------------------------------------------------------
-
-
-def cross_dataset_eval(encoder, bank: SoftPromptBank, layout: PromptLayout,
-                       source_task: Task, target_tasks) -> dict:
-    """Frozen trained prompts scored against each target's class names.
-
-    Returns {"source": acc, "targets": {name: acc}, "average": mean target acc}.
-    """
-    targets = list(target_tasks)
-    for t in targets:
-        if t.vocabulary.words != source_task.vocabulary.words:
-            raise DataError(f"target task {t.name!r} does not share the source vocabulary")
-    per_target = {t.name: evaluate(encoder, bank, layout, t, "test") for t in targets}
-    return {
-        "source": evaluate(encoder, bank, layout, source_task, "test"),
-        "targets": per_target,
-        "average": float(np.mean(list(per_target.values()))) if per_target else 0.0,
-    }

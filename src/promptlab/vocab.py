@@ -12,12 +12,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError, ShapeError, TokenizationError
+from .serialize import check_fields
 
 SOS = "[SOS]"
 EOS = "[EOS]"
 
 # default soft-token initialization phrase, CoOp-style
 PHOTO_TEMPLATE = "a photo of a"
+
+# the keys of a vocabulary's JSON form, both required
+VOCABULARY_TYPES = {"words": tuple, "vectors": tuple}
 
 
 class Vocabulary:
@@ -75,5 +79,7 @@ class Vocabulary:
         return {"words": self.words, "vectors": self.vectors.tolist()}
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "Vocabulary":
-        return cls(payload["words"], np.asarray(payload["vectors"], dtype=np.float64))
+    def from_dict(cls, payload, what: str = "Vocabulary") -> "Vocabulary":
+        """The vocabulary a JSON object gives; both keys are required."""
+        body = check_fields(VOCABULARY_TYPES, payload, what, VOCABULARY_TYPES)
+        return cls(body["words"], np.asarray(body["vectors"], dtype=np.float64))

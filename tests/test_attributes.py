@@ -83,7 +83,7 @@ def test_fixture_weight_table_round_trips_through_the_result_parser():
     assert result.bases == ("shape", "color", "material", "function", "size")
     assert len(result.candidates) == 31
     assert result.selected == ("shape", "size")
-    assert result.weight_by_candidate[("shape", "size")] == pytest.approx(0.565)
+    assert dict(zip(result.candidates, result.weights))[("shape", "size")] == pytest.approx(0.565)
     assert result.weights.sum() == pytest.approx(1.0, abs=0.01)
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -361,3 +362,51 @@ def test_bad_config_input_is_one_error_line(case, tmp_path):
     assert re.match(r"^error: \w+Error: ", proc.stderr.strip().splitlines()[-1]), proc.stderr
     if key is not None:
         assert key in proc.stderr.strip().splitlines()[-1], proc.stderr
+
+
+# artifact -> (the command that reads it, every top-level key, and the keys one level down)
+ARTIFACT_KEYS = {
+    "base.json": (["train", "--classic"], {
+        "kind", "format_version", "spec", "name", "vocabulary", "class_names",
+        "class_signatures", "attribute_names", "prototypes", "splits"},
+        {"vocabulary": {"words", "vectors"}}),
+    "checkpoint_classic_s3.json": (["eval", "--classic"], {
+        "kind", "format_version", "config_hash", "tag", "seed", "attributes", "layout", "bank"},
+        {"bank": {"class_block", "attribute_blocks", "deep_class_blocks"}}),
+}
+KEY_DELETIONS = sorted(
+    (name, path)
+    for name, (_, top, nested) in ARTIFACT_KEYS.items()
+    for path in [*top, *(f"{outer}.{inner}" for outer, keys in nested.items() for inner in keys)]
+)
+
+
+@pytest.fixture(scope="module")
+def classic_pipeline_out(tmp_path_factory):
+    cfg, out = write_config(tmp_path_factory.mktemp("pipeline"))
+    for command in (["gen-data"], ["train", "--classic"]):
+        assert main([*command, "--config", cfg]) == 0, command
+    for name, (_, top, nested) in ARTIFACT_KEYS.items():
+        payload = load_json(os.path.join(out, name))
+        assert set(payload) == top, name
+        for outer, keys in nested.items():
+            assert set(payload[outer]) == keys, (name, outer)
+    return out
+
+
+@pytest.mark.parametrize("name, key", KEY_DELETIONS)
+def test_artifact_without_a_key_is_one_error_line(name, key, classic_pipeline_out, tmp_path,
+                                                  capsys):
+    cfg, out = write_config(tmp_path)
+    shutil.copytree(classic_pipeline_out, out)
+    path = os.path.join(out, name)
+    payload = load_json(path)
+    *outer, last = key.split(".")
+    del (payload[outer[0]] if outer else payload)[last]
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    assert main([*ARTIFACT_KEYS[name][0], "--config", cfg]) == 1
+    line = capsys.readouterr().err.strip().splitlines()[-1]
+    assert line.startswith("error: ") and path in line, line
+    assert key == "kind" or last in line, line

@@ -11,8 +11,6 @@ from promptlab.data import (
     default_attributes,
     generate_task,
     make_base_novel_task,
-    make_task_family,
-    nearest_prototype_accuracy,
 )
 from promptlab.errors import DataError
 
@@ -82,7 +80,9 @@ def test_different_seed_differs():
 
 def test_nearest_prototype_oracle_is_perfect_at_low_noise():
     task = generate_task(small_spec(noise_std=0.05))
-    assert nearest_prototype_accuracy(task, "test") == 1.0
+    x, y = task.split("test")
+    d2 = ((x[:, None, :] - task.prototypes[None, :, :]) ** 2).sum(axis=2)
+    assert (d2.argmin(axis=1) == y).all()
 
 
 def test_informative_signatures_are_unique():
@@ -206,31 +206,6 @@ def test_sliced_labels_are_reindexed():
         for split in ("train", "test"):
             _, y = task.split(split)
             assert y.min() == 0 and y.max() == task.num_classes - 1
-
-
-# -- families -----------------------------------------------------------------------
-
-
-def test_family_shares_vocabulary_and_feature_geometry():
-    tasks = make_task_family(small_spec(), 3)
-    assert len(tasks) == 3
-    for t in tasks[1:]:
-        assert t.vocabulary.words == tasks[0].vocabulary.words
-    # same signature => same systematic part; check via prototype closeness at signal 1
-    sig_to_proto = {}
-    for t in tasks:
-        for sig, proto in zip(t.class_signatures, t.prototypes):
-            key = tuple(sig[n] for n in t.spec.informative_attributes)
-            if key in sig_to_proto:
-                np.testing.assert_allclose(proto, sig_to_proto[key], atol=1e-12)
-            sig_to_proto[key] = proto
-
-
-def test_family_id_words_are_distinct_per_task():
-    tasks = make_task_family(small_spec(), 2)
-    ids0 = {n.split()[-1] for n in tasks[0].class_names}
-    ids1 = {n.split()[-1] for n in tasks[1].class_names}
-    assert not ids0 & ids1
 
 
 # -- persistence -----------------------------------------------------------------------

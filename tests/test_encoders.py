@@ -188,7 +188,7 @@ def test_equal_similarities_give_uniform_probs():
     j = enc.config.joint_dim
     w = np.tile(unit(np.arange(1, j + 1.0)), (5, 1))
     u = T.Tensor(unit(np.ones(j)))
-    p = enc.class_probabilities(u, T.Tensor(w))
+    p = T.softmax(enc.class_logits(u, T.Tensor(w)), axis=-1)
     np.testing.assert_allclose(p.data, np.full(5, 0.2), atol=1e-12)
 
 
@@ -200,7 +200,7 @@ def test_probabilities_at_unit_temperature():
     w = np.zeros((2, j))
     w[0, 0] = 1.0  # cos = 1
     w[1, 1] = 1.0  # cos = 0
-    p = enc.class_probabilities(T.Tensor(u), T.Tensor(w), temperature=1.0)
+    p = T.softmax(enc.class_logits(T.Tensor(u), T.Tensor(w), temperature=1.0), axis=-1)
     e = math.e
     np.testing.assert_allclose(p.data, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
 
@@ -214,7 +214,7 @@ def test_probability_ratio_at_paper_temperature():
     w = np.zeros((2, j))
     w[0, :2] = [0.9, math.sqrt(1 - 0.81)]
     w[1, :2] = [0.1, math.sqrt(1 - 0.01)]
-    p = enc.class_probabilities(T.Tensor(u), T.Tensor(w))
+    p = T.softmax(enc.class_logits(T.Tensor(u), T.Tensor(w)), axis=-1)
     ratio = p.data[0] / p.data[1]
     assert ratio == pytest.approx(math.exp(0.8 / 0.07), rel=1e-9)
 
@@ -225,7 +225,7 @@ def test_probabilities_sum_to_one():
     u = T.Tensor(unit(rng.standard_normal(enc.config.joint_dim)))
     w = rng.standard_normal((7, enc.config.joint_dim))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
-    p = enc.class_probabilities(u, T.Tensor(w))
+    p = T.softmax(enc.class_logits(u, T.Tensor(w)), axis=-1)
     assert abs(p.data.sum() - 1.0) < 1e-9
 
 
@@ -249,7 +249,7 @@ def test_argmax_invariant_to_temperature():
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     picks = set()
     for tau in (0.01, 0.07, 1.0, 100.0):
-        p = enc.class_probabilities(u, T.Tensor(w), temperature=tau)
+        p = T.softmax(enc.class_logits(u, T.Tensor(w), temperature=tau), axis=-1)
         picks.add(int(np.argmax(p.data)))
     assert len(picks) == 1
 

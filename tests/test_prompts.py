@@ -73,7 +73,7 @@ def test_multiword_class_name_occupies_consecutive_rows():
     enc = make_encoder()
     bank = make_bank(enc, attrs=())
     prompt = compose_shallow(enc, bank, PromptLayout(), "red cat")
-    (seg,) = prompt.segments_of("class_hard")
+    (seg,) = [s for s in prompt.segments if s.kind == "class_hard"]
     assert seg.length == 2
 
 
@@ -476,10 +476,10 @@ def test_reentry_partial_drop_restores_attribute_soft_blocks(monkeypatch):
     layout = PromptLayout(attribute_names=("color", "shape"), drop_policy="partial_drop",
                           depth=2)
     for prompt, _, hidden, out in reentered(enc, bank, layout, ["cat"], monkeypatch):
-        for seg in prompt.segments_of("attr_soft"):
+        for seg in [s for s in prompt.segments if s.kind == "attr_soft"]:
             np.testing.assert_array_equal(out[seg.start:seg.stop],
                                           bank.attribute_blocks[seg.name].data)
-        for seg in prompt.segments_of("attr_hard"):
+        for seg in [s for s in prompt.segments if s.kind == "attr_hard"]:
             np.testing.assert_array_equal(out[seg.start:seg.stop], hidden[seg.start:seg.stop])
 
 
@@ -489,7 +489,7 @@ def test_reentry_full_drop_restores_hard_rows(monkeypatch):
     layout = PromptLayout(attribute_names=("color",), drop_policy="full_drop", depth=2)
     # the hidden state is scrambled; the policy must restore the hard rows exactly
     for prompt, _, _, out in reentered(enc, bank, layout, ["cat"], monkeypatch):
-        (hard,) = prompt.segments_of("attr_hard")
+        (hard,) = [s for s in prompt.segments if s.kind == "attr_hard"]
         fresh = enc.token_embedding.data[enc.vocabulary.encode("color")]
         np.testing.assert_array_equal(out[hard.start:hard.stop], fresh)
 

@@ -68,7 +68,7 @@ def test_artifact_header_round_trips(tmp_path):
     path = str(tmp_path / "a.json")
     dump_artifact("thing", {"x": [1.5]}, path)
     assert load_json(path) == {"kind": "thing", "format_version": FORMAT_VERSION, "x": [1.5]}
-    assert load_artifact(path, "thing")["x"] == [1.5]
+    assert load_artifact(path, "thing", {"x": tuple}) == {"x": (1.5,)}
 
 
 @pytest.mark.parametrize("payload, message", [
@@ -81,6 +81,6 @@ def test_load_artifact_rejects_a_wrong_header_naming_the_path(tmp_path, payload,
     path = str(tmp_path / "a.json")
     dump_json(payload, path)
     with pytest.raises(DataError) as err:
-        load_artifact(path, "thing")
+        load_artifact(path, "thing", {})
     assert str(err.value).startswith(f"{path}: ")
     assert message in str(err.value)

@@ -134,12 +134,6 @@ def test_shared_subexpression_counted_once():
     np.testing.assert_allclose(x.grad, [12.0], atol=1e-15)
 
 
-def test_detach_blocks_gradient():
-    x = T.Tensor([2.0], requires_grad=True)
-    T.tsum(x.detach() * x).backward()
-    np.testing.assert_allclose(x.grad, [2.0], atol=1e-15)
-
-
 def test_backward_requires_scalar():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ContractError):

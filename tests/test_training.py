@@ -11,8 +11,6 @@ from promptlab.training import (
     EvalReport,
     TrainConfig,
     aggregate_reports,
-    base_novel_split,
-    cross_dataset_eval,
     evaluate,
     harmonic_mean,
     load_checkpoint,
@@ -73,9 +71,9 @@ def test_make_bank_carries_configured_blocks():
     enc = toy_encoder(task)
     cfg = TrainConfig(attributes=("color", "shape"), soft_len=3, attr_soft_len=2)
     bank = make_bank(cfg, enc)
-    assert bank.soft_len == 3
+    assert bank.class_block.shape[0] == 3
     assert sorted(bank.attribute_blocks) == ["color", "shape"]
-    assert bank.attr_soft_len == 2
+    assert {b.shape[0] for b in bank.attribute_blocks.values()} == {2}
 
 
 # -- training loop ------------------------------------------------------------
@@ -180,19 +178,6 @@ def test_per_class_accuracy_covers_every_class():
 
 
 # -- base/novel protocol ----------------------------------------------------------
-
-
-def test_base_novel_split_takes_first_half_sorted():
-    base, novel = base_novel_split([4, 0, 2, 1, 3])
-    assert base == [0, 1, 2]
-    assert novel == [3, 4]
-
-
-def test_base_novel_split_rejects_degenerate_inputs():
-    with pytest.raises(DataError):
-        base_novel_split([7])
-    with pytest.raises(DataError):
-        base_novel_split([1, 1, 2])
 
 
 def test_harmonic_mean_matches_published_aggregates():
@@ -321,34 +306,3 @@ def test_report_loader_rejects_other_kinds(tmp_path):
     with pytest.raises(DataError):
         load_report_records(path)
 
-
-# -- cross-task transfer -----------------------------------------------------------
-
-
-def test_cross_dataset_eval_requires_shared_vocabulary():
-    from promptlab.data import make_task_family
-
-    attrs = (
-        LatentAttribute("color", tuple(f"color{j}" for j in range(4))),
-        LatentAttribute("shape", ("shape0",)),
-    )
-    spec = TaskSpec(
-        latent_attributes=attrs,
-        informative_attributes=("color",),
-        num_classes=4,
-        samples_per_class=4,
-        noise_std=0.05,
-        seed=2,
-    )
-    family = make_task_family(spec, 3)
-    enc = toy_encoder(family[0])
-    cfg = TrainConfig()
-    bank = make_bank(cfg, enc)
-    out = cross_dataset_eval(enc, bank, cfg.effective_layout(), family[0], family[1:])
-    assert set(out) == {"source", "targets", "average"}
-    assert set(out["targets"]) == {t.name for t in family[1:]}
-    assert out["average"] == pytest.approx(np.mean(list(out["targets"].values())))
-
-    stranger = toy_task(seed=77)  # different vocabulary object and word list
-    with pytest.raises(DataError):
-        cross_dataset_eval(enc, bank, cfg.effective_layout(), family[0], [stranger])

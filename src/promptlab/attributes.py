@@ -28,7 +28,7 @@ from .errors import (
     RemoteError,
 )
 from .search import SearchResult, parse_result
-from .serialize import FORMAT_VERSION, JsonFields, dump_json
+from .serialize import FORMAT_VERSION, JsonFields, check_fields, dump_json, load_json
 
 PROVENANCES = ("fixture", "llm", "manual")
 
@@ -194,6 +194,10 @@ class MockTransport:
         return self.replies.pop(0)
 
 
+# the keys of a cache file, all required
+CACHE_TYPES = {"model": str, "request": str, "reply": str}
+
+
 class ResponseCache:
     """Append-only directory of raw reply files keyed by (model, request text).
 
@@ -215,9 +219,8 @@ class ResponseCache:
         path = self._path(model, request)
         if not os.path.exists(path):
             return None
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("model") != model or payload.get("request") != request:
+        payload = check_fields(CACHE_TYPES, load_json(path), f"{path}:cache", CACHE_TYPES)
+        if payload["model"] != model or payload["request"] != request:
             raise DataError(f"cache file {path} does not match its key")
         return payload["reply"]
 

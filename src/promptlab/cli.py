@@ -186,9 +186,8 @@ def _save_reports(config: RunConfig, reports, name: str):
 
 def cmd_train(args) -> int:
     config, base, novel, encoder = _run_inputs(args)
-    classic = bool(getattr(args, "classic", False))
-    tag = "classic" if classic else "atprompt"
-    attrs = () if classic else _selected_attributes(config)
+    tag = "classic" if args.classic else "atprompt"
+    attrs = () if args.classic else _selected_attributes(config)
     reports = []
     for seed in config.seed_list():
         train_cfg = replace(config.train, attributes=attrs, seed=subseed(seed, "train"))
@@ -207,8 +206,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config, base, novel, encoder = _run_inputs(args)
-    classic = bool(getattr(args, "classic", False))
-    tag = "classic" if classic else "atprompt"
+    tag = "classic" if args.classic else "atprompt"
     reports = []
     for seed in config.seed_list():
         path = _path(config, f"checkpoint_{tag}_s{seed}.json")
@@ -324,39 +322,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="attribute-anchored prompt learning pipeline on a miniature dual encoder",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    commands = {}
+    for name, func, text in (
+        ("gen-data", cmd_gen_data, "generate the base/novel dataset files"),
+        ("search-attrs", cmd_search_attrs, "run differentiable attribute search"),
+        ("train", cmd_train, "train prompts on base classes and report base/novel"),
+        ("eval", cmd_eval, "re-evaluate saved checkpoints"),
+        ("ablate", cmd_ablate, "sweep one design axis and compare by harmonic mean"),
+        ("report", cmd_report, "print the stored evaluation summaries"),
+    ):
+        p = commands[name] = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override the run seed")
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument("--seeds", default=None, help="comma-separated seed list override")
-
-    p = sub.add_parser("gen-data", help="generate the base/novel dataset files")
-    common(p)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("search-attrs", help="run differentiable attribute search")
-    common(p)
-    p.set_defaults(func=cmd_search_attrs)
-
-    p = sub.add_parser("train", help="train prompts on base classes and report base/novel")
-    common(p)
-    p.add_argument("--classic", action="store_true", help="train the no-attribute baseline")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="re-evaluate saved checkpoints")
-    common(p)
-    p.add_argument("--classic", action="store_true", help="evaluate the baseline checkpoints")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("ablate", help="sweep one design axis and compare by harmonic mean")
-    common(p)
-    p.add_argument("--axis", required=True, choices=ABLATION_AXES)
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("report", help="print the stored evaluation summaries")
-    common(p)
-    p.set_defaults(func=cmd_report)
+        p.set_defaults(func=func)
+    commands["train"].add_argument("--classic", action="store_true",
+                                   help="train the no-attribute baseline")
+    commands["eval"].add_argument("--classic", action="store_true",
+                                  help="evaluate the baseline checkpoints")
+    commands["ablate"].add_argument("--axis", required=True, choices=ABLATION_AXES)
     return parser
 
 

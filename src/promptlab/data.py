@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .serialize import JsonFields, check_fields, dump_artifact, load_artifact
+from .serialize import JsonFields, check_fields, dump_artifact, load_artifact, numeric_array
 from .vocab import EOS, SOS, Vocabulary
 
 DATASET_KIND = "dataset"
@@ -200,12 +200,16 @@ class Task:
         body = load_artifact(path, DATASET_KIND, TASK_TYPES)
         if expected_spec is not None and body["spec"] != expected_spec.validate():
             raise DataError(f"{path}: dataset spec does not match the runtime spec")
+        where = f"{path}:{DATASET_KIND}"
         splits = {}
         for name, split in body["splits"].items():
-            xy = check_fields(SPLIT_TYPES, split, f"{path}:{DATASET_KIND}.splits.{name}",
-                              SPLIT_TYPES)
-            splits[name] = (np.asarray(xy["x"], dtype=np.float64),
-                            np.asarray(xy["y"], dtype=np.int64))
+            xy = check_fields(SPLIT_TYPES, split, f"{where}.splits.{name}", SPLIT_TYPES)
+            splits[name] = (numeric_array(xy["x"], np.float64, f"{where}.splits.{name}.x"),
+                            numeric_array(xy["y"], np.int64, f"{where}.splits.{name}.y"))
+        for i, signature in enumerate(body["class_signatures"]):
+            if not isinstance(signature, dict):
+                raise DataError(
+                    f"{where}.class_signatures[{i}] must be a JSON object, got {signature!r}")
         return cls(
             spec=body["spec"],
             name=body["name"],
@@ -213,7 +217,7 @@ class Task:
             class_names=list(body["class_names"]),
             class_signatures=[dict(s) for s in body["class_signatures"]],
             attribute_names=list(body["attribute_names"]),
-            prototypes=np.asarray(body["prototypes"], dtype=np.float64),
+            prototypes=numeric_array(body["prototypes"], np.float64, f"{where}.prototypes"),
             splits=splits,
         )
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CapacityError, CheckpointError, ConfigError, ParameterError, ShapeError
-from .serialize import JsonFields, dump_artifact, load_artifact
+from .serialize import JsonFields, dump_artifact, load_artifact, numeric_array
 from .tensor import Tensor
 from .vocab import Vocabulary
 
@@ -286,8 +286,12 @@ class DualEncoder:
             ]
             raise CheckpointError(f"{path}: config mismatch ({'; '.join(diffs)})")
         enc = cls(config, payload["vocabulary"], payload["seed"])
+        weights = payload["weights"]
         for name, tens in enc._params.items():
-            stored = np.asarray(payload["weights"][name], dtype=np.float64)
+            if name not in weights:
+                raise CheckpointError(f"{path}: missing weight {name}")
+            stored = numeric_array(weights[name], np.float64, f"{path}: weight {name}",
+                                   CheckpointError)
             if stored.shape != tens.data.shape:
                 raise CheckpointError(f"{path}: weight {name} has shape {stored.shape}, expected {tens.data.shape}")
             tens.data = stored

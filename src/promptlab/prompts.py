@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .data import keyed_rng
 from .errors import ConfigError, ContractError, ParameterError
-from .serialize import JsonFields, check_fields
+from .serialize import JsonFields, check_fields, numeric_array
 from .tensor import Tensor
 from .vocab import PHOTO_TEMPLATE
 
@@ -163,13 +163,16 @@ class SoftPromptBank:
         """The bank a JSON object gives; all three keys are required."""
         body = check_fields(BANK_TYPES, payload, what, BANK_TYPES)
 
-        def block(rows, name: str) -> Tensor:
-            return Tensor(np.asarray(rows, dtype=np.float64), requires_grad=True, name=name)
+        def block(rows, name: str, key: str) -> Tensor:
+            return Tensor(numeric_array(rows, np.float64, f"{what}.{key}"), requires_grad=True,
+                          name=name)
 
         return cls(
-            block(body["class_block"], "class_block"),
-            {k: block(v, f"attr_block.{k}") for k, v in body["attribute_blocks"].items()},
-            [block(b, f"deep_block.{i}") for i, b in enumerate(body["deep_class_blocks"])],
+            block(body["class_block"], "class_block", "class_block"),
+            {k: block(v, f"attr_block.{k}", f"attribute_blocks.{k}")
+             for k, v in body["attribute_blocks"].items()},
+            [block(b, f"deep_block.{i}", f"deep_class_blocks[{i}]")
+             for i, b in enumerate(body["deep_class_blocks"])],
         )
 
 

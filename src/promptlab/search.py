@@ -281,7 +281,9 @@ def alternating_search(task: Task, bases, config: SearchConfig, encoder,
 
 # -- result files -------------------------------------------------------------
 
-_ROW_RE = re.compile(r"^\((?P<names>[^()]*)\), weight: (?P<weight>[-+0-9.eE]+)$")
+# a weight is a decimal number, which float() always reads; anything else is an unrecognized line
+_WEIGHT = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+_ROW_RE = re.compile(rf"^\((?P<names>[^()]*)\), weight: (?P<weight>{_WEIGHT})$")
 _SELECTED_RE = re.compile(r"^selected: \((?P<names>[^()]*)\)$")
 
 
@@ -312,8 +314,10 @@ def parse_result(text: str, path: str = "<string>") -> SearchResult:
         if not line:
             continue
         if line.startswith("#"):
-            key, _, value = line.lstrip("# ").partition(":")
-            header[key.strip()] = value.strip()
+            key, _, value = (s.strip() for s in line.lstrip("# ").partition(":"))
+            if key == "pool_size" and not re.fullmatch(r"[0-9]+", value):
+                raise ParseError(f"{path}:{lineno}: pool_size must be a count, got {value!r}")
+            header[key] = value
             continue
         m = _SELECTED_RE.match(line)
         if m:

@@ -17,6 +17,8 @@ import os
 from dataclasses import MISSING, asdict, fields
 from typing import get_type_hints
 
+import numpy as np
+
 from .errors import ConfigError, DataError
 
 # the version every artifact header carries; bump it when any format changes
@@ -91,6 +93,14 @@ def load_artifact(path: str, kind: str, types: dict) -> dict:
         )
     body = {k: v for k, v in payload.items() if k not in ("kind", "format_version")}
     return check_fields(types, body, f"{path}:{kind}", types)
+
+
+def numeric_array(value, dtype, where: str, error=DataError) -> np.ndarray:
+    """``value`` as a ``dtype`` array; a ragged or non-numeric value is ``error`` at ``where``."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError):
+        raise error(f"{where} must be a rectangular array of numbers") from None
 
 
 def check_fields(types: dict, payload, what: str, required=()) -> dict:

@@ -25,8 +25,6 @@ from .errors import ContractError, IndexRangeError, NumericsError, ShapeError
 
 _FREED_MEMORY_KEPT = False
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LN_EPS = 1e-5
 
 
@@ -133,9 +131,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     # -- reverse pass ---------------------------------------------------------
 
@@ -251,39 +246,30 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def _gelu_fwd(z: np.ndarray):
-    """Exact erf-based GELU of an array: (gelu(z), erf(z / sqrt 2))."""
-    # imported here, not at module level: scipy is slow to import and only gelu needs it
-    from scipy.special import erf
-
-    # in-place steps keep fewer large temporaries alive, which saves page
-    # faults; the result rounds as 0.5 * z * (1 + e) does, since halving a
-    # normal float is exact
-    e = z * _INV_SQRT2
-    erf(e, out=e)
-    y = e + 1.0
-    y *= 0.5
-    y *= z
-    return y, e
+    """QuickGELU of an array, (z s, s), with s = sigmoid(1.702 z) = (1 + tanh(0.851 z)) / 2."""
+    # the tanh form of the sigmoid cannot overflow, whatever z is
+    s = z * 0.851
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return z * s, s
 
 
-def _gelu_slope(z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """d gelu / dz from the forward's erf term: 0.5 (1 + e) + z exp(-z^2 / 2) / sqrt(2 pi)."""
-    t = -0.5 * z
-    t *= z
-    np.exp(t, out=t)
-    t *= z
-    t *= _INV_SQRT2PI
-    slope = e + 1.0
-    slope *= 0.5
-    slope += t
+def _gelu_slope(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """d gelu / dz from the forward's sigmoid: s + 1.702 z s (1 - s)."""
+    slope = 1.0 - s
+    slope *= s
+    slope *= z
+    slope *= 1.702
+    slope += s
     return slope
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact erf-based GELU."""
+    """QuickGELU, z sigmoid(1.702 z), the activation of CLIP's text encoder."""
     a = _as_tensor(a)
-    data, e = _gelu_fwd(a.data)
-    return _make(data, (a,), lambda g: (g * _gelu_slope(a.data, e),), "gelu")
+    data, s = _gelu_fwd(a.data)
+    return _make(data, (a,), lambda g: (g * _gelu_slope(a.data, s),), "gelu")
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -300,9 +286,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        g_ = g if keepdims else np.expand_dims(g, axis)
+        g_ = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(g_, a.shape).copy(),)
 
     return _make(data, (a,), vjp, "sum")
@@ -668,7 +652,7 @@ def mlp_sublayer(h: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, 
                  b2: Tensor) -> Tensor:
     """``h + gelu(layer_norm(h) @ w1 + b1) @ w2 + b2`` over the last axis of ``h``.
 
-    The forward keeps the normalized input, the pre-activation, its erf term
+    The forward keeps the normalized input, the pre-activation, its sigmoid
     and the activation, so the VJP recomputes none of them.
     """
     h, gain, bias, w1, b1, w2, b2 = map(_as_tensor, (h, gain, bias, w1, b1, w2, b2))
@@ -676,7 +660,7 @@ def mlp_sublayer(h: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, 
     n, xhat, inv = _layer_norm_fwd(h.data, gain.data, bias.data, _LN_EPS)
     z = n @ w1.data
     z += b1.data
-    a, e = _gelu_fwd(z)
+    a, s = _gelu_fwd(z)
     data = a @ w2.data
     np.add(h.data, data, out=data)  # (h + mlp) + b2, as the primitive ops add
     data += b2.data
@@ -688,7 +672,7 @@ def mlp_sublayer(h: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, 
         gb2 = _sum_lead(g) if b2.requires_grad else None
         if into_n or w1.requires_grad or b1.requires_grad:
             gz = g @ w2.data.T
-            gz *= _gelu_slope(z, e)
+            gz *= _gelu_slope(z, s)
             gw1 = _weight_grad(n, gz) if w1.requires_grad else None
             gb1 = _sum_lead(gz) if b1.requires_grad else None
             if into_n:

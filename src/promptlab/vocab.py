@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError, ShapeError, TokenizationError
-from .serialize import check_fields
+from .serialize import check_fields, numeric_array
 
 SOS = "[SOS]"
 EOS = "[EOS]"
@@ -82,4 +82,4 @@ class Vocabulary:
     def from_dict(cls, payload, what: str = "Vocabulary") -> "Vocabulary":
         """The vocabulary a JSON object gives; both keys are required."""
         body = check_fields(VOCABULARY_TYPES, payload, what, VOCABULARY_TYPES)
-        return cls(body["words"], np.asarray(body["vectors"], dtype=np.float64))
+        return cls(body["words"], numeric_array(body["vectors"], np.float64, f"{what}.vectors"))

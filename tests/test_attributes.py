@@ -1,5 +1,6 @@
 import json
 import os
+import socket
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -19,6 +20,7 @@ from promptlab.attributes import (
     fixture_search_result,
     summarize_bases,
 )
+from promptlab.cli import main
 from promptlab.errors import (
     ConfigError,
     DataError,
@@ -263,6 +265,43 @@ def test_cache_file_that_does_not_match_its_key_is_a_data_error(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(DataError):
         cache.get("m", "describe cat")
+
+
+@pytest.mark.parametrize("content, message", [
+    (lambda request: "{not json", "DataError: not valid JSON: {path}"),
+    (lambda request: json.dumps(["test-model", request, "furry"]),
+     "ConfigError: {path}:cache must be a JSON object"),
+    (lambda request: json.dumps({"model": "test-model", "request": request}),
+     "ConfigError: missing key '{path}:cache.reply'"),
+], ids=["not_json", "list", "no_reply"])
+def test_malformed_cache_file_ends_search_attrs_in_one_error_line(content, message, tmp_path,
+                                                                  monkeypatch, capsys):
+    def no_network(*args, **kwargs):
+        raise AssertionError("network access attempted")
+
+    monkeypatch.setattr(socket, "socket", no_network)
+    monkeypatch.delenv("PROMPTLAB_TEST_KEY", raising=False)
+    out, cfg = tmp_path / "out", tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "kind": "run_config",
+        "format_version": 1,
+        "task": {"num_classes": 4, "samples_per_class": 4, "noise_std": 0.1,
+                 "latent_attributes": [["color", ["color0", "color1", "color2", "color3"]]],
+                 "informative_attributes": ["color"], "seed": 0},
+        "attributes": {"llm": {"model": "test-model", "credential_env": "PROMPTLAB_TEST_KEY"}},
+        "out": str(out),
+        "seed": 0,
+    }))
+    assert main(["gen-data", "--config", str(cfg)]) == 0
+    first = json.loads((out / "base.json").read_text())["class_names"][0]
+    request = DESCRIBE_TEMPLATE.format(name=first)
+    path = ResponseCache(str(out / "llm_cache"))._path("test-model", request)
+    with open(path, "w") as fh:
+        fh.write(content(request))
+    capsys.readouterr()
+    assert main(["search-attrs", "--config", str(cfg)]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith(f"error: {message.format(path=path)}"), line
 
 
 def test_cache_files_are_structured_text_without_credentials(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import os
 import re
 import shutil
@@ -9,7 +11,7 @@ import pytest
 
 from promptlab import cli
 from promptlab.cli import main
-from promptlab.search import load_result
+from promptlab.search import load_result, parse_result
 from promptlab.serialize import FORMAT_VERSION, file_sha256, load_json
 from promptlab.training import EvalReport, load_report_records, save_report_records
 
@@ -410,3 +412,60 @@ def test_artifact_without_a_key_is_one_error_line(name, key, classic_pipeline_ou
     line = capsys.readouterr().err.strip().splitlines()[-1]
     assert line.startswith("error: ") and path in line, line
     assert key == "kind" or last in line, line
+
+
+# an element of an artifact replaced by a string, keyed by the name its error line must carry
+RETYPED_ELEMENTS = {
+    "class_signatures[0]": ("base.json", ("class_signatures", 0)),
+    "splits.train.x": ("base.json", ("splits", "train", "x", 0, 0)),
+    "vocabulary.vectors": ("base.json", ("vocabulary", "vectors", 0, 0)),
+    "bank.class_block": ("checkpoint_classic_s3.json", ("bank", "class_block", 0, 0)),
+}
+
+
+@pytest.mark.parametrize("where", sorted(RETYPED_ELEMENTS))
+def test_artifact_with_a_retyped_element_is_one_error_line(where, classic_pipeline_out, tmp_path,
+                                                           capsys):
+    cfg, out = write_config(tmp_path)
+    shutil.copytree(classic_pipeline_out, out)
+    name, (*outer, last) = RETYPED_ELEMENTS[where]
+    path = os.path.join(out, name)
+    payload = load_json(path)
+    functools.reduce(operator.getitem, outer, payload)[last] = "x"
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    assert main([*ARTIFACT_KEYS[name][0], "--config", cfg]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert re.match(r"^error: \w+Error: ", line) and path in line and where in line, line
+
+
+SEARCH_RESULT = """\
+# kind: search_result
+# format_version: 1
+# bases: color, shape
+# pool_size: {pool_size}
+# config_hash: none
+(color), weight: {weight}
+(shape), weight: 0.302
+(color, shape), weight: 0.349
+selected: (color)
+"""
+
+
+@pytest.mark.parametrize("line, fields", [
+    (4, {"pool_size": "three", "weight": "0.349"}),
+    (6, {"pool_size": "3", "weight": "-.-349"}),
+], ids=["pool_size", "weight"])
+def test_search_result_with_a_bad_number_is_one_error_line(line, fields, classic_pipeline_out,
+                                                           tmp_path, capsys):
+    cfg, out = write_config(tmp_path)
+    shutil.copytree(classic_pipeline_out, out)
+    path = os.path.join(out, "search_result.txt")
+    parse_result(SEARCH_RESULT.format(pool_size="3", weight="0.349"))  # the file, unedited, reads
+    with open(path, "w") as fh:
+        fh.write(SEARCH_RESULT.format(**fields))
+    capsys.readouterr()
+    assert main(["train", "--config", cfg]) == 1
+    (err,) = capsys.readouterr().err.strip().splitlines()
+    assert err.startswith(f"error: ParseError: {path}:{line}: "), err

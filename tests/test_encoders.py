@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,20 +99,20 @@ def test_batched_encode_matches_single():
 # (num_layers, num_heads)
 TEXT_FEATURE_PINS = {
     (1, 1): [
-        [-0.5578062740366821, 0.36180146251858925, 0.6878883469520752, -0.2911382566606629],
-        [0.09927813810541918, -0.23995848062448252, 0.684229438871625, 0.6814644919956502],
+        [-0.557984698544487, 0.3613624731832171, 0.6879558291914445, -0.2911821015203087],
+        [0.0977802613248276, -0.23905717831225937, 0.684536488606041, 0.681689432042405],
     ],
     (1, 4): [
-        [-0.49380544982716384, -0.11908416402273488, -0.8592362764983003, 0.06073022927747386],
-        [0.047149179971845465, 0.10421584024722268, -0.9631016350519088, 0.24362112804322175],
+        [-0.4943466616477194, -0.11887825327497298, -0.8589797846077334, 0.06035783834812437],
+        [0.04613768512876489, 0.10439510370076696, -0.963064530981592, 0.24388457413013087],
     ],
     (2, 1): [
-        [-0.14725522043711883, 0.6865933276381215, -0.17190474289252833, 0.6909082875945507],
-        [0.6120259220208348, 0.4960483018032993, -0.18137226569675818, 0.5886123123816187],
+        [-0.14712068975788292, 0.6865741053860347, -0.17169897303470874, 0.6910072091637769],
+        [0.6122232083486207, 0.49682671854770294, -0.18249468442539918, 0.5874024557758664],
     ],
     (2, 4): [
-        [0.5351115529597794, -0.24729143873419268, -0.8074256486806795, -0.023798993033220122],
-        [0.4690279990292099, -0.6816387274423664, -0.12196086160556936, -0.5481851234870583],
+        [0.5348662397999321, -0.24714735972277127, -0.8076356316099264, -0.023684903576860903],
+        [0.46887479547617567, -0.682700136512378, -0.12128940107641521, -0.5471433367577152],
     ],
 }
 
@@ -431,3 +432,19 @@ def test_checkpoint_config_mismatch_rejected():
         with pytest.raises(CheckpointError) as err:
             DualEncoder.load(path, expected_config=other)
         assert "joint_dim" in str(err.value)
+
+
+@pytest.mark.parametrize("value", [None, "x", [1.0, [2.0]]], ids=["missing", "string", "ragged"])
+def test_checkpoint_with_a_bad_weight_names_the_file_and_the_weight(value, tmp_path):
+    import json
+
+    path = tmp_path / "enc.json"
+    make_encoder().save(str(path))
+    payload = json.loads(path.read_text())
+    if value is None:
+        del payload["weights"]["image.b1"]
+    else:
+        payload["weights"]["image.b1"] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: .*weight image.b1"):
+        DualEncoder.load(str(path))

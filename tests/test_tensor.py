@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,22 @@ def test_softmax_large_inputs_stable():
     ref = T.softmax(T.Tensor([0.0, 0.5]))
     assert np.all(np.isfinite(out.data))
     np.testing.assert_allclose(out.data, ref.data, atol=1e-15)
+
+
+def test_gelu_is_clips_quickgelu():
+    z = np.linspace(-8.0, 8.0, 1601)
+    np.testing.assert_allclose(T.gelu(T.Tensor(z)).data, z / (1.0 + np.exp(-1.702 * z)),
+                               rtol=1e-12, atol=1e-15)
+
+
+def test_gelu_large_inputs_are_finite_without_warnings():
+    z = T.Tensor(np.array([-1e3, 1e3]), requires_grad=True)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        out = T.gelu(z)
+        T.tsum(out).backward()
+    np.testing.assert_array_equal(out.data, [0.0, 1e3])
+    np.testing.assert_array_equal(z.grad, [0.0, 1.0])
 
 
 def test_cross_entropy_uniform_logits():

@@ -100,7 +100,7 @@ class RunConfig:
         if not self.out_dir:
             raise ConfigError("output directory must be set")
         for s in self.seeds:
-            if not isinstance(s, int):
+            if isinstance(s, bool) or not isinstance(s, int):
                 raise ConfigError(f"seeds must be integers, got {s!r}")
         return self
 

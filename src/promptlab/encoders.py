@@ -73,8 +73,6 @@ class DualEncoder:
         self.vocabulary = vocabulary
         self.seed = int(seed)
         self._params = self._init_params(np.random.default_rng(self.seed))
-        self._rows: dict = {}
-        self._rows_table = None
 
     # -- construction -----------------------------------------------------------
 
@@ -136,25 +134,6 @@ class DualEncoder:
     def embed_tokens(self, ids) -> Tensor:
         """Rows of the frozen token table for a 1D id sequence."""
         return T.embedding(self._params["token_embedding"], ids)
-
-    def frozen_rows(self, ids) -> Tensor:
-        """``embed_tokens(ids)``, built once per id sequence while the table is frozen.
-
-        Prompt composition asks for the same hard tokens (sentinels, attribute
-        words, class names) at every step. The cache remembers the table array
-        it was filled from, so replacing the weights (as ``load`` does)
-        empties it; a table that requires gradients bypasses it.
-        """
-        table = self._params["token_embedding"]
-        if table.requires_grad:
-            return self.embed_tokens(ids)
-        if self._rows_table is not table.data:
-            self._rows, self._rows_table = {}, table.data
-        key = tuple(map(int, ids))
-        rows = self._rows.get(key)
-        if rows is None:
-            rows = self._rows[key] = self.embed_tokens(ids)
-        return rows
 
     def weights_fingerprint(self) -> bytes:
         """Order-stable byte digest of every weight, for freeze-contract checks."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import keyed_rng
-from .errors import ConfigError, ContractError, ParameterError
+from .errors import ConfigError, ContractError, DataError, ParameterError
 from .serialize import JsonFields, check_fields, numeric_array
 from .tensor import Tensor
 from .vocab import PHOTO_TEMPLATE
@@ -163,15 +163,21 @@ class SoftPromptBank:
         """The bank a JSON object gives; all three keys are required."""
         body = check_fields(BANK_TYPES, payload, what, BANK_TYPES)
 
-        def block(rows, name: str, key: str) -> Tensor:
-            return Tensor(numeric_array(rows, np.float64, f"{what}.{key}"), requires_grad=True,
-                          name=name)
+        def block(rows, name: str, key: str, width: int = None) -> Tensor:
+            data = numeric_array(rows, np.float64, f"{what}.{key}")
+            if data.ndim != 2 or (width is not None and data.shape[1] != width):
+                expected = "rows" if width is None else f"rows of width {width}"
+                raise DataError(f"{what}.{key} must be a 2-D block of {expected}, "
+                                f"got shape {data.shape}")
+            return Tensor(data, requires_grad=True, name=name)
 
+        class_block = block(body["class_block"], "class_block", "class_block")
+        width = class_block.shape[1]
         return cls(
-            block(body["class_block"], "class_block", "class_block"),
-            {k: block(v, f"attr_block.{k}", f"attribute_blocks.{k}")
+            class_block,
+            {k: block(v, f"attr_block.{k}", f"attribute_blocks.{k}", width)
              for k, v in body["attribute_blocks"].items()},
-            [block(b, f"deep_block.{i}", f"deep_class_blocks[{i}]")
+            [block(b, f"deep_block.{i}", f"deep_class_blocks[{i}]", width)
              for i, b in enumerate(body["deep_class_blocks"])],
         )
 
@@ -247,7 +253,6 @@ class Segment:
 class ComposedPrompt:
     embeds: Tensor  # [L, embed_dim]
     segments: list
-    class_name: str
     pieces: tuple  # the tensors concatenated into embeds, in order
 
     @property
@@ -267,10 +272,10 @@ def check_partition(segments, length: int) -> None:
 
 
 def _hard_rows(encoder, word: str) -> Tensor:
-    return encoder.frozen_rows(encoder.vocabulary.encode(word))
+    return encoder.embed_tokens(encoder.vocabulary.encode(word))
 
 
-def _assemble(pieces, class_name: str) -> ComposedPrompt:
+def _assemble(pieces) -> ComposedPrompt:
     segments = []
     cursor = 0
     tensors = []
@@ -279,7 +284,7 @@ def _assemble(pieces, class_name: str) -> ComposedPrompt:
         segments.append(Segment(kind, name, cursor, cursor + length))
         cursor += length
         tensors.append(tens)
-    prompt = ComposedPrompt(T.concat(tensors, axis=0), segments, class_name, tuple(tensors))
+    prompt = ComposedPrompt(T.concat(tensors, axis=0), segments, tuple(tensors))
     check_partition(segments, prompt.length)
     return prompt
 
@@ -323,10 +328,10 @@ def compose_shallow(encoder, bank: SoftPromptBank, layout: PromptLayout,
     """Attribute-anchored prompt (or the classic form when no attributes)."""
     layout.validate(encoder.config.num_layers)
     vocab = encoder.vocabulary
-    pieces = [("sentinel_prefix", "", encoder.frozen_rows([vocab.sos_id]))]
+    pieces = [("sentinel_prefix", "", encoder.embed_tokens([vocab.sos_id]))]
     pieces.extend(_ordered_units(encoder, bank, layout, class_name))
-    pieces.append(("sentinel_suffix", "", encoder.frozen_rows([vocab.eos_id])))
-    return _assemble(pieces, class_name)
+    pieces.append(("sentinel_suffix", "", encoder.embed_tokens([vocab.eos_id])))
+    return _assemble(pieces)
 
 
 def compose_classic(encoder, bank: SoftPromptBank, class_name: str) -> ComposedPrompt:
@@ -372,7 +377,8 @@ class FeaturePlan:
     Building the plan composes every (candidate, class) prompt with
     ``compose_shallow`` (validating layouts and position maps) and records
     which rows of which piece tensors (soft blocks, frozen hard rows, deep
-    blocks) each prompt is made of. Prompts of one length share one
+    blocks) each prompt is made of; each sentinel, attribute word and class
+    name enters the piece table once. Prompts of one length share one
     ``[n, L, d]`` pass; a depth >= 2 layout keeps its own passes, with one
     ``apply_drop_policy`` index per deep layer: entering layer k + 1, the
     class soft block takes the rows of deep block k - 1, and the attribute
@@ -389,13 +395,16 @@ class FeaturePlan:
     def __init__(self, encoder, candidates, class_names):
         self.encoder = encoder
         self._pieces = []  # distinct piece tensors, in order of first use
-        first_row = {}  # id(piece) -> its first row in the concatenated pieces
+        first_row = {}  # piece key -> its first row in the concatenated pieces
 
-        def piece_rows(piece) -> range:
-            if id(piece) not in first_row:
-                first_row[id(piece)] = sum(p.shape[0] for p in self._pieces)
+        def piece_rows(piece, seg) -> range:
+            # a soft or deep block is one trainable tensor, known by identity;
+            # frozen rows are made afresh per prompt, so they are known by content
+            key = id(piece) if seg.kind.endswith("_soft") else (seg.kind, seg.name)
+            if key not in first_row:
+                first_row[key] = sum(p.shape[0] for p in self._pieces)
                 self._pieces.append(piece)
-            return range(first_row[id(piece)], first_row[id(piece)] + piece.shape[0])
+            return range(first_row[key], first_row[key] + piece.shape[0])
 
         passes = []  # per pass: (rows, re-entry rows per deep layer) for each prompt
         pass_of = {}  # (length, candidate or -1) -> index into passes
@@ -408,14 +417,15 @@ class FeaturePlan:
             runs = []
             for name in class_names:
                 prompt = compose_shallow(encoder, bank, layout, name)
-                rows = [row for piece in prompt.pieces for row in piece_rows(piece)]
+                rows = [row for seg, piece in zip(prompt.segments, prompt.pieces)
+                        for row in piece_rows(piece, seg)]
                 kinds = REENTERED_KINDS[layout.drop_policy]
                 reentry = []  # per deep layer: the piece row each position re-enters with, or -1
                 for block in deep:
                     layer = [-1] * prompt.length
                     for seg in prompt.segments:
                         if seg.kind == "class_soft":
-                            layer[seg.start:seg.stop] = piece_rows(block)
+                            layer[seg.start:seg.stop] = piece_rows(block, seg)
                         elif seg.kind in kinds:
                             layer[seg.start:seg.stop] = rows[seg.start:seg.stop]
                     reentry.append(layer)

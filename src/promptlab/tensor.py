@@ -522,7 +522,10 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     parts = [_as_tensor(t) for t in tensors]
     if not parts:
         raise ContractError("concat: need at least one tensor")
-    data = np.concatenate([p.data for p in parts], axis=axis)
+    try:
+        data = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError:
+        raise ShapeError(f"concat: cannot join {[p.shape for p in parts]} along axis {axis}")
     sizes = [p.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
@@ -587,8 +590,8 @@ def attention_sublayer(h: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, wk: Te
     width d / num_heads, and each query's score against its own position is
     lowered by 1e9 before the softmax. The merged heads go through ``wo`` and
     are added to the last ``q_len`` rows of ``h``. Heads are an axis of one
-    array, never slices. The forward keeps the normalized input, q, k, v, the
-    attention weights and the merged context for the VJP.
+    array, never slices. Only ``h`` is differentiated (the rest must be frozen);
+    the forward keeps xhat, 1 / std, q, k^T, v and the attention weights.
     """
     h, gain, bias, wq, wk, wv, wo = map(_as_tensor, (h, gain, bias, wq, wk, wv, wo))
     if h.ndim not in (2, 3):
@@ -596,7 +599,7 @@ def attention_sublayer(h: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, wk: Te
     length, d = h.shape[-2:]
     if d % num_heads or not 1 <= q_len <= length:
         raise ShapeError(f"attention_sublayer: {num_heads} heads, q_len {q_len} for {h.shape}")
-    _check_norm_params("attention_sublayer", h, gain, bias)
+    _check_frozen_params("attention_sublayer", h, gain, bias, wq, wk, wv, wo)
     first = length - q_len
     n, xhat, inv = _layer_norm_fwd(h.data, gain.data, bias.data, _LN_EPS)
     nq = n[..., first:, :]
@@ -620,43 +623,34 @@ def attention_sublayer(h: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, wk: Te
     data += h.data[..., first:, :]
 
     def vjp(g):
-        into_n = h.requires_grad or gain.requires_grad or bias.requires_grad
-        gh = ggain = gbias = gwq = gwk = gwv = None
-        gwo = _weight_grad(ctx, g) if wo.requires_grad else None
-        if into_n or wq.requires_grad or wk.requires_grad or wv.requires_grad:
-            gc = _split_heads(g @ wo.data.T, num_heads)
-            gs = gc @ v.swapaxes(-1, -2)
-            gs -= (gs * y).sum(axis=-1, keepdims=True)
-            gs *= y
-            gs *= inv_sqrt
-            gq = _merge_heads(gs @ kt.swapaxes(-1, -2))
-            gk = _merge_heads((q.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
-            gv = _merge_heads(y.swapaxes(-1, -2) @ gc)
-            gwq = _weight_grad(nq, gq) if wq.requires_grad else None
-            gwk = _weight_grad(n, gk) if wk.requires_grad else None
-            gwv = _weight_grad(n, gv) if wv.requires_grad else None
-            if into_n:
-                # k, then q, then v: the order the primitive-op block sums them in
-                gn = gk @ wk.data.T
-                gn[..., first:, :] += gq @ wq.data.T
-                gn += gv @ wv.data.T
-                gh, ggain, gbias = _layer_norm_vjp(gn, xhat, inv, h, gain, bias)
-        if h.requires_grad:
-            gh[..., first:, :] += g
-        return gh, ggain, gbias, gwq, gwk, gwv, gwo
+        gc = _split_heads(g @ wo.data.T, num_heads)
+        gs = gc @ v.swapaxes(-1, -2)
+        gs -= (gs * y).sum(axis=-1, keepdims=True)
+        gs *= y
+        gs *= inv_sqrt
+        gq = _merge_heads(gs @ kt.swapaxes(-1, -2))
+        gk = _merge_heads((q.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+        gv = _merge_heads(y.swapaxes(-1, -2) @ gc)
+        # k, then q, then v: the order the primitive-op block sums them in
+        gn = gk @ wk.data.T
+        gn[..., first:, :] += gq @ wq.data.T
+        gn += gv @ wv.data.T
+        gh = _layer_norm_vjp(gn, xhat, inv, h, gain, bias)[0]
+        gh[..., first:, :] += g
+        return (gh,)
 
-    return _make(data, (h, gain, bias, wq, wk, wv, wo), vjp, "softmax")
+    return _make(data, (h,), vjp, "softmax")
 
 
 def mlp_sublayer(h: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
                  b2: Tensor) -> Tensor:
     """``h + gelu(layer_norm(h) @ w1 + b1) @ w2 + b2`` over the last axis of ``h``.
 
-    The forward keeps the normalized input, the pre-activation, its sigmoid
-    and the activation, so the VJP recomputes none of them.
+    Only ``h`` is differentiated (the rest must be frozen). The forward keeps
+    xhat, 1 / std, the pre-activation and its sigmoid, so the VJP recomputes none.
     """
     h, gain, bias, w1, b1, w2, b2 = map(_as_tensor, (h, gain, bias, w1, b1, w2, b2))
-    _check_norm_params("mlp_sublayer", h, gain, bias)
+    _check_frozen_params("mlp_sublayer", h, gain, bias, w1, b1, w2, b2)
     n, xhat, inv = _layer_norm_fwd(h.data, gain.data, bias.data, _LN_EPS)
     z = n @ w1.data
     z += b1.data
@@ -666,22 +660,20 @@ def mlp_sublayer(h: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, 
     data += b2.data
 
     def vjp(g):
-        into_n = h.requires_grad or gain.requires_grad or bias.requires_grad
-        gh = ggain = gbias = gw1 = gb1 = None
-        gw2 = _weight_grad(a, g) if w2.requires_grad else None
-        gb2 = _sum_lead(g) if b2.requires_grad else None
-        if into_n or w1.requires_grad or b1.requires_grad:
-            gz = g @ w2.data.T
-            gz *= _gelu_slope(z, s)
-            gw1 = _weight_grad(n, gz) if w1.requires_grad else None
-            gb1 = _sum_lead(gz) if b1.requires_grad else None
-            if into_n:
-                gh, ggain, gbias = _layer_norm_vjp(gz @ w1.data.T, xhat, inv, h, gain, bias)
-        if h.requires_grad:
-            gh += g
-        return gh, ggain, gbias, gw1, gb1, gw2, gb2
+        gz = g @ w2.data.T
+        gz *= _gelu_slope(z, s)
+        gh = _layer_norm_vjp(gz @ w1.data.T, xhat, inv, h, gain, bias)[0]
+        gh += g
+        return (gh,)
 
-    return _make(data, (h, gain, bias, w1, b1, w2, b2), vjp, "gelu")
+    return _make(data, (h,), vjp, "gelu")
+
+
+def _check_frozen_params(op: str, h: Tensor, gain: Tensor, bias: Tensor, *weights: Tensor) -> None:
+    """LN shapes, and no trainable parameter: it would get no gradient from a fused op."""
+    _check_norm_params(op, h, gain, bias)
+    if any(p.requires_grad for p in (gain, bias, *weights)):
+        raise ContractError(f"{op}: LayerNorm parameters and weights must be frozen")
 
 
 def _split_heads(a: np.ndarray, num_heads: int) -> np.ndarray:
@@ -696,7 +688,3 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
     *lead, heads, length, width = a.shape
     return np.ascontiguousarray(a.swapaxes(-2, -3).reshape(*lead, length, heads * width))
 
-
-def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient of ``W`` in ``x @ W``, summed over every leading axis."""
-    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])

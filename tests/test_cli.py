@@ -327,6 +327,7 @@ BAD_INPUTS = {
     "train_batch_size_string": (_set("train", "batch_size", "16"), ["train"], None),
     "seed_not_integer": (lambda payload: payload.update(seed="x"), ["train"], None),
     "seeds_flag_not_integers": (None, ["train", "--seeds", "a,b"], None),
+    "seeds_bool": (lambda payload: payload.update(seeds=[True]), ["train", "--classic"], "seeds"),
     "train_negative_soft_len": (_set("train", "soft_len", -1), ["train", "--classic"], None),
     "search_negative_soft_len": (_set("search", "soft_len", -1), ["search-attrs"], None),
     "encoder_overrides_string": (_set("encoder_overrides", "num_layers", "4"),
@@ -438,6 +439,34 @@ def test_artifact_with_a_retyped_element_is_one_error_line(where, classic_pipeli
     assert main([*ARTIFACT_KEYS[name][0], "--config", cfg]) == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert re.match(r"^error: \w+Error: ", line) and path in line and where in line, line
+
+
+# a prompt-checkpoint soft block of the wrong shape -> (the error type of its one line, and
+# the bank key that line must name, or None when the block only misfits the encoder)
+BAD_BLOCKS = {
+    "class_block_empty": (("class_block",), [], "DataError", "bank.class_block"),
+    "class_block_narrow": (("class_block",), [[0.1, 0.2], [0.3, 0.4]], "ShapeError", None),
+    "attribute_block_narrow": (("attribute_blocks", "color"), [[0.1, 0.2]], "DataError",
+                               "bank.attribute_blocks.color"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BLOCKS))
+def test_checkpoint_block_of_the_wrong_shape_is_one_error_line(case, classic_pipeline_out,
+                                                               tmp_path, capsys):
+    cfg, out = write_config(tmp_path)
+    shutil.copytree(classic_pipeline_out, out)
+    (*outer, last), block, error, where = BAD_BLOCKS[case]
+    path = os.path.join(out, "checkpoint_classic_s3.json")
+    payload = load_json(path)
+    functools.reduce(operator.getitem, outer, payload["bank"])[last] = block
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    assert main(["eval", "--classic", "--config", cfg]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith(f"error: {error}: "), line
+    assert where is None or (path in line and where in line), line
 
 
 SEARCH_RESULT = """\

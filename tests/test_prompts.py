@@ -663,3 +663,20 @@ def test_one_plan_serves_every_step(depth):
             first = reused
         opt.step()
     assert not np.allclose(first[0], reused[0])  # the steps did move the features
+
+
+def test_plan_holds_each_piece_once():
+    # however many prompts spell a sentinel, an attribute word or a class name,
+    # its frozen rows enter the piece table once; each soft block enters once too
+    enc = make_encoder()
+    names = ("cat", "red fish", "dog")
+    candidates = candidate_set(enc, "interval", 2)
+    pieces = FeaturePlan(enc, candidates, names)._pieces
+    vocab = enc.vocabulary
+    words = [[vocab.sos_id], [vocab.eos_id]] + [vocab.encode(w) for w in ("color", "shape", *names)]
+    frozen = [p.data for p in pieces if not p.requires_grad]
+    assert len(frozen) == len(words)
+    for ids in words:
+        assert sum(np.array_equal(f, enc.token_embedding.data[ids]) for f in frozen) == 1
+    soft = [id(p) for p in pieces if p.requires_grad]
+    assert sorted(soft) == sorted(id(p) for bank, _ in candidates for p in bank.parameters())

@@ -213,6 +213,9 @@ def cmd_eval(args) -> int:
         if not os.path.exists(path):
             raise CheckpointError(f"no checkpoint at {path}; run train first")
         bank, layout = load_checkpoint(path)
+        if bank.embed_dim != encoder.config.embed_dim:
+            raise CheckpointError(f"{path}: bank.class_block rows have width {bank.embed_dim}, "
+                                  f"the encoder embeds in {encoder.config.embed_dim}")
         report = base_novel_report(encoder, bank, layout, base, novel)
         reports.append((seed, report))
         print(f"seed {seed}: base {report.base_accuracy:.2f} novel {report.novel_accuracy:.2f} "

@@ -99,9 +99,11 @@ class RunConfig:
         check_fields(get_type_hints(EncoderConfig), self.encoder_overrides, "encoder_overrides")
         if not self.out_dir:
             raise ConfigError("output directory must be set")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         for s in self.seeds:
-            if isinstance(s, bool) or not isinstance(s, int):
-                raise ConfigError(f"seeds must be integers, got {s!r}")
+            if isinstance(s, bool) or not isinstance(s, int) or s < 0:
+                raise ConfigError(f"seeds must be non-negative integers, got {s!r}")
         return self
 
     def seed_list(self) -> tuple:

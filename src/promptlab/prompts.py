@@ -251,13 +251,17 @@ class Segment:
 
 @dataclass
 class ComposedPrompt:
-    embeds: Tensor  # [L, embed_dim]
     segments: list
-    pieces: tuple  # the tensors concatenated into embeds, in order
+    pieces: tuple  # the tensors the prompt is made of, one per segment, in order
+
+    @property
+    def embeds(self) -> Tensor:
+        """The prompt's rows [L, embed_dim]: its pieces joined, afresh on every read."""
+        return T.concat(list(self.pieces), axis=0)
 
     @property
     def length(self) -> int:
-        return self.embeds.shape[0]
+        return self.segments[-1].stop
 
 
 def check_partition(segments, length: int) -> None:
@@ -284,7 +288,7 @@ def _assemble(pieces) -> ComposedPrompt:
         segments.append(Segment(kind, name, cursor, cursor + length))
         cursor += length
         tensors.append(tens)
-    prompt = ComposedPrompt(T.concat(tensors, axis=0), segments, tuple(tensors))
+    prompt = ComposedPrompt(segments, tuple(tensors))
     check_partition(segments, prompt.length)
     return prompt
 

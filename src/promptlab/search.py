@@ -10,9 +10,8 @@ blocks on training batches; the argmax candidate wins, lowest index on ties.
 
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -21,14 +20,9 @@ from . import tensor as T
 from .data import Task, subseed
 from .errors import ConfigError, DataError, NumericsError, ParameterError, ParseError
 from .optim import SGD, Adam
-from .prompts import (
-    FeaturePlan,
-    PromptLayout,
-    SoftPromptBank,
-    class_text_features,
-    template_rows_for,
-)
+from .prompts import FeaturePlan, PromptLayout, SoftPromptBank, class_text_features
 from .serialize import FORMAT_VERSION, atomic_write, dumps_json
+from .training import PromptRunConfig, class_loss, descend, epoch_batches
 
 RESULT_KIND = "search_result"
 
@@ -73,59 +67,25 @@ class AlphaVector:
 
 
 @dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(PromptRunConfig):
     epochs: int = 10
-    batch_size: int = 32
     theta_lr: float = 0.002
     alpha_lr: float = 0.02
-    seed: int = 0
-    soft_len: int = 2
-    attr_soft_len: int = 2
-    init_scheme: str = "phrase_init"
-    layout: PromptLayout = field(default_factory=PromptLayout)
 
     def validate(self) -> "SearchConfig":
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        super().validate()
         if self.theta_lr <= 0 or self.alpha_lr <= 0:
             raise ConfigError(
                 f"learning rates must be positive, got theta={self.theta_lr}, alpha={self.alpha_lr}"
             )
-        if min(self.soft_len, self.attr_soft_len) < 0:
-            raise ConfigError(f"soft lengths must be >= 0, got {self.soft_len}, "
-                              f"{self.attr_soft_len}")
         if self.layout.attribute_names:
             raise ConfigError("search layout must leave attribute_names empty; candidates fill it")
-        self.layout.validate()
         return self
 
 
 def build_candidate_banks(pool, config: SearchConfig, encoder) -> dict:
-    """One bank per candidate, all sharing a single class block object.
-
-    The first candidate's bank creates the class block and the rest reuse it.
-    Block init is content keyed, so a base's attribute block starts identical
-    in every candidate that contains it and across any pool ordering.
-    """
-    seed = subseed(config.seed, "search.banks")
-    rows = template_rows_for(encoder)
-    banks, class_block = {}, None
-    for cand in pool:
-        banks[cand] = SoftPromptBank.create(
-            embed_dim=encoder.config.embed_dim,
-            soft_len=config.soft_len,
-            attribute_names=cand,
-            attr_soft_len=config.attr_soft_len,
-            depth=config.layout.depth,
-            seed=seed,
-            scheme=config.init_scheme,
-            template_rows=rows,
-            shared_class_block=class_block,
-        )
-        class_block = banks[cand].class_block
-    return banks
+    """One bank per candidate, all sharing a single class block object."""
+    return dict(zip(pool, config.make_banks(encoder, pool, subseed(config.seed, "search.banks"))))
 
 
 def candidate_logits(encoder, bank: SoftPromptBank, layout: PromptLayout,
@@ -188,18 +148,6 @@ def select_candidate(pool, weights) -> tuple:
     return tuple(pool[int(np.argmax(np.asarray(weights)))])
 
 
-def _mixture_loss(encoder, feats, weights, batch) -> T.Tensor:
-    x, y = batch
-    u = encoder.encode_image(x)
-    return T.cross_entropy(encoder.class_logits(u, mixture_logits(feats, weights)), y)
-
-
-def _descend(opt, loss: T.Tensor) -> None:
-    opt.zero_grad()
-    loss.backward()
-    opt.step()
-
-
 def search_step(encoder, plan: FeaturePlan, alpha: AlphaVector, alpha_opt, theta_opt,
                 val_batch, train_batch) -> None:
     """One alpha step on a validation batch, then one theta step on a training batch.
@@ -213,8 +161,9 @@ def search_step(encoder, plan: FeaturePlan, alpha: AlphaVector, alpha_opt, theta
     """
     feats = plan.features()
     frozen = [T.Tensor(f.data) for f in feats]
-    _descend(alpha_opt, _mixture_loss(encoder, frozen, T.softmax(alpha.logits), val_batch))
-    _descend(theta_opt, _mixture_loss(encoder, feats, alpha.weights(), train_batch))
+    descend(alpha_opt, class_loss(encoder, mixture_logits(frozen, T.softmax(alpha.logits)),
+                                  val_batch))
+    descend(theta_opt, class_loss(encoder, mixture_logits(feats, alpha.weights()), train_batch))
 
 
 def alternating_search(task: Task, bases, config: SearchConfig, encoder,
@@ -226,48 +175,29 @@ def alternating_search(task: Task, bases, config: SearchConfig, encoder,
     """
     config.validate()
     pool = enumerate_pool(bases)
-    layouts = {cand: replace(config.layout, attribute_names=cand) for cand in pool}
-    for layout in layouts.values():
-        layout.validate(encoder.config.num_layers)
     banks = build_candidate_banks(pool, config, encoder)
     alpha = AlphaVector.create(len(pool))
-
-    seen, theta_params = set(), []
-    for bank in banks.values():
-        for p in bank.parameters():  # class block repeats; keep one copy
-            if id(p) not in seen:
-                seen.add(id(p))
-                theta_params.append(p)
-    theta_opt = SGD(theta_params, lr=config.theta_lr)
+    # the shared class block is in every bank; the optimizer takes it once
+    theta_params = {id(p): p for bank in banks.values() for p in bank.parameters()}
+    theta_opt = SGD(theta_params.values(), lr=config.theta_lr)
     alpha_opt = Adam([alpha.logits], lr=config.alpha_lr)
 
     x_train, y_train = task.split("train")
     x_val, y_val = task.split("val")
     if len(y_train) == 0 or len(y_val) == 0:
         raise DataError("search needs non-empty train and val splits")
-    order_rng = np.random.default_rng(subseed(config.seed, "search.order"))
-    steps_per_epoch = math.ceil(len(y_train) / config.batch_size)
-    val_steps = math.ceil(len(y_val) / config.batch_size)
-
-    def batches(x, y, order, count, step):
-        rows = order[(step % count) * config.batch_size : (step % count + 1) * config.batch_size]
-        return x[rows], y[rows]
-
-    plan = FeaturePlan(encoder, [(banks[c], layouts[c]) for c in pool], task.class_names)
-    val_step = 0
-    val_order = order_rng.permutation(len(y_val))
-    for epoch in range(config.epochs):
-        train_order = order_rng.permutation(len(y_train))
-        for b in range(steps_per_epoch):
-            if val_step % val_steps == 0 and val_step:
-                val_order = order_rng.permutation(len(y_val))
-            val_batch = batches(x_val, y_val, val_order, val_steps, val_step)
-            val_step += 1
-            try:
-                search_step(encoder, plan, alpha, alpha_opt, theta_opt, val_batch,
-                            batches(x_train, y_train, train_order, steps_per_epoch, b))
-            except NumericsError as exc:
-                raise NumericsError(f"non-finite loss at epoch {epoch}, batch {b}: {exc}")
+    # composing validates each candidate's layout against the encoder
+    plan = FeaturePlan(encoder, [(banks[c], replace(config.layout, attribute_names=c))
+                                 for c in pool], task.class_names)
+    rng = np.random.default_rng(subseed(config.seed, "search.order"))
+    val_batches = epoch_batches(rng, len(y_val), config.batch_size)  # its order is drawn first
+    for epoch, b, rows in epoch_batches(rng, len(y_train), config.batch_size, config.epochs):
+        _, _, val_rows = next(val_batches)
+        try:
+            search_step(encoder, plan, alpha, alpha_opt, theta_opt,
+                        (x_val[val_rows], y_val[val_rows]), (x_train[rows], y_train[rows]))
+        except NumericsError as exc:
+            raise NumericsError(f"non-finite loss at epoch {epoch}, batch {b}: {exc}")
 
     weights = alpha.weights()
     return SearchResult(

@@ -1,5 +1,6 @@
 """Prompt training, base-to-novel evaluation, and the report and checkpoint files.
 
+The attribute search reuses the run settings, banks, batches and step defined here.
 Training minimizes batch-mean cross-entropy between image features and the
 composed per-class text features (encoder frozen, only soft tokens move),
 with an optional half-cosine learning-rate decay. Evaluation is top-1
@@ -10,6 +11,7 @@ half zero-shot, summarized by the harmonic mean.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -17,9 +19,10 @@ import numpy as np
 
 from . import tensor as T
 from .data import Task, subseed
-from .errors import ContractError, DataError, NumericsError
+from .errors import ConfigError, ContractError, DataError, NumericsError
 from .optim import SGD, cosine_lr
 from .prompts import (
+    INIT_SCHEMES,
     FeaturePlan,
     PromptLayout,
     SoftPromptBank,
@@ -35,34 +38,65 @@ SCHEDULES = ("cosine", "constant")
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class PromptRunConfig:
+    """The settings every soft-prompt run shares: attribute search and prompt training."""
+
     epochs: int = 50
     batch_size: int = 32
-    lr_init: float = 0.002
-    schedule: str = "cosine"
     seed: int = 0
     layout: PromptLayout = field(default_factory=PromptLayout)
-    attributes: tuple = ()  # selected combination; () trains the classic form
     soft_len: int = 2
     attr_soft_len: int = 2
     init_scheme: str = "phrase_init"
+
+    def validate(self) -> "PromptRunConfig":
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if min(self.soft_len, self.attr_soft_len) < 0:
+            raise ConfigError(f"soft lengths must be >= 0, got {self.soft_len}, "
+                              f"{self.attr_soft_len}")
+        if self.init_scheme not in INIT_SCHEMES:
+            raise ConfigError(f"unknown init_scheme {self.init_scheme!r}")
+        self.layout.validate()
+        return self
+
+    def make_banks(self, encoder, candidates, seed: int) -> list:
+        """One bank per attribute tuple, all sharing the first bank's class block."""
+        rows = template_rows_for(encoder)
+        banks, class_block = [], None
+        for names in candidates:
+            banks.append(SoftPromptBank.create(
+                embed_dim=encoder.config.embed_dim,
+                soft_len=self.soft_len,
+                attribute_names=names,
+                attr_soft_len=self.attr_soft_len,
+                depth=self.layout.depth,
+                seed=seed,
+                scheme=self.init_scheme,
+                template_rows=rows,
+                shared_class_block=class_block,
+            ))
+            class_block = banks[-1].class_block
+        return banks
+
+
+@dataclass(frozen=True)
+class TrainConfig(PromptRunConfig):
+    lr_init: float = 0.002
+    schedule: str = "cosine"
+    attributes: tuple = ()  # selected combination; () trains the classic form
 
     def __post_init__(self):
         object.__setattr__(self, "attributes", tuple(self.attributes))
 
     def validate(self) -> "TrainConfig":
-        if self.epochs < 1:
-            raise ContractError(f"epochs must be >= 1, got {self.epochs}")
+        super().validate()
         if self.lr_init <= 0:
-            raise ContractError(f"lr_init must be positive, got {self.lr_init}")
-        if self.batch_size < 1:
-            raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"lr_init must be positive, got {self.lr_init}")
         if self.schedule not in SCHEDULES:
-            raise ContractError(f"unknown schedule {self.schedule!r}")
-        if min(self.soft_len, self.attr_soft_len) < 0:
-            raise ContractError(f"soft lengths must be >= 0, got {self.soft_len}, "
-                                f"{self.attr_soft_len}")
-        self.layout.validate()
+            raise ConfigError(f"unknown schedule {self.schedule!r}")
         return self
 
     def effective_layout(self) -> PromptLayout:
@@ -71,20 +105,40 @@ class TrainConfig:
 
 
 def make_bank(config: TrainConfig, encoder) -> SoftPromptBank:
-    layout = config.effective_layout()
-    return SoftPromptBank.create(
-        embed_dim=encoder.config.embed_dim,
-        soft_len=config.soft_len,
-        attribute_names=layout.attribute_names,
-        attr_soft_len=config.attr_soft_len,
-        depth=layout.depth,
-        seed=subseed(config.seed, "init"),
-        scheme=config.init_scheme,
-        template_rows=template_rows_for(encoder),
-    )
+    (bank,) = config.make_banks(encoder, [config.attributes], subseed(config.seed, "init"))
+    return bank
 
 
-# -- core loops -----------------------------------------------------------------
+# -- the soft-prompt loop, shared with the attribute search ----------------------
+
+
+def epoch_batches(rng, n: int, batch_size: int, epochs: int = None):
+    """(epoch, batch, rows) over ``epochs`` passes of n rows; endless when epochs is None.
+
+    Each epoch walks a fresh ``rng.permutation(n)``, drawn as the epoch starts;
+    the first starts at this call, so streams on one generator draw in the order made.
+    """
+
+    def walk(order):
+        for epoch in itertools.count() if epochs is None else range(epochs):
+            if epoch:
+                order = rng.permutation(n)
+            for b in range(math.ceil(n / batch_size)):
+                yield epoch, b, order[b * batch_size : (b + 1) * batch_size]
+
+    return walk(rng.permutation(n))
+
+
+def class_loss(encoder, feats, batch) -> T.Tensor:
+    """Batch-mean cross-entropy of a batch's images scored against class features [C, joint]."""
+    x, y = batch
+    return T.cross_entropy(encoder.class_logits(encoder.encode_image(x), feats), y)
+
+
+def descend(opt, loss: T.Tensor) -> None:
+    opt.zero_grad()
+    loss.backward()
+    opt.step()
 
 
 def train_prompts(task: Task, config: TrainConfig, bank: SoftPromptBank, encoder):
@@ -95,39 +149,26 @@ def train_prompts(task: Task, config: TrainConfig, bank: SoftPromptBank, encoder
     re-encodes them from the bank's current soft blocks.
     """
     config.validate()
-    layout = config.effective_layout().validate(encoder.config.num_layers)
     x, y = task.split("train")
     if len(y) == 0:
         raise DataError("empty training split")
     opt = SGD(bank.parameters(), lr=config.lr_init)
     rng = np.random.default_rng(subseed(config.seed, "train.order"))
-    steps_per_epoch = math.ceil(len(y) / config.batch_size)
-    total_steps = config.epochs * steps_per_epoch
-    plan = FeaturePlan(encoder, [(bank, layout)], task.class_names)
-    history = []
-    step = 0
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(y))
-        epoch_losses = []
-        for b in range(steps_per_epoch):
-            rows = order[b * config.batch_size : (b + 1) * config.batch_size]
-            if config.schedule == "cosine":
-                opt.lr = cosine_lr(step, total_steps, config.lr_init)
-            try:
-                (feats,) = plan.features()
-                u = encoder.encode_image(x[rows])
-                loss = T.cross_entropy(encoder.class_logits(u, feats), y[rows])
-            except NumericsError as exc:
-                raise NumericsError(
-                    f"non-finite loss at epoch {epoch}, batch {b}: {exc}"
-                )
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            epoch_losses.append(loss.item())
-            step += 1
-        history.append(float(np.mean(epoch_losses)))
-    return bank, history
+    total_steps = config.epochs * math.ceil(len(y) / config.batch_size)
+    plan = FeaturePlan(encoder, [(bank, config.effective_layout())], task.class_names)
+    losses = [[] for _ in range(config.epochs)]
+    for step, (epoch, b, rows) in enumerate(
+            epoch_batches(rng, len(y), config.batch_size, config.epochs)):
+        if config.schedule == "cosine":
+            opt.lr = cosine_lr(step, total_steps, config.lr_init)
+        try:
+            (feats,) = plan.features()
+            loss = class_loss(encoder, feats, (x[rows], y[rows]))
+        except NumericsError as exc:
+            raise NumericsError(f"non-finite loss at epoch {epoch}, batch {b}: {exc}")
+        descend(opt, loss)
+        losses[epoch].append(loss.item())
+    return bank, [float(np.mean(epoch_losses)) for epoch_losses in losses]
 
 
 def _score(encoder, bank: SoftPromptBank, layout: PromptLayout, task: Task, split: str):

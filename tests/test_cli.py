@@ -345,6 +345,11 @@ BAD_INPUTS = {
                            ["gen-data"], "timeout"),
     "latent_attribute_without_values": (_set("task", "latent_attributes", [["color"]]),
                                         ["gen-data"], "latent_attributes"),
+    "seed_negative": (lambda payload: payload.update(seed=-1), ["gen-data"], "seed"),
+    "seed_flag_negative": (None, ["gen-data", "--seed", "-1"], "seed"),
+    "seeds_flag_negative": (None, ["train", "--classic", "--seeds", "-1"], "seeds"),
+    "train_init_scheme_unknown": (_set("train", "init_scheme", "bogus"), ["gen-data"],
+                                  "init_scheme"),
 }
 
 
@@ -442,10 +447,11 @@ def test_artifact_with_a_retyped_element_is_one_error_line(where, classic_pipeli
 
 
 # a prompt-checkpoint soft block of the wrong shape -> (the error type of its one line, and
-# the bank key that line must name, or None when the block only misfits the encoder)
+# the bank key that line must name)
 BAD_BLOCKS = {
     "class_block_empty": (("class_block",), [], "DataError", "bank.class_block"),
-    "class_block_narrow": (("class_block",), [[0.1, 0.2], [0.3, 0.4]], "ShapeError", None),
+    "class_block_narrow": (("class_block",), [[0.1, 0.2], [0.3, 0.4]], "CheckpointError",
+                           "bank.class_block"),
     "attribute_block_narrow": (("attribute_blocks", "color"), [[0.1, 0.2]], "DataError",
                                "bank.attribute_blocks.color"),
 }
@@ -466,7 +472,7 @@ def test_checkpoint_block_of_the_wrong_shape_is_one_error_line(case, classic_pip
     assert main(["eval", "--classic", "--config", cfg]) == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert line.startswith(f"error: {error}: "), line
-    assert where is None or (path in line and where in line), line
+    assert path in line and where in line, line
 
 
 SEARCH_RESULT = """\

@@ -680,3 +680,23 @@ def test_plan_holds_each_piece_once():
         assert sum(np.array_equal(f, enc.token_embedding.data[ids]) for f in frozen) == 1
     soft = [id(p) for p in pieces if p.requires_grad]
     assert sorted(soft) == sorted(id(p) for bank, _ in candidates for p in bank.parameters())
+
+
+def test_building_a_plan_joins_no_prompt(monkeypatch):
+    # composing reads each prompt's frozen rows (one embedding op per sentinel,
+    # attribute word and class name of every prompt); the plan never reads a
+    # composed prompt's joined rows, so no concat may run to make them
+    enc = make_encoder()
+    names = ("cat", "red fish", "dog")
+    candidates = candidate_set(enc, "interval", 2)
+    ops = []
+    make = T._make
+
+    def counting(data, parents, vjp, op):
+        ops.append(op)
+        return make(data, parents, vjp, op)
+
+    monkeypatch.setattr(T, "_make", counting)
+    FeaturePlan(enc, candidates, names)
+    frozen_pieces = sum(3 + len(layout.attribute_names) for _, layout in candidates)
+    assert ops == ["embedding"] * (frozen_pieces * len(names))

@@ -1,12 +1,14 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from promptlab.data import LatentAttribute, TaskSpec, generate_task, make_base_novel_task
 from promptlab.encoders import DualEncoder, build_config_for
-from promptlab.errors import ContractError, DataError
+from promptlab.errors import ConfigError, ContractError, DataError
 from promptlab.prompts import PromptLayout
+from promptlab.search import SearchConfig, alternating_search
 from promptlab.training import (
     EvalReport,
     TrainConfig,
@@ -50,14 +52,28 @@ def toy_encoder(task, seed=0, **overrides):
 
 
 def test_train_config_rejects_bad_fields():
-    with pytest.raises(ContractError):
-        TrainConfig(epochs=0).validate()
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError, match="lr_init"):
         TrainConfig(lr_init=0.0).validate()
-    with pytest.raises(ContractError):
-        TrainConfig(batch_size=0).validate()
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError, match="schedule"):
         TrainConfig(schedule="linear").validate()
+
+
+# a bad value of a setting search and training share -> what the error names
+BAD_SHARED_SETTINGS = {
+    "epochs": ({"epochs": 0}, "epochs"),
+    "batch_size": ({"batch_size": 0}, "batch_size"),
+    "soft_len": ({"soft_len": -1}, "soft lengths"),
+    "init_scheme": ({"init_scheme": "bogus"}, "init_scheme"),
+    "layout": ({"layout": PromptLayout(drop_policy="bogus")}, "drop_policy"),
+}
+
+
+@pytest.mark.parametrize("config_type", [SearchConfig, TrainConfig])
+@pytest.mark.parametrize("case", sorted(BAD_SHARED_SETTINGS))
+def test_shared_run_settings_fail_alike_in_search_and_training(config_type, case):
+    fields, named = BAD_SHARED_SETTINGS[case]
+    with pytest.raises(ConfigError, match=named):
+        config_type(**fields).validate()
 
 
 def test_effective_layout_substitutes_attributes():
@@ -136,9 +152,43 @@ def test_schedule_choice_changes_the_trajectory():
     assert histories["cosine"] != histories["constant"]
 
 
-def test_training_rejects_empty_split():
-    from dataclasses import replace
+class RecordingRng:
+    """A generator that logs the size of every ``permutation`` it draws."""
 
+    def __init__(self, rng, draws):
+        self.rng, self.draws = rng, draws
+
+    def permutation(self, n):
+        self.draws.append(n)
+        return self.rng.permutation(n)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_batch_orders_are_drawn_in_a_fixed_sequence(monkeypatch):
+    # 12 training rows and 6 validation rows in batches of 4: three steps per
+    # epoch, and the validation order wraps every two steps, so it wraps
+    # mid-epoch (steps 2, 4 and 8) and at an epoch boundary (step 6)
+    task = toy_task()
+    enc = toy_encoder(task)
+    (xt, yt), (xv, yv) = task.split("train"), task.split("val")
+    task = replace(task, splits={**task.splits, "train": (xt[:12], yt[:12]),
+                                 "val": (xv[:6], yv[:6])})
+    draws = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *args: RecordingRng(default_rng(*args), draws))
+    alternating_search(task, ("color", "shape"), SearchConfig(epochs=3, batch_size=4), enc)
+    # validation first; then each epoch's training order ahead of a wrap in the same step
+    assert draws == [6, 12, 6, 12, 6, 12, 6, 6]
+    draws.clear()
+    cfg = TrainConfig(epochs=3, batch_size=4)
+    train_prompts(task, cfg, make_bank(cfg, enc), enc)
+    assert draws == [12, 12, 12]
+
+
+def test_training_rejects_empty_split():
     task = toy_task()
     x, y = task.splits["train"]
     starved = replace(task, splits={**task.splits, "train": (x[:0], y[:0])})
@@ -152,8 +202,6 @@ def test_training_rejects_empty_split():
 
 
 def test_evaluate_returns_percent_and_rejects_empty_split():
-    from dataclasses import replace
-
     task = toy_task()
     enc = toy_encoder(task)
     cfg = TrainConfig()

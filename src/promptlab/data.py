@@ -114,6 +114,9 @@ class TaskSpec(JsonFields):
             raise DataError(f"need at least 2 classes, got {self.num_classes}")
         if self.samples_per_class < 1:
             raise DataError("samples_per_class must be positive")
+        for key in ("raw_feature_dim", "embed_dim"):
+            if getattr(self, key) < 1:
+                raise DataError(f"{key} must be positive, got {getattr(self, key)}")
         if self.noise_std < 0:
             raise DataError(f"noise_std must be nonnegative, got {self.noise_std}")
         if not 0.0 <= self.attribute_signal <= 1.0:
@@ -135,6 +138,8 @@ class TaskSpec(JsonFields):
             raise DataError("need at least one informative attribute")
         capacity = 1
         for attr in self.latent_attributes:
+            if not attr.values:
+                raise DataError(f"latent attribute {attr.name!r} has no values")
             if attr.name in self.informative_attributes:
                 capacity *= len(attr.values)
         if capacity < self.num_classes:

@@ -203,8 +203,7 @@ class DualEncoder:
         lengths = {len(s) for s in seqs}
         if len(lengths) != 1:
             raise ShapeError(f"class names must tokenize to equal lengths, got {sorted(lengths)}")
-        embeds = T.stack([self.embed_tokens(s) for s in seqs])
-        return self.encode_text(embeds)
+        return self.encode_text(T.gather_rows(self.token_embedding, np.array(seqs)))
 
     # -- image branch -----------------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Prompt composition: classic soft prompts and attribute-anchored variants.
 
-A composed prompt is a sequence of embedding rows plus a position map that
-partitions it into typed segments: sentinels, soft blocks (trainable),
-hard attribute words, and the class name. The classic form is
+A composed prompt is a position map of typed segments (sentinels, trainable
+soft blocks, hard attribute words, the class name) over its pieces: soft
+blocks, or the token ids of frozen rows. The classic form is
 ``[SOS][T1..TM][CLS][EOS]``; the attribute-anchored shallow form interleaves
 per-attribute soft blocks with hard attribute anchors ahead of the class
 unit; the deep form additionally swaps the class soft block for a fresh
@@ -252,12 +252,14 @@ class Segment:
 @dataclass
 class ComposedPrompt:
     segments: list
-    pieces: tuple  # the tensors the prompt is made of, one per segment, in order
+    pieces: tuple  # per segment, in order: a soft block, or the token ids of frozen rows
+    table: Tensor  # the encoder's token table, which the token ids index
 
     @property
     def embeds(self) -> Tensor:
         """The prompt's rows [L, embed_dim]: its pieces joined, afresh on every read."""
-        return T.concat(list(self.pieces), axis=0)
+        return T.concat([p if isinstance(p, Tensor) else T.embedding(self.table, p)
+                         for p in self.pieces], axis=0)
 
     @property
     def length(self) -> int:
@@ -275,37 +277,19 @@ def check_partition(segments, length: int) -> None:
         raise ContractError(f"segment map covers {cursor} of {length} positions")
 
 
-def _hard_rows(encoder, word: str) -> Tensor:
-    return encoder.embed_tokens(encoder.vocabulary.encode(word))
-
-
-def _assemble(pieces) -> ComposedPrompt:
-    segments = []
-    cursor = 0
-    tensors = []
-    for kind, name, tens in pieces:
-        length = tens.shape[0]
-        segments.append(Segment(kind, name, cursor, cursor + length))
-        cursor += length
-        tensors.append(tens)
-    prompt = ComposedPrompt(segments, tuple(tensors))
-    check_partition(segments, prompt.length)
-    return prompt
-
-
-def _ordered_units(encoder, bank: SoftPromptBank, layout: PromptLayout, class_name: str):
+def _ordered_units(vocab, bank: SoftPromptBank, layout: PromptLayout, class_name: str):
     """Interior block order (everything between the sentinels)."""
     for name in layout.attribute_names:
         if name not in bank.attribute_blocks:
             raise ContractError(f"bank has no soft block for attribute {name!r}")
     class_unit = [
         ("class_soft", "", bank.class_block),
-        ("class_hard", class_name, _hard_rows(encoder, class_name)),
+        ("class_hard", class_name, vocab.encode(class_name)),
     ]
     if not layout.attribute_names:
         return class_unit
     soft = [("attr_soft", n, bank.attribute_blocks[n]) for n in layout.attribute_names]
-    hard = [("attr_hard", n, _hard_rows(encoder, n)) for n in layout.attribute_names]
+    hard = [("attr_hard", n, vocab.encode(n)) for n in layout.attribute_names]
     style = layout.attribute_position_style
     if style == "interval":
         units = [[soft[k], hard[k]] for k in range(len(soft))]
@@ -332,10 +316,17 @@ def compose_shallow(encoder, bank: SoftPromptBank, layout: PromptLayout,
     """Attribute-anchored prompt (or the classic form when no attributes)."""
     layout.validate(encoder.config.num_layers)
     vocab = encoder.vocabulary
-    pieces = [("sentinel_prefix", "", encoder.embed_tokens([vocab.sos_id]))]
-    pieces.extend(_ordered_units(encoder, bank, layout, class_name))
-    pieces.append(("sentinel_suffix", "", encoder.embed_tokens([vocab.eos_id])))
-    return _assemble(pieces)
+    pieces = [("sentinel_prefix", "", np.array([vocab.sos_id]))]
+    pieces.extend(_ordered_units(vocab, bank, layout, class_name))
+    pieces.append(("sentinel_suffix", "", np.array([vocab.eos_id])))
+    segments = []
+    cursor = 0
+    for kind, name, piece in pieces:
+        segments.append(Segment(kind, name, cursor, cursor + piece.shape[0]))
+        cursor += piece.shape[0]
+    prompt = ComposedPrompt(segments, tuple(p for _, _, p in pieces), encoder.token_embedding)
+    check_partition(segments, prompt.length)
+    return prompt
 
 
 def compose_classic(encoder, bank: SoftPromptBank, class_name: str) -> ComposedPrompt:
@@ -380,9 +371,9 @@ class FeaturePlan:
 
     Building the plan composes every (candidate, class) prompt with
     ``compose_shallow`` (validating layouts and position maps) and records
-    which rows of which piece tensors (soft blocks, frozen hard rows, deep
-    blocks) each prompt is made of; each sentinel, attribute word and class
-    name enters the piece table once. Prompts of one length share one
+    which rows of the piece table each prompt is made of. The table is the
+    encoder's token table, where a frozen row's row is its token id, then
+    each soft and deep block once. Prompts of one length share one
     ``[n, L, d]`` pass; a depth >= 2 layout keeps its own passes, with one
     ``apply_drop_policy`` index per deep layer: entering layer k + 1, the
     class soft block takes the rows of deep block k - 1, and the attribute
@@ -398,17 +389,17 @@ class FeaturePlan:
 
     def __init__(self, encoder, candidates, class_names):
         self.encoder = encoder
-        self._pieces = []  # distinct piece tensors, in order of first use
-        first_row = {}  # piece key -> its first row in the concatenated pieces
+        # the token table, then the soft and deep blocks in order of first use
+        self._pieces = [encoder.token_embedding]
+        first_row = {}  # id(block) -> its first row in the concatenated pieces
 
-        def piece_rows(piece, seg) -> range:
-            # a soft or deep block is one trainable tensor, known by identity;
-            # frozen rows are made afresh per prompt, so they are known by content
-            key = id(piece) if seg.kind.endswith("_soft") else (seg.kind, seg.name)
-            if key not in first_row:
-                first_row[key] = sum(p.shape[0] for p in self._pieces)
+        def piece_rows(piece):
+            if not isinstance(piece, Tensor):
+                return piece  # token ids are rows of the token table
+            if id(piece) not in first_row:
+                first_row[id(piece)] = sum(p.shape[0] for p in self._pieces)
                 self._pieces.append(piece)
-            return range(first_row[key], first_row[key] + piece.shape[0])
+            return range(first_row[id(piece)], first_row[id(piece)] + piece.shape[0])
 
         passes = []  # per pass: (rows, re-entry rows per deep layer) for each prompt
         pass_of = {}  # (length, candidate or -1) -> index into passes
@@ -421,15 +412,14 @@ class FeaturePlan:
             runs = []
             for name in class_names:
                 prompt = compose_shallow(encoder, bank, layout, name)
-                rows = [row for seg, piece in zip(prompt.segments, prompt.pieces)
-                        for row in piece_rows(piece, seg)]
+                rows = [row for piece in prompt.pieces for row in piece_rows(piece)]
                 kinds = REENTERED_KINDS[layout.drop_policy]
                 reentry = []  # per deep layer: the piece row each position re-enters with, or -1
                 for block in deep:
                     layer = [-1] * prompt.length
                     for seg in prompt.segments:
                         if seg.kind == "class_soft":
-                            layer[seg.start:seg.stop] = piece_rows(block, seg)
+                            layer[seg.start:seg.stop] = piece_rows(block)
                         elif seg.kind in kinds:
                             layer[seg.start:seg.stop] = rows[seg.start:seg.stop]
                     reentry.append(layer)

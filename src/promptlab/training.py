@@ -54,6 +54,8 @@ class PromptRunConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if min(self.soft_len, self.attr_soft_len) < 0:
             raise ConfigError(f"soft lengths must be >= 0, got {self.soft_len}, "
                               f"{self.attr_soft_len}")

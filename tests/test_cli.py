@@ -350,6 +350,16 @@ BAD_INPUTS = {
     "seeds_flag_negative": (None, ["train", "--classic", "--seeds", "-1"], "seeds"),
     "train_init_scheme_unknown": (_set("train", "init_scheme", "bogus"), ["gen-data"],
                                   "init_scheme"),
+    "task_embed_dim_negative": (_set("task", "embed_dim", -4), ["gen-data"], "embed_dim"),
+    "task_embed_dim_zero": (_set("task", "embed_dim", 0), ["gen-data"], "embed_dim"),
+    "task_raw_feature_dim_negative": (_set("task", "raw_feature_dim", -3), ["gen-data"],
+                                      "raw_feature_dim"),
+    "task_raw_feature_dim_zero": (_set("task", "raw_feature_dim", 0), ["gen-data"],
+                                  "raw_feature_dim"),
+    "latent_attribute_with_empty_values": (
+        _set("task", "latent_attributes", [["color", [f"color{i}" for i in range(6)]],
+                                           ["shape", []]]),
+        ["gen-data"], "shape"),
 }
 
 

@@ -94,6 +94,15 @@ def test_batched_encode_matches_single():
         np.testing.assert_allclose(batched.data[i], single.data, atol=1e-12)
 
 
+def test_encode_class_names_reads_the_token_table():
+    # one gather on the token table gives the bytes of the stacked per-name rows
+    enc = make_encoder()
+    names = ["cat", "dog", "bird"]
+    stacked = T.stack([embed_phrase(enc, n) for n in names])
+    np.testing.assert_array_equal(enc.encode_class_names(names).data,
+                                  enc.encode_text(stacked).data)
+
+
 # features of two random [5, 8] sequences from a last block computed at every
 # position, which the read-out-only block must reproduce; keyed by
 # (num_layers, num_heads)

@@ -62,6 +62,7 @@ def test_train_config_rejects_bad_fields():
 BAD_SHARED_SETTINGS = {
     "epochs": ({"epochs": 0}, "epochs"),
     "batch_size": ({"batch_size": 0}, "batch_size"),
+    "seed": ({"seed": -1}, "seed"),
     "soft_len": ({"soft_len": -1}, "soft lengths"),
     "init_scheme": ({"init_scheme": "bogus"}, "init_scheme"),
     "layout": ({"layout": PromptLayout(drop_policy="bogus")}, "drop_policy"),

@@ -22,7 +22,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import tensor as T
-from .errors import CapacityError, CheckpointError, ConfigError, ParameterError, ShapeError
+from .errors import CapacityError, CheckpointError, ConfigError, ShapeError
 from .serialize import JsonFields, dump_artifact, load_artifact, numeric_array
 from .tensor import Tensor
 from .vocab import Vocabulary
@@ -225,17 +225,15 @@ class DualEncoder:
 
     # -- scoring ------------------------------------------------------------------------
 
-    def class_logits(self, u: Tensor, class_features: Tensor, temperature: float = None) -> Tensor:
+    def class_logits(self, u: Tensor, class_features: Tensor) -> Tensor:
         """cos(u, w_c) / temperature for every class c; inputs must be normalized."""
-        tau = self.config.temperature if temperature is None else temperature
-        if tau <= 0:
-            raise ParameterError(f"temperature must be positive, got {tau}")
         if class_features.ndim != 2:
             raise ShapeError(f"class features must be [N, joint], got {class_features.shape}")
         single = u.ndim == 1
         if single:
             u = T.reshape(u, (1, u.shape[0]))
-        logits = T.scale(T.matmul(u, T.transpose_last(class_features)), 1.0 / tau)
+        logits = T.scale(T.matmul(u, T.transpose_last(class_features)),
+                         1.0 / self.config.temperature)
         if single:
             logits = T.reshape(logits, (class_features.shape[0],))
         return logits

@@ -173,13 +173,16 @@ class SoftPromptBank:
 
         class_block = block(body["class_block"], "class_block", "class_block")
         width = class_block.shape[1]
-        return cls(
-            class_block,
-            {k: block(v, f"attr_block.{k}", f"attribute_blocks.{k}", width)
-             for k, v in body["attribute_blocks"].items()},
-            [block(b, f"deep_block.{i}", f"deep_class_blocks[{i}]", width)
-             for i, b in enumerate(body["deep_class_blocks"])],
-        )
+        try:
+            return cls(
+                class_block,
+                {k: block(v, f"attr_block.{k}", f"attribute_blocks.{k}", width)
+                 for k, v in body["attribute_blocks"].items()},
+                [block(b, f"deep_block.{i}", f"deep_class_blocks[{i}]", width)
+                 for i, b in enumerate(body["deep_class_blocks"])],
+            )
+        except ContractError as exc:  # block lengths that do not match
+            raise DataError(f"{what}: {exc}") from None
 
 
 def init_soft_tokens(
@@ -373,11 +376,11 @@ class FeaturePlan:
     ``compose_shallow`` (validating layouts and position maps) and records
     which rows of the piece table each prompt is made of. The table is the
     encoder's token table, where a frozen row's row is its token id, then
-    each soft and deep block once. Prompts of one length share one
-    ``[n, L, d]`` pass; a depth >= 2 layout keeps its own passes, with one
-    ``apply_drop_policy`` index per deep layer: entering layer k + 1, the
-    class soft block takes the rows of deep block k - 1, and the attribute
-    positions its drop policy names take the prompt's own rows.
+    each soft and deep block once. Prompts of one length and depth share one
+    ``[n, L, d]`` pass. At depth >= 2 the pass has one ``apply_drop_policy``
+    index per deep layer: entering layer k + 1, the class soft block takes the
+    rows of deep block k - 1, and the attribute positions its drop policy
+    names take the prompt's own rows.
 
     ``features()`` reads the pieces' current data, so one plan serves every
     step of a training loop: one ``concat`` of the distinct pieces, one row
@@ -402,9 +405,9 @@ class FeaturePlan:
             return range(first_row[id(piece)], first_row[id(piece)] + piece.shape[0])
 
         passes = []  # per pass: (rows, re-entry rows per deep layer) for each prompt
-        pass_of = {}  # (length, candidate or -1) -> index into passes
+        pass_of = {}  # (length, depth) -> index into passes
         self._runs = []  # per candidate: [pass index, start, stop] runs in class order
-        for i, (bank, layout) in enumerate(candidates):
+        for bank, layout in candidates:
             deep = bank.deep_class_blocks[:layout.depth - 1]
             if len(deep) < layout.depth - 1:
                 raise ConfigError(f"depth {layout.depth} needs {layout.depth - 1} deep blocks, "
@@ -423,7 +426,7 @@ class FeaturePlan:
                         elif seg.kind in kinds:
                             layer[seg.start:seg.stop] = rows[seg.start:seg.stop]
                     reentry.append(layer)
-                key = (prompt.length, i if layout.depth >= 2 else -1)
+                key = (prompt.length, layout.depth)
                 if key not in pass_of:
                     pass_of[key] = len(passes)
                     passes.append([])

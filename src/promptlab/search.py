@@ -48,24 +48,6 @@ def enumerate_pool(bases) -> list:
     return pool
 
 
-@dataclass
-class AlphaVector:
-    """Mixture logits, one per candidate; zeros at init so weights start uniform."""
-
-    logits: T.Tensor
-
-    @classmethod
-    def create(cls, num_candidates: int) -> "AlphaVector":
-        if num_candidates < 1:
-            raise ParameterError(f"need at least one candidate, got {num_candidates}")
-        return cls(logits=T.Tensor(np.zeros(num_candidates), requires_grad=True, name="alpha"))
-
-    def weights(self) -> np.ndarray:
-        z = self.logits.data - self.logits.data.max()
-        e = np.exp(z)
-        return e / e.sum()
-
-
 @dataclass(frozen=True)
 class SearchConfig(PromptRunConfig):
     epochs: int = 10
@@ -148,22 +130,22 @@ def select_candidate(pool, weights) -> tuple:
     return tuple(pool[int(np.argmax(np.asarray(weights)))])
 
 
-def search_step(encoder, plan: FeaturePlan, alpha: AlphaVector, alpha_opt, theta_opt,
+def search_step(encoder, plan: FeaturePlan, alpha: T.Tensor, alpha_opt, theta_opt,
                 val_batch, train_batch) -> None:
     """One alpha step on a validation batch, then one theta step on a training batch.
 
     ``plan`` builds the candidates' class features from the current soft
     blocks. The mixture is linear in those features, so they depend on theta
     only: one forward serves both steps, and each step scores the images once,
-    against the alpha-weighted features. The alpha step sees the features as
-    constants; the theta step backpropagates through them with alpha's
-    weights as constants. The step's graph is released on return.
+    against the features weighted by the softmax of alpha. The alpha step sees
+    the features as constants; the theta step backpropagates through them
+    with alpha's weights as constants. The step's graph is released on return.
     """
     feats = plan.features()
     frozen = [T.Tensor(f.data) for f in feats]
-    descend(alpha_opt, class_loss(encoder, mixture_logits(frozen, T.softmax(alpha.logits)),
-                                  val_batch))
-    descend(theta_opt, class_loss(encoder, mixture_logits(feats, alpha.weights()), train_batch))
+    descend(alpha_opt, class_loss(encoder, mixture_logits(frozen, T.softmax(alpha)), val_batch))
+    descend(theta_opt, class_loss(encoder, mixture_logits(feats, T.softmax(alpha).data),
+                                  train_batch))
 
 
 def alternating_search(task: Task, bases, config: SearchConfig, encoder,
@@ -176,11 +158,11 @@ def alternating_search(task: Task, bases, config: SearchConfig, encoder,
     config.validate()
     pool = enumerate_pool(bases)
     banks = build_candidate_banks(pool, config, encoder)
-    alpha = AlphaVector.create(len(pool))
+    alpha = T.Tensor(np.zeros(len(pool)), requires_grad=True, name="alpha")  # uniform weights
     # the shared class block is in every bank; the optimizer takes it once
     theta_params = {id(p): p for bank in banks.values() for p in bank.parameters()}
     theta_opt = SGD(theta_params.values(), lr=config.theta_lr)
-    alpha_opt = Adam([alpha.logits], lr=config.alpha_lr)
+    alpha_opt = Adam([alpha], lr=config.alpha_lr)
 
     x_train, y_train = task.split("train")
     x_val, y_val = task.split("val")
@@ -199,7 +181,7 @@ def alternating_search(task: Task, bases, config: SearchConfig, encoder,
         except NumericsError as exc:
             raise NumericsError(f"non-finite loss at epoch {epoch}, batch {b}: {exc}")
 
-    weights = alpha.weights()
+    weights = T.softmax(alpha).data
     return SearchResult(
         bases=tuple(bases),
         candidates=tuple(pool),

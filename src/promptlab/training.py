@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Task, subseed
-from .errors import ConfigError, ContractError, DataError, NumericsError
+from .errors import CheckpointError, ConfigError, ContractError, DataError, NumericsError
 from .optim import SGD, cosine_lr
 from .prompts import (
     INIT_SCHEMES,
@@ -56,8 +56,8 @@ class PromptRunConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if min(self.soft_len, self.attr_soft_len) < 0:
-            raise ConfigError(f"soft lengths must be >= 0, got {self.soft_len}, "
+        if min(self.soft_len, self.attr_soft_len) < 1:
+            raise ConfigError(f"soft lengths must be >= 1, got {self.soft_len}, "
                               f"{self.attr_soft_len}")
         if self.init_scheme not in INIT_SCHEMES:
             raise ConfigError(f"unknown init_scheme {self.init_scheme!r}")
@@ -334,7 +334,12 @@ CHECKPOINT_TYPES = {"config_hash": str, "tag": str, "seed": int, "attributes": t
 
 
 def load_checkpoint(path: str):
-    """(bank, layout) from a checkpoint file; a wrong kind or version is a DataError."""
+    """(bank, layout) from a checkpoint file; a wrong kind or version is a DataError, and
+    deep blocks that do not number layout.depth - 1 are a CheckpointError."""
     body = load_artifact(path, CHECKPOINT_KIND, CHECKPOINT_TYPES)
-    return body["bank"], body["layout"]
+    bank, layout = body["bank"], body["layout"]
+    if len(bank.deep_class_blocks) != layout.depth - 1:
+        raise CheckpointError(f"{path}: layout.depth {layout.depth} needs {layout.depth - 1} "
+                              f"bank.deep_class_blocks, got {len(bank.deep_class_blocks)}")
+    return bank, layout
 

@@ -330,6 +330,7 @@ BAD_INPUTS = {
     "seeds_bool": (lambda payload: payload.update(seeds=[True]), ["train", "--classic"], "seeds"),
     "train_negative_soft_len": (_set("train", "soft_len", -1), ["train", "--classic"], None),
     "search_negative_soft_len": (_set("search", "soft_len", -1), ["search-attrs"], None),
+    "train_zero_attr_soft_len": (_set("train", "attr_soft_len", 0), ["gen-data"], "soft lengths"),
     "encoder_overrides_string": (_set("encoder_overrides", "num_layers", "4"),
                                  ["search-attrs"], "num_layers"),
     "out_not_string": (lambda payload: payload.update(out=5), ["gen-data"], "out"),
@@ -464,6 +465,11 @@ BAD_BLOCKS = {
                            "bank.class_block"),
     "attribute_block_narrow": (("attribute_blocks", "color"), [[0.1, 0.2]], "DataError",
                                "bank.attribute_blocks.color"),
+    # the classic checkpoint is depth 1, with a class block of 2 rows of width 32
+    "deep_block_extra": (("deep_class_blocks",), [[[0.0] * 32] * 2], "CheckpointError",
+                         "bank.deep_class_blocks"),
+    "deep_block_short": (("deep_class_blocks",), [[[0.0] * 32]], "DataError",
+                         "bank: deep block 0 has length 1"),
 }
 
 

@@ -232,7 +232,7 @@ seeds = st.integers(0, 2**32 - 1)
 # float fields also take ints, which must come back as the ints they were written as
 positive_numbers = st.one_of(st.integers(1, 9), st.floats(1e-4, 9.0))
 fractions = st.one_of(st.integers(0, 1), st.floats(0.0, 1.0))
-sizes = st.integers(0, 4)
+sizes = st.integers(1, 4)
 
 
 def _valid(config):

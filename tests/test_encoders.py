@@ -10,7 +10,6 @@ from promptlab.errors import (
     CapacityError,
     CheckpointError,
     ConfigError,
-    ParameterError,
     ShapeError,
     TokenizationError,
 )
@@ -203,14 +202,14 @@ def test_equal_similarities_give_uniform_probs():
 
 
 def test_probabilities_at_unit_temperature():
-    enc = make_encoder()
+    enc = make_encoder(temperature=1.0)
     j = enc.config.joint_dim
     u = np.zeros(j)
     u[0] = 1.0
     w = np.zeros((2, j))
     w[0, 0] = 1.0  # cos = 1
     w[1, 1] = 1.0  # cos = 0
-    p = T.softmax(enc.class_logits(T.Tensor(u), T.Tensor(w), temperature=1.0), axis=-1)
+    p = T.softmax(enc.class_logits(T.Tensor(u), T.Tensor(w)), axis=-1)
     e = math.e
     np.testing.assert_allclose(p.data, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
 
@@ -251,25 +250,16 @@ def test_probabilities_shift_invariant_and_monotone():
 
 
 def test_argmax_invariant_to_temperature():
-    enc = make_encoder()
     rng = np.random.default_rng(6)
-    j = enc.config.joint_dim
+    j = make_encoder().config.joint_dim
     u = T.Tensor(unit(rng.standard_normal(j)))
     w = rng.standard_normal((6, j))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     picks = set()
     for tau in (0.01, 0.07, 1.0, 100.0):
-        p = T.softmax(enc.class_logits(u, T.Tensor(w), temperature=tau), axis=-1)
+        p = T.softmax(make_encoder(temperature=tau).class_logits(u, T.Tensor(w)), axis=-1)
         picks.add(int(np.argmax(p.data)))
     assert len(picks) == 1
-
-
-def test_nonpositive_temperature_rejected():
-    enc = make_encoder()
-    u = T.Tensor(np.ones(enc.config.joint_dim))
-    w = T.Tensor(np.ones((2, enc.config.joint_dim)))
-    with pytest.raises(ParameterError):
-        enc.class_logits(u, w, temperature=-0.07)
 
 
 def oracle_block(enc, layer, h, readout):

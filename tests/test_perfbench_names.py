@@ -31,7 +31,7 @@ from test_search import one_step_setup, search_encoder, search_task
 task = search_task()
 enc = search_encoder(task)
 plan, params, alpha, batch = one_step_setup(task, enc)
-search_step(enc, plan, alpha, Adam([alpha.logits], lr=0.05), SGD(params, lr=0.05), batch, batch)
+search_step(enc, plan, alpha, Adam([alpha], lr=0.05), SGD(params, lr=0.05), batch, batch)
 cfg = TrainConfig(epochs=1, batch_size=8, lr_init=0.05)
 train_prompts(task, cfg, make_bank(cfg, enc), enc)
 assert tracer.counts["tensor.make_calls"] > 0

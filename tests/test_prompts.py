@@ -566,11 +566,12 @@ def test_training_step_changes_only_bank():
 # -- grouped candidate features ---------------------------------------------------------
 
 
-def candidate_set(enc, style, depth):
+def candidate_set(enc, style, depth, drop_policy="retain_all"):
     out = []
     for seed, attrs in enumerate(((), ("color",), ("shape",), ("color", "shape"))):
         bank = make_bank(enc, attrs=attrs, depth=depth, seed=seed)
-        layout = PromptLayout(attribute_names=attrs, attribute_position_style=style, depth=depth)
+        layout = PromptLayout(attribute_names=attrs, attribute_position_style=style,
+                              drop_policy=drop_policy, depth=depth)
         out.append((bank, layout))
     return out
 
@@ -585,13 +586,17 @@ def per_class_reference(enc, candidates, names):
             for bank, layout in candidates]
 
 
-@pytest.mark.parametrize("depth", [1, 2])
+# depth 2 passes mix the candidates' re-entry indices, which each drop policy fills differently
+@pytest.mark.parametrize("depth, drop_policy", [
+    pytest.param(1, "retain_all", id="1"), pytest.param(2, "retain_all", id="2"),
+    pytest.param(2, "partial_drop", id="2-partial_drop"),
+    pytest.param(2, "full_drop", id="2-full_drop")])
 @pytest.mark.parametrize("style", ["interval", "adjacent_end"])
 @pytest.mark.parametrize(
     "names", [("cat", "dog", "bird"), ("cat", "red fish"), ("cat", "red fish", "dog")])
-def test_candidate_features_equal_per_candidate_features(depth, style, names):
+def test_candidate_features_equal_per_candidate_features(depth, drop_policy, style, names):
     enc = make_encoder()
-    candidates = candidate_set(enc, style, depth)
+    candidates = candidate_set(enc, style, depth, drop_policy)
     params = list({id(p): p for bank, _ in candidates for p in bank.parameters()}.values())
     results = []
     for compute in (plan_features, per_class_reference):
@@ -625,10 +630,9 @@ def test_candidate_features_run_one_pass_per_prompt_length(monkeypatch):
         # every length of every layout once, the two classes of one length together
         (("cat", "red fish", "dog"), 1,
          [(1, 6, 32), (1, 12, 32), (2, 5, 32), (2, 9, 32), (2, 11, 32), (4, 8, 32)]),
-        # depth 2: one pass per length and candidate
+        # depth 2: the same passes, each with its re-entry indices
         (("cat", "red fish", "dog"), 2,
-         [(1, 6, 32), (1, 9, 32), (1, 9, 32), (1, 12, 32),
-          (2, 5, 32), (2, 8, 32), (2, 8, 32), (2, 11, 32)]),
+         [(1, 6, 32), (1, 12, 32), (2, 5, 32), (2, 9, 32), (2, 11, 32), (4, 8, 32)]),
     ]
     for names, depth, passes in cases:
         calls.clear()

@@ -18,7 +18,6 @@ from promptlab.optim import SGD, Adam
 from promptlab.prompts import FeaturePlan, PromptLayout, SoftPromptBank, template_rows_for
 from promptlab.search import (
     MAX_BASES,
-    AlphaVector,
     SearchConfig,
     SearchResult,
     alternating_search,
@@ -92,28 +91,6 @@ def test_pool_rejects_empty_and_oversized_base_lists():
 def test_pool_rejects_duplicates_and_names_them():
     with pytest.raises(ParameterError, match="color"):
         enumerate_pool(("color", "shape", "color"))
-
-
-# -- alpha vector -------------------------------------------------------------
-
-
-def test_alpha_starts_uniform():
-    alpha = AlphaVector.create(7)
-    np.testing.assert_array_equal(alpha.logits.data, np.zeros(7))
-    np.testing.assert_allclose(alpha.weights(), np.full(7, 1 / 7), atol=1e-15)
-
-
-def test_alpha_weights_are_a_distribution_after_update():
-    alpha = AlphaVector.create(3)
-    alpha.logits.data[:] = [5.0, -2.0, 0.5]
-    w = alpha.weights()
-    assert w.sum() == pytest.approx(1.0, abs=1e-12)
-    assert (w > 0).all()
-
-
-def test_alpha_rejects_empty():
-    with pytest.raises(ParameterError):
-        AlphaVector.create(0)
 
 
 # -- mixture -------------------------------------------------------------------
@@ -324,7 +301,7 @@ def one_step_setup(task, enc, bases=("color", "shape"), batch_rows=8):
     banks = build_candidate_banks(pool, SearchConfig(), enc)
     candidates = [(banks[c], PromptLayout(attribute_names=c)) for c in pool]
     params = list({id(p): p for b in banks.values() for p in b.parameters()}.values())
-    alpha = AlphaVector.create(len(pool))
+    alpha = Tensor(np.zeros(len(pool)), requires_grad=True, name="alpha")
     x, y = task.split("train")
     batch = (x[:batch_rows], y[:batch_rows])
     return FeaturePlan(enc, candidates, task.class_names), params, alpha, batch
@@ -336,18 +313,18 @@ def test_alpha_step_writes_no_gradient_into_soft_blocks():
     plan, params, alpha, batch = one_step_setup(task, enc)
     before = [p.data.copy() for p in params]
     spy = ThetaSpy(params)
-    search_step(enc, plan, alpha, Adam([alpha.logits], lr=0.05), spy, batch, batch)
+    search_step(enc, plan, alpha, Adam([alpha], lr=0.05), spy, batch, batch)
     grads, data = spy.after_alpha
-    assert np.abs(alpha.logits.data).max() > 0  # the alpha step did run
+    assert np.abs(alpha.data).max() > 0  # the alpha step did run
     for p, g, d, d0 in zip(params, grads, data, before):
         assert not g.any(), f"alpha step wrote a gradient into {p.name}"
         np.testing.assert_array_equal(d, d0)
 
 
 # measured: prompts composed once per search, one grouped text forward per
-# step, two fused ops per encoder block, a read-out-only last block and one
-# scoring product per half-step
-OPS_PER_TOY_STEP = 56
+# step, two fused ops per encoder block, a read-out-only last block, and one
+# softmax of alpha and one scoring product per half-step
+OPS_PER_TOY_STEP = 57
 
 
 def test_search_step_op_count_stays_low(monkeypatch):
@@ -356,7 +333,7 @@ def test_search_step_op_count_stays_low(monkeypatch):
     task = search_task()
     enc = search_encoder(task)
     plan, params, alpha, batch = one_step_setup(task, enc)
-    alpha_opt, theta_opt = Adam([alpha.logits], lr=0.05), SGD(params, lr=0.05)
+    alpha_opt, theta_opt = Adam([alpha], lr=0.05), SGD(params, lr=0.05)
     search_step(enc, plan, alpha, alpha_opt, theta_opt, batch, batch)
     ops = []
     make = T._make
@@ -392,7 +369,7 @@ task = generate_task(TaskSpec(
 enc = DualEncoder(build_config_for(task.vocabulary, num_heads=1, joint_dim=32, image_dim=32,
                                    image_hidden_dim=32), task.vocabulary, seed=0)
 plan, params, alpha, batch = one_step_setup(task, enc, bases, batch_rows=32)
-alpha_opt, theta_opt = Adam([alpha.logits], lr=0.05), SGD(params, lr=0.05)
+alpha_opt, theta_opt = Adam([alpha], lr=0.05), SGD(params, lr=0.05)
 
 
 def steps(n):

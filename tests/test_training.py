@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from promptlab.data import LatentAttribute, TaskSpec, generate_task, make_base_novel_task
 from promptlab.encoders import DualEncoder, build_config_for
-from promptlab.errors import ConfigError, ContractError, DataError
+from promptlab.errors import CheckpointError, ConfigError, ContractError, DataError
 from promptlab.prompts import PromptLayout
 from promptlab.search import SearchConfig, alternating_search
 from promptlab.training import (
@@ -64,6 +65,8 @@ BAD_SHARED_SETTINGS = {
     "batch_size": ({"batch_size": 0}, "batch_size"),
     "seed": ({"seed": -1}, "seed"),
     "soft_len": ({"soft_len": -1}, "soft lengths"),
+    "soft_len_zero": ({"soft_len": 0}, "soft lengths"),
+    "attr_soft_len_zero": ({"attr_soft_len": 0}, "soft lengths"),
     "init_scheme": ({"init_scheme": "bogus"}, "init_scheme"),
     "layout": ({"layout": PromptLayout(drop_policy="bogus")}, "drop_policy"),
 }
@@ -288,6 +291,30 @@ def test_checkpoint_of_another_kind_or_version_is_a_data_error(tmp_path, key, va
     with open(path, "w") as fh:
         json.dump(payload, fh)
     with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
+# an edit to the depth-2 checkpoint -> (the error it raises, and what the message names)
+DEEP_MISMATCHES = {
+    "deep_blocks_removed": (lambda payload: payload["bank"].update(deep_class_blocks=[]),
+                            CheckpointError, "bank.deep_class_blocks"),
+    "layout_depth_lowered": (lambda payload: payload["layout"].update(depth=1),
+                             CheckpointError, "bank.deep_class_blocks"),
+    "deep_block_cut": (lambda payload: payload["bank"]["deep_class_blocks"][0].pop(),
+                       DataError, "bank: deep block 0 has length 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_MISMATCHES))
+def test_checkpoint_deep_blocks_must_fit_the_layout_depth(tmp_path, case):
+    path, _, _ = saved_checkpoint(tmp_path)
+    edit, error, named = DEEP_MISMATCHES[case]
+    with open(path) as fh:
+        payload = json.load(fh)
+    edit(payload)
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(error, match=f"^{re.escape(path)}:.*{named}"):
         load_checkpoint(path)
 
 

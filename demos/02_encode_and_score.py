@@ -37,8 +37,9 @@ encoder = DualEncoder(
 ############## text side ##############
 ids = task.vocabulary.encode_with_sentinels(task.class_names[0])
 print("token ids for", repr(task.class_names[0]), "->", list(ids))
-feature = encoder.encode_text(encoder.embed_tokens(ids))
-print("text feature is unit norm:", float(np.linalg.norm(feature.data)))
+# every encoder entry point takes a batch: here, one class name gives features [1, joint]
+features = encoder.encode_class_names(task.class_names[:1])
+print("text feature is unit norm:", float(np.linalg.norm(features.data[0])))
 
 ############## image side, zero-shot scoring ##############
 x_train, y_train = task.splits["train"]

@@ -225,43 +225,40 @@ def cmd_eval(args) -> int:
 
 
 def _ablation_cells(config: RunConfig, axis: str):
-    base_layout = config.train.layout
+    """(label, train config) per cell; every cell starts from the selected attributes."""
+    train = replace(config.train, attributes=_selected_attributes(config))
     if axis == "length":
         for n in (1, 2, 4):
-            yield f"soft_len={n}", replace(config.train, soft_len=n, attr_soft_len=n)
+            yield f"soft_len={n}", replace(train, soft_len=n, attr_soft_len=n)
     elif axis == "class_position":
         for pos in CLASS_POSITIONS:
-            yield pos, replace(config.train, layout=replace(base_layout, class_token_position=pos))
+            yield pos, replace(train, layout=replace(train.layout, class_token_position=pos))
     elif axis == "drop_policy":
         for policy in DROP_POLICIES:
             yield policy, replace(
-                config.train, layout=replace(base_layout, drop_policy=policy, depth=2)
+                train, layout=replace(train.layout, drop_policy=policy, depth=2)
             )
     elif axis == "attr_order":
-        attrs = _selected_attributes(config)
-        if len(attrs) < 2:
-            raise ConfigError(f"attr_order needs >= 2 anchored attributes, got {attrs}")
-        for order in permutations(attrs):
-            yield ", ".join(order), replace(config.train, attributes=order)
+        if len(train.attributes) < 2:
+            raise ConfigError(f"attr_order needs >= 2 anchored attributes, got {train.attributes}")
+        for order in permutations(train.attributes):
+            yield ", ".join(order), replace(train, attributes=order)
     elif axis == "attr_position":
         for style in POSITION_STYLES:
             yield style, replace(
-                config.train, layout=replace(base_layout, attribute_position_style=style)
+                train, layout=replace(train.layout, attribute_position_style=style)
             )
     elif axis == "init":
         for scheme in INIT_SCHEMES:
-            yield scheme, replace(config.train, init_scheme=scheme)
+            yield scheme, replace(train, init_scheme=scheme)
     else:
         raise ConfigError(f"unknown ablation axis {axis!r}; axes: {', '.join(ABLATION_AXES)}")
 
 
 def cmd_ablate(args) -> int:
     config, base, novel, encoder = _run_inputs(args)
-    default_attrs = _selected_attributes(config) if args.axis != "attr_order" else ()
     rows = []
     for label, train_cfg in _ablation_cells(config, args.axis):
-        if args.axis != "attr_order" and not train_cfg.attributes:
-            train_cfg = replace(train_cfg, attributes=default_attrs)
         reports = []
         for seed in config.seed_list():
             cell_cfg = replace(train_cfg, seed=subseed(seed, "train"))

@@ -1,9 +1,9 @@
 """Miniature frozen dual encoder and the cosine-similarity scoring rule.
 
-The text side is a small pre-norm transformer read out at the end-sentinel
-position; the image side is a 2-layer MLP over synthetic raw feature
-vectors. Both project into a shared joint space and L2-normalize, and class
-probabilities are a temperature-scaled softmax over cosine similarities.
+Every entry point takes a batch. The text side is a small pre-norm transformer
+read out at the end-sentinel position of each sequence [C, L, d]; the image
+side is a 2-layer MLP over raw feature vectors [B, image_dim]. Both project into
+a shared joint space and L2-normalize; class logits [B, C] are temperature-scaled cosines.
 
 All encoder weights are sampled once from a seeded generator at
 construction and are frozen (``requires_grad=False``): prompt learning only
@@ -162,9 +162,9 @@ class DualEncoder:
             p[base + "mlp.b1"], p[base + "mlp.w2"], p[base + "mlp.b2"])
 
     def encode_text(self, embeds: Tensor, deep_hook=None) -> Tensor:
-        """Joint-space feature(s) for one composed sequence [L, d] or a batch [C, L, d].
+        """Joint-space features [C, joint] for a batch of composed sequences [C, L, d].
 
-        The sequence must already carry its sentinel positions; the feature
+        The sequences must already carry their sentinel positions; a feature
         is the L2-normalized projection of the hidden state at the final
         (end-sentinel) position. ``deep_hook(i, hidden) -> hidden`` is
         invoked after block ``i`` (1-based) for 1 <= i < num_layers, which is
@@ -173,9 +173,9 @@ class DualEncoder:
         residual, MLP, final norm) at the read-out position only.
         """
         cfg = self.config
-        if embeds.ndim not in (2, 3):
-            raise ShapeError(f"encode_text expects [L, d] or [C, L, d], got {embeds.shape}")
-        seq_len, dim = embeds.shape[-2], embeds.shape[-1]
+        if embeds.ndim != 3:
+            raise ShapeError(f"encode_text expects a batch [C, L, d], got {embeds.shape}")
+        seq_len, dim = embeds.shape[1], embeds.shape[2]
         if dim != cfg.embed_dim:
             raise ShapeError(f"embedding dim {dim} != configured {cfg.embed_dim}")
         if seq_len > cfg.max_seq_len:
@@ -190,11 +190,8 @@ class DualEncoder:
             if deep_hook is not None and i < last:
                 h = deep_hook(i + 1, h)
         h = T.layer_norm(h, self._params["ln_final.gain"], self._params["ln_final.bias"])
-        if embeds.ndim == 3:
-            feat = T.matmul(T.reshape(h, (embeds.shape[0], cfg.embed_dim)),
-                            self._params["text_proj"])
-        else:
-            feat = T.reshape(T.matmul(h, self._params["text_proj"]), (cfg.joint_dim,))
+        feat = T.matmul(T.reshape(h, (embeds.shape[0], cfg.embed_dim)),
+                        self._params["text_proj"])
         return T.l2_normalize(feat)
 
     def encode_class_names(self, names) -> Tensor:
@@ -208,35 +205,23 @@ class DualEncoder:
     # -- image branch -----------------------------------------------------------------
 
     def encode_image(self, x) -> Tensor:
-        """L2-normalized joint feature(s) for raw vectors [image_dim] or [B, image_dim]."""
-        cfg = self.config
+        """L2-normalized joint features [B, joint] for a batch of raw vectors [B, image_dim]."""
         t = x if isinstance(x, Tensor) else Tensor(x)
-        single = t.ndim == 1
-        if single:
-            t = T.reshape(t, (1, t.shape[0]))
-        if t.ndim != 2 or t.shape[1] != cfg.image_dim:
-            raise ShapeError(f"encode_image expects [*, {cfg.image_dim}], got {x.shape if isinstance(x, Tensor) else np.shape(x)}")
+        if t.ndim != 2 or t.shape[1] != self.config.image_dim:
+            raise ShapeError(f"encode_image expects [B, {self.config.image_dim}], got {t.shape}")
         p = self._params
         h = T.gelu(T.matmul(t, p["image.w1"]) + p["image.b1"])
-        out = T.l2_normalize(T.matmul(h, p["image.w2"]) + p["image.b2"])
-        if single:
-            out = T.reshape(out, (cfg.joint_dim,))
-        return out
+        return T.l2_normalize(T.matmul(h, p["image.w2"]) + p["image.b2"])
 
     # -- scoring ------------------------------------------------------------------------
 
     def class_logits(self, u: Tensor, class_features: Tensor) -> Tensor:
-        """cos(u, w_c) / temperature for every class c; inputs must be normalized."""
-        if class_features.ndim != 2:
-            raise ShapeError(f"class features must be [N, joint], got {class_features.shape}")
-        single = u.ndim == 1
-        if single:
-            u = T.reshape(u, (1, u.shape[0]))
-        logits = T.scale(T.matmul(u, T.transpose_last(class_features)),
-                         1.0 / self.config.temperature)
-        if single:
-            logits = T.reshape(logits, (class_features.shape[0],))
-        return logits
+        """cos(u_b, w_c) / temperature [B, N] for u [B, joint]; inputs must be normalized."""
+        if u.ndim != 2 or class_features.ndim != 2:
+            raise ShapeError(f"class_logits expects image features [B, joint] and class features "
+                             f"[N, joint], got {u.shape} and {class_features.shape}")
+        return T.scale(T.matmul(u, T.transpose_last(class_features)),
+                       1.0 / self.config.temperature)
 
     # -- persistence ----------------------------------------------------------------------
 

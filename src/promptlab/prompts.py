@@ -408,10 +408,10 @@ class FeaturePlan:
         pass_of = {}  # (length, depth) -> index into passes
         self._runs = []  # per candidate: [pass index, start, stop] runs in class order
         for bank, layout in candidates:
-            deep = bank.deep_class_blocks[:layout.depth - 1]
-            if len(deep) < layout.depth - 1:
-                raise ConfigError(f"depth {layout.depth} needs {layout.depth - 1} deep blocks, "
-                                  f"bank has {len(bank.deep_class_blocks)}")
+            deep = bank.deep_class_blocks
+            if len(deep) != layout.depth - 1:
+                raise ConfigError(f"depth {layout.depth} needs exactly {layout.depth - 1} deep "
+                                  f"blocks, bank has {len(deep)}")
             runs = []
             for name in class_names:
                 prompt = compose_shallow(encoder, bank, layout, name)

@@ -334,10 +334,21 @@ CHECKPOINT_TYPES = {"config_hash": str, "tag": str, "seed": int, "attributes": t
 
 
 def load_checkpoint(path: str):
-    """(bank, layout) from a checkpoint file; a wrong kind or version is a DataError, and
-    deep blocks that do not number layout.depth - 1 are a CheckpointError."""
+    """(bank, layout) from a checkpoint file; a wrong kind or version is a DataError.
+
+    A CheckpointError names the path and the key when the parts disagree: the
+    attributes must be layout.attribute_names, the bank's attribute blocks
+    must be exactly those, and its deep blocks must number layout.depth - 1.
+    """
     body = load_artifact(path, CHECKPOINT_KIND, CHECKPOINT_TYPES)
     bank, layout = body["bank"], body["layout"]
+    names = layout.attribute_names
+    if body["attributes"] != names:
+        raise CheckpointError(f"{path}: attributes {list(body['attributes'])} are not "
+                              f"layout.attribute_names {list(names)}")
+    if set(bank.attribute_blocks) != set(names):
+        raise CheckpointError(f"{path}: bank.attribute_blocks {sorted(bank.attribute_blocks)} "
+                              f"are not the blocks of layout.attribute_names {list(names)}")
     if len(bank.deep_class_blocks) != layout.depth - 1:
         raise CheckpointError(f"{path}: layout.depth {layout.depth} needs {layout.depth - 1} "
                               f"bank.deep_class_blocks, got {len(bank.deep_class_blocks)}")

@@ -470,6 +470,8 @@ BAD_BLOCKS = {
                          "bank.deep_class_blocks"),
     "deep_block_short": (("deep_class_blocks",), [[[0.0] * 32]], "DataError",
                          "bank: deep block 0 has length 1"),
+    "attribute_block_extra": (("attribute_blocks", "zzz"), [[0.0] * 32] * 2, "CheckpointError",
+                              "bank.attribute_blocks ['zzz']"),
 }
 
 
@@ -488,6 +490,35 @@ def test_checkpoint_block_of_the_wrong_shape_is_one_error_line(case, classic_pip
     assert main(["eval", "--classic", "--config", cfg]) == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert line.startswith(f"error: {error}: "), line
+    assert path in line and where in line, line
+
+
+# the classic checkpoint's attribute names edited so that they disagree: (key, value) edits
+# and what the error line must name
+BAD_ATTRIBUTES = {
+    "attributes_not_the_layout": ([(("attributes",), ["shape"])], "attributes ['shape']"),
+    "layout_attribute_without_a_block": (
+        [(("attributes",), ["shape"]), (("layout", "attribute_names"), ["shape"])],
+        "bank.attribute_blocks []"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ATTRIBUTES))
+def test_checkpoint_attributes_that_disagree_are_one_error_line(case, classic_pipeline_out,
+                                                                tmp_path, capsys):
+    cfg, out = write_config(tmp_path)
+    shutil.copytree(classic_pipeline_out, out)
+    edits, where = BAD_ATTRIBUTES[case]
+    path = os.path.join(out, "checkpoint_classic_s3.json")
+    payload = load_json(path)
+    for (*outer, last), value in edits:
+        functools.reduce(operator.getitem, outer, payload)[last] = value
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    assert main(["eval", "--classic", "--config", cfg]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("error: CheckpointError: "), line
     assert path in line and where in line, line
 
 

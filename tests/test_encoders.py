@@ -18,7 +18,8 @@ from toys import make_encoder, make_vocab, tiny_encoder
 
 
 def embed_phrase(enc, text):
-    return enc.embed_tokens(enc.vocabulary.encode_with_sentinels(text))
+    """A batch of one composed sequence [1, L, d]."""
+    return T.stack([enc.embed_tokens(enc.vocabulary.encode_with_sentinels(text))])
 
 
 # -- config ---------------------------------------------------------------------
@@ -84,20 +85,11 @@ def test_overlong_sequence_is_capacity_error():
         enc.encode_text(x)
 
 
-def test_batched_encode_matches_single():
-    enc = make_encoder()
-    names = ["cat", "dog", "bird"]
-    batched = enc.encode_class_names(names)
-    for i, name in enumerate(names):
-        single = enc.encode_text(embed_phrase(enc, name))
-        np.testing.assert_allclose(batched.data[i], single.data, atol=1e-12)
-
-
 def test_encode_class_names_reads_the_token_table():
     # one gather on the token table gives the bytes of the stacked per-name rows
     enc = make_encoder()
     names = ["cat", "dog", "bird"]
-    stacked = T.stack([embed_phrase(enc, n) for n in names])
+    stacked = T.concat([embed_phrase(enc, n) for n in names], axis=0)
     np.testing.assert_array_equal(enc.encode_class_names(names).data,
                                   enc.encode_text(stacked).data)
 
@@ -134,8 +126,6 @@ def test_encode_text_features_are_pinned(layers, heads):
     embeds = np.random.default_rng(layers * 10 + heads).standard_normal((2, 5, 8))
     pinned = np.array(TEXT_FEATURE_PINS[layers, heads])
     np.testing.assert_allclose(enc.encode_text(T.Tensor(embeds)).data, pinned, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(enc.encode_text(T.Tensor(embeds[1])).data, pinned[1],
-                               rtol=0, atol=1e-12)
 
 
 def test_encode_class_names_rejects_ragged():
@@ -156,7 +146,7 @@ def test_encode_class_names_unknown_word():
 def test_encode_image_unit_norm_and_deterministic():
     enc = make_encoder()
     rng = np.random.default_rng(3)
-    x = rng.standard_normal(enc.config.image_dim)
+    x = rng.standard_normal((1, enc.config.image_dim))
     u1, u2 = enc.encode_image(x), enc.encode_image(x)
     assert abs(np.linalg.norm(u1.data) - 1.0) < 1e-9
     np.testing.assert_array_equal(u1.data, u2.data)
@@ -164,7 +154,7 @@ def test_encode_image_unit_norm_and_deterministic():
 
 def test_encode_image_zero_input_is_unit_via_bias():
     enc = make_encoder()
-    u = enc.encode_image(np.zeros(enc.config.image_dim))
+    u = enc.encode_image(np.zeros((1, enc.config.image_dim)))
     assert np.all(np.isfinite(u.data))
     assert abs(np.linalg.norm(u.data) - 1.0) < 1e-9
 
@@ -172,16 +162,7 @@ def test_encode_image_zero_input_is_unit_via_bias():
 def test_encode_image_wrong_dim():
     enc = make_encoder()
     with pytest.raises(ShapeError):
-        enc.encode_image(np.zeros(enc.config.image_dim + 1))
-
-
-def test_encode_image_batch_matches_single():
-    enc = make_encoder()
-    rng = np.random.default_rng(4)
-    xs = rng.standard_normal((3, enc.config.image_dim))
-    batch = enc.encode_image(xs)
-    for i in range(3):
-        np.testing.assert_allclose(batch.data[i], enc.encode_image(xs[i]).data, atol=1e-12)
+        enc.encode_image(np.zeros((1, enc.config.image_dim + 1)))
 
 
 # -- scoring -------------------------------------------------------------------------
@@ -196,42 +177,42 @@ def test_equal_similarities_give_uniform_probs():
     enc = make_encoder()
     j = enc.config.joint_dim
     w = np.tile(unit(np.arange(1, j + 1.0)), (5, 1))
-    u = T.Tensor(unit(np.ones(j)))
+    u = T.Tensor([unit(np.ones(j))])
     p = T.softmax(enc.class_logits(u, T.Tensor(w)), axis=-1)
-    np.testing.assert_allclose(p.data, np.full(5, 0.2), atol=1e-12)
+    np.testing.assert_allclose(p.data, np.full((1, 5), 0.2), atol=1e-12)
 
 
 def test_probabilities_at_unit_temperature():
     enc = make_encoder(temperature=1.0)
     j = enc.config.joint_dim
-    u = np.zeros(j)
-    u[0] = 1.0
+    u = np.zeros((1, j))
+    u[0, 0] = 1.0
     w = np.zeros((2, j))
     w[0, 0] = 1.0  # cos = 1
     w[1, 1] = 1.0  # cos = 0
     p = T.softmax(enc.class_logits(T.Tensor(u), T.Tensor(w)), axis=-1)
     e = math.e
-    np.testing.assert_allclose(p.data, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
+    np.testing.assert_allclose(p.data, [[e / (e + 1), 1 / (e + 1)]], atol=1e-12)
 
 
 def test_probability_ratio_at_paper_temperature():
     # cos sims (0.9, 0.1) at tau=0.07 -> p1/p2 = exp(0.8 / 0.07)
     enc = make_encoder()
     j = enc.config.joint_dim
-    u = np.zeros(j)
-    u[0] = 1.0
+    u = np.zeros((1, j))
+    u[0, 0] = 1.0
     w = np.zeros((2, j))
     w[0, :2] = [0.9, math.sqrt(1 - 0.81)]
     w[1, :2] = [0.1, math.sqrt(1 - 0.01)]
     p = T.softmax(enc.class_logits(T.Tensor(u), T.Tensor(w)), axis=-1)
-    ratio = p.data[0] / p.data[1]
+    ratio = p.data[0, 0] / p.data[0, 1]
     assert ratio == pytest.approx(math.exp(0.8 / 0.07), rel=1e-9)
 
 
 def test_probabilities_sum_to_one():
     enc = make_encoder()
     rng = np.random.default_rng(5)
-    u = T.Tensor(unit(rng.standard_normal(enc.config.joint_dim)))
+    u = T.Tensor([unit(rng.standard_normal(enc.config.joint_dim))])
     w = rng.standard_normal((7, enc.config.joint_dim))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     p = T.softmax(enc.class_logits(u, T.Tensor(w)), axis=-1)
@@ -252,7 +233,7 @@ def test_probabilities_shift_invariant_and_monotone():
 def test_argmax_invariant_to_temperature():
     rng = np.random.default_rng(6)
     j = make_encoder().config.joint_dim
-    u = T.Tensor(unit(rng.standard_normal(j)))
+    u = T.Tensor([unit(rng.standard_normal(j))])
     w = rng.standard_normal((6, j))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     picks = set()
@@ -260,6 +241,23 @@ def test_argmax_invariant_to_temperature():
         p = T.softmax(make_encoder(temperature=tau).class_logits(u, T.Tensor(w)), axis=-1)
         picks.add(int(np.argmax(p.data)))
     assert len(picks) == 1
+
+
+# per entry point: the batched shape its error names, and a call with one unbatched input
+UNBATCHED_CALLS = {
+    "encode_text": ("[C, L, d]", lambda enc: enc.encode_text(
+        enc.embed_tokens(enc.vocabulary.encode_with_sentinels("cat")))),
+    "encode_image": ("[B, 16]", lambda enc: enc.encode_image(np.zeros(enc.config.image_dim))),
+    "class_logits": ("[B, joint]", lambda enc: enc.class_logits(
+        T.Tensor(unit(np.ones(enc.config.joint_dim))), enc.encode_class_names(["cat"]))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNBATCHED_CALLS))
+def test_entry_point_rejects_unbatched_input(entry):
+    shape, call = UNBATCHED_CALLS[entry]
+    with pytest.raises(ShapeError, match=rf"^{entry} expects .*{re.escape(shape)}"):
+        call(make_encoder())
 
 
 def oracle_block(enc, layer, h, readout):
@@ -324,7 +322,7 @@ def test_backward_through_encoder_leaves_weights_untouched():
     ids = enc.vocabulary.encode_with_sentinels("cat")
     hard = enc.embed_tokens(ids)
     seq = T.concat([T.narrow(hard, 0, 0, 1), soft, T.narrow(hard, 0, 1, len(ids))], axis=0)
-    feat = enc.encode_text(seq)
+    feat = enc.encode_text(T.stack([seq]))
     T.tsum(T.mul(feat, feat)).backward()
     assert np.any(soft.grad != 0)
     assert enc.weights_fingerprint() == before
@@ -344,7 +342,7 @@ def test_text_encoder_gradients_vs_finite_differences():
 
     def build():
         seq = T.concat([T.narrow(hard, 0, 0, 1), soft, T.narrow(hard, 0, 1, len(ids))], axis=0)
-        return T.tsum(T.mul(enc.encode_text(seq), target))
+        return T.tsum(T.mul(enc.encode_text(T.stack([seq])), target))
 
     assert_gradients_match(build, [soft])
 

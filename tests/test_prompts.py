@@ -343,8 +343,8 @@ def test_depth_one_deep_forward_equals_shallow():
     bank = make_bank(enc)
     layout = PromptLayout(attribute_names=("color", "shape"), depth=1)
     deep = deep_forward(enc, bank, layout, "cat")
-    shallow = enc.encode_text(compose_shallow(enc, bank, layout, "cat").embeds)
-    np.testing.assert_array_equal(deep.data, shallow.data)
+    shallow = enc.encode_text(T.stack([compose_shallow(enc, bank, layout, "cat").embeds]))
+    np.testing.assert_array_equal(deep.data, shallow.data[0])
 
 
 def test_deep_sequence_length_constant_across_layers():
@@ -385,6 +385,14 @@ def test_deep_missing_blocks_is_config_error():
     layout = PromptLayout(attribute_names=("color",), depth=3)
     with pytest.raises(ConfigError):
         deep_forward(enc, bank, layout, "cat")
+
+
+def test_deep_extra_blocks_are_config_error():
+    # a depth-3 bank under a depth-1 layout: its deep blocks must not be dropped silently
+    enc = make_encoder()
+    bank = SoftPromptBank.create(embed_dim=32, soft_len=2, depth=3)
+    with pytest.raises(ConfigError, match="needs exactly 0 deep blocks, bank has 2"):
+        class_text_features(enc, bank, PromptLayout(depth=1), ["cat"])
 
 
 def test_drop_policies_differ_in_features_not_positions():

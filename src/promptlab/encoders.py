@@ -1,7 +1,8 @@
 """Miniature frozen dual encoder and the cosine-similarity scoring rule.
 
 Every entry point takes a batch. The text side is a small pre-norm transformer
-read out at the end-sentinel position of each sequence [C, L, d]; the image
+over a row stack, the rows of many composed sequences [R, d] in groups of one
+length, read out at the end-sentinel position of each sequence; the image
 side is a 2-layer MLP over raw feature vectors [B, image_dim]. Both project into
 a shared joint space and L2-normalize; class logits [B, C] are temperature-scaled cosines.
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -54,6 +55,21 @@ class EncoderConfig(JsonFields):
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
         return self
+
+
+class RowStack(NamedTuple):
+    """Composed sequences as one row stack: ``rows`` [R, d] in ``groups`` of (count, length).
+
+    A group is ``count`` sequences of ``length`` rows each, one after another;
+    the groups follow each other in row order and cover all R rows. The stack
+    reads as the array of its rows (``shape``, ``ndim``), as callers that
+    inspect ``encode_text``'s argument, such as the benchmark's tracer, expect.
+    """
+
+    rows: Tensor
+    groups: tuple
+    shape = property(lambda self: self.rows.shape)
+    ndim = property(lambda self: self.rows.ndim)
 
 
 class DualEncoder:
@@ -98,11 +114,10 @@ class DualEncoder:
             base = f"layers.{i}."
             p[base + "ln1.gain"] = np.ones(d)
             p[base + "ln1.bias"] = np.zeros(d)
-            # key projection tied to the query projection: random projections
-            # preserve inner products, so tied q/k makes attention scores track
+            # one projection for queries and keys: random projections preserve
+            # inner products, so tied q/k makes attention scores track
             # embedding similarity; independent projections are similarity-blind
-            p[base + "attn.wq"] = dense(d, d)
-            p[base + "attn.wk"] = p[base + "attn.wq"].copy()
+            p[base + "attn.wqk"] = dense(d, d)
             p[base + "attn.wv"] = transport(d, d)
             p[base + "attn.wo"] = transport(d, d)
             p[base + "ln2.gain"] = np.ones(d)
@@ -145,8 +160,8 @@ class DualEncoder:
 
     # -- text branch ---------------------------------------------------------------
 
-    def _block(self, layer: int, h: Tensor, readout: bool = False) -> Tensor:
-        """One pre-norm block; ``readout`` keeps only the final position's output."""
+    def _block(self, layer: int, h: Tensor, groups, readout: bool = False) -> Tensor:
+        """One pre-norm block over a row stack; ``readout`` keeps each sequence's last row."""
         p = self._params
         base = f"layers.{layer}."
         # self-scores are masked out inside the attention op: with tied q/k
@@ -154,45 +169,43 @@ class DualEncoder:
         # cross-token routing; the residual stream already carries each
         # token's own content
         h = T.attention_sublayer(
-            h, p[base + "ln1.gain"], p[base + "ln1.bias"], p[base + "attn.wq"],
-            p[base + "attn.wk"], p[base + "attn.wv"], p[base + "attn.wo"],
-            self.config.num_heads, 1 if readout else h.shape[-2])
+            h, p[base + "ln1.gain"], p[base + "ln1.bias"], p[base + "attn.wqk"],
+            p[base + "attn.wv"], p[base + "attn.wo"], self.config.num_heads, groups, readout)
         return T.mlp_sublayer(
             h, p[base + "ln2.gain"], p[base + "ln2.bias"], p[base + "mlp.w1"],
             p[base + "mlp.b1"], p[base + "mlp.w2"], p[base + "mlp.b2"])
 
-    def encode_text(self, embeds: Tensor, deep_hook=None) -> Tensor:
-        """Joint-space features [C, joint] for a batch of composed sequences [C, L, d].
+    def encode_text(self, stack: RowStack, deep_hook=None) -> Tensor:
+        """Joint-space features [C, joint] for the C composed sequences of a ``RowStack``.
 
         The sequences must already carry their sentinel positions; a feature
         is the L2-normalized projection of the hidden state at the final
-        (end-sentinel) position. ``deep_hook(i, hidden) -> hidden`` is
-        invoked after block ``i`` (1-based) for 1 <= i < num_layers, which is
-        the injection point for deep prompt replacement. The last block reads
-        keys and values from every position but computes the rest (queries,
-        residual, MLP, final norm) at the read-out position only.
+        (end-sentinel) position. Row-wise work (norms, projections, residuals,
+        the MLP) runs once over the whole stack; attention runs per group.
+        ``deep_hook(i, hidden) -> hidden`` is invoked on the stack's hidden
+        rows [R, d] after block ``i`` (1-based) for 1 <= i < num_layers, which
+        is the injection point for deep prompt replacement. The last block
+        reads keys and values from every row but computes the rest (queries,
+        residual, MLP, final norm) at the read-out rows only.
         """
         cfg = self.config
-        if embeds.ndim != 3:
-            raise ShapeError(f"encode_text expects a batch [C, L, d], got {embeds.shape}")
-        seq_len, dim = embeds.shape[1], embeds.shape[2]
-        if dim != cfg.embed_dim:
-            raise ShapeError(f"embedding dim {dim} != configured {cfg.embed_dim}")
-        if seq_len > cfg.max_seq_len:
-            raise CapacityError(
-                f"sequence length {seq_len} exceeds max_seq_len {cfg.max_seq_len}"
-            )
-        pos = T.narrow(self._params["pos_embedding"], 0, 0, seq_len)
-        h = embeds + pos
+        rows, groups = stack
+        covered = sum(count * length for count, length in groups)
+        if rows.ndim != 2 or rows.shape[1] != cfg.embed_dim or not groups or covered != rows.shape[0]:
+            raise ShapeError(f"encode_text expects a row stack [R, {cfg.embed_dim}] that its groups "
+                             f"cover, got rows {rows.shape} and groups {list(groups)}")
+        longest = max(length for _, length in groups)
+        if longest > cfg.max_seq_len:
+            raise CapacityError(f"sequence length {longest} exceeds max_seq_len {cfg.max_seq_len}")
+        positions = np.concatenate([np.tile(np.arange(length), count) for count, length in groups])
+        h = rows + T.gather_rows(self._params["pos_embedding"], positions)
         last = cfg.num_layers - 1
         for i in range(cfg.num_layers):
-            h = self._block(i, h, readout=i == last)
+            h = self._block(i, h, groups, readout=i == last)
             if deep_hook is not None and i < last:
                 h = deep_hook(i + 1, h)
         h = T.layer_norm(h, self._params["ln_final.gain"], self._params["ln_final.bias"])
-        feat = T.matmul(T.reshape(h, (embeds.shape[0], cfg.embed_dim)),
-                        self._params["text_proj"])
-        return T.l2_normalize(feat)
+        return T.l2_normalize(T.matmul(h, self._params["text_proj"]))
 
     def encode_class_names(self, names) -> Tensor:
         """Plain hard-token features for equal-length class names [N, joint]."""
@@ -200,7 +213,8 @@ class DualEncoder:
         lengths = {len(s) for s in seqs}
         if len(lengths) != 1:
             raise ShapeError(f"class names must tokenize to equal lengths, got {sorted(lengths)}")
-        return self.encode_text(T.gather_rows(self.token_embedding, np.array(seqs)))
+        rows = T.gather_rows(self.token_embedding, np.concatenate(seqs))
+        return self.encode_text(RowStack(rows, ((len(seqs), lengths.pop()),)))
 
     # -- image branch -----------------------------------------------------------------
 
@@ -248,6 +262,9 @@ class DualEncoder:
             raise CheckpointError(f"{path}: config mismatch ({'; '.join(diffs)})")
         enc = cls(config, payload["vocabulary"], payload["seed"])
         weights = payload["weights"]
+        unknown = sorted(set(weights) - set(enc._params))
+        if unknown:
+            raise CheckpointError(f"{path}: unknown weight {unknown[0]}")
         for name, tens in enc._params.items():
             if name not in weights:
                 raise CheckpointError(f"{path}: missing weight {name}")

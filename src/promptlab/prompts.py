@@ -18,6 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import keyed_rng
+from .encoders import RowStack
 from .errors import ConfigError, ContractError, DataError, ParameterError
 from .serialize import JsonFields, check_fields, numeric_array
 from .tensor import Tensor
@@ -341,15 +342,14 @@ def compose_classic(encoder, bank: SoftPromptBank, class_name: str) -> ComposedP
 
 
 def apply_drop_policy(hidden: Tensor, table: Tensor, index: np.ndarray) -> Tensor:
-    """Re-enter one deep layer: ``[n, L, d]`` hidden states, rows picked by ``index``.
+    """Re-enter one deep layer: the hidden rows [R, d] of a row stack, picked by ``index``.
 
-    ``index`` ([n, L], built once by ``FeaturePlan``) addresses the hidden rows
-    followed by the plan's piece table: a value below ``n * L`` keeps the
-    incoming hidden row, a larger one swaps in a table row (a deep block, or
-    the prompt's own soft or hard rows, as the drop policy says).
+    ``index`` ([R], built once by ``FeaturePlan``) addresses the hidden rows
+    followed by the plan's piece table: a value below R keeps the incoming
+    hidden row, a larger one swaps in a table row (a deep block, or the
+    prompt's own soft or hard rows, as the drop policy says).
     """
-    n, length, dim = hidden.shape
-    return T.gather_rows(T.concat([T.reshape(hidden, (n * length, dim)), table], axis=0), index)
+    return T.gather_rows(T.concat([hidden, table], axis=0), index)
 
 
 def deep_forward(encoder, bank: SoftPromptBank, layout: PromptLayout, class_name: str):
@@ -364,7 +364,7 @@ def class_text_features(encoder, bank: SoftPromptBank, layout: PromptLayout, cla
 
 
 def _reenter(table: Tensor, index: list):
-    """The ``deep_hook`` of one pass: the input of layer i + 1 re-enters through index[i - 1]."""
+    """The plan's ``deep_hook``: the input of layer i + 1 re-enters through index[i - 1]."""
     return lambda i, hidden: (apply_drop_policy(hidden, table, index[i - 1])
                               if i <= len(index) else hidden)
 
@@ -376,21 +376,26 @@ class FeaturePlan:
     ``compose_shallow`` (validating layouts and position maps) and records
     which rows of the piece table each prompt is made of. The table is the
     encoder's token table, where a frozen row's row is its token id, then
-    each soft and deep block once. Prompts of one length and depth share one
-    ``[n, L, d]`` pass. At depth >= 2 the pass has one ``apply_drop_policy``
-    index per deep layer: entering layer k + 1, the class soft block takes the
-    rows of deep block k - 1, and the attribute positions its drop policy
-    names take the prompt's own rows.
+    each soft and deep block once. All prompts share one row stack [R, d] in
+    one encoder pass, grouped by length: prompts of one length are one group.
+    A plan with deep layouts has one ``apply_drop_policy`` index [R] per deep
+    layer: entering layer k + 1, the class soft block takes the rows of deep
+    block k - 1, and the attribute positions its drop policy names take the
+    prompt's own rows; the rows of a prompt whose layout is not that deep
+    keep their hidden state.
 
     ``features()`` reads the pieces' current data, so one plan serves every
     step of a training loop: one ``concat`` of the distinct pieces, one row
-    gather per pass and per deep layer, the encoder passes, and each
+    gather for the stack and one per deep layer, the encoder pass, and each
     candidate's rows in class order (the pass output itself, one slice, or
     the concatenation of its contiguous runs for class names of unequal
     token length).
     """
 
     def __init__(self, encoder, candidates, class_names):
+        if not candidates or not class_names:
+            empty = "candidate" if not candidates else "class-name"
+            raise ConfigError(f"FeaturePlan needs prompts, got an empty {empty} list")
         self.encoder = encoder
         # the token table, then the soft and deep blocks in order of first use
         self._pieces = [encoder.token_embedding]
@@ -404,19 +409,16 @@ class FeaturePlan:
                 self._pieces.append(piece)
             return range(first_row[id(piece)], first_row[id(piece)] + piece.shape[0])
 
-        passes = []  # per pass: (rows, re-entry rows per deep layer) for each prompt
-        pass_of = {}  # (length, depth) -> index into passes
-        self._runs = []  # per candidate: [pass index, start, stop] runs in class order
+        prompts = []  # (length, rows, re-entry rows per deep layer), in (candidate, class) order
         for bank, layout in candidates:
             deep = bank.deep_class_blocks
             if len(deep) != layout.depth - 1:
                 raise ConfigError(f"depth {layout.depth} needs exactly {layout.depth - 1} deep "
                                   f"blocks, bank has {len(deep)}")
-            runs = []
+            kinds = REENTERED_KINDS[layout.drop_policy]
             for name in class_names:
                 prompt = compose_shallow(encoder, bank, layout, name)
                 rows = [row for piece in prompt.pieces for row in piece_rows(piece)]
-                kinds = REENTERED_KINDS[layout.drop_policy]
                 reentry = []  # per deep layer: the piece row each position re-enters with, or -1
                 for block in deep:
                     layer = [-1] * prompt.length
@@ -426,35 +428,38 @@ class FeaturePlan:
                         elif seg.kind in kinds:
                             layer[seg.start:seg.stop] = rows[seg.start:seg.stop]
                     reentry.append(layer)
-                key = (prompt.length, layout.depth)
-                if key not in pass_of:
-                    pass_of[key] = len(passes)
-                    passes.append([])
-                g = pass_of[key]
-                row = len(passes[g])
-                passes[g].append((rows, reentry))
-                if runs and runs[-1][0] == g and runs[-1][2] == row:
-                    runs[-1][2] = row + 1
-                else:
-                    runs.append([g, row, row + 1])
-            self._runs.append(runs)
-        self._passes = []  # (rows [n, L], one apply_drop_policy index [n, L] per deep layer)
-        for prompts in passes:
-            rows = np.array([r for r, _ in prompts], dtype=np.int64)
-            own = np.arange(rows.size).reshape(rows.shape)
-            index = [np.where(layer < 0, own, rows.size + layer)
-                     for layer in map(np.array, zip(*(reentry for _, reentry in prompts)))]
-            self._passes.append((rows, index))
+                prompts.append((prompt.length, rows, reentry))
+        # the stack: one group per length, in order of first use, of its prompts in order
+        group = {}
+        for length, _, _ in prompts:
+            group.setdefault(length, len(group))
+        order = sorted(range(len(prompts)), key=lambda i: group[prompts[i][0]])
+        stacked = [prompts[i] for i in order]
+        self._rows = np.array([row for _, rows, _ in stacked for row in rows], dtype=np.int64)
+        lengths = [length for length, _, _ in stacked]
+        self._groups = tuple((lengths.count(length), length) for length in group)
+        # one apply_drop_policy index [R] per deep layer of the deepest layout
+        own = np.arange(self._rows.size)
+        self._index = []
+        for i in range(max(len(reentry) for _, _, reentry in prompts)):
+            layer = np.array([row for length, _, reentry in stacked
+                              for row in (reentry[i] if i < len(reentry) else [-1] * length)])
+            self._index.append(np.where(layer < 0, own, self._rows.size + layer))
+        # per candidate: [start, stop) runs of its prompts' stack positions, in class order
+        at = np.argsort(order).reshape(len(candidates), len(class_names))
+        self._runs = [[(run[0], run[-1] + 1)
+                       for run in np.split(pos, np.flatnonzero(np.diff(pos) != 1) + 1)]
+                      for pos in at]
 
     def features(self) -> list:
         """Class features [C, joint] per candidate, from the pieces' current data."""
         table = T.concat(self._pieces, axis=0)
-        outs = [self.encoder.encode_text(T.gather_rows(table, rows),
-                                         deep_hook=_reenter(table, index) if index else None)
-                for rows, index in self._passes]
+        stack = RowStack(T.gather_rows(table, self._rows), self._groups)
+        out = self.encoder.encode_text(
+            stack, deep_hook=_reenter(table, self._index) if self._index else None)
         feats = []
         for runs in self._runs:
-            parts = [outs[g] if (start, stop) == (0, outs[g].shape[0])
-                     else T.narrow(outs[g], 0, start, stop) for g, start, stop in runs]
+            parts = [out if (start, stop) == (0, out.shape[0]) else T.narrow(out, 0, start, stop)
+                     for start, stop in runs]
             feats.append(parts[0] if len(parts) == 1 else T.concat(parts, axis=0))
         return feats

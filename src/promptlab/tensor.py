@@ -245,14 +245,14 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(a.data * c, (a,), lambda g: (g * c,), "scale")
 
 
-def _gelu_fwd(z: np.ndarray):
-    """QuickGELU of an array, (z s, s), with s = sigmoid(1.702 z) = (1 + tanh(0.851 z)) / 2."""
+def _gelu_gate(z: np.ndarray) -> np.ndarray:
+    """QuickGELU's gate of an array, s = sigmoid(1.702 z) = (1 + tanh(0.851 z)) / 2."""
     # the tanh form of the sigmoid cannot overflow, whatever z is
     s = z * 0.851
     np.tanh(s, out=s)
     s += 1.0
     s *= 0.5
-    return z * s, s
+    return s
 
 
 def _gelu_slope(z: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -268,8 +268,8 @@ def _gelu_slope(z: np.ndarray, s: np.ndarray) -> np.ndarray:
 def gelu(a: Tensor) -> Tensor:
     """QuickGELU, z sigmoid(1.702 z), the activation of CLIP's text encoder."""
     a = _as_tensor(a)
-    data, s = _gelu_fwd(a.data)
-    return _make(data, (a,), lambda g: (g * _gelu_slope(a.data, s),), "gelu")
+    s = _gelu_gate(a.data)
+    return _make(a.data * s, (a,), lambda g: (g * _gelu_slope(a.data, s),), "gelu")
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -371,40 +371,33 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(y, (a,), vjp, "softmax")
 
 
-def _layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
-    """LayerNorm over the last axis of an array: (output, xhat, 1 / std).
+def _normalize(x: np.ndarray, eps: float):
+    """LayerNorm's normalization over the last axis of an array: (xhat, 1 / std).
 
-    Means are sums times 1/d: bit-identical to ``.mean``, without numpy's
-    ``_mean`` wrapper.
+    Row sums, here and in the VJP, are products with a ones column: on rows a
+    few dozen wide they take a quarter to a half of the time of numpy's sum
+    and stay on one thread, and they differ from it in the last bits.
     """
-    d = x.shape[-1]
-    xhat = x - x.sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
+    d, ones = x.shape[-1], np.ones((x.shape[-1], 1))
+    xhat = x - (x @ ones) / d
+    inv = 1.0 / np.sqrt(((xhat * xhat) @ ones) / d + eps)
     xhat *= inv
-    out = xhat * gain
-    out += bias
-    return out, xhat, inv
+    return xhat, inv
 
 
-def _layer_norm_vjp(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
-                    x: Tensor, gain: Tensor, bias: Tensor) -> tuple:
-    """(gx, ggain, gbias) of ``_layer_norm_fwd``; None for a parent without requires_grad."""
-    gx = ggain = gbias = None
-    if x.requires_grad:
-        # inv * (gx_hat - mean(gx_hat) - xhat * mean(gx_hat * xhat)), in place
-        d = g.shape[-1]
-        gx = g * gain.data
-        t = gx * xhat
-        proj = t.sum(axis=-1, keepdims=True) / d
-        gx -= gx.sum(axis=-1, keepdims=True) / d
-        np.multiply(xhat, proj, out=t)
-        gx -= t
-        gx *= inv
-    if gain.requires_grad:
-        ggain = _sum_lead(g * xhat)
-    if bias.requires_grad:
-        gbias = _sum_lead(g)
-    return gx, ggain, gbias
+def _normalize_vjp(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The input gradient of ``_normalize`` from the gradient of xhat, in place on ``g``.
+
+    inv * (g - mean(g) - xhat * mean(g * xhat))
+    """
+    d, ones = g.shape[-1], np.ones((g.shape[-1], 1))
+    t = g * xhat
+    proj = (t @ ones) / d
+    g -= (g @ ones) / d
+    np.multiply(xhat, proj, out=t)
+    g -= t
+    g *= inv
+    return g
 
 
 def _sum_lead(g: np.ndarray) -> np.ndarray:
@@ -416,9 +409,17 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> T
     """Normalize the last axis to zero mean / unit variance, then affine."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
     _check_norm_params("layer_norm", a, gain, bias)
-    data, xhat, inv = _layer_norm_fwd(a.data, gain.data, bias.data, eps)
-    return _make(data, (a, gain, bias),
-                 lambda g: _layer_norm_vjp(g, xhat, inv, a, gain, bias), "layer_norm")
+    xhat, inv = _normalize(a.data, eps)
+    data = xhat * gain.data
+    data += bias.data
+
+    def vjp(g):
+        # a frozen parent (the encoder's final norm, most often) gets no gradient
+        return (_normalize_vjp(g * gain.data, xhat, inv) if a.requires_grad else None,
+                _sum_lead(g * xhat) if gain.requires_grad else None,
+                _sum_lead(g) if bias.requires_grad else None)
+
+    return _make(data, (a, gain, bias), vjp, "layer_norm")
 
 
 def _check_norm_params(op: str, a: Tensor, gain: Tensor, bias: Tensor) -> None:
@@ -576,67 +577,120 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 # -- fused encoder sub-layers ------------------------------------------------------
 #
-# Each op is one pre-norm transformer sub-layer with its residual. Both record
-# their ``_make`` under an op name the benchmark tracer (perfbench/spans.py)
-# already knows: attention under softmax, the MLP under gelu.
+# Both ops run row-wise over a row stack, the rows of many prompts [R, d].
+# They record their ``_make`` under an op name the benchmark tracer
+# (perfbench/spans.py) already knows: attention under softmax, the MLP under gelu.
+
+# row-wise products run as a batch of 64-row products: OpenBLAS splits one
+# large product over its threads, which costs more wall and CPU time than it
+# saves at these sizes; a 64-row product stays on one thread
+_ROW_BLOCK = 64
 
 
-def attention_sublayer(h: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, wk: Tensor,
-                       wv: Tensor, wo: Tensor, num_heads: int, q_len: int) -> Tensor:
-    """``h[..., -q_len:, :] + attention(layer_norm(h))`` for ``h`` of shape [L, d] or [n, L, d].
+def _row_products(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for ``x`` [..., k], as a batch of 64-row products and the remainder.
 
-    Queries come from the last ``q_len`` normalized positions, keys and values
-    from all L. Each of ``num_heads`` heads scores with scaled dot products of
-    width d / num_heads, and each query's score against its own position is
-    lowered by 1e9 before the softmax. The merged heads go through ``wo`` and
-    are added to the last ``q_len`` rows of ``h``. Heads are an axis of one
-    array, never slices. Only ``h`` is differentiated (the rest must be frozen);
-    the forward keeps xhat, 1 / std, q, k^T, v and the attention weights.
+    Fewer than two whole blocks of rows (a one-candidate stack in training,
+    say) are one product: it stays below OpenBLAS's threading threshold, and
+    one call costs less than two.
     """
-    h, gain, bias, wq, wk, wv, wo = map(_as_tensor, (h, gain, bias, wq, wk, wv, wo))
-    if h.ndim not in (2, 3):
-        raise ShapeError(f"attention_sublayer: expected [L, d] or [n, L, d], got {h.shape}")
-    length, d = h.shape[-2:]
-    if d % num_heads or not 1 <= q_len <= length:
-        raise ShapeError(f"attention_sublayer: {num_heads} heads, q_len {q_len} for {h.shape}")
-    _check_frozen_params("attention_sublayer", h, gain, bias, wq, wk, wv, wo)
-    first = length - q_len
-    n, xhat, inv = _layer_norm_fwd(h.data, gain.data, bias.data, _LN_EPS)
-    nq = n[..., first:, :]
-    q = _split_heads(nq @ wq.data, num_heads)
-    k = _split_heads(n @ wk.data, num_heads)
-    v = _split_heads(n @ wv.data, num_heads)
+    # numpy's stacked matmul takes a slow non-BLAS loop for a transposed right
+    # operand, such as a weight's transpose in a VJP
+    w = np.ascontiguousarray(w)
+    k, m = w.shape
+    rows = x.reshape(-1, k)
+    if rows.shape[0] < 2 * _ROW_BLOCK:
+        return x @ w
+    out = np.empty((rows.shape[0], m))
+    full = rows.shape[0] - rows.shape[0] % _ROW_BLOCK
+    np.matmul(rows[:full].reshape(-1, _ROW_BLOCK, k), w, out=out[:full].reshape(-1, _ROW_BLOCK, m))
+    np.matmul(rows[full:], w, out=out[full:])
+    return out.reshape(x.shape[:-1] + (m,))
+
+
+def attention_sublayer(h: Tensor, gain: Tensor, bias: Tensor, wqk: Tensor, wv: Tensor,
+                       wo: Tensor, num_heads: int, groups, readout: bool) -> Tensor:
+    """Pre-norm self-attention with its residual over a row stack ``h`` [R, d].
+
+    ``groups`` lists (count, length) in row order: ``count`` prompts of
+    ``length`` rows each, covering the R rows; each prompt attends within
+    itself. Everything row-wise runs once over the stack; scores, softmax
+    and the weighted sum run per group. Queries and keys share the tied
+    projection ``wqk``: one product with ``[wqk | wv]`` gives keys and values,
+    and the queries are the keys of the query rows, every row or, with
+    ``readout``, the last row of each prompt. Each of ``num_heads`` heads
+    scores with scaled dot products of width d / num_heads, each query's
+    score against its own row lowered by 1e9. The merged heads go through
+    ``wo`` and are added to the query rows of ``h``. Only ``h`` is
+    differentiated (the rest must be frozen); the forward keeps xhat, 1 / std,
+    the keys and values, and each group's attention weights.
+    """
+    h, gain, bias, wqk, wv, wo = map(_as_tensor, (h, gain, bias, wqk, wv, wo))
+    d = h.shape[-1]
+    if (h.ndim != 2 or d % num_heads or min((min(g) for g in groups), default=0) < 1
+            or sum(count * length for count, length in groups) != h.shape[0]):
+        raise ShapeError(f"attention_sublayer: {num_heads} heads and groups {list(groups)} "
+                         f"for a row stack of shape {h.shape}")
+    _check_frozen_params("attention_sublayer", h, gain, bias, wqk, wv, wo)
+    xhat, inv = _normalize(h.data, _LN_EPS)
+    # one product of the normalized rows with [wqk | wv], the LN affine folded in
+    wkv = np.concatenate((wqk.data, wv.data), axis=1)
+    wkv_g = gain.data[:, None] * wkv
+    kv = _row_products(xhat, wkv_g)
+    kv += bias.data @ wkv
+    query_rows = slice(None)
+    if readout:  # the last row of each prompt
+        query_rows = np.cumsum(np.repeat([length for _, length in groups],
+                                         [count for count, _ in groups])) - 1
+    ctx = np.empty((len(query_rows) if readout else h.shape[0], d))
     inv_sqrt = 1.0 / math.sqrt(d // num_heads)
-    # contiguous heads, a contiguous k-transpose and, in the VJP, the k
-    # gradient as (q^T gs)^T keep every product on the BLAS path of the same
-    # block built from primitive ops (a transposed operand takes another
-    # kernel), so results match it bit for bit
-    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
-    y = q @ kt  # the scores, then in place the attention weights
-    y *= inv_sqrt
-    y[..., np.arange(q_len), np.arange(first, length)] -= 1e9
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-    ctx = _merge_heads(y @ v)
-    data = ctx @ wo.data
-    data += h.data[..., first:, :]
+    saved = []  # per group: its rows, its query rows, k, v and the attention weights y
+    start = q_start = 0
+    for count, length in groups:
+        q_len = 1 if readout else length
+        rows, q_rows = slice(start, start + count * length), slice(q_start, q_start + count * q_len)
+        heads = kv[rows].reshape(count, length, 2, num_heads, -1)
+        k = heads[:, :, 0].swapaxes(1, 2)  # [count, H, length, d / H], views of kv
+        v = heads[:, :, 1].swapaxes(1, 2)
+        # right operands are contiguous (see _row_products): the k-transpose
+        # here and the v-transpose in the VJP are copies
+        y = k[:, :, length - q_len:] @ np.ascontiguousarray(k.swapaxes(-1, -2))
+        y *= inv_sqrt  # the scores, then in place the attention weights
+        y[..., np.arange(q_len), np.arange(length - q_len, length)] -= 1e9
+        y -= y.max(axis=-1, keepdims=True)
+        np.exp(y, out=y)
+        y /= y.sum(axis=-1, keepdims=True)
+        ctx[q_rows].reshape(count, q_len, num_heads, -1)[...] = (y @ v).swapaxes(1, 2)
+        saved.append((rows, q_rows, k, v, y))
+        start, q_start = rows.stop, q_rows.stop
+    data = _row_products(ctx, wo.data)
+    data += h.data[query_rows]
+
+    def kv_grad(gc):
+        """[gk | gv] for every row, from the gradient of the merged heads at the query rows."""
+        gkv = np.empty((h.shape[0], 2 * d))
+        for rows, q_rows, k, v, y in saved:
+            count, _, q_len, length = y.shape
+            gc_heads = np.ascontiguousarray(
+                gc[q_rows].reshape(count, q_len, num_heads, -1).swapaxes(1, 2))
+            gv = y.swapaxes(-1, -2) @ gc_heads
+            gs = gc_heads @ np.ascontiguousarray(v.swapaxes(-1, -2))
+            gs -= (gs * y).sum(axis=-1, keepdims=True)
+            gs *= y
+            gs *= inv_sqrt
+            gk = (k[:, :, length - q_len:].swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+            gk[:, :, length - q_len:] += gs @ k  # the tied queries' gradient
+            heads = gkv[rows].reshape(count, length, 2, num_heads, -1)
+            heads[:, :, 0] = gk.swapaxes(1, 2)
+            heads[:, :, 1] = gv.swapaxes(1, 2)
+        return gkv
 
     def vjp(g):
-        gc = _split_heads(g @ wo.data.T, num_heads)
-        gs = gc @ v.swapaxes(-1, -2)
-        gs -= (gs * y).sum(axis=-1, keepdims=True)
-        gs *= y
-        gs *= inv_sqrt
-        gq = _merge_heads(gs @ kt.swapaxes(-1, -2))
-        gk = _merge_heads((q.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
-        gv = _merge_heads(y.swapaxes(-1, -2) @ gc)
-        # k, then q, then v: the order the primitive-op block sums them in
-        gn = gk @ wk.data.T
-        gn[..., first:, :] += gq @ wq.data.T
-        gn += gv @ wv.data.T
-        gh = _layer_norm_vjp(gn, xhat, inv, h, gain, bias)[0]
-        gh[..., first:, :] += g
+        # the VJPs hold a step's peak memory: nested calls free each
+        # temporary as soon as it has been used
+        gh = _normalize_vjp(_row_products(kv_grad(_row_products(g, wo.data.T)), wkv_g.T),
+                            xhat, inv)
+        gh[query_rows] += g
         return (gh,)
 
     return _make(data, (h,), vjp, "softmax")
@@ -647,22 +701,28 @@ def mlp_sublayer(h: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, 
     """``h + gelu(layer_norm(h) @ w1 + b1) @ w2 + b2`` over the last axis of ``h``.
 
     Only ``h`` is differentiated (the rest must be frozen). The forward keeps
-    xhat, 1 / std, the pre-activation and its sigmoid, so the VJP recomputes none.
+    xhat, 1 / std and the GELU's slope, not the pre-activation and its sigmoid,
+    so the VJP recomputes nothing.
     """
     h, gain, bias, w1, b1, w2, b2 = map(_as_tensor, (h, gain, bias, w1, b1, w2, b2))
     _check_frozen_params("mlp_sublayer", h, gain, bias, w1, b1, w2, b2)
-    n, xhat, inv = _layer_norm_fwd(h.data, gain.data, bias.data, _LN_EPS)
-    z = n @ w1.data
-    z += b1.data
-    a, s = _gelu_fwd(z)
-    data = a @ w2.data
+    xhat, inv = _normalize(h.data, _LN_EPS)
+    w1g = gain.data[:, None] * w1.data  # the LN affine folded into the first product
+    z = _row_products(xhat, w1g)
+    z += bias.data @ w1.data + b1.data
+    s = _gelu_gate(z)
+    slope = _gelu_slope(z, s) if h.requires_grad else None
+    z *= s  # the activation, in place
+    data = _row_products(z, w2.data)
     np.add(h.data, data, out=data)  # (h + mlp) + b2, as the primitive ops add
     data += b2.data
 
     def vjp(g):
-        gz = g @ w2.data.T
-        gz *= _gelu_slope(z, s)
-        gh = _layer_norm_vjp(gz @ w1.data.T, xhat, inv, h, gain, bias)[0]
+        gz = _row_products(g, w2.data.T)
+        gz *= slope
+        gh = _row_products(gz, w1g.T)
+        del gz  # freed before the norm's VJP: the VJPs hold a step's peak memory
+        gh = _normalize_vjp(gh, xhat, inv)
         gh += g
         return (gh,)
 
@@ -674,17 +734,3 @@ def _check_frozen_params(op: str, h: Tensor, gain: Tensor, bias: Tensor, *weight
     _check_norm_params(op, h, gain, bias)
     if any(p.requires_grad for p in (gain, bias, *weights)):
         raise ContractError(f"{op}: LayerNorm parameters and weights must be frozen")
-
-
-def _split_heads(a: np.ndarray, num_heads: int) -> np.ndarray:
-    """[..., L, d] -> [..., H, L, d / H], contiguous (no copy when H is 1)."""
-    *lead, length, d = a.shape
-    return np.ascontiguousarray(
-        a.reshape(*lead, length, num_heads, d // num_heads).swapaxes(-2, -3))
-
-
-def _merge_heads(a: np.ndarray) -> np.ndarray:
-    """[..., H, L, d / H] -> [..., L, d], contiguous; the inverse of ``_split_heads``."""
-    *lead, heads, length, width = a.shape
-    return np.ascontiguousarray(a.swapaxes(-2, -3).reshape(*lead, length, heads * width))
-

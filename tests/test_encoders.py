@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from promptlab import tensor as T
-from promptlab.encoders import DualEncoder, EncoderConfig
+from promptlab.encoders import DualEncoder, EncoderConfig, RowStack
 from promptlab.errors import (
     CapacityError,
     CheckpointError,
@@ -17,9 +17,14 @@ from gradcheck import assert_gradients_match
 from toys import make_encoder, make_vocab, tiny_encoder
 
 
+def one_sequence(seq):
+    """A row stack of one composed sequence [L, d]."""
+    return RowStack(seq, ((1, seq.shape[0]),))
+
+
 def embed_phrase(enc, text):
-    """A batch of one composed sequence [1, L, d]."""
-    return T.stack([enc.embed_tokens(enc.vocabulary.encode_with_sentinels(text))])
+    """A row stack of one composed sequence, a phrase's token rows."""
+    return one_sequence(enc.embed_tokens(enc.vocabulary.encode_with_sentinels(text)))
 
 
 # -- config ---------------------------------------------------------------------
@@ -85,13 +90,30 @@ def test_overlong_sequence_is_capacity_error():
         enc.encode_text(x)
 
 
+def test_group_longer_than_max_seq_len_is_capacity_error():
+    # the second group is too long; the first alone fits
+    enc = make_encoder(max_seq_len=4)
+    rows = T.Tensor(np.zeros((2 * 3 + 5, enc.config.embed_dim)))
+    with pytest.raises(CapacityError, match="sequence length 5 exceeds max_seq_len 4"):
+        enc.encode_text(RowStack(rows, ((2, 3), (1, 5))))
+
+
+@pytest.mark.parametrize("groups", [((2, 3),), ((2, 3), (1, 4)), ()], ids=["short", "long", "none"])
+def test_groups_that_do_not_cover_the_stack_are_shape_error(groups):
+    enc = make_encoder()
+    rows = T.Tensor(np.zeros((7, enc.config.embed_dim)))
+    with pytest.raises(ShapeError, match=r"that its groups cover, got rows \(7, 32\)"):
+        enc.encode_text(RowStack(rows, groups))
+
+
 def test_encode_class_names_reads_the_token_table():
     # one gather on the token table gives the bytes of the stacked per-name rows
     enc = make_encoder()
     names = ["cat", "dog", "bird"]
-    stacked = T.concat([embed_phrase(enc, n) for n in names], axis=0)
+    rows = T.concat([enc.embed_tokens(enc.vocabulary.encode_with_sentinels(n)) for n in names],
+                    axis=0)
     np.testing.assert_array_equal(enc.encode_class_names(names).data,
-                                  enc.encode_text(stacked).data)
+                                  enc.encode_text(RowStack(rows, ((3, 3),))).data)
 
 
 # features of two random [5, 8] sequences from a last block computed at every
@@ -125,7 +147,8 @@ def test_encode_text_features_are_pinned(layers, heads):
     enc = DualEncoder(cfg, vocab, 11)
     embeds = np.random.default_rng(layers * 10 + heads).standard_normal((2, 5, 8))
     pinned = np.array(TEXT_FEATURE_PINS[layers, heads])
-    np.testing.assert_allclose(enc.encode_text(T.Tensor(embeds)).data, pinned, rtol=0, atol=1e-12)
+    stack = RowStack(T.Tensor(embeds.reshape(10, 8)), ((2, 5),))
+    np.testing.assert_allclose(enc.encode_text(stack).data, pinned, rtol=0, atol=1e-12)
 
 
 def test_encode_class_names_rejects_ragged():
@@ -244,9 +267,10 @@ def test_argmax_invariant_to_temperature():
 
 
 # per entry point: the batched shape its error names, and a call with one unbatched input
+# (for encode_text, a batch [1, L, d] where the row stack's rows [R, d] belong)
 UNBATCHED_CALLS = {
-    "encode_text": ("[C, L, d]", lambda enc: enc.encode_text(
-        enc.embed_tokens(enc.vocabulary.encode_with_sentinels("cat")))),
+    "encode_text": ("[R, 32]", lambda enc: enc.encode_text(RowStack(
+        T.stack([enc.embed_tokens(enc.vocabulary.encode_with_sentinels("cat"))]), ((1, 3),)))),
     "encode_image": ("[B, 16]", lambda enc: enc.encode_image(np.zeros(enc.config.image_dim))),
     "class_logits": ("[B, joint]", lambda enc: enc.class_logits(
         T.Tensor(unit(np.ones(enc.config.joint_dim))), enc.encode_class_names(["cat"]))),
@@ -267,8 +291,8 @@ def oracle_block(enc, layer, h, readout):
     seq_len = h.shape[-2]
     q_len = 1 if readout else seq_len
     normed = T.layer_norm(h, p[base + "ln1.gain"], p[base + "ln1.bias"])
-    q = T.matmul(T.narrow(normed, -2, seq_len - q_len, seq_len), p[base + "attn.wq"])
-    k = T.matmul(normed, p[base + "attn.wk"])
+    q = T.matmul(T.narrow(normed, -2, seq_len - q_len, seq_len), p[base + "attn.wqk"])
+    k = T.matmul(normed, p[base + "attn.wqk"])
     v = T.matmul(normed, p[base + "attn.wv"])
     head_dim = cfg.embed_dim // cfg.num_heads
     mask = T.Tensor(np.diag(np.full(seq_len, -1e9))[seq_len - q_len:])
@@ -287,23 +311,33 @@ def oracle_block(enc, layer, h, readout):
 @pytest.mark.parametrize("readout", [False, True], ids=["full", "readout"])
 @pytest.mark.parametrize("heads", [1, 4])
 def test_fused_block_matches_primitive_ops(heads, readout):
+    # the fused block over a row stack of two groups against the oracle on each
+    # group's [count, length, d] batch: values and input gradients, group by group
     enc = make_encoder(num_heads=heads, num_layers=2)
     rng = np.random.default_rng(heads)
     # non-trivial norms and biases, so every parameter of the block is exercised
     for name, param in enc.parameters().items():
         if name.startswith("layers.1.") and param.ndim == 1:
             param.data = param.data + 0.3 * rng.standard_normal(param.shape)
-    x = rng.standard_normal((3, 6, enc.config.embed_dim))
-    target = rng.standard_normal((3, 1 if readout else 6, enc.config.embed_dim))
-    results = []
-    for block in (lambda h: enc._block(1, h, readout), lambda h: oracle_block(enc, 1, h, readout)):
-        h = T.Tensor(x, requires_grad=True)
-        out = block(h)
-        T.tsum(T.mul(out, T.Tensor(target))).backward()
-        results.append((out.data, h.grad))
-    (fused, fused_grad), (oracle, oracle_grad) = results
-    np.testing.assert_allclose(fused, oracle, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(fused_grad, oracle_grad, rtol=0, atol=1e-12)
+    groups, d = ((3, 6), (2, 4)), enc.config.embed_dim
+    xs = [rng.standard_normal((count, length, d)) for count, length in groups]
+    targets = [rng.standard_normal((count, 1 if readout else length, d))
+               for count, length in groups]
+    h = T.Tensor(np.concatenate([x.reshape(-1, d) for x in xs]), requires_grad=True)
+    fused = enc._block(1, h, groups, readout)
+    T.tsum(T.mul(fused, T.Tensor(np.concatenate([t.reshape(-1, d) for t in targets])))).backward()
+    out_start = in_start = 0
+    for (count, length), x, target in zip(groups, xs, targets):
+        group_h = T.Tensor(x, requires_grad=True)
+        oracle = oracle_block(enc, 1, group_h, readout)
+        T.tsum(T.mul(oracle, T.Tensor(target))).backward()
+        out_rows = count * target.shape[1]
+        np.testing.assert_allclose(fused.data[out_start:out_start + out_rows],
+                                   oracle.data.reshape(-1, d), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h.grad[in_start:in_start + count * length],
+                                   group_h.grad.reshape(-1, d), rtol=0, atol=1e-12)
+        out_start += out_rows
+        in_start += count * length
 
 
 # -- freezing ----------------------------------------------------------------------
@@ -322,7 +356,7 @@ def test_backward_through_encoder_leaves_weights_untouched():
     ids = enc.vocabulary.encode_with_sentinels("cat")
     hard = enc.embed_tokens(ids)
     seq = T.concat([T.narrow(hard, 0, 0, 1), soft, T.narrow(hard, 0, 1, len(ids))], axis=0)
-    feat = enc.encode_text(T.stack([seq]))
+    feat = enc.encode_text(one_sequence(seq))
     T.tsum(T.mul(feat, feat)).backward()
     assert np.any(soft.grad != 0)
     assert enc.weights_fingerprint() == before
@@ -342,7 +376,7 @@ def test_text_encoder_gradients_vs_finite_differences():
 
     def build():
         seq = T.concat([T.narrow(hard, 0, 0, 1), soft, T.narrow(hard, 0, 1, len(ids))], axis=0)
-        return T.tsum(T.mul(enc.encode_text(T.stack([seq])), target))
+        return T.tsum(T.mul(enc.encode_text(one_sequence(seq)), target))
 
     assert_gradients_match(build, [soft])
 
@@ -426,4 +460,19 @@ def test_checkpoint_with_a_bad_weight_names_the_file_and_the_weight(value, tmp_p
         payload["weights"]["image.b1"] = value
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: .*weight image.b1"):
+        DualEncoder.load(str(path))
+
+
+def test_checkpoint_with_an_unknown_weight_names_the_file_and_the_weight(tmp_path):
+    # a file with its own key projection must not load as if it were tied
+    import json
+
+    path = tmp_path / "enc.json"
+    enc = make_encoder()
+    enc.save(str(path))
+    payload = json.loads(path.read_text())
+    payload["weights"]["layers.0.attn.wk"] = payload["weights"]["layers.0.attn.wqk"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError,
+                       match=f"^{re.escape(str(path))}: unknown weight layers.0.attn.wk$"):
         DualEncoder.load(str(path))

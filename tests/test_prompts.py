@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from promptlab import tensor as T
+from promptlab.encoders import RowStack
 from promptlab.errors import ConfigError, ContractError, ParameterError, TokenizationError
 from promptlab.optim import SGD
 from promptlab.prompts import (
@@ -343,7 +344,8 @@ def test_depth_one_deep_forward_equals_shallow():
     bank = make_bank(enc)
     layout = PromptLayout(attribute_names=("color", "shape"), depth=1)
     deep = deep_forward(enc, bank, layout, "cat")
-    shallow = enc.encode_text(T.stack([compose_shallow(enc, bank, layout, "cat").embeds]))
+    prompt = compose_shallow(enc, bank, layout, "cat")
+    shallow = enc.encode_text(RowStack(prompt.embeds, ((1, prompt.length),)))
     np.testing.assert_array_equal(deep.data, shallow.data[0])
 
 
@@ -423,7 +425,7 @@ def reentry_oracle(enc, bank, layout, prompt, hidden, layer):
 
 
 def reentered(enc, bank, layout, names, monkeypatch, seed=1):
-    """Run a one-candidate plan and call each pass's hook on a scrambled hidden state.
+    """Run a one-candidate plan and call its hook on a scrambled hidden row stack.
 
     Yields (prompt, layer, hidden [L, d], what the hook returned [L, d]) for
     every prompt and every hook layer that re-enters (1 <= layer < depth).
@@ -431,24 +433,29 @@ def reentered(enc, bank, layout, names, monkeypatch, seed=1):
     passes = []
     encode = enc.encode_text
 
-    def capture(embeds, deep_hook=None):
-        passes.append((embeds.shape, deep_hook))
-        return encode(embeds, deep_hook=deep_hook)
+    def capture(stack, deep_hook=None):
+        passes.append((stack.groups, deep_hook))
+        return encode(stack, deep_hook=deep_hook)
 
     monkeypatch.setattr(enc, "encode_text", capture)
     FeaturePlan(enc, [(bank, layout)], names).features()
     monkeypatch.undo()
+    ((groups, hook),) = passes
     prompts = [compose_shallow(enc, bank, layout, n) for n in names]
+    # the stack holds each group's prompts in class order, groups in order of first use
+    stacked = [p for _, length in groups for p in prompts if p.length == length]
+    assert [count for count, _ in groups] == [sum(p.length == length for p in prompts)
+                                              for _, length in groups]
     rng = np.random.default_rng(seed)
-    for shape, hook in passes:
-        group = [p for p in prompts if p.length == shape[1]]
-        assert len(group) == shape[0]
-        for layer in range(1, layout.depth):
-            hidden = rng.standard_normal(shape)
-            out = hook(layer, T.Tensor(hidden))
-            assert out.shape == shape  # the sequence length never changes
-            for p, prompt in enumerate(group):
-                yield prompt, layer, hidden[p], out.data[p]
+    for layer in range(1, layout.depth):
+        hidden = rng.standard_normal((sum(p.length for p in stacked), enc.config.embed_dim))
+        out = hook(layer, T.Tensor(hidden))
+        assert out.shape == hidden.shape  # the sequence lengths never change
+        start = 0
+        for prompt in stacked:
+            stop = start + prompt.length
+            yield prompt, layer, hidden[start:stop], out.data[start:stop]
+            start = stop
 
 
 @pytest.mark.parametrize("depth", [2, 3])
@@ -623,29 +630,57 @@ def test_candidate_features_equal_per_candidate_features(depth, drop_policy, sty
 
 
 def test_candidate_features_run_one_pass_per_prompt_length(monkeypatch):
+    # one encoder pass over one row stack, with one group per prompt length
     enc = make_encoder()
     calls = []
     encode = enc.encode_text
 
-    def counting(embeds, deep_hook=None):
-        calls.append(embeds.shape)
-        return encode(embeds, deep_hook=deep_hook)
+    def counting(stack, deep_hook=None):
+        calls.append((stack.groups, stack.rows.shape))
+        return encode(stack, deep_hook=deep_hook)
 
     monkeypatch.setattr(enc, "encode_text", counting)
     cases = [
-        # (), the two singletons stacked, the pair
-        (("cat", "dog", "bird"), 1, [(3, 5, 32), (3, 11, 32), (6, 8, 32)]),
+        # (), the two singletons together, the pair
+        (("cat", "dog", "bird"), 1, ((3, 5), (6, 8), (3, 11))),
         # every length of every layout once, the two classes of one length together
-        (("cat", "red fish", "dog"), 1,
-         [(1, 6, 32), (1, 12, 32), (2, 5, 32), (2, 9, 32), (2, 11, 32), (4, 8, 32)]),
-        # depth 2: the same passes, each with its re-entry indices
-        (("cat", "red fish", "dog"), 2,
-         [(1, 6, 32), (1, 12, 32), (2, 5, 32), (2, 9, 32), (2, 11, 32), (4, 8, 32)]),
+        (("cat", "red fish", "dog"), 1, ((2, 5), (1, 6), (4, 8), (2, 9), (2, 11), (1, 12))),
+        # depth 2: the same groups, with the re-entry indices of the whole stack
+        (("cat", "red fish", "dog"), 2, ((2, 5), (1, 6), (4, 8), (2, 9), (2, 11), (1, 12))),
     ]
-    for names, depth, passes in cases:
+    for names, depth, groups in cases:
         calls.clear()
         FeaturePlan(enc, candidate_set(enc, "interval", depth), names).features()
-        assert sorted(calls) == passes, (names, depth)
+        ((stacked, shape),) = calls
+        assert tuple(sorted(stacked, key=lambda g: g[1])) == groups, (names, depth)
+        assert shape == (sum(count * length for count, length in groups), 32)
+
+
+@pytest.mark.parametrize("empty", ["candidate", "class-name"])
+def test_empty_plan_is_config_error(empty):
+    enc = make_encoder()
+    candidates = [] if empty == "candidate" else candidate_set(enc, "interval", 1)
+    names = [] if empty == "class-name" else ["cat"]
+    with pytest.raises(ConfigError, match=f"empty {empty} list"):
+        FeaturePlan(enc, candidates, names)
+    if empty == "class-name":
+        with pytest.raises(ConfigError, match="empty class-name list"):
+            class_text_features(enc, *candidates[0], [])
+
+
+def test_plan_of_mixed_depths_matches_each_layout_alone():
+    # a depth-1 and a depth-3 candidate share length groups; the depth-1
+    # prompts keep their hidden rows at every re-entry
+    enc = make_encoder()
+    attrs = ("color",)
+    shallow = (make_bank(enc, attrs=attrs, seed=1), PromptLayout(attribute_names=attrs))
+    deep = (make_bank(enc, attrs=attrs, depth=3, seed=2),
+            PromptLayout(attribute_names=attrs, drop_policy="full_drop", depth=3))
+    names = ("cat", "red fish")
+    mixed = FeaturePlan(enc, [shallow, deep], names).features()
+    for feats, candidate in zip(mixed, (shallow, deep)):
+        (alone,) = FeaturePlan(enc, [candidate], names).features()
+        np.testing.assert_allclose(feats.data, alone.data, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("depth", [1, 2])

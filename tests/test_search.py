@@ -321,10 +321,11 @@ def test_alpha_step_writes_no_gradient_into_soft_blocks():
         np.testing.assert_array_equal(d, d0)
 
 
-# measured: prompts composed once per search, one grouped text forward per
-# step, two fused ops per encoder block, a read-out-only last block, and one
-# softmax of alpha and one scoring product per half-step
-OPS_PER_TOY_STEP = 57
+# measured: prompts composed once per search, one text forward per step over
+# one row stack of every prompt, two fused ops per encoder block, a
+# read-out-only last block, and one softmax of alpha and one scoring product
+# per half-step
+OPS_PER_TOY_STEP = 46
 
 
 def test_search_step_op_count_stays_low(monkeypatch):

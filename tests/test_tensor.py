@@ -285,27 +285,45 @@ def test_grad_layer_norm():
 
 
 def sublayer_params(rng, d, make, hidden=None):
-    """LN gain and bias, then the four attention weights, or MLP (w1, b1, w2, b2)."""
+    """LN gain and bias, then attention's wqk, wv and wo, or MLP (w1, b1, w2, b2)."""
     gain, bias = make(rng, d), make(rng, d)
     if hidden is None:
-        return [gain, bias] + [make(rng, d, d) for _ in range(4)]
+        return [gain, bias] + [make(rng, d, d) for _ in range(3)]
     return [gain, bias, make(rng, d, hidden), make(rng, hidden), make(rng, hidden, d), make(rng, d)]
 
 
-@pytest.mark.parametrize("lead", [(), (2,)], ids=["L_d", "n_L_d"])
+# row stacks: one prompt of 3 rows, or 2 prompts of 3 rows then 1 of 5 and 2 of 2
+STACK_GROUPS = {"L_d": ((1, 3),), "n_L_d": ((2, 3), (1, 5), (2, 2))}
+
+
+@pytest.mark.parametrize("lead", sorted(STACK_GROUPS))
 @pytest.mark.parametrize("q_len", ["full", 1])
-@pytest.mark.parametrize("num_heads", [1, 2])
+@pytest.mark.parametrize("num_heads", [1, 2, 4])
 def test_grad_attention_sublayer(num_heads, q_len, lead):
     rng = np.random.default_rng(40)
-    length, d = 3, 4
-    rows = length if q_len == "full" else 1
-    h = leaf(rng, *lead, length, d)
+    groups, d = STACK_GROUPS[lead], 4
+    rows = sum(count * length for count, length in groups)
+    out_rows = sum(count for count, _ in groups) if q_len == 1 else rows
+    h = leaf(rng, rows, d)
     params = sublayer_params(rng, d, frozen)
-    w = T.Tensor(rng.standard_normal(lead + (rows, d)))
-    out = T.attention_sublayer(h, *params, num_heads, rows)
-    assert out.shape == lead + (rows, d)
-    assert_gradients_match(
-        lambda: T.tsum(T.mul(T.attention_sublayer(h, *params, num_heads, rows), w)), [h])
+    w = T.Tensor(rng.standard_normal((out_rows, d)))
+    out = T.attention_sublayer(h, *params, num_heads, groups, q_len == 1)
+    assert out.shape == (out_rows, d)
+    assert_gradients_match(lambda: T.tsum(T.mul(
+        T.attention_sublayer(h, *params, num_heads, groups, q_len == 1), w)), [h])
+
+
+def test_attention_sublayer_groups_attend_within_each_prompt():
+    # a stack of groups gives each prompt the rows it gets alone
+    rng = np.random.default_rng(43)
+    h = rng.standard_normal((2 * 3 + 4, 4))
+    params = sublayer_params(rng, 4, frozen)
+    for readout in (False, True):
+        stacked = T.attention_sublayer(T.Tensor(h), *params, 2, ((2, 3), (1, 4)), readout).data
+        alone = [T.attention_sublayer(T.Tensor(h[start:start + length]), *params, 2,
+                                      ((1, length),), readout).data
+                 for start, length in ((0, 3), (3, 3), (6, 4))]
+        np.testing.assert_allclose(stacked, np.concatenate(alone), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("lead", [(), (2,)], ids=["L_d", "n_L_d"])
@@ -317,14 +335,25 @@ def test_grad_mlp_sublayer(lead):
     assert_gradients_match(lambda: T.tsum(T.mul(T.mlp_sublayer(h, *params), w)), [h])
 
 
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 130])
+def test_row_products_match_one_product(rows):
+    # whole 64-row blocks, then the remainder; a leading axis is flattened
+    rng = np.random.default_rng(44)
+    x, w = rng.standard_normal((rows, 2, 5)), rng.standard_normal((5, 3))
+    np.testing.assert_allclose(T._row_products(x, w), x @ w, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(T._row_products(x, w.T.copy().T), x @ w, rtol=0, atol=1e-12)
+
+
 def test_attention_sublayer_rejects_bad_heads_and_rows():
     rng = np.random.default_rng(42)
-    h, params = frozen(rng, 3, 4), sublayer_params(rng, 4, frozen)
-    for heads, rows in ((3, 3), (2, 0), (2, 4)):
+    h, params = frozen(rng, 6, 4), sublayer_params(rng, 4, frozen)
+    # indivisible heads; groups short of the rows, past them, with no prompt or with empty prompts
+    for heads, groups in ((3, ((2, 3),)), (2, ((2, 2),)), (2, ((2, 3), (1, 1))),
+                          (2, ((0, 3), (2, 3))), (2, ((6, 0), (2, 3)))):
         with pytest.raises(ShapeError):
-            T.attention_sublayer(h, *params, heads, rows)
+            T.attention_sublayer(h, *params, heads, groups, False)
     with pytest.raises(ShapeError):
-        T.attention_sublayer(frozen(rng, 4), *params, 1, 1)
+        T.attention_sublayer(frozen(rng, 2, 3, 4), *params, 1, ((2, 3),), True)
 
 
 # -- frozen parents: no gradient computed, the trainable side still exact ---------------
@@ -381,10 +410,10 @@ def test_frozen_parent_vjp_slot_is_none():
         gb, gx = out._vjp(np.ones(out.shape))
         assert gb is None and gx.shape == x.shape
     # fused sub-layers: the input is the only parent, and a trainable weight is refused
-    sublayers = (lambda h, ps: T.attention_sublayer(h, *ps, 2, 1),
+    sublayers = (lambda h, ps: T.attention_sublayer(h, *ps, 2, ((2, 3),), True),
                  lambda h, ps: T.mlp_sublayer(h, *ps))
     for op, hidden in zip(sublayers, (None, 5)):
-        x = leaf(rng, 2, 3, 4)
+        x = leaf(rng, 6, 4)
         params = sublayer_params(rng, 4, frozen, hidden)
         out = op(x, params)
         (gx,) = out._vjp(np.ones(out.shape))

@@ -508,13 +508,13 @@ def _gather(table: Tensor, ids: np.ndarray, op: str, label: str = None) -> Tenso
     data = table.data[ids]
 
     def vjp(g):
-        # one bincount per column sums each row's gradients in index order
-        # from zero, as np.add.at does, so the bytes match it, at less cost
-        flat, cols = ids.reshape(-1), g.reshape(-1, table.shape[1])
-        gt = np.empty_like(table.data)
-        for j in range(gt.shape[1]):
-            gt[:, j] = np.bincount(flat, weights=cols[:, j], minlength=gt.shape[0])
-        return (gt,)
+        # one bincount over the cells (id, column) sums each cell's gradients
+        # in index order from zero, as np.add.at does, so the bytes match it,
+        # at less cost
+        rows, width = table.shape
+        cells = (ids.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        gt = np.bincount(cells, weights=g.reshape(-1), minlength=rows * width)
+        return (gt.reshape(rows, width),)
 
     return _make(data, (table,), vjp, op)
 
@@ -583,7 +583,9 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 # row-wise products run as a batch of 64-row products: OpenBLAS splits one
 # large product over its threads, which costs more wall and CPU time than it
-# saves at these sizes; a 64-row product stays on one thread
+# saves at these sizes; a 64-row product stays on one thread. OpenBLAS runs on
+# one thread by default anyway (promptlab/__init__.py), and the blocks stay:
+# on one thread too they take less time than one product at a search's rows
 _ROW_BLOCK = 64
 
 

@@ -310,6 +310,26 @@ def test_full_pipeline_is_deterministic_across_output_dirs(tmp_path):
     assert hashes[0] == hashes[1]
 
 
+def test_artifact_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a thread count the user sets wins over the package's one-thread policy,
+    # and it must not move a byte of what the commands write
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    hashes = []
+    for threads in ("1", "2"):
+        work = tmp_path / f"threads_{threads}"
+        work.mkdir()
+        cfg, _ = write_config(work, out="out")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        for command in ("gen-data", "search-attrs", "train"):
+            proc = subprocess.run([sys.executable, "-m", "promptlab.cli", command, "--config", cfg],
+                                  cwd=work, env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        hashes.append({f: file_sha256(str(work / "out" / f))
+                       for f in sorted(os.listdir(work / "out"))})
+    assert "checkpoint_atprompt_s3.json" in hashes[0]
+    assert hashes[0] == hashes[1]
+
+
 def _set(section, key, value):
     def edit(payload):
         payload.setdefault(section, {})[key] = value

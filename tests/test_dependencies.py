@@ -1,6 +1,8 @@
-"""The package needs nothing at run time beyond the standard library and numpy."""
+"""The package needs nothing at run time beyond the standard library and numpy,
+and runs numpy's BLAS on one thread unless the user chose a count."""
 
 import ast
+import json
 import os
 import pathlib
 import re
@@ -59,3 +61,40 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+# imports, preset variables -> the variables after the imports
+BLAS_THREAD_POLICY = {
+    "one_thread_by_default": ("promptlab, numpy", {}, {"OPENBLAS_NUM_THREADS": "1"}),
+    "user_openblas_count_wins": ("promptlab, numpy", {"OPENBLAS_NUM_THREADS": "2"},
+                                 {"OPENBLAS_NUM_THREADS": "2"}),
+    "user_goto_count_wins": ("promptlab, numpy", {"GOTO_NUM_THREADS": "2"},
+                             {"GOTO_NUM_THREADS": "2"}),
+    "user_omp_count_wins": ("promptlab, numpy", {"OMP_NUM_THREADS": "2"},
+                            {"OMP_NUM_THREADS": "2"}),
+    "numpy_imported_first": ("numpy, promptlab", {}, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLAS_THREAD_POLICY))
+def test_blas_thread_policy(case):
+    imports, preset, expected = BLAS_THREAD_POLICY[case]
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = "\n".join([
+        f"import {imports}",
+        "import json, os",
+        "tasks = '/proc/self/task'",
+        "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None",
+        "print(json.dumps([dict(os.environ), threads]))",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    environ, threads = json.loads(out.stdout)
+    assert {k: environ[k] for k in BLAS_THREAD_VARS if k in environ} == expected
+    if case == "one_thread_by_default" and threads is not None:
+        assert threads == 1  # OpenBLAS started no worker thread

@@ -480,19 +480,22 @@ def test_gather_rows_values_scatter_and_range():
         T.gather_rows(T.Tensor(np.ones(3)), [0])
 
 
-@pytest.mark.parametrize("gather, index", [
-    (T.embedding, [3, 0, 3, 3, 5, 0, 1]),
-    (T.gather_rows, [[3, 0, 3], [3, 5, 0], [1, 3, 3]]),
+@pytest.mark.parametrize("gather, index, width", [
+    pytest.param(T.embedding, [3, 0, 3, 3, 5, 0, 1], 4, id="embedding-index0"),
+    pytest.param(T.gather_rows, [[3, 0, 3], [3, 5, 0], [1, 3, 3]], 4, id="gather_rows-index1"),
+    # a search15 stack's row count and width, each id used about 250 times
+    pytest.param(T.gather_rows, np.random.default_rng(29).integers(0, 7, (54, 32)), 32,
+                 id="gather_rows-32_columns_repeated_ids"),
 ])
-def test_gather_vjp_bytes_match_add_at(gather, index):
+def test_gather_vjp_bytes_match_add_at(gather, index, width):
     # repeated ids sum in index order from zero, as np.add.at sums them
     rng = np.random.default_rng(28)
-    table = T.Tensor(rng.standard_normal((7, 4)), requires_grad=True)
+    table = T.Tensor(rng.standard_normal((7, width)), requires_grad=True)
     out = gather(table, index)
     for _ in range(5):
         g = rng.standard_normal(out.shape) * 10.0 ** rng.integers(-8, 8, out.shape)
         expected = np.zeros_like(table.data)
-        np.add.at(expected, np.ravel(index), g.reshape(-1, 4))
+        np.add.at(expected, np.ravel(index), g.reshape(-1, width))
         (got,) = out._vjp(g)
         assert got.tobytes() == expected.tobytes()
 

@@ -354,13 +354,13 @@ def apply_drop_policy(hidden: Tensor, table: Tensor, index: np.ndarray) -> Tenso
 
 def deep_forward(encoder, bank: SoftPromptBank, layout: PromptLayout, class_name: str):
     """Joint text feature [joint] of one prompt (any depth): a one-prompt ``FeaturePlan``."""
-    (feats,) = FeaturePlan(encoder, [(bank, layout)], [class_name]).features()
+    feats = FeaturePlan(encoder, [(bank, layout)], [class_name]).features()
     return T.reshape(feats, (encoder.config.joint_dim,))
 
 
 def class_text_features(encoder, bank: SoftPromptBank, layout: PromptLayout, class_names):
     """Features for many classes [N, joint]: a one-candidate ``FeaturePlan``."""
-    return FeaturePlan(encoder, [(bank, layout)], class_names).features()[0]
+    return FeaturePlan(encoder, [(bank, layout)], class_names).features()
 
 
 def _reenter(table: Tensor, index: list):
@@ -386,10 +386,11 @@ class FeaturePlan:
 
     ``features()`` reads the pieces' current data, so one plan serves every
     step of a training loop: one ``concat`` of the distinct pieces, one row
-    gather for the stack and one per deep layer, the encoder pass, and each
-    candidate's rows in class order (the pass output itself, one slice, or
-    the concatenation of its contiguous runs for class names of unequal
-    token length).
+    gather for the stack and one per deep layer, and the encoder pass. It
+    returns one feature table [k·N, joint] of k candidates and N classes in
+    (candidate, class) order: the pass output itself when the length groups
+    already hold the prompts in that order (a pool ordered by size, class
+    names of one token length), else one row gather that undoes the sort.
     """
 
     def __init__(self, encoder, candidates, class_names):
@@ -445,21 +446,13 @@ class FeaturePlan:
             layer = np.array([row for length, _, reentry in stacked
                               for row in (reentry[i] if i < len(reentry) else [-1] * length)])
             self._index.append(np.where(layer < 0, own, self._rows.size + layer))
-        # per candidate: [start, stop) runs of its prompts' stack positions, in class order
-        at = np.argsort(order).reshape(len(candidates), len(class_names))
-        self._runs = [[(run[0], run[-1] + 1)
-                       for run in np.split(pos, np.flatnonzero(np.diff(pos) != 1) + 1)]
-                      for pos in at]
+        # each prompt's stack position in (candidate, class) order; None when that is the identity
+        self._unsort = None if order == sorted(order) else np.argsort(order)
 
-    def features(self) -> list:
-        """Class features [C, joint] per candidate, from the pieces' current data."""
+    def features(self) -> Tensor:
+        """The feature table [k·N, joint], from the pieces' current data."""
         table = T.concat(self._pieces, axis=0)
         stack = RowStack(T.gather_rows(table, self._rows), self._groups)
         out = self.encoder.encode_text(
             stack, deep_hook=_reenter(table, self._index) if self._index else None)
-        feats = []
-        for runs in self._runs:
-            parts = [out if (start, stop) == (0, out.shape[0]) else T.narrow(out, 0, start, stop)
-                     for start, stop in runs]
-            feats.append(parts[0] if len(parts) == 1 else T.concat(parts, axis=0))
-        return feats
+        return out if self._unsort is None else T.gather_rows(out, self._unsort)

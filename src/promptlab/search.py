@@ -79,22 +79,25 @@ def candidate_logits(encoder, bank: SoftPromptBank, layout: PromptLayout,
 def mixture_logits(per_candidate, weights) -> T.Tensor:
     """Convex combination of per-candidate arrays of one shape, as one [1, k] @ [k, n] product.
 
-    The arrays are pre-softmax class scores, or the class features behind
-    them: scores are linear in the features, so mixing the features first
-    gives the mixed scores from one scoring product. weights may be a Tensor
-    (softmax of alpha, for alpha steps) or a plain array of constants (for
-    theta steps, keeping alpha out of the graph).
+    The arrays come as one tensor [k, ...] or as a list, stacked here. They
+    are pre-softmax class scores, or the class features behind them: scores
+    are linear in the features, so mixing the features first gives the mixed
+    scores from one scoring product. weights may be a Tensor (softmax of
+    alpha, for alpha steps) or a plain array of constants (for theta steps,
+    keeping alpha out of the graph).
     """
-    per_candidate = list(per_candidate)
-    if not per_candidate:
-        raise ParameterError("empty candidate list")
+    if not isinstance(per_candidate, T.Tensor):
+        per_candidate = list(per_candidate)
+        if not per_candidate:
+            raise ParameterError("empty candidate list")
+        per_candidate = T.stack(per_candidate)
     if not isinstance(weights, T.Tensor):
         weights = T.Tensor(weights)
-    k = len(per_candidate)
+    k = per_candidate.shape[0]
     if weights.shape != (k,):
         raise ParameterError(f"weights shape {weights.shape} does not match {k} candidates")
-    shape = per_candidate[0].shape
-    stacked = T.reshape(T.stack(per_candidate), (k, per_candidate[0].size))
+    shape = per_candidate.shape[1:]
+    stacked = T.reshape(per_candidate, (k, per_candidate.size // k))
     return T.reshape(T.matmul(T.reshape(weights, (1, k)), stacked), shape)
 
 
@@ -141,8 +144,9 @@ def search_step(encoder, plan: FeaturePlan, alpha: T.Tensor, alpha_opt, theta_op
     the features as constants; the theta step backpropagates through them
     with alpha's weights as constants. The step's graph is released on return.
     """
-    feats = plan.features()
-    frozen = [T.Tensor(f.data) for f in feats]
+    table = plan.features()
+    feats = T.reshape(table, (alpha.size, table.shape[0] // alpha.size, table.shape[1]))
+    frozen = T.Tensor(feats.data)
     descend(alpha_opt, class_loss(encoder, mixture_logits(frozen, T.softmax(alpha)), val_batch))
     descend(theta_opt, class_loss(encoder, mixture_logits(feats, T.softmax(alpha).data),
                                   train_batch))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from dataclasses import MISSING, asdict, fields
 from typing import get_type_hints
 
@@ -108,8 +109,9 @@ def check_fields(types: dict, payload, what: str, required=()) -> dict:
 
     Unknown keys, missing ``required`` keys and values of the wrong JSON type
     are ConfigErrors naming the key under ``what``. An ``int`` field takes an
-    int but not a bool; a ``float`` field takes an int or a float, kept as
-    written so no bytes move; a ``tuple`` field takes a list and returns a
+    int but not a bool; a ``float`` field takes an int or a float within
+    float64 range (not the ``NaN`` or ``Infinity`` Python's ``json`` reads),
+    kept as written so no bytes move; a ``tuple`` field takes a list and returns a
     tuple; a field whose class has a ``from_dict`` (a ``JsonFields`` class,
     ``Vocabulary``, ``SoftPromptBank``) takes an object, read by that method.
     """
@@ -127,6 +129,8 @@ def check_fields(types: dict, payload, what: str, required=()) -> dict:
         accepted = {float: (int, float), tuple: (list, tuple)}.get(kind, kind)
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
             raise ConfigError(f"{where} must be a JSON {JSON_TYPES[kind]}, got {value!r}")
+        if kind is float and not abs(value) <= sys.float_info.max:  # NaN compares false
+            raise ConfigError(f"{where} must be a finite float64 number, got {value!r}")
         kwargs[key] = tuple(value) if kind is tuple else value
     missing = [f"{what}.{k}" if what else k for k in required if k not in kwargs]
     if missing:

@@ -65,10 +65,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_grad", "_parents", "_vjp", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(())
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.name = name
         self._grad: Optional[np.ndarray] = None

@@ -164,8 +164,7 @@ def train_prompts(task: Task, config: TrainConfig, bank: SoftPromptBank, encoder
         if config.schedule == "cosine":
             opt.lr = cosine_lr(step, total_steps, config.lr_init)
         try:
-            (feats,) = plan.features()
-            loss = class_loss(encoder, feats, (x[rows], y[rows]))
+            loss = class_loss(encoder, plan.features(), (x[rows], y[rows]))
         except NumericsError as exc:
             raise NumericsError(f"non-finite loss at epoch {epoch}, batch {b}: {exc}")
         descend(opt, loss)

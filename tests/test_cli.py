@@ -377,6 +377,10 @@ BAD_INPUTS = {
                                       "raw_feature_dim"),
     "task_raw_feature_dim_zero": (_set("task", "raw_feature_dim", 0), ["gen-data"],
                                   "raw_feature_dim"),
+    # json.dump writes these as the Infinity and NaN tokens, which json.load reads back
+    "task_noise_std_infinity": (_set("task", "noise_std", float("inf")), ["gen-data"],
+                                "noise_std"),
+    "search_theta_lr_nan": (_set("search", "theta_lr", float("nan")), ["gen-data"], "theta_lr"),
     "latent_attribute_with_empty_values": (
         _set("task", "latent_attributes", [["color", [f"color{i}" for i in range(6)]],
                                            ["shape", []]]),
@@ -386,7 +390,7 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_config_input_is_one_error_line(case, tmp_path):
-    cfg, _ = write_config(tmp_path)
+    cfg, out = write_config(tmp_path)
     edit, command, key = BAD_INPUTS[case]
     if edit is not None:
         payload = json.load(open(cfg))
@@ -401,6 +405,7 @@ def test_bad_config_input_is_one_error_line(case, tmp_path):
     assert re.match(r"^error: \w+Error: ", proc.stderr.strip().splitlines()[-1]), proc.stderr
     if key is not None:
         assert key in proc.stderr.strip().splitlines()[-1], proc.stderr
+    assert not os.path.exists(out) or os.listdir(out) == []  # rejected before any write
 
 
 # artifact -> (the command that reads it, every top-level key, and the keys one level down)

@@ -2,6 +2,7 @@ import json
 import os
 import tempfile
 from dataclasses import replace
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,32 @@ def test_load_rejects_non_object_files(tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[1, 2, 3]\n")
     with pytest.raises(DataError):
+        load_run_config(str(path))
+
+
+# every float field of a run config, as (section, key)
+FLOAT_FIELDS = [
+    (section, key)
+    for section, kind in (("task", TaskSpec), ("search", SearchConfig), ("train", TrainConfig),
+                          ("encoder_overrides", EncoderConfig), ("llm", LlmClientConfig))
+    for key, hint in get_type_hints(kind).items() if hint is float
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400],
+                         ids=["NaN", "Infinity", "-Infinity", "integer-past-float64"])
+@pytest.mark.parametrize("section, key", FLOAT_FIELDS)
+def test_non_finite_float_is_a_config_error_naming_the_key(section, key, value, tmp_path):
+    # Python's json reads NaN and Infinity, and NaN slips past every "<= 0" check;
+    # an integer past float64's range overflows where the value is first used
+    payload = toy_config().validate().to_dict()
+    if section == "llm":
+        payload["attributes"] = {"llm": {key: value}}
+    else:
+        payload[section][key] = value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=rf"\b{key} must be a finite float64 number, got"):
         load_run_config(str(path))
 
 

@@ -591,8 +591,14 @@ def candidate_set(enc, style, depth, drop_policy="retain_all"):
     return out
 
 
+def candidate_rows(table, k):
+    """Candidate i's class features: rows [i·N, (i+1)·N) of a plan's table [k·N, joint]."""
+    n = table.shape[0] // k
+    return [T.narrow(table, 0, i * n, (i + 1) * n) for i in range(k)]
+
+
 def plan_features(enc, candidates, names):
-    return FeaturePlan(enc, candidates, names).features()
+    return candidate_rows(FeaturePlan(enc, candidates, names).features(), len(candidates))
 
 
 def per_class_reference(enc, candidates, names):
@@ -677,10 +683,40 @@ def test_plan_of_mixed_depths_matches_each_layout_alone():
     deep = (make_bank(enc, attrs=attrs, depth=3, seed=2),
             PromptLayout(attribute_names=attrs, drop_policy="full_drop", depth=3))
     names = ("cat", "red fish")
-    mixed = FeaturePlan(enc, [shallow, deep], names).features()
+    mixed = plan_features(enc, [shallow, deep], names)
     for feats, candidate in zip(mixed, (shallow, deep)):
-        (alone,) = FeaturePlan(enc, [candidate], names).features()
+        alone = FeaturePlan(enc, [candidate], names).features()
         np.testing.assert_allclose(feats.data, alone.data, rtol=0, atol=1e-12)
+
+
+def test_plan_table_is_the_pass_output_or_one_gather(monkeypatch):
+    # the table holds candidate i's class features at rows [i·N, (i+1)·N)
+    enc = make_encoder()
+    candidates = candidate_set(enc, "interval", 1)
+    outputs, ops = [], []
+    encode, make = enc.encode_text, T._make
+
+    def capture(stack, deep_hook=None):
+        outputs.append(encode(stack, deep_hook=deep_hook))
+        ops.clear()
+        return outputs[-1]
+
+    def counting(data, parents, vjp, op):
+        ops.append(op)
+        return make(data, parents, vjp, op)
+
+    monkeypatch.setattr(enc, "encode_text", capture)
+    monkeypatch.setattr(T, "_make", counting)
+    # class names of one token length: the length groups follow the pool's size order
+    assert FeaturePlan(enc, candidates, ("cat", "dog", "bird")).features() is outputs[-1]
+    # "red fish" is one token longer, so its prompts sit in groups of their own
+    names = ("cat", "red fish", "dog")
+    table = FeaturePlan(enc, candidates, names).features()
+    assert ops == ["narrow"]  # one gather_rows, which records itself as narrow
+    monkeypatch.undo()
+    expected = [deep_forward(enc, bank, layout, n).data for bank, layout in candidates
+                for n in names]
+    np.testing.assert_allclose(table.data, np.stack(expected), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -695,7 +731,7 @@ def test_one_plan_serves_every_step(depth):
     for step in range(3):
         results = []
         for current in (plan, FeaturePlan(enc, candidates, names)):
-            feats = current.features()
+            feats = candidate_rows(current.features(), len(candidates))
             targets = [T.Tensor(np.random.default_rng(i).standard_normal(f.shape))
                        for i, f in enumerate(feats)]
             opt.zero_grad()

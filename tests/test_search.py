@@ -323,9 +323,9 @@ def test_alpha_step_writes_no_gradient_into_soft_blocks():
 
 # measured: prompts composed once per search, one text forward per step over
 # one row stack of every prompt, two fused ops per encoder block, a
-# read-out-only last block, and one softmax of alpha and one scoring product
-# per half-step
-OPS_PER_TOY_STEP = 46
+# read-out-only last block, the feature table reshaped once to [k, N, joint],
+# and one softmax of alpha and one scoring product per half-step
+OPS_PER_TOY_STEP = 42
 
 
 def test_search_step_op_count_stays_low(monkeypatch):
@@ -346,7 +346,8 @@ def test_search_step_op_count_stays_low(monkeypatch):
     monkeypatch.setattr(T, "_make", counting)
     search_step(enc, plan, alpha, alpha_opt, theta_opt, batch, batch)
     assert len(ops) <= OPS_PER_TOY_STEP, f"{len(ops)} ops per step"
-    assert "embedding" not in ops  # the first step filled the encoder's hard-row cache
+    # frozen rows are token ids, read from the token table by the plan's one gather_rows
+    assert "embedding" not in ops
 
 
 # warm search15-sized steps (15 candidates, 8 classes, a 32-dim one-head

@@ -37,14 +37,15 @@ class SGD:
                 p.data -= self.lr * p._grad
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with bias correction (Kingma & Ba defaults)."""
 
-    def __init__(self, params, lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.params = _check_params(params)
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -55,17 +56,17 @@ class Adam:
 
     def step(self):
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for p, m, v in zip(self.params, self._m, self._v):
             if p._grad is None:
                 continue
             g = p._grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def cosine_lr(step: int, total_steps: int, lr_init: float) -> float:

@@ -1,8 +1,8 @@
 """Prompt composition: classic soft prompts and attribute-anchored variants.
 
-A composed prompt is a position map of typed segments (sentinels, trainable
-soft blocks, hard attribute words, the class name) over its pieces: soft
-blocks, or the token ids of frozen rows. The classic form is
+A composed prompt is a list of typed segments (sentinels, trainable soft
+blocks, hard attribute words, the class name), each carrying its piece: a
+soft block, or the token ids of frozen rows. The classic form is
 ``[SOS][T1..TM][CLS][EOS]``; the attribute-anchored shallow form interleaves
 per-attribute soft blocks with hard attribute anchors ahead of the class
 unit; the deep form additionally swaps the class soft block for a fresh
@@ -12,7 +12,7 @@ drop policy deciding which attribute positions are re-added alongside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,16 +123,12 @@ class SoftPromptBank:
         seed: int = 0,
         scheme: str = "random_normal",
         template_rows: np.ndarray = None,
-        shared_class_block: Tensor = None,
     ) -> "SoftPromptBank":
         """Build and initialize a bank; see init_soft_tokens for the schemes."""
         if attr_soft_len is None:
             attr_soft_len = soft_len
-        if shared_class_block is not None:
-            class_block = shared_class_block
-        else:
-            class_block = Tensor(np.zeros((soft_len, embed_dim)), requires_grad=True,
-                                 name="class_block")
+        class_block = Tensor(np.zeros((soft_len, embed_dim)), requires_grad=True,
+                             name="class_block")
         attr_blocks = {
             name: Tensor(np.zeros((attr_soft_len, embed_dim)), requires_grad=True,
                          name=f"attr_block.{name}")
@@ -143,11 +139,7 @@ class SoftPromptBank:
             for i in range(max(depth - 1, 0))
         ]
         bank = cls(class_block, attr_blocks, deep_blocks)
-        init_soft_tokens(
-            bank, scheme, seed,
-            template_rows=template_rows,
-            skip_class_block=shared_class_block is not None,
-        )
+        init_soft_tokens(bank, scheme, seed, template_rows=template_rows)
         return bank
 
     def to_dict(self) -> dict:
@@ -191,7 +183,6 @@ def init_soft_tokens(
     scheme: str,
     seed: int,
     template_rows: np.ndarray = None,
-    skip_class_block: bool = False,
 ) -> SoftPromptBank:
     """Fill a bank's soft tokens in place.
 
@@ -223,8 +214,7 @@ def init_soft_tokens(
             tensor.data[len(rows):] = pad * SOFT_INIT_STD
 
     fill = fill_phrase if scheme == "phrase_init" else fill_normal
-    if not skip_class_block:
-        fill(bank.class_block, "class")
+    fill(bank.class_block, "class")
     for name in sorted(bank.attribute_blocks):
         fill(bank.attribute_blocks[name], f"attr.{name}")
     for i, block in enumerate(bank.deep_class_blocks):
@@ -247,6 +237,7 @@ class Segment:
     name: str
     start: int
     stop: int
+    piece: object = field(compare=False, repr=False)  # a soft block, or frozen rows' token ids
 
     @property
     def length(self) -> int:
@@ -256,29 +247,17 @@ class Segment:
 @dataclass
 class ComposedPrompt:
     segments: list
-    pieces: tuple  # per segment, in order: a soft block, or the token ids of frozen rows
-    table: Tensor  # the encoder's token table, which the token ids index
+    table: Tensor  # the encoder's token table, which the segments' token ids index
 
     @property
     def embeds(self) -> Tensor:
         """The prompt's rows [L, embed_dim]: its pieces joined, afresh on every read."""
-        return T.concat([p if isinstance(p, Tensor) else T.embedding(self.table, p)
-                         for p in self.pieces], axis=0)
+        return T.concat([s.piece if isinstance(s.piece, Tensor)
+                         else T.embedding(self.table, s.piece) for s in self.segments], axis=0)
 
     @property
     def length(self) -> int:
         return self.segments[-1].stop
-
-
-def check_partition(segments, length: int) -> None:
-    """The segments must tile positions [0, length) in order, with no gap or overlap."""
-    cursor = 0
-    for seg in segments:
-        if seg.start != cursor:
-            raise ContractError(f"segment map has a gap/overlap at {seg}")
-        cursor = seg.stop
-    if cursor != length:
-        raise ContractError(f"segment map covers {cursor} of {length} positions")
 
 
 def _ordered_units(vocab, bank: SoftPromptBank, layout: PromptLayout, class_name: str):
@@ -326,11 +305,9 @@ def compose_shallow(encoder, bank: SoftPromptBank, layout: PromptLayout,
     segments = []
     cursor = 0
     for kind, name, piece in pieces:
-        segments.append(Segment(kind, name, cursor, cursor + piece.shape[0]))
+        segments.append(Segment(kind, name, cursor, cursor + piece.shape[0], piece))
         cursor += piece.shape[0]
-    prompt = ComposedPrompt(segments, tuple(p for _, _, p in pieces), encoder.token_embedding)
-    check_partition(segments, prompt.length)
-    return prompt
+    return ComposedPrompt(segments, encoder.token_embedding)
 
 
 def compose_classic(encoder, bank: SoftPromptBank, class_name: str) -> ComposedPrompt:
@@ -363,26 +340,20 @@ def class_text_features(encoder, bank: SoftPromptBank, layout: PromptLayout, cla
     return FeaturePlan(encoder, [(bank, layout)], class_names).features()
 
 
-def _reenter(table: Tensor, index: list):
-    """The plan's ``deep_hook``: the input of layer i + 1 re-enters through index[i - 1]."""
-    return lambda i, hidden: (apply_drop_policy(hidden, table, index[i - 1])
-                              if i <= len(index) else hidden)
-
-
 class FeaturePlan:
     """The only path from composed prompts to class features, composed once.
 
     Building the plan composes every (candidate, class) prompt with
-    ``compose_shallow`` (validating layouts and position maps) and records
-    which rows of the piece table each prompt is made of. The table is the
-    encoder's token table, where a frozen row's row is its token id, then
-    each soft and deep block once. All prompts share one row stack [R, d] in
-    one encoder pass, grouped by length: prompts of one length are one group.
-    A plan with deep layouts has one ``apply_drop_policy`` index [R] per deep
-    layer: entering layer k + 1, the class soft block takes the rows of deep
-    block k - 1, and the attribute positions its drop policy names take the
-    prompt's own rows; the rows of a prompt whose layout is not that deep
-    keep their hidden state.
+    ``compose_shallow`` (validating layouts) and walks its segments once:
+    each segment gives its rows of the piece table and, per deep layer, the
+    rows that re-enter at its positions. The table is the encoder's token
+    table, where a frozen row's row is its token id, then each soft and deep
+    block once. All prompts share one row stack [R, d] in one encoder pass,
+    grouped by length: prompts of one length are one group. A plan with deep
+    layouts has one ``apply_drop_policy`` index [R] per deep layer: entering
+    layer k + 1, the class soft block takes the rows of deep block k - 1, and
+    the attribute positions its drop policy names take the prompt's own rows;
+    the rows of a prompt whose layout is not that deep keep their hidden state.
 
     ``features()`` reads the pieces' current data, so one plan serves every
     step of a training loop: one ``concat`` of the distinct pieces, one row
@@ -418,18 +389,16 @@ class FeaturePlan:
                                   f"blocks, bank has {len(deep)}")
             kinds = REENTERED_KINDS[layout.drop_policy]
             for name in class_names:
-                prompt = compose_shallow(encoder, bank, layout, name)
-                rows = [row for piece in prompt.pieces for row in piece_rows(piece)]
-                reentry = []  # per deep layer: the piece row each position re-enters with, or -1
-                for block in deep:
-                    layer = [-1] * prompt.length
-                    for seg in prompt.segments:
-                        if seg.kind == "class_soft":
-                            layer[seg.start:seg.stop] = piece_rows(block)
-                        elif seg.kind in kinds:
-                            layer[seg.start:seg.stop] = rows[seg.start:seg.stop]
-                    reentry.append(layer)
-                prompts.append((prompt.length, rows, reentry))
+                # one walk: the prompt's rows, and per deep layer the piece row each
+                # position re-enters with, or -1 to keep its hidden state
+                rows, reentry = [], [[] for _ in deep]
+                for seg in compose_shallow(encoder, bank, layout, name).segments:
+                    rows.extend(piece_rows(seg.piece))
+                    for block, layer in zip(deep, reentry):
+                        layer += (piece_rows(block) if seg.kind == "class_soft" else
+                                  rows[seg.start:seg.stop] if seg.kind in kinds else
+                                  [-1] * seg.length)
+                prompts.append((len(rows), rows, reentry))
         # the stack: one group per length, in order of first use, of its prompts in order
         group = {}
         for length, _, _ in prompts:
@@ -452,7 +421,11 @@ class FeaturePlan:
     def features(self) -> Tensor:
         """The feature table [k·N, joint], from the pieces' current data."""
         table = T.concat(self._pieces, axis=0)
+
+        def reenter(i, hidden):  # the input of layer i + 1 re-enters through index i - 1
+            return (apply_drop_policy(hidden, table, self._index[i - 1])
+                    if i <= len(self._index) else hidden)
+
         stack = RowStack(T.gather_rows(table, self._rows), self._groups)
-        out = self.encoder.encode_text(
-            stack, deep_hook=_reenter(table, self._index) if self._index else None)
+        out = self.encoder.encode_text(stack, deep_hook=reenter if self._index else None)
         return out if self._unsort is None else T.gather_rows(out, self._unsort)

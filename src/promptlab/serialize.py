@@ -63,7 +63,7 @@ def load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise DataError(f"file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # decode errors, over-long integers, deep nesting
         raise DataError(f"not valid JSON: {path} ({exc})")
 
 

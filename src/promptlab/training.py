@@ -67,20 +67,18 @@ class PromptRunConfig:
     def make_banks(self, encoder, candidates, seed: int) -> list:
         """One bank per attribute tuple, all sharing the first bank's class block."""
         rows = template_rows_for(encoder)
-        banks, class_block = [], None
-        for names in candidates:
-            banks.append(SoftPromptBank.create(
-                embed_dim=encoder.config.embed_dim,
-                soft_len=self.soft_len,
-                attribute_names=names,
-                attr_soft_len=self.attr_soft_len,
-                depth=self.layout.depth,
-                seed=seed,
-                scheme=self.init_scheme,
-                template_rows=rows,
-                shared_class_block=class_block,
-            ))
-            class_block = banks[-1].class_block
+        banks = [SoftPromptBank.create(
+            embed_dim=encoder.config.embed_dim,
+            soft_len=self.soft_len,
+            attribute_names=names,
+            attr_soft_len=self.attr_soft_len,
+            depth=self.layout.depth,
+            seed=seed,
+            scheme=self.init_scheme,
+            template_rows=rows,
+        ) for names in candidates]
+        for bank in banks[1:]:  # each drew the same block: init streams are keyed by content
+            bank.class_block = banks[0].class_block
         return banks
 
 

@@ -336,8 +336,17 @@ def _set(section, key, value):
     return edit
 
 
+def _raw(section, key, text):
+    """An edit that writes ``text`` as the key's value verbatim: JSON that json.dump cannot make."""
+    def edit(payload):
+        (payload.setdefault(section, {}) if section else payload)[key] = "@raw@"
+        return json.dumps(payload).replace('"@raw@"', text)
+    return edit
+
+
 # case -> (config edit, or None; the command that used to fail without naming the
-# input; a key the last stderr line must name, or None)
+# input; a key, or other text, the last stderr line must name, or None). An edit
+# changes the payload in place, or returns the config file's new text.
 BAD_INPUTS = {
     "task_unknown_key": (_set("task", "bogus", 1), ["train"], None),
     "llm_unknown_key": (lambda payload: payload.update(attributes={"llm": {"bogus": 1}}),
@@ -381,6 +390,12 @@ BAD_INPUTS = {
     "task_noise_std_infinity": (_set("task", "noise_std", float("inf")), ["gen-data"],
                                 "noise_std"),
     "search_theta_lr_nan": (_set("search", "theta_lr", float("nan")), ["gen-data"], "theta_lr"),
+    # past Python's 4,300-digit limit for int() of a string
+    "task_noise_std_over_long_integer": (_raw("task", "noise_std", "1" + "0" * 5000),
+                                         ["gen-data"], "DataError: not valid JSON"),
+    # past the JSON decoder's recursion limit
+    "seeds_nested_too_deep": (_raw(None, "seeds", "[" * 100_000 + "0" + "]" * 100_000),
+                              ["gen-data"], "DataError: not valid JSON"),
     "latent_attribute_with_empty_values": (
         _set("task", "latent_attributes", [["color", [f"color{i}" for i in range(6)]],
                                            ["shape", []]]),
@@ -394,8 +409,9 @@ def test_bad_config_input_is_one_error_line(case, tmp_path):
     edit, command, key = BAD_INPUTS[case]
     if edit is not None:
         payload = json.load(open(cfg))
-        edit(payload)
-        json.dump(payload, open(cfg, "w"))
+        text = edit(payload)
+        with open(cfg, "w") as fh:
+            fh.write(json.dumps(payload) if text is None else text)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-m", "promptlab.cli", *command, "--config", cfg],
                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),

@@ -11,7 +11,6 @@ from promptlab.prompts import (
     FeaturePlan,
     PromptLayout,
     SoftPromptBank,
-    check_partition,
     class_text_features,
     compose_classic,
     compose_shallow,
@@ -20,6 +19,7 @@ from promptlab.prompts import (
     template_rows_for,
 )
 from gradcheck import assert_gradients_match
+from test_acceptance import _layout_cells
 from toys import make_encoder
 
 
@@ -162,7 +162,11 @@ def test_every_style_partitions_and_preserves_length():
         layout = PromptLayout(attribute_names=("color", "shape"),
                               attribute_position_style=style)
         prompt = compose_shallow(enc, bank, layout, "cat")
-        check_partition(prompt.segments, prompt.length)
+        cursor = 0
+        for seg in prompt.segments:  # the segments tile [0, length) in order
+            assert seg.start == cursor <= seg.stop
+            cursor = seg.stop
+        assert cursor == prompt.length == prompt.embeds.shape[0]
         lengths.add(prompt.length)
     assert len(lengths) == 1
 
@@ -531,6 +535,29 @@ def test_reentry_never_replaces_sentinels_or_class_name(monkeypatch):
                 for seg in (s for s in prompt.segments if s.kind in fixed):
                     np.testing.assert_array_equal(out[seg.start:seg.stop],
                                                   hidden[seg.start:seg.stop])
+
+
+def test_segment_pieces_are_the_plan_rows_over_the_layout_grid(monkeypatch):
+    # every cell of gate 7's grid: each segment carries exactly its rows, the
+    # prompt's rows are the row gather of a one-prompt plan, and every deep
+    # layer re-enters as the segment oracle says
+    enc = make_encoder(seed=2)
+    for attrs, attr_len, depth, style, cls_pos, policy in _layout_cells():
+        bank = make_bank(enc, attrs=attrs, attr_soft_len=attr_len, depth=depth, seed=13)
+        layout = PromptLayout(attribute_names=attrs, class_token_position=cls_pos,
+                              attribute_position_style=style, drop_policy=policy, depth=depth)
+        prompt = compose_shallow(enc, bank, layout, "cat")
+        for seg in prompt.segments:
+            assert seg.piece.shape[0] == seg.length, seg
+        plan = FeaturePlan(enc, [(bank, layout)], ["cat"])
+        np.testing.assert_array_equal(prompt.embeds.data,
+                                      T.concat(plan._pieces, axis=0).data[plan._rows])
+        seen = 0
+        for entered, layer, hidden, out in reentered(enc, bank, layout, ["cat"], monkeypatch):
+            np.testing.assert_array_equal(
+                out, reentry_oracle(enc, bank, layout, entered, hidden, layer))
+            seen += 1
+        assert seen == depth - 1
 
 
 @pytest.mark.parametrize("policy", DROP_POLICIES)

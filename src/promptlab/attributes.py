@@ -15,10 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
+from .config import LlmClientConfig
 from .errors import (
     ConfigError,
     DataError,
@@ -28,7 +28,7 @@ from .errors import (
     RemoteError,
 )
 from .search import SearchResult, parse_result
-from .serialize import FORMAT_VERSION, JsonFields, check_fields, dump_json, load_json
+from .serialize import FORMAT_VERSION, check_fields, dump_json, load_json
 
 PROVENANCES = ("fixture", "llm", "manual")
 
@@ -114,29 +114,6 @@ def fixture_search_result() -> SearchResult:
 
 
 # -- remote client --------------------------------------------------------------
-
-_ENV_NAME_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
-
-
-@dataclass(frozen=True)
-class LlmClientConfig(JsonFields):
-    endpoint: str = "https://api.openai.com/v1/chat/completions"
-    model: str = "gpt-4o"
-    credential_env: str = "PROMPTLAB_API_KEY"  # variable NAME; value is read per request
-    timeout: float = 30.0
-    max_retries: int = 2
-
-    def validate(self) -> "LlmClientConfig":
-        if self.timeout <= 0:
-            raise ConfigError(f"timeout must be positive, got {self.timeout}")
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if not _ENV_NAME_RE.match(self.credential_env):
-            raise ConfigError(
-                "credential_env must name an environment variable "
-                f"(letters, digits, underscores), got {self.credential_env!r}"
-            )
-        return self
 
 
 class HttpTransport:

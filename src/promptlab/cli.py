@@ -5,7 +5,8 @@ overrides (flags win), and writes versioned artifact files into the output
 directory. Commands are idempotent: identical config and seed produce
 byte-identical artifacts. On failure the process exits nonzero and the last
 line on standard error is a single machine-parseable summary of the form
-``error: <ErrorType>: <message>``.
+``error: <ErrorType>: <message>``. Each command imports the modules it runs
+in its own body, so ``report`` loads no numpy and ``gen-data`` no encoder.
 """
 
 from __future__ import annotations
@@ -16,25 +17,18 @@ import sys
 from dataclasses import replace
 from itertools import permutations
 
-from .attributes import LlmClient, ResponseCache, describe_categories, fixture_bases, summarize_bases
-from .config import RunConfig, config_hash, load_run_config, save_run_config
-from .data import Task, make_base_novel_task, subseed
-from .encoders import DualEncoder, build_config_for
-from .errors import CheckpointError, ConfigError, DataError, PromptLabError
-from .prompts import CLASS_POSITIONS, DROP_POLICIES, INIT_SCHEMES, POSITION_STYLES
-from .search import alternating_search, describe_config, export_result, load_result
-from .serialize import dump_artifact, file_sha256
-from .training import (
-    aggregate_reports,
-    base_novel_report,
-    load_checkpoint,
-    load_report_records,
-    make_bank,
-    run_base_to_novel,
-    save_checkpoint,
-    save_report_records,
-    train_prompts,
+from .config import (
+    CLASS_POSITIONS,
+    DROP_POLICIES,
+    INIT_SCHEMES,
+    POSITION_STYLES,
+    RunConfig,
+    config_hash,
+    load_run_config,
+    save_run_config,
 )
+from .errors import CheckpointError, ConfigError, DataError, PromptLabError
+from .serialize import dump_artifact, file_sha256
 
 MANIFEST_KIND = "dataset_manifest"
 SWEEP_KIND = "ablation_sweep"
@@ -65,6 +59,7 @@ def _load_config(args) -> RunConfig:
 
 def _data_spec(config: RunConfig):
     """The inline task spec with its data sub-seed: what gen-data writes and commands expect."""
+    from .data import subseed
     if config.task_spec is None:
         return None
     return replace(config.task_spec, seed=subseed(config.seed, "data"))
@@ -76,6 +71,7 @@ def _tasks_for(config: RunConfig):
     Files in the output directory must have been generated from this config's
     task spec; a stale pair (the spec changed since gen-data) is a DataError.
     """
+    from .data import Task, make_base_novel_task
     base_path, novel_path = _path(config, "base.json"), _path(config, "novel.json")
     if os.path.exists(base_path) and os.path.exists(novel_path):
         spec = _data_spec(config)
@@ -94,6 +90,8 @@ def _run_inputs(args):
     The encoder depends only on the run seed and stays frozen, so one
     instance serves every seed and ablation cell of the command.
     """
+    from .data import subseed
+    from .encoders import DualEncoder, build_config_for
     config = _load_config(args)
     os.makedirs(config.out_dir, exist_ok=True)
     base, novel = _tasks_for(config)
@@ -102,12 +100,14 @@ def _run_inputs(args):
                                             seed=subseed(config.seed, "encoder"))
 
 
-def _resolve_bases(config: RunConfig, task: Task):
+def _resolve_bases(config: RunConfig, task):
     src = config.attributes
-    if src.fixture is not None:
-        return fixture_bases(src.fixture).bases
     if src.explicit is not None:
         return tuple(src.explicit)
+    if src.fixture is not None:
+        from .attributes import fixture_bases
+        return fixture_bases(src.fixture).bases
+    from .attributes import LlmClient, ResponseCache, describe_categories, summarize_bases
     cache = ResponseCache(_path(config, "llm_cache"))
     client = LlmClient(src.llm, cache=cache)
     described = describe_categories(task.class_names, client)
@@ -120,6 +120,7 @@ def _selected_attributes(config: RunConfig) -> tuple:
         return tuple(config.train.attributes)
     result_path = _path(config, "search_result.txt")
     if os.path.exists(result_path):
+        from .search import load_result
         return tuple(load_result(result_path).selected)
     raise ConfigError(
         "no attributes to anchor on: set train.attributes or run search-attrs first"
@@ -130,6 +131,7 @@ def _selected_attributes(config: RunConfig) -> tuple:
 
 
 def cmd_gen_data(args) -> int:
+    from .data import make_base_novel_task
     config = _load_config(args)
     os.makedirs(config.out_dir, exist_ok=True)
     if config.task_spec is None:
@@ -160,6 +162,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_search_attrs(args) -> int:
+    from .data import subseed
+    from .search import alternating_search, describe_config, export_result
     config, base, _, encoder = _run_inputs(args)
     bases = _resolve_bases(config, base)
     search_cfg = replace(config.search, seed=subseed(config.seed, "search"))
@@ -175,6 +179,8 @@ def cmd_search_attrs(args) -> int:
 
 def _save_reports(config: RunConfig, reports, name: str):
     """Write (seed, report) pairs and their aggregate, under seed -1, to one report file."""
+    from .reports import save_report_records
+    from .training import aggregate_reports
     aggregate = aggregate_reports(report for _, report in reports)
     records = [
         {"config_hash": config.fingerprint(), "seed": seed, "report": report}
@@ -185,6 +191,8 @@ def _save_reports(config: RunConfig, reports, name: str):
 
 
 def cmd_train(args) -> int:
+    from .data import subseed
+    from .training import base_novel_report, make_bank, save_checkpoint, train_prompts
     config, base, novel, encoder = _run_inputs(args)
     tag = "classic" if args.classic else "atprompt"
     attrs = () if args.classic else _selected_attributes(config)
@@ -205,6 +213,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .training import base_novel_report, load_checkpoint
     config, base, novel, encoder = _run_inputs(args)
     tag = "classic" if args.classic else "atprompt"
     reports = []
@@ -256,6 +265,8 @@ def _ablation_cells(config: RunConfig, axis: str):
 
 
 def cmd_ablate(args) -> int:
+    from .data import subseed
+    from .training import aggregate_reports, run_base_to_novel
     config, base, novel, encoder = _run_inputs(args)
     rows = []
     for label, train_cfg in _ablation_cells(config, args.axis):
@@ -287,6 +298,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .reports import load_report_records
     config = _load_config(args)
     out = config.out_dir
     if not os.path.isdir(out):

@@ -1,4 +1,4 @@
-"""Declarative run configuration shared by the command-line pipeline.
+"""Every setting promptlab reads, and the run configuration that gathers them.
 
 One JSON document drives every command: where the task comes from (an
 inline spec or a saved dataset file), where attribute bases come from
@@ -7,23 +7,296 @@ search and train hyperparameters, the prompt layout, the output directory,
 and the seed list. Every source of randomness in a run flows from the
 single run seed through named sub-seeds so components stay independently
 reproducible.
+
+Each section's dataclass lives here, not in the module that runs it, and
+this module imports only ``errors`` and ``serialize``: reading and checking
+a config loads no numpy, so a command that only reads files stays light.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 from typing import get_type_hints
 
-from .attributes import LlmClientConfig
-from .data import TaskSpec
-from .encoders import EncoderConfig
 from .errors import ConfigError, DataError
-from .prompts import PromptLayout
-from .search import SearchConfig
 from .serialize import FORMAT_VERSION, JsonFields, check_fields, dump_json, dumps_json, load_json
-from .training import TrainConfig
+
+CLASS_POSITIONS = ("front", "middle", "end")
+POSITION_STYLES = ("interval", "adjacent_front", "adjacent_middle", "adjacent_end", "separate")
+# drop policy -> the kinds of prompt position that re-enter with their own rows
+# at every deep layer; the class soft block always re-enters as a deep block
+REENTERED_KINDS = {
+    "retain_all": (),
+    "partial_drop": ("attr_soft",),
+    "full_drop": ("attr_soft", "attr_hard"),
+}
+DROP_POLICIES = tuple(REENTERED_KINDS)
+INIT_SCHEMES = ("random_normal", "phrase_init")
+SCHEDULES = ("cosine", "constant")
+
+
+# -- sections ---------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LatentAttribute:
+    name: str
+    values: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
+
+
+def default_attributes(num_attributes: int = 4, values_per_attribute: int = 8):
+    names = ("color", "shape", "size", "texture", "material", "pattern")[:num_attributes]
+    return tuple(
+        LatentAttribute(n, tuple(f"{n}{j}" for j in range(values_per_attribute)))
+        for n in names
+    )
+
+
+def _latent_attribute(entry) -> LatentAttribute:
+    """A latent attribute, or one read from its JSON form ``[name, [values]]``."""
+    if isinstance(entry, LatentAttribute):
+        return entry
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], (list, tuple))):
+        raise ConfigError(f"latent_attributes entries must be [name, [values]], got {entry!r}")
+    return LatentAttribute(*entry)
+
+
+@dataclass(frozen=True)
+class TaskSpec(JsonFields):
+    num_classes: int = 8
+    raw_feature_dim: int = 16
+    embed_dim: int = 32
+    latent_attributes: tuple = field(default_factory=default_attributes)
+    informative_attributes: tuple = ("color", "shape")
+    samples_per_class: int = 16  # per split: train, val, and test each get this many
+    noise_std: float = 0.1
+    attribute_signal: float = 1.0  # 1: images carry only attribute content; 0: only offsets
+    value_spread: float = 1.0  # distance of value words from their base word
+    include_id_words: bool = True  # False: class names carry value words only
+    feature_map: str = "random"  # how attribute content becomes image features
+    seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "latent_attributes",
+                           tuple(map(_latent_attribute, self.latent_attributes)))
+        object.__setattr__(self, "informative_attributes", tuple(self.informative_attributes))
+
+    def validate(self) -> "TaskSpec":
+        if self.num_classes < 2:
+            raise DataError(f"need at least 2 classes, got {self.num_classes}")
+        if self.samples_per_class < 1:
+            raise DataError("samples_per_class must be positive")
+        for key in ("raw_feature_dim", "embed_dim"):
+            if getattr(self, key) < 1:
+                raise DataError(f"{key} must be positive, got {getattr(self, key)}")
+        if self.noise_std < 0:
+            raise DataError(f"noise_std must be nonnegative, got {self.noise_std}")
+        if not 0.0 <= self.attribute_signal <= 1.0:
+            raise DataError(f"attribute_signal must lie in [0, 1], got {self.attribute_signal}")
+        if self.feature_map not in ("random", "identity"):
+            raise DataError(f"unknown feature_map {self.feature_map!r}")
+        if self.feature_map == "identity" and self.raw_feature_dim != self.embed_dim:
+            raise DataError(
+                "identity feature_map needs raw_feature_dim == embed_dim, got "
+                f"{self.raw_feature_dim} != {self.embed_dim}"
+            )
+        names = [a.name for a in self.latent_attributes]
+        if len(set(names)) != len(names):
+            raise DataError(f"duplicate attribute names: {names}")
+        missing = set(self.informative_attributes) - set(names)
+        if missing:
+            raise DataError(f"informative attributes not declared: {sorted(missing)}")
+        if not self.informative_attributes:
+            raise DataError("need at least one informative attribute")
+        capacity = 1
+        for attr in self.latent_attributes:
+            if not attr.values:
+                raise DataError(f"latent attribute {attr.name!r} has no values")
+            if attr.name in self.informative_attributes:
+                capacity *= len(attr.values)
+        if capacity < self.num_classes:
+            raise DataError(
+                f"only {capacity} distinct informative signatures for "
+                f"{self.num_classes} classes"
+            )
+        return self
+
+    def attribute(self, name: str) -> LatentAttribute:
+        for attr in self.latent_attributes:
+            if attr.name == name:
+                return attr
+        raise DataError(f"no attribute named {name!r}")
+
+    def to_dict(self) -> dict:
+        pairs = [[a.name, list(a.values)] for a in self.latent_attributes]
+        return {**super().to_dict(), "latent_attributes": pairs}
+
+
+@dataclass(frozen=True)
+class EncoderConfig(JsonFields):
+    vocab_size: int
+    embed_dim: int = 32
+    num_layers: int = 4
+    num_heads: int = 4
+    max_seq_len: int = 32
+    joint_dim: int = 16
+    image_dim: int = 16
+    image_hidden_dim: int = 32
+    mlp_ratio: int = 2
+    temperature: float = 0.07
+
+    def validate(self) -> "EncoderConfig":
+        for name, kind in get_type_hints(EncoderConfig).items():
+            if kind is int and getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.embed_dim % self.num_heads != 0:
+            raise ConfigError(
+                f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
+            )
+        if self.temperature <= 0:
+            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        return self
+
+
+@dataclass(frozen=True)
+class PromptLayout(JsonFields):
+    """Declarative description of how one text prompt is assembled."""
+
+    attribute_names: tuple = ()
+    class_token_position: str = "end"
+    attribute_position_style: str = "interval"
+    drop_policy: str = "retain_all"
+    depth: int = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "attribute_names", tuple(self.attribute_names))
+
+    def validate(self, num_encoder_layers: int = None) -> "PromptLayout":
+        if self.class_token_position not in CLASS_POSITIONS:
+            raise ConfigError(f"unknown class_token_position {self.class_token_position!r}")
+        if self.attribute_position_style not in POSITION_STYLES:
+            raise ConfigError(f"unknown attribute_position_style {self.attribute_position_style!r}")
+        if self.drop_policy not in DROP_POLICIES:
+            raise ConfigError(f"unknown drop_policy {self.drop_policy!r}")
+        if self.depth < 1:
+            raise ConfigError(f"depth must be >= 1, got {self.depth}")
+        if num_encoder_layers is not None and self.depth > num_encoder_layers:
+            raise ConfigError(
+                f"depth {self.depth} exceeds encoder layers {num_encoder_layers}"
+            )
+        if len(set(self.attribute_names)) != len(self.attribute_names):
+            raise ConfigError(f"duplicate attribute names: {self.attribute_names}")
+        if (
+            self.class_token_position != "end"
+            and self.attribute_position_style != "interval"
+            and self.attribute_names
+        ):
+            raise ConfigError(
+                "class_token_position other than 'end' is only defined for the interval style"
+            )
+        return self
+
+
+@dataclass(frozen=True)
+class PromptRunConfig:
+    """The settings every soft-prompt run shares: attribute search and prompt training."""
+
+    epochs: int = 50
+    batch_size: int = 32
+    seed: int = 0
+    layout: PromptLayout = field(default_factory=PromptLayout)
+    soft_len: int = 2
+    attr_soft_len: int = 2
+    init_scheme: str = "phrase_init"
+
+    def validate(self) -> "PromptRunConfig":
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if min(self.soft_len, self.attr_soft_len) < 1:
+            raise ConfigError(f"soft lengths must be >= 1, got {self.soft_len}, "
+                              f"{self.attr_soft_len}")
+        if self.init_scheme not in INIT_SCHEMES:
+            raise ConfigError(f"unknown init_scheme {self.init_scheme!r}")
+        self.layout.validate()
+        return self
+
+
+@dataclass(frozen=True)
+class TrainConfig(PromptRunConfig):
+    lr_init: float = 0.002
+    schedule: str = "cosine"
+    attributes: tuple = ()  # selected combination; () trains the classic form
+
+    def __post_init__(self):
+        object.__setattr__(self, "attributes", tuple(self.attributes))
+
+    def validate(self) -> "TrainConfig":
+        super().validate()
+        if self.lr_init <= 0:
+            raise ConfigError(f"lr_init must be positive, got {self.lr_init}")
+        if self.schedule not in SCHEDULES:
+            raise ConfigError(f"unknown schedule {self.schedule!r}")
+        return self
+
+    def effective_layout(self) -> PromptLayout:
+        """Layout with the selected attribute combination substituted in."""
+        return replace(self.layout, attribute_names=tuple(self.attributes))
+
+
+@dataclass(frozen=True)
+class SearchConfig(PromptRunConfig):
+    epochs: int = 10
+    theta_lr: float = 0.002
+    alpha_lr: float = 0.02
+
+    def validate(self) -> "SearchConfig":
+        super().validate()
+        if self.theta_lr <= 0 or self.alpha_lr <= 0:
+            raise ConfigError(
+                f"learning rates must be positive, got theta={self.theta_lr}, alpha={self.alpha_lr}"
+            )
+        if self.layout.attribute_names:
+            raise ConfigError("search layout must leave attribute_names empty; candidates fill it")
+        return self
+
+
+_ENV_NAME_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
+
+
+@dataclass(frozen=True)
+class LlmClientConfig(JsonFields):
+    endpoint: str = "https://api.openai.com/v1/chat/completions"
+    model: str = "gpt-4o"
+    credential_env: str = "PROMPTLAB_API_KEY"  # variable NAME; value is read per request
+    timeout: float = 30.0
+    max_retries: int = 2
+
+    def validate(self) -> "LlmClientConfig":
+        if self.timeout <= 0:
+            raise ConfigError(f"timeout must be positive, got {self.timeout}")
+        if self.max_retries < 0:
+            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not _ENV_NAME_RE.match(self.credential_env):
+            raise ConfigError(
+                "credential_env must name an environment variable "
+                f"(letters, digits, underscores), got {self.credential_env!r}"
+            )
+        return self
+
+
+# -- the run config -------------------------------------------------------------------
+
 
 RUN_CONFIG_KIND = "run_config"
 

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import LatentAttribute, TaskSpec, default_attributes  # re-exported
 from .errors import ConfigError, DataError
-from .serialize import JsonFields, check_fields, dump_artifact, load_artifact, numeric_array
+from .serialize import check_fields, dump_artifact, load_artifact, numeric_array
 from .vocab import EOS, SOS, Vocabulary
 
 DATASET_KIND = "dataset"
@@ -60,104 +61,6 @@ def keyed_rng(*keys):
 
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
-
-
-@dataclass(frozen=True)
-class LatentAttribute:
-    name: str
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-
-
-def default_attributes(num_attributes: int = 4, values_per_attribute: int = 8):
-    names = ("color", "shape", "size", "texture", "material", "pattern")[:num_attributes]
-    return tuple(
-        LatentAttribute(n, tuple(f"{n}{j}" for j in range(values_per_attribute)))
-        for n in names
-    )
-
-
-def _latent_attribute(entry) -> LatentAttribute:
-    """A latent attribute, or one read from its JSON form ``[name, [values]]``."""
-    if isinstance(entry, LatentAttribute):
-        return entry
-    if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and isinstance(entry[0], str)
-            and isinstance(entry[1], (list, tuple))):
-        raise ConfigError(f"latent_attributes entries must be [name, [values]], got {entry!r}")
-    return LatentAttribute(*entry)
-
-
-@dataclass(frozen=True)
-class TaskSpec(JsonFields):
-    num_classes: int = 8
-    raw_feature_dim: int = 16
-    embed_dim: int = 32
-    latent_attributes: tuple = field(default_factory=default_attributes)
-    informative_attributes: tuple = ("color", "shape")
-    samples_per_class: int = 16  # per split: train, val, and test each get this many
-    noise_std: float = 0.1
-    attribute_signal: float = 1.0  # 1: images carry only attribute content; 0: only offsets
-    value_spread: float = 1.0  # distance of value words from their base word
-    include_id_words: bool = True  # False: class names carry value words only
-    feature_map: str = "random"  # how attribute content becomes image features
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "latent_attributes",
-                           tuple(map(_latent_attribute, self.latent_attributes)))
-        object.__setattr__(self, "informative_attributes", tuple(self.informative_attributes))
-
-    def validate(self) -> "TaskSpec":
-        if self.num_classes < 2:
-            raise DataError(f"need at least 2 classes, got {self.num_classes}")
-        if self.samples_per_class < 1:
-            raise DataError("samples_per_class must be positive")
-        for key in ("raw_feature_dim", "embed_dim"):
-            if getattr(self, key) < 1:
-                raise DataError(f"{key} must be positive, got {getattr(self, key)}")
-        if self.noise_std < 0:
-            raise DataError(f"noise_std must be nonnegative, got {self.noise_std}")
-        if not 0.0 <= self.attribute_signal <= 1.0:
-            raise DataError(f"attribute_signal must lie in [0, 1], got {self.attribute_signal}")
-        if self.feature_map not in ("random", "identity"):
-            raise DataError(f"unknown feature_map {self.feature_map!r}")
-        if self.feature_map == "identity" and self.raw_feature_dim != self.embed_dim:
-            raise DataError(
-                "identity feature_map needs raw_feature_dim == embed_dim, got "
-                f"{self.raw_feature_dim} != {self.embed_dim}"
-            )
-        names = [a.name for a in self.latent_attributes]
-        if len(set(names)) != len(names):
-            raise DataError(f"duplicate attribute names: {names}")
-        missing = set(self.informative_attributes) - set(names)
-        if missing:
-            raise DataError(f"informative attributes not declared: {sorted(missing)}")
-        if not self.informative_attributes:
-            raise DataError("need at least one informative attribute")
-        capacity = 1
-        for attr in self.latent_attributes:
-            if not attr.values:
-                raise DataError(f"latent attribute {attr.name!r} has no values")
-            if attr.name in self.informative_attributes:
-                capacity *= len(attr.values)
-        if capacity < self.num_classes:
-            raise DataError(
-                f"only {capacity} distinct informative signatures for "
-                f"{self.num_classes} classes"
-            )
-        return self
-
-    def attribute(self, name: str) -> LatentAttribute:
-        for attr in self.latent_attributes:
-            if attr.name == name:
-                return attr
-        raise DataError(f"no attribute named {name!r}")
-
-    def to_dict(self) -> dict:
-        pairs = [[a.name, list(a.values)] for a in self.latent_attributes]
-        return {**super().to_dict(), "latent_attributes": pairs}
 
 
 @dataclass

@@ -17,44 +17,18 @@ vocabulary, and the positional table and image biases use std 0.02.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple
 
 import numpy as np
 
 from . import tensor as T
+from .config import EncoderConfig
 from .errors import CapacityError, CheckpointError, ConfigError, ShapeError
-from .serialize import JsonFields, dump_artifact, load_artifact, numeric_array
+from .serialize import dump_artifact, load_artifact, numeric_array
 from .tensor import Tensor
 from .vocab import Vocabulary
 
 CHECKPOINT_KIND = "encoder_checkpoint"
-
-
-@dataclass(frozen=True)
-class EncoderConfig(JsonFields):
-    vocab_size: int
-    embed_dim: int = 32
-    num_layers: int = 4
-    num_heads: int = 4
-    max_seq_len: int = 32
-    joint_dim: int = 16
-    image_dim: int = 16
-    image_hidden_dim: int = 32
-    mlp_ratio: int = 2
-    temperature: float = 0.07
-
-    def validate(self) -> "EncoderConfig":
-        for field, kind in get_type_hints(EncoderConfig).items():
-            if kind is int and getattr(self, field) <= 0:
-                raise ConfigError(f"{field} must be positive, got {getattr(self, field)}")
-        if self.embed_dim % self.num_heads != 0:
-            raise ConfigError(
-                f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
-            )
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
-        return self
 
 
 class RowStack(NamedTuple):

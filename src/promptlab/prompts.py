@@ -17,68 +17,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .config import (  # the layout and the names it checks, re-exported
+    CLASS_POSITIONS,
+    DROP_POLICIES,
+    INIT_SCHEMES,
+    POSITION_STYLES,
+    REENTERED_KINDS,
+    PromptLayout,
+)
 from .data import keyed_rng
 from .encoders import RowStack
 from .errors import ConfigError, ContractError, DataError, ParameterError
-from .serialize import JsonFields, check_fields, numeric_array
+from .serialize import check_fields, numeric_array
 from .tensor import Tensor
 from .vocab import PHOTO_TEMPLATE
-
-CLASS_POSITIONS = ("front", "middle", "end")
-POSITION_STYLES = ("interval", "adjacent_front", "adjacent_middle", "adjacent_end", "separate")
-# drop policy -> the kinds of prompt position that re-enter with their own rows
-# at every deep layer; the class soft block always re-enters as a deep block
-REENTERED_KINDS = {
-    "retain_all": (),
-    "partial_drop": ("attr_soft",),
-    "full_drop": ("attr_soft", "attr_hard"),
-}
-DROP_POLICIES = tuple(REENTERED_KINDS)
-INIT_SCHEMES = ("random_normal", "phrase_init")
 
 SOFT_INIT_STD = 0.02
 
 # the keys of a bank's JSON form, all required
 BANK_TYPES = {"class_block": tuple, "attribute_blocks": dict, "deep_class_blocks": tuple}
-
-
-@dataclass(frozen=True)
-class PromptLayout(JsonFields):
-    """Declarative description of how one text prompt is assembled."""
-
-    attribute_names: tuple = ()
-    class_token_position: str = "end"
-    attribute_position_style: str = "interval"
-    drop_policy: str = "retain_all"
-    depth: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "attribute_names", tuple(self.attribute_names))
-
-    def validate(self, num_encoder_layers: int = None) -> "PromptLayout":
-        if self.class_token_position not in CLASS_POSITIONS:
-            raise ConfigError(f"unknown class_token_position {self.class_token_position!r}")
-        if self.attribute_position_style not in POSITION_STYLES:
-            raise ConfigError(f"unknown attribute_position_style {self.attribute_position_style!r}")
-        if self.drop_policy not in DROP_POLICIES:
-            raise ConfigError(f"unknown drop_policy {self.drop_policy!r}")
-        if self.depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {self.depth}")
-        if num_encoder_layers is not None and self.depth > num_encoder_layers:
-            raise ConfigError(
-                f"depth {self.depth} exceeds encoder layers {num_encoder_layers}"
-            )
-        if len(set(self.attribute_names)) != len(self.attribute_names):
-            raise ConfigError(f"duplicate attribute names: {self.attribute_names}")
-        if (
-            self.class_token_position != "end"
-            and self.attribute_position_style != "interval"
-            and self.attribute_names
-        ):
-            raise ConfigError(
-                "class_token_position other than 'end' is only defined for the interval style"
-            )
-        return self
 
 
 class SoftPromptBank:

@@ -17,12 +17,13 @@ from itertools import combinations
 import numpy as np
 
 from . import tensor as T
+from .config import SearchConfig
 from .data import Task, subseed
 from .errors import ConfigError, DataError, NumericsError, ParameterError, ParseError
 from .optim import SGD, Adam
 from .prompts import FeaturePlan, PromptLayout, SoftPromptBank, class_text_features
 from .serialize import FORMAT_VERSION, atomic_write, dumps_json
-from .training import PromptRunConfig, class_loss, descend, epoch_batches
+from .training import class_loss, descend, epoch_batches, make_banks
 
 RESULT_KIND = "search_result"
 
@@ -48,26 +49,10 @@ def enumerate_pool(bases) -> list:
     return pool
 
 
-@dataclass(frozen=True)
-class SearchConfig(PromptRunConfig):
-    epochs: int = 10
-    theta_lr: float = 0.002
-    alpha_lr: float = 0.02
-
-    def validate(self) -> "SearchConfig":
-        super().validate()
-        if self.theta_lr <= 0 or self.alpha_lr <= 0:
-            raise ConfigError(
-                f"learning rates must be positive, got theta={self.theta_lr}, alpha={self.alpha_lr}"
-            )
-        if self.layout.attribute_names:
-            raise ConfigError("search layout must leave attribute_names empty; candidates fill it")
-        return self
-
-
 def build_candidate_banks(pool, config: SearchConfig, encoder) -> dict:
     """One bank per candidate, all sharing a single class block object."""
-    return dict(zip(pool, config.make_banks(encoder, pool, subseed(config.seed, "search.banks"))))
+    seed = subseed(config.seed, "search.banks")
+    return dict(zip(pool, make_banks(config, encoder, pool, seed)))
 
 
 def candidate_logits(encoder, bank: SoftPromptBank, layout: PromptLayout,

@@ -18,8 +18,6 @@ import sys
 from dataclasses import MISSING, asdict, fields
 from typing import get_type_hints
 
-import numpy as np
-
 from .errors import ConfigError, DataError
 
 # the version every artifact header carries; bump it when any format changes
@@ -96,8 +94,10 @@ def load_artifact(path: str, kind: str, types: dict) -> dict:
     return check_fields(types, body, f"{path}:{kind}", types)
 
 
-def numeric_array(value, dtype, where: str, error=DataError) -> np.ndarray:
+def numeric_array(value, dtype, where: str, error=DataError):
     """``value`` as a ``dtype`` array; a ragged or non-numeric value is ``error`` at ``where``."""
+    import numpy as np  # here, not at the top: reading configs and reports loads no numpy
+
     try:
         return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError):

@@ -1,6 +1,7 @@
-"""Prompt training, base-to-novel evaluation, and the report and checkpoint files.
+"""Prompt training, base-to-novel evaluation, and the checkpoint files.
 
-The attribute search reuses the run settings, banks, batches and step defined here.
+The attribute search reuses the banks, batches and step defined here; the
+run settings both read are ``config.PromptRunConfig`` and its subclasses.
 Training minimizes batch-mean cross-entropy between image features and the
 composed per-class text features (encoder frozen, only soft tokens move),
 with an optional half-cosine learning-rate decay. Evaluation is top-1
@@ -13,99 +14,40 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-
 import numpy as np
 
 from . import tensor as T
+from .config import SCHEDULES, PromptLayout, PromptRunConfig, TrainConfig  # re-exported
 from .data import Task, subseed
-from .errors import CheckpointError, ConfigError, ContractError, DataError, NumericsError
+from .errors import CheckpointError, DataError, NumericsError
 from .optim import SGD, cosine_lr
-from .prompts import (
-    INIT_SCHEMES,
-    FeaturePlan,
-    PromptLayout,
-    SoftPromptBank,
-    class_text_features,
-    template_rows_for,
-)
-from .serialize import JsonFields, check_fields, dump_artifact, load_artifact
+from .prompts import FeaturePlan, SoftPromptBank, class_text_features, template_rows_for
+from .reports import EvalReport, harmonic_mean, load_report_records, save_report_records
+from .serialize import dump_artifact, load_artifact
 
-REPORT_KIND = "eval_report"
 CHECKPOINT_KIND = "prompt_checkpoint"
 
-SCHEDULES = ("cosine", "constant")
 
-
-@dataclass(frozen=True)
-class PromptRunConfig:
-    """The settings every soft-prompt run shares: attribute search and prompt training."""
-
-    epochs: int = 50
-    batch_size: int = 32
-    seed: int = 0
-    layout: PromptLayout = field(default_factory=PromptLayout)
-    soft_len: int = 2
-    attr_soft_len: int = 2
-    init_scheme: str = "phrase_init"
-
-    def validate(self) -> "PromptRunConfig":
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if min(self.soft_len, self.attr_soft_len) < 1:
-            raise ConfigError(f"soft lengths must be >= 1, got {self.soft_len}, "
-                              f"{self.attr_soft_len}")
-        if self.init_scheme not in INIT_SCHEMES:
-            raise ConfigError(f"unknown init_scheme {self.init_scheme!r}")
-        self.layout.validate()
-        return self
-
-    def make_banks(self, encoder, candidates, seed: int) -> list:
-        """One bank per attribute tuple, all sharing the first bank's class block."""
-        rows = template_rows_for(encoder)
-        banks = [SoftPromptBank.create(
-            embed_dim=encoder.config.embed_dim,
-            soft_len=self.soft_len,
-            attribute_names=names,
-            attr_soft_len=self.attr_soft_len,
-            depth=self.layout.depth,
-            seed=seed,
-            scheme=self.init_scheme,
-            template_rows=rows,
-        ) for names in candidates]
-        for bank in banks[1:]:  # each drew the same block: init streams are keyed by content
-            bank.class_block = banks[0].class_block
-        return banks
-
-
-@dataclass(frozen=True)
-class TrainConfig(PromptRunConfig):
-    lr_init: float = 0.002
-    schedule: str = "cosine"
-    attributes: tuple = ()  # selected combination; () trains the classic form
-
-    def __post_init__(self):
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-
-    def validate(self) -> "TrainConfig":
-        super().validate()
-        if self.lr_init <= 0:
-            raise ConfigError(f"lr_init must be positive, got {self.lr_init}")
-        if self.schedule not in SCHEDULES:
-            raise ConfigError(f"unknown schedule {self.schedule!r}")
-        return self
-
-    def effective_layout(self) -> PromptLayout:
-        """Layout with the selected attribute combination substituted in."""
-        return replace(self.layout, attribute_names=tuple(self.attributes))
+def make_banks(config: PromptRunConfig, encoder, candidates, seed: int) -> list:
+    """One bank per attribute tuple, all sharing the first bank's class block."""
+    rows = template_rows_for(encoder)
+    banks = [SoftPromptBank.create(
+        embed_dim=encoder.config.embed_dim,
+        soft_len=config.soft_len,
+        attribute_names=names,
+        attr_soft_len=config.attr_soft_len,
+        depth=config.layout.depth,
+        seed=seed,
+        scheme=config.init_scheme,
+        template_rows=rows,
+    ) for names in candidates]
+    for bank in banks[1:]:  # each drew the same block: init streams are keyed by content
+        bank.class_block = banks[0].class_block
+    return banks
 
 
 def make_bank(config: TrainConfig, encoder) -> SoftPromptBank:
-    (bank,) = config.make_banks(encoder, [config.attributes], subseed(config.seed, "init"))
+    (bank,) = make_banks(config, encoder, [config.attributes], subseed(config.seed, "init"))
     return bank
 
 
@@ -199,48 +141,6 @@ def per_class_accuracy(encoder, bank: SoftPromptBank, layout: PromptLayout, task
 # -- protocol helpers --------------------------------------------------------------
 
 
-def harmonic_mean(base_acc: float, novel_acc: float) -> float:
-    if base_acc < 0 or novel_acc < 0:
-        raise ContractError(f"accuracies must be nonnegative, got {base_acc}, {novel_acc}")
-    if base_acc == 0.0 or novel_acc == 0.0:
-        return 0.0
-    return 2.0 * base_acc * novel_acc / (base_acc + novel_acc)
-
-
-@dataclass
-class EvalReport(JsonFields):
-    base_accuracy: float
-    novel_accuracy: float
-    harmonic_mean: float
-    per_class_accuracy: dict
-    seeds_aggregated: int = 1
-
-    def validate(self) -> "EvalReport":
-        for name in ("base_accuracy", "novel_accuracy", "harmonic_mean"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 100.0:
-                raise ContractError(f"{name} out of range: {value}")
-        expected = harmonic_mean(self.base_accuracy, self.novel_accuracy)
-        if abs(expected - self.harmonic_mean) > 0.01:
-            raise ContractError(
-                f"harmonic mean {self.harmonic_mean:.4f} inconsistent with "
-                f"({self.base_accuracy:.4f}, {self.novel_accuracy:.4f})"
-            )
-        return self
-
-    @classmethod
-    def from_accuracies(cls, base_accuracy: float, novel_accuracy: float,
-                        per_class_accuracy: dict, seeds_aggregated: int = 1) -> "EvalReport":
-        """A validated report whose harmonic mean is computed from the two accuracies."""
-        return cls(
-            base_accuracy=base_accuracy,
-            novel_accuracy=novel_accuracy,
-            harmonic_mean=harmonic_mean(base_accuracy, novel_accuracy),
-            per_class_accuracy=per_class_accuracy,
-            seeds_aggregated=seeds_aggregated,
-        ).validate()
-
-
 def base_novel_report(encoder, bank: SoftPromptBank, layout: PromptLayout,
                       base_task: Task, novel_task: Task) -> EvalReport:
     """Score both halves' test splits, one forward each, into a base/novel report."""
@@ -271,38 +171,6 @@ def aggregate_reports(reports) -> EvalReport:
     return EvalReport.from_accuracies(
         base, novel, per_class, seeds_aggregated=sum(r.seeds_aggregated for r in reports)
     )
-
-
-# -- report files ---------------------------------------------------------------------
-
-
-def save_report_records(records, path: str) -> None:
-    """records: list of {config_hash, seed, report: EvalReport}."""
-    dump_artifact(
-        REPORT_KIND,
-        {
-            "records": [
-                {
-                    "config_hash": r["config_hash"],
-                    "seed": r["seed"],
-                    "report": r["report"].to_dict(),
-                }
-                for r in records
-            ],
-        },
-        path,
-    )
-
-
-# the fields of one report record, all required
-RECORD_TYPES = {"config_hash": str, "seed": int, "report": EvalReport}
-
-
-def load_report_records(path: str):
-    """The records of a report file; an error names the file and the record's index."""
-    records = load_artifact(path, REPORT_KIND, {"records": tuple})["records"]
-    return [check_fields(RECORD_TYPES, rec, f"{path}:records[{i}]", RECORD_TYPES)
-            for i, rec in enumerate(records)]
 
 
 # -- checkpoints ----------------------------------------------------------------------

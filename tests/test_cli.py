@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from promptlab import cli
+from promptlab import encoders
 from promptlab.cli import main
 from promptlab.search import load_result, parse_result
 from promptlab.serialize import FORMAT_VERSION, file_sha256, load_json
@@ -238,14 +238,18 @@ def test_report_on_a_record_without_a_required_field_names_the_key(tmp_path, cap
     assert last == f"error: ConfigError: missing key '{path}:records[1].report.base_accuracy'"
 
 
-@pytest.mark.parametrize("edit, message", [
+# an edit to a report file's records -> the start of the error line it gives
+BAD_RECORD_EDITS = [
     (lambda records: records[1].pop("seed"), "ConfigError: missing key '{path}:records[1].seed'"),
     (lambda records: records[1].update(seed="3"),
      "ConfigError: {path}:records[1].seed must be a JSON integer"),
     (lambda records: records[1].update(extra=1),
      "ConfigError: unknown key '{path}:records[1].extra'"),
     (lambda records: records.clear(), "DataError: {path}: no records"),
-])
+]
+
+
+@pytest.mark.parametrize("edit, message", BAD_RECORD_EDITS)
 def test_report_on_bad_records_is_one_error_line(tmp_path, capsys, edit, message):
     cfg, path = _report_with_bad_records(tmp_path, edit)
     capsys.readouterr()
@@ -259,12 +263,12 @@ def test_each_command_builds_one_encoder_for_all_seeds_and_cells(tmp_path, monke
                                              "attributes": ["color"]})
     built = []
 
-    class CountingEncoder(cli.DualEncoder):
+    class CountingEncoder(encoders.DualEncoder):
         def __init__(self, *args, **kwargs):
             built.append(args)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "DualEncoder", CountingEncoder)
+    monkeypatch.setattr(encoders, "DualEncoder", CountingEncoder)
     assert main(["gen-data", "--config", cfg]) == 0
     for command in (["train"], ["eval"], ["ablate", "--axis", "init"]):
         built.clear()

@@ -1,5 +1,6 @@
 """The package needs nothing at run time beyond the standard library and numpy,
-and runs numpy's BLAS on one thread unless the user chose a count."""
+runs numpy's BLAS on one thread unless the user chose a count, and loads in
+each CLI command only the modules that command runs."""
 
 import ast
 import json
@@ -10,6 +11,10 @@ import subprocess
 import sys
 
 import pytest
+
+from promptlab.cli import main
+
+from test_cli import BAD_RECORD_EDITS, _report_with_bad_records, write_config
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "promptlab"
@@ -98,3 +103,69 @@ def test_blas_thread_policy(case):
     assert {k: environ[k] for k in BLAS_THREAD_VARS if k in environ} == expected
     if case == "one_thread_by_default" and threads is not None:
         assert threads == 1  # OpenBLAS started no worker thread
+
+
+def run_child(code, *args):
+    """``python -c code args`` with the package's source first on the path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    out = run_child("import sys, promptlab.cli; print('numpy' in sys.modules)")
+    assert out.stdout.strip() == "False", out.stderr
+
+
+# the modules that run the encoder, the prompts, the search and the training
+ENCODER_MODULES = ("tensor", "encoders", "prompts", "search", "training", "optim", "attributes")
+
+
+def test_gen_data_loads_none_of_the_encoder_modules(tmp_path):
+    cfg, _ = write_config(tmp_path)
+    code = "\n".join([
+        "import json, sys",
+        "from promptlab.cli import main",
+        "code = main(sys.argv[1:])",
+        f"loaded = [m for m in {ENCODER_MODULES!r} if 'promptlab.' + m in sys.modules]",
+        "print(json.dumps([code, loaded]))",
+    ])
+    out = run_child(code, "gen-data", "--config", cfg)
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, []], out.stderr
+
+
+# a child in which any import of numpy fails
+REPORT_WITHOUT_NUMPY = "\n".join([
+    "import sys",
+    "sys.modules['numpy'] = None",
+    "from promptlab.cli import main",
+    "sys.exit(main(sys.argv[1:]))",
+])
+
+
+def report_both_ways(cfg, capsys):
+    """(exit code, stdout, last stderr line) of ``report`` in-process and in a numpy-free child."""
+    capsys.readouterr()
+    code = main(["report", "--config", cfg])
+    captured = capsys.readouterr()
+    child = run_child(REPORT_WITHOUT_NUMPY, "report", "--config", cfg)
+    return [(code, captured.out, captured.err.strip().splitlines()[-1:]),
+            (child.returncode, child.stdout, child.stderr.strip().splitlines()[-1:])]
+
+
+def test_report_on_a_finished_pipeline_needs_no_numpy(tmp_path, capsys):
+    cfg, _ = write_config(tmp_path)
+    for command in (["gen-data"], ["search-attrs"], ["train"], ["train", "--classic"], ["eval"]):
+        assert main([*command, "--config", cfg]) == 0, command
+    in_process, child = report_both_ways(cfg, capsys)
+    assert in_process[0] == 0
+    assert child == in_process
+
+
+@pytest.mark.parametrize("edit, message", BAD_RECORD_EDITS)
+def test_report_on_bad_records_needs_no_numpy(tmp_path, capsys, edit, message):
+    cfg, path = _report_with_bad_records(tmp_path, edit)
+    in_process, child = report_both_ways(cfg, capsys)
+    assert in_process[2][0].startswith(f"error: {message.format(path=path)}")
+    assert child == in_process

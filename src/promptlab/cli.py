@@ -44,44 +44,31 @@ def _path(config: RunConfig, name: str) -> str:
 
 
 def _load_config(args) -> RunConfig:
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        overrides["out"] = args.out
-    if getattr(args, "seeds", None):
-        try:
-            overrides["seeds"] = [int(s) for s in args.seeds.split(",") if s.strip()]
-        except ValueError:
-            raise ConfigError(f"--seeds must be integers, got {args.seeds!r}") from None
-    return load_run_config(args.config, overrides)
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()] if args.seeds else None
+    except ValueError:
+        raise ConfigError(f"--seeds must be integers, got {args.seeds!r}") from None
+    return load_run_config(args.config, {"seed": args.seed, "out": args.out, "seeds": seeds})
 
 
 def _data_spec(config: RunConfig):
-    """The inline task spec with its data sub-seed: what gen-data writes and commands expect."""
+    """The task spec with its data sub-seed: what gen-data writes and commands expect."""
     from .data import subseed
-    if config.task_spec is None:
-        return None
     return replace(config.task_spec, seed=subseed(config.seed, "data"))
 
 
 def _tasks_for(config: RunConfig):
-    """Base and novel halves, either loaded from files or generated on demand.
+    """Base and novel halves, read from the dataset files gen-data wrote.
 
-    Files in the output directory must have been generated from this config's
-    task spec; a stale pair (the spec changed since gen-data) is a DataError.
+    The files must have been generated from this config's task spec; a stale
+    pair (the spec changed since gen-data) is a DataError.
     """
-    from .data import Task, make_base_novel_task
-    base_path, novel_path = _path(config, "base.json"), _path(config, "novel.json")
-    if os.path.exists(base_path) and os.path.exists(novel_path):
-        spec = _data_spec(config)
-        return Task.load(base_path, spec), Task.load(novel_path, spec)
-    if config.dataset_path is not None:
-        root, ext = os.path.splitext(config.dataset_path)
-        base = Task.load(f"{root}.base{ext}")
-        novel = Task.load(f"{root}.novel{ext}")
-        return base, novel
-    return make_base_novel_task(_data_spec(config))
+    from .data import Task
+    base_path = _path(config, "base.json")
+    if not os.path.exists(base_path):
+        raise DataError(f"no dataset at {base_path}; run gen-data first")
+    spec = _data_spec(config)
+    return Task.load(base_path, spec), Task.load(_path(config, "novel.json"), spec)
 
 
 def _run_inputs(args):
@@ -93,7 +80,6 @@ def _run_inputs(args):
     from .data import subseed
     from .encoders import DualEncoder, build_config_for
     config = _load_config(args)
-    os.makedirs(config.out_dir, exist_ok=True)
     base, novel = _tasks_for(config)
     cfg = build_config_for(base.vocabulary, **config.encoder_overrides)
     return config, base, novel, DualEncoder(cfg, base.vocabulary,
@@ -134,8 +120,6 @@ def cmd_gen_data(args) -> int:
     from .data import make_base_novel_task
     config = _load_config(args)
     os.makedirs(config.out_dir, exist_ok=True)
-    if config.task_spec is None:
-        raise ConfigError("gen-data needs an inline task spec, not a dataset path")
     base, novel = make_base_novel_task(_data_spec(config))
     entries = []
     for task, name in ((base, "base.json"), (novel, "novel.json")):

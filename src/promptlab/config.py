@@ -1,7 +1,7 @@
 """Every setting promptlab reads, and the run configuration that gathers them.
 
-One JSON document drives every command: where the task comes from (an
-inline spec or a saved dataset file), where attribute bases come from
+One JSON document drives every command: the task spec that gen-data
+generates the base/novel dataset files from, where attribute bases come from
 (bundled fixture, remote LLM, or an explicit list - exactly one), the
 search and train hyperparameters, the prompt layout, the output directory,
 and the seed list. Every source of randomness in a run flows from the
@@ -337,18 +337,17 @@ class AttributeSource(JsonFields):
 
 
 RUN_CONFIG_TYPES = {
-    "kind": str, "format_version": int, "task": TaskSpec, "dataset": str,
-    "attributes": AttributeSource, "search": dict, "train": dict, "layout": PromptLayout,
+    "kind": str, "format_version": int, "task": TaskSpec, "attributes": AttributeSource,
+    "search": dict, "train": dict, "layout": PromptLayout,
     "encoder_overrides": dict, "out": str, "seed": int, "seeds": tuple,
 }
 # run config keys whose RunConfig field has another name
-RENAMED_KEYS = {"task": "task_spec", "dataset": "dataset_path", "out": "out_dir"}
+RENAMED_KEYS = {"task": "task_spec", "out": "out_dir"}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    task_spec: TaskSpec = None          # inline spec ...
-    dataset_path: str = None            # ... or a saved dataset file
+    task_spec: TaskSpec = None
     attributes: AttributeSource = field(default_factory=lambda: AttributeSource(explicit=("color",)))
     search: SearchConfig = field(default_factory=SearchConfig)
     train: TrainConfig = field(default_factory=TrainConfig)  # its layout is the run's layout
@@ -361,11 +360,9 @@ class RunConfig:
         object.__setattr__(self, "seeds", tuple(self.seeds))
 
     def validate(self) -> "RunConfig":
-        sources = [s for s in (self.task_spec, self.dataset_path) if s is not None]
-        if len(sources) != 1:
-            raise ConfigError("config must set exactly one of task spec / dataset path")
-        if self.task_spec is not None:
-            self.task_spec.validate()
+        if self.task_spec is None:
+            raise ConfigError("config must set a task spec")
+        self.task_spec.validate()
         self.attributes.validate()
         self.search.validate()
         self.train.validate()
@@ -383,9 +380,10 @@ class RunConfig:
         return self.seeds if self.seeds else (self.seed,)
 
     def to_dict(self) -> dict:
-        payload = {
+        return {
             "kind": RUN_CONFIG_KIND,
             "format_version": FORMAT_VERSION,
+            "task": self.task_spec.to_dict(),
             "attributes": self.attributes.to_dict(),
             "search": _hyperparameters(self.search),
             "train": _hyperparameters(self.train),
@@ -395,11 +393,6 @@ class RunConfig:
             "seed": self.seed,
             "seeds": list(self.seeds),
         }
-        if self.task_spec is not None:
-            payload["task"] = self.task_spec.to_dict()
-        if self.dataset_path is not None:
-            payload["dataset"] = self.dataset_path
-        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
@@ -436,8 +429,7 @@ def load_run_config(path: str, overrides: dict = None) -> RunConfig:
     for key, value in (overrides or {}).items():
         if value is not None:
             payload[key] = value
-    config = RunConfig.from_dict(payload)
-    return config
+    return RunConfig.from_dict(payload)
 
 
 def save_run_config(config: RunConfig, path: str) -> None:

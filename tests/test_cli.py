@@ -4,13 +4,15 @@ import operator
 import os
 import re
 import shutil
+import socket
 import subprocess
 import sys
 
 import pytest
 
 from promptlab import encoders
-from promptlab.cli import main
+from promptlab.attributes import DESCRIBE_TEMPLATE, SUMMARIZE_TEMPLATE, ResponseCache
+from promptlab.cli import ABLATION_AXES, main
 from promptlab.search import load_result, parse_result
 from promptlab.serialize import FORMAT_VERSION, file_sha256, load_json
 from promptlab.training import EvalReport, load_report_records, save_report_records
@@ -68,13 +70,19 @@ def test_gen_data_is_idempotent_byte_for_byte(tmp_path):
     assert first == second
 
 
-def test_gen_data_requires_an_inline_spec(tmp_path):
+def test_gen_data_requires_an_inline_spec(tmp_path, capsys):
     cfg, out = write_config(tmp_path)
     payload = json.load(open(cfg))
     del payload["task"]
     payload["dataset"] = str(tmp_path / "task.json")
     json.dump(payload, open(cfg, "w"))
-    assert main(["gen-data", "--config", cfg]) == 1
+    for command in (["gen-data"], ["search-attrs"], ["train"], ["eval"],
+                    ["ablate", "--axis", "init"], ["report"]):
+        capsys.readouterr()
+        assert main([*command, "--config", cfg]) == 1, command
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith("error: ConfigError: unknown key 'dataset'"), last
+    assert not os.path.exists(out)
 
 
 def test_train_on_datasets_of_a_changed_task_spec_is_a_data_error(tmp_path, capsys):
@@ -87,6 +95,74 @@ def test_train_on_datasets_of_a_changed_task_spec_is_a_data_error(tmp_path, caps
         json.dump(payload, fh)
     assert main(["train", "--config", cfg, "--classic"]) == 1
     assert capsys.readouterr().err.strip().splitlines()[-1].startswith("error: DataError:")
+
+
+def test_gen_data_out_flag_writes_there_and_nowhere_else(tmp_path):
+    cfg, out = write_config(tmp_path)
+    elsewhere = str(tmp_path / "elsewhere")
+    assert main(["gen-data", "--config", cfg, "--out", elsewhere]) == 0
+    assert {"base.json", "novel.json", "manifest.json"} <= set(os.listdir(elsewhere))
+    assert load_json(os.path.join(elsewhere, "run_config.json"))["out"] == elsewhere
+    assert not os.path.exists(out)
+
+
+def test_encoder_commands_before_gen_data_stop_with_guidance(tmp_path, capsys):
+    cfg, out = write_config(tmp_path)
+    expected = (f"error: DataError: no dataset at {os.path.join(out, 'base.json')}; "
+                "run gen-data first")
+    for command in (["search-attrs"], ["train"], ["train", "--classic"], ["eval"],
+                    ["ablate", "--axis", "init"]):
+        capsys.readouterr()
+        assert main([*command, "--config", cfg]) == 1, command
+        assert capsys.readouterr().err.strip().splitlines()[-1] == expected, command
+        assert not os.path.exists(out), command
+
+
+# a task whose latent attributes are the five bases of the bundled caltech101 row;
+# only color tells the classes apart
+FIVE_BASES = ("shape", "color", "material", "function", "size")
+FIVE_BASE_TASK = {
+    "num_classes": 6,
+    "samples_per_class": 8,
+    "noise_std": 0.1,
+    "latent_attributes": [[name, [f"{name}{i}" for i in range(6 if name == "color" else 1)]]
+                          for name in FIVE_BASES],
+    "informative_attributes": ["color"],
+    "seed": 0,
+}
+
+
+def test_search_attrs_over_a_fixture_source_searches_its_bases(tmp_path):
+    cfg, out = write_config(tmp_path, task=FIVE_BASE_TASK, attributes={"fixture": "caltech101"})
+    assert main(["gen-data", "--config", cfg]) == 0
+    assert main(["search-attrs", "--config", cfg]) == 0
+    result = load_result(os.path.join(out, "search_result.txt"))
+    assert result.bases == FIVE_BASES
+    assert len(result.candidates) == 31
+
+
+def test_search_attrs_over_an_llm_source_replays_its_cache_offline(tmp_path, monkeypatch):
+    def no_network(*args, **kwargs):
+        raise AssertionError("network access attempted")
+
+    monkeypatch.setattr(socket, "socket", no_network)
+    monkeypatch.delenv("PROMPTLAB_TEST_KEY", raising=False)
+    cfg, out = write_config(tmp_path, task=FIVE_BASE_TASK, attributes={
+        "llm": {"model": "test-model", "credential_env": "PROMPTLAB_TEST_KEY"}})
+    assert main(["gen-data", "--config", cfg]) == 0
+    cache = ResponseCache(os.path.join(out, "llm_cache"))
+    descriptions = {}
+    for name in load_json(os.path.join(out, "base.json"))["class_names"]:
+        descriptions[name] = f"a {name} thing."
+        cache.put("test-model", DESCRIBE_TEMPLATE.format(name=name), descriptions[name])
+    joined = "\n".join(f"- {name}: {text}" for name, text in sorted(descriptions.items()))
+    cache.put("test-model", SUMMARIZE_TEMPLATE.format(descriptions=joined, n=5),
+              "Size, color, shape, material, function")
+    assert main(["search-attrs", "--config", cfg]) == 0
+    result = load_result(os.path.join(out, "search_result.txt"))
+    assert result.bases == ("size", "color", "shape", "material", "function")
+    assert len(result.candidates) == 31
+    assert set(result.selected) <= set(FIVE_BASES)
 
 
 def test_search_attrs_writes_the_result_file(tmp_path, capsys):
@@ -196,6 +272,31 @@ def test_ablate_attr_order_permutes_the_anchored_pair(tmp_path):
     assert {r["cell"] for r in sweep["rows"]} == {"color, shape", "shape, color"}
 
 
+# ablation axis -> the labels of its cells, for a run anchored on (color, shape)
+ABLATION_CELLS = {
+    "length": {"soft_len=1", "soft_len=2", "soft_len=4"},
+    "class_position": {"front", "middle", "end"},
+    "drop_policy": {"retain_all", "partial_drop", "full_drop"},
+    "attr_order": {"color, shape", "shape, color"},
+    "attr_position": {"interval", "adjacent_front", "adjacent_middle", "adjacent_end",
+                      "separate"},
+    "init": {"random_normal", "phrase_init"},
+}
+
+
+@pytest.mark.parametrize("axis", ABLATION_AXES)
+def test_ablate_sweeps_every_cell_of_its_axis(axis, tmp_path):
+    cfg, out = write_config(tmp_path, train={"epochs": 1, "batch_size": 16, "lr_init": 0.05,
+                                             "attributes": ["color", "shape"]})
+    assert main(["gen-data", "--config", cfg]) == 0
+    assert main(["ablate", "--config", cfg, "--axis", axis]) == 0
+    sweep = load_json(os.path.join(out, f"ablate_{axis}.json"))
+    assert sweep["axis"] == axis
+    assert sorted(r["cell"] for r in sweep["rows"]) == sorted(ABLATION_CELLS[axis])
+    hms = [r["hm"] for r in sweep["rows"]]
+    assert hms == sorted(hms, reverse=True)
+
+
 def test_report_prints_stored_summaries(tmp_path, capsys):
     cfg, out = write_config(tmp_path)
     main(["gen-data", "--config", cfg])
@@ -214,6 +315,13 @@ def test_report_with_no_artifacts_fails_cleanly(tmp_path, capsys):
     rc = main(["report", "--config", cfg])
     assert rc == 1
     assert capsys.readouterr().err.strip().splitlines()[-1].startswith("error: DataError:")
+
+
+def test_report_without_an_output_directory_fails_cleanly(tmp_path, capsys):
+    cfg, out = write_config(tmp_path)
+    assert main(["report", "--config", cfg]) == 1
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last == f"error: DataError: no output directory {out}"
 
 
 def _report_with_bad_records(tmp_path, edit):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 from dataclasses import replace
 from typing import get_type_hints
@@ -138,10 +139,19 @@ def test_missing_required_key_is_a_config_error_naming_it(value, key):
 
 
 def test_run_config_requires_one_task_origin():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^config must set a task spec$"):
         RunConfig(attributes=AttributeSource(explicit=("a",))).validate()
-    with pytest.raises(ConfigError):
-        toy_config(dataset_path="data/task.json").validate()
+    with pytest.raises(ConfigError, match="^unknown key 'dataset'"):
+        RunConfig.from_dict({**toy_config().to_dict(), "dataset": "data/task.json"})
+
+
+def test_readme_run_config_example_loads():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.DOTALL)
+    (example,) = [json.loads(b) for b in blocks if '"kind": "run_config"' in b]
+    RunConfig.from_dict(example)  # a key or value the reader rejects fails here
 
 
 def test_run_config_round_trips_through_dict():
@@ -325,12 +335,10 @@ def run_configs(draw):
         attributes=st.lists(names, unique=True, max_size=3).map(tuple), soft_len=sizes,
         attr_soft_len=sizes, init_scheme=st.sampled_from(INIT_SCHEMES), layout=st.just(layout),
     ))
-    origin = draw(st.one_of(st.builds(dict, task_spec=task_specs),
-                            st.builds(dict, dataset_path=names)))
     return RunConfig(
-        attributes=draw(attribute_sources), search=search, train=train,
-        encoder_overrides=draw(encoder_overrides), out_dir=draw(names), seed=draw(seeds),
-        seeds=tuple(draw(st.lists(seeds, max_size=3))), **origin,
+        task_spec=draw(task_specs), attributes=draw(attribute_sources), search=search,
+        train=train, encoder_overrides=draw(encoder_overrides), out_dir=draw(names),
+        seed=draw(seeds), seeds=tuple(draw(st.lists(seeds, max_size=3))),
     ).validate()
 
 

@@ -81,7 +81,8 @@ def _run_inputs(args):
     from .encoders import DualEncoder, build_config_for
     config = _load_config(args)
     base, novel = _tasks_for(config)
-    cfg = build_config_for(base.vocabulary, **config.encoder_overrides)
+    cfg = build_config_for(base.vocabulary, image_dim=base.spec.raw_feature_dim,
+                           **config.encoder_overrides)
     return config, base, novel, DualEncoder(cfg, base.vocabulary,
                                             seed=subseed(config.seed, "encoder"))
 
@@ -244,8 +245,6 @@ def _ablation_cells(config: RunConfig, axis: str):
     elif axis == "init":
         for scheme in INIT_SCHEMES:
             yield scheme, replace(train, init_scheme=scheme)
-    else:
-        raise ConfigError(f"unknown ablation axis {axis!r}; axes: {', '.join(ABLATION_AXES)}")
 
 
 def cmd_ablate(args) -> int:

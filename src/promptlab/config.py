@@ -107,6 +107,11 @@ class TaskSpec(JsonFields):
                 "identity feature_map needs raw_feature_dim == embed_dim, got "
                 f"{self.raw_feature_dim} != {self.embed_dim}"
             )
+        for word in [w for a in self.latent_attributes for w in (a.name, *a.values)]:
+            # the vocabulary reads text as lowercased, whitespace-split words
+            if not isinstance(word, str) or word.split() != [word.lower()]:
+                raise DataError(f"attribute names and values must be one lowercase word, "
+                                f"got {word!r}")
         names = [a.name for a in self.latent_attributes]
         if len(set(names)) != len(names):
             raise DataError(f"duplicate attribute names: {names}")
@@ -366,7 +371,10 @@ class RunConfig:
         self.attributes.validate()
         self.search.validate()
         self.train.validate()
-        check_fields(get_type_hints(EncoderConfig), self.encoder_overrides, "encoder_overrides")
+        # the dataset fixes the vocabulary's size and width and the image width
+        check_fields({k: v for k, v in get_type_hints(EncoderConfig).items()
+                      if k not in ("vocab_size", "embed_dim", "image_dim")},
+                     self.encoder_overrides, "encoder_overrides")
         if not self.out_dir:
             raise ConfigError("output directory must be set")
         if self.seed < 0:

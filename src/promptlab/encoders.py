@@ -2,7 +2,9 @@
 
 Every entry point takes a batch. The text side is a small pre-norm transformer
 over a row stack, the rows of many composed sequences [R, d] in groups of one
-length, read out at the end-sentinel position of each sequence; the image
+length, read out at the end-sentinel position of each sequence. Its blocks'
+LayerNorms have no affine and their MLPs no biases: frozen, those would only
+ever hold ones and zeros; the final norm keeps its gain and bias. The image
 side is a 2-layer MLP over raw feature vectors [B, image_dim]. Both project into
 a shared joint space and L2-normalize; class logits [B, C] are temperature-scaled cosines.
 
@@ -86,22 +88,16 @@ class DualEncoder:
         p["pos_embedding"] = rng.standard_normal((cfg.max_seq_len, d)) * 0.02
         for i in range(cfg.num_layers):
             base = f"layers.{i}."
-            p[base + "ln1.gain"] = np.ones(d)
-            p[base + "ln1.bias"] = np.zeros(d)
             # one projection for queries and keys: random projections preserve
             # inner products, so tied q/k makes attention scores track
             # embedding similarity; independent projections are similarity-blind
             p[base + "attn.wqk"] = dense(d, d)
             p[base + "attn.wv"] = transport(d, d)
             p[base + "attn.wo"] = transport(d, d)
-            p[base + "ln2.gain"] = np.ones(d)
-            p[base + "ln2.bias"] = np.zeros(d)
             # the feed-forward path stays a mild perturbation so it cannot
             # overwrite transported content
             p[base + "mlp.w1"] = dense(d, hid)
-            p[base + "mlp.b1"] = np.zeros(hid)
             p[base + "mlp.w2"] = dense(hid, d) * 0.25
-            p[base + "mlp.b2"] = np.zeros(d)
         p["ln_final.gain"] = np.ones(d)
         p["ln_final.bias"] = np.zeros(d)
         p["text_proj"] = transport(d, cfg.joint_dim, noise=0.1)
@@ -142,12 +138,9 @@ class DualEncoder:
         # projections the diagonal always wins the softmax, which starves
         # cross-token routing; the residual stream already carries each
         # token's own content
-        h = T.attention_sublayer(
-            h, p[base + "ln1.gain"], p[base + "ln1.bias"], p[base + "attn.wqk"],
-            p[base + "attn.wv"], p[base + "attn.wo"], self.config.num_heads, groups, readout)
-        return T.mlp_sublayer(
-            h, p[base + "ln2.gain"], p[base + "ln2.bias"], p[base + "mlp.w1"],
-            p[base + "mlp.b1"], p[base + "mlp.w2"], p[base + "mlp.b2"])
+        h = T.attention_sublayer(h, p[base + "attn.wqk"], p[base + "attn.wv"], p[base + "attn.wo"],
+                                 self.config.num_heads, groups, readout)
+        return T.mlp_sublayer(h, p[base + "mlp.w1"], p[base + "mlp.w2"])
 
     def encode_text(self, stack: RowStack, deep_hook=None) -> Tensor:
         """Joint-space features [C, joint] for the C composed sequences of a ``RowStack``.

@@ -405,7 +405,9 @@ def _sum_lead(g: np.ndarray) -> np.ndarray:
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
-    _check_norm_params("layer_norm", a, gain, bias)
+    d = a.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(f"layer_norm: gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
     xhat, inv = _normalize(a.data, eps)
     data = xhat * gain.data
     data += bias.data
@@ -417,12 +419,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> T
                 _sum_lead(g) if bias.requires_grad else None)
 
     return _make(data, (a, gain, bias), vjp, "layer_norm")
-
-
-def _check_norm_params(op: str, a: Tensor, gain: Tensor, bias: Tensor) -> None:
-    d = a.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"{op}: gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
 
 
 def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
@@ -607,8 +603,8 @@ def _row_products(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape[:-1] + (m,))
 
 
-def attention_sublayer(h: Tensor, gain: Tensor, bias: Tensor, wqk: Tensor, wv: Tensor,
-                       wo: Tensor, num_heads: int, groups, readout: bool) -> Tensor:
+def attention_sublayer(h: Tensor, wqk: Tensor, wv: Tensor, wo: Tensor, num_heads: int, groups,
+                       readout: bool) -> Tensor:
     """Pre-norm self-attention with its residual over a row stack ``h`` [R, d].
 
     ``groups`` lists (count, length) in row order: ``count`` prompts of
@@ -620,23 +616,21 @@ def attention_sublayer(h: Tensor, gain: Tensor, bias: Tensor, wqk: Tensor, wv: T
     ``readout``, the last row of each prompt. Each of ``num_heads`` heads
     scores with scaled dot products of width d / num_heads, each query's
     score against its own row lowered by 1e9. The merged heads go through
-    ``wo`` and are added to the query rows of ``h``. Only ``h`` is
-    differentiated (the rest must be frozen); the forward keeps xhat, 1 / std,
-    the keys and values, and each group's attention weights.
+    ``wo`` and are added to the query rows of ``h``. The norm has no affine.
+    Only ``h`` is differentiated (the weights must be frozen); the forward
+    keeps xhat, 1 / std, the keys and values, and each group's attention weights.
     """
-    h, gain, bias, wqk, wv, wo = map(_as_tensor, (h, gain, bias, wqk, wv, wo))
+    h, wqk, wv, wo = map(_as_tensor, (h, wqk, wv, wo))
     d = h.shape[-1]
     if (h.ndim != 2 or d % num_heads or min((min(g) for g in groups), default=0) < 1
             or sum(count * length for count, length in groups) != h.shape[0]):
         raise ShapeError(f"attention_sublayer: {num_heads} heads and groups {list(groups)} "
                          f"for a row stack of shape {h.shape}")
-    _check_frozen_params("attention_sublayer", h, gain, bias, wqk, wv, wo)
+    _check_frozen_params("attention_sublayer", (wqk, wv, wo), ((d, d),) * 3)
     xhat, inv = _normalize(h.data, _LN_EPS)
-    # one product of the normalized rows with [wqk | wv], the LN affine folded in
+    # one product of the normalized rows with [wqk | wv]
     wkv = np.concatenate((wqk.data, wv.data), axis=1)
-    wkv_g = gain.data[:, None] * wkv
-    kv = _row_products(xhat, wkv_g)
-    kv += bias.data @ wkv
+    kv = _row_products(xhat, wkv)
     query_rows = slice(None)
     if readout:  # the last row of each prompt
         query_rows = np.cumsum(np.repeat([length for _, length in groups],
@@ -687,39 +681,35 @@ def attention_sublayer(h: Tensor, gain: Tensor, bias: Tensor, wqk: Tensor, wv: T
     def vjp(g):
         # the VJPs hold a step's peak memory: nested calls free each
         # temporary as soon as it has been used
-        gh = _normalize_vjp(_row_products(kv_grad(_row_products(g, wo.data.T)), wkv_g.T),
-                            xhat, inv)
+        gh = _normalize_vjp(_row_products(kv_grad(_row_products(g, wo.data.T)), wkv.T), xhat, inv)
         gh[query_rows] += g
         return (gh,)
 
     return _make(data, (h,), vjp, "softmax")
 
 
-def mlp_sublayer(h: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
-                 b2: Tensor) -> Tensor:
-    """``h + gelu(layer_norm(h) @ w1 + b1) @ w2 + b2`` over the last axis of ``h``.
+def mlp_sublayer(h: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
+    """``h + gelu(norm(h) @ w1) @ w2`` over the last axis of ``h``; the norm has no affine.
 
-    Only ``h`` is differentiated (the rest must be frozen). The forward keeps
-    xhat, 1 / std and the GELU's slope, not the pre-activation and its sigmoid,
-    so the VJP recomputes nothing.
+    Only ``h`` is differentiated (the weights must be frozen). The forward
+    keeps xhat, 1 / std and the GELU's slope, not the pre-activation and its
+    sigmoid, so the VJP recomputes nothing.
     """
-    h, gain, bias, w1, b1, w2, b2 = map(_as_tensor, (h, gain, bias, w1, b1, w2, b2))
-    _check_frozen_params("mlp_sublayer", h, gain, bias, w1, b1, w2, b2)
+    h, w1, w2 = map(_as_tensor, (h, w1, w2))
+    d, hidden = h.shape[-1], w1.shape[-1]
+    _check_frozen_params("mlp_sublayer", (w1, w2), ((d, hidden), (hidden, d)))
     xhat, inv = _normalize(h.data, _LN_EPS)
-    w1g = gain.data[:, None] * w1.data  # the LN affine folded into the first product
-    z = _row_products(xhat, w1g)
-    z += bias.data @ w1.data + b1.data
+    z = _row_products(xhat, w1.data)
     s = _gelu_gate(z)
     slope = _gelu_slope(z, s) if h.requires_grad else None
     z *= s  # the activation, in place
     data = _row_products(z, w2.data)
-    np.add(h.data, data, out=data)  # (h + mlp) + b2, as the primitive ops add
-    data += b2.data
+    data += h.data
 
     def vjp(g):
         gz = _row_products(g, w2.data.T)
         gz *= slope
-        gh = _row_products(gz, w1g.T)
+        gh = _row_products(gz, w1.data.T)
         del gz  # freed before the norm's VJP: the VJPs hold a step's peak memory
         gh = _normalize_vjp(gh, xhat, inv)
         gh += g
@@ -728,8 +718,10 @@ def mlp_sublayer(h: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, 
     return _make(data, (h,), vjp, "gelu")
 
 
-def _check_frozen_params(op: str, h: Tensor, gain: Tensor, bias: Tensor, *weights: Tensor) -> None:
-    """LN shapes, and no trainable parameter: it would get no gradient from a fused op."""
-    _check_norm_params(op, h, gain, bias)
-    if any(p.requires_grad for p in (gain, bias, *weights)):
-        raise ContractError(f"{op}: LayerNorm parameters and weights must be frozen")
+def _check_frozen_params(op: str, weights: tuple, shapes: tuple) -> None:
+    """Weights shaped for the rows' width, none trainable: a fused op gives them no gradient."""
+    got = tuple(w.shape for w in weights)
+    if got != shapes:
+        raise ShapeError(f"{op}: weights must have shapes {shapes}, got {got}")
+    if any(w.requires_grad for w in weights):
+        raise ContractError(f"{op}: weights must be frozen")

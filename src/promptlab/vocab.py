@@ -29,7 +29,8 @@ class Vocabulary:
         words = [str(w) for w in words]
         vectors = np.asarray(vectors, dtype=np.float64)
         if len(set(words)) != len(words):
-            raise DataError("vocabulary words must be unique")
+            repeated = sorted({w for w in words if words.count(w) > 1})
+            raise DataError(f"vocabulary words must be unique; repeated: {', '.join(repeated)}")
         if SOS not in words or EOS not in words:
             raise DataError(f"vocabulary must contain the sentinels {SOS} and {EOS}")
         if vectors.ndim != 2 or vectors.shape[0] != len(words):

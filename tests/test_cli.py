@@ -422,6 +422,18 @@ def test_full_pipeline_is_deterministic_across_output_dirs(tmp_path):
     assert hashes[0] == hashes[1]
 
 
+def test_pipeline_reads_images_as_wide_as_the_dataset_makes_them(tmp_path, capsys):
+    # the encoder's image width comes from the task's raw_feature_dim, not a default
+    cfg, out = write_config(tmp_path)
+    payload = json.load(open(cfg))
+    payload["task"]["raw_feature_dim"] = 32
+    json.dump(payload, open(cfg, "w"))
+    for command in (["gen-data"], ["search-attrs"], ["train"], ["train", "--classic"], ["eval"],
+                    ["report"]):
+        assert main([*command, "--config", cfg]) == 0, (command, capsys.readouterr().err)
+    assert load_json(os.path.join(out, "base.json"))["spec"]["raw_feature_dim"] == 32
+
+
 def test_artifact_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # a thread count the user sets wins over the package's one-thread policy,
     # and it must not move a byte of what the commands write
@@ -508,6 +520,26 @@ BAD_INPUTS = {
     # past the JSON decoder's recursion limit
     "seeds_nested_too_deep": (_raw(None, "seeds", "[" * 100_000 + "0" + "]" * 100_000),
                               ["gen-data"], "DataError: not valid JSON"),
+    # the dataset fixes the vocabulary's size and width and the image width
+    "encoder_overrides_vocab_size": (_set("encoder_overrides", "vocab_size", 40), ["gen-data"],
+                                     "vocab_size"),
+    "encoder_overrides_embed_dim": (_set("encoder_overrides", "embed_dim", 32), ["gen-data"],
+                                    "embed_dim"),
+    "encoder_overrides_image_dim": (_set("encoder_overrides", "image_dim", 16), ["gen-data"],
+                                    "image_dim"),
+    # words the vocabulary cannot tokenize, or one it already holds
+    "latent_attribute_value_of_two_words": (
+        _set("task", "latent_attributes", [["color", ["red car", "blue", "green"]],
+                                           ["shape", ["round", "square"]]]),
+        ["gen-data"], "'red car'"),
+    "latent_attribute_name_capitalized": (
+        _set("task", "latent_attributes", [["color", [f"color{i}" for i in range(6)]],
+                                           ["Shape", ["shape0", "shape1"]]]),
+        ["gen-data"], "'Shape'"),
+    "latent_attribute_named_like_a_template_word": (
+        _set("task", "latent_attributes", [["color", [f"color{i}" for i in range(6)]],
+                                           ["photo", ["shape0", "shape1"]]]),
+        ["gen-data"], "repeated: photo"),
     "latent_attribute_with_empty_values": (
         _set("task", "latent_attributes", [["color", [f"color{i}" for i in range(6)]],
                                            ["shape", []]]),

@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +41,18 @@ def test_spec_rejects_undersized_signature_space():
         TaskSpec(
             num_classes=4, latent_attributes=attrs, informative_attributes=("color",)
         ).validate()
+
+
+@pytest.mark.parametrize("name, value, bad", [
+    ("color", "red car", "red car"), ("Color", "red", "Color"), ("color", "Red", "Red"),
+    ("color", "", ""), ("color", " red", " red"), ("color", 7, 7),
+], ids=["two_words", "capital_name", "capital_value", "empty", "padded", "number"])
+def test_spec_rejects_attribute_words_the_vocabulary_cannot_read(name, value, bad):
+    # the vocabulary lowercases text and splits it on whitespace
+    attrs = (LatentAttribute(name, ("blue", value)), LatentAttribute("shape", ("round", "square")))
+    with pytest.raises(DataError, match=f"one lowercase word, got {re.escape(repr(bad))}$"):
+        TaskSpec(num_classes=2, latent_attributes=attrs,
+                 informative_attributes=(name,)).validate()
 
 
 def test_spec_rejects_out_of_range_signal():

@@ -59,8 +59,7 @@ def test_importing_the_cli_leaves_scipy_unloaded():
         "from promptlab import tensor as T",
         "x = T.Tensor(np.linspace(-3.0, 3.0, 8).reshape(2, 4))",
         "T.gelu(x)",
-        "T.mlp_sublayer(x, *map(T.Tensor, (np.ones(4), np.zeros(4), np.ones((4, 3)), np.zeros(3),",
-        "                                  np.ones((3, 4)), np.zeros(4))))",
+        "T.mlp_sublayer(x, T.Tensor(np.ones((4, 3))), T.Tensor(np.ones((3, 4))))",
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
     ])
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

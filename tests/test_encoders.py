@@ -290,7 +290,8 @@ def oracle_block(enc, layer, h, readout):
     base = f"layers.{layer}."
     seq_len = h.shape[-2]
     q_len = 1 if readout else seq_len
-    normed = T.layer_norm(h, p[base + "ln1.gain"], p[base + "ln1.bias"])
+    ones, zeros = T.Tensor(np.ones(cfg.embed_dim)), T.Tensor(np.zeros(cfg.embed_dim))
+    normed = T.layer_norm(h, ones, zeros)  # the blocks' norms have no affine
     q = T.matmul(T.narrow(normed, -2, seq_len - q_len, seq_len), p[base + "attn.wqk"])
     k = T.matmul(normed, p[base + "attn.wqk"])
     v = T.matmul(normed, p[base + "attn.wv"])
@@ -303,9 +304,9 @@ def oracle_block(enc, layer, h, readout):
         heads.append(T.matmul(T.softmax(scores + mask, axis=-1), vh))
     h = T.narrow(h, -2, seq_len - q_len, seq_len) + T.matmul(
         T.concat(heads, axis=-1), p[base + "attn.wo"])
-    normed = T.layer_norm(h, p[base + "ln2.gain"], p[base + "ln2.bias"])
-    inner = T.gelu(T.matmul(normed, p[base + "mlp.w1"]) + p[base + "mlp.b1"])
-    return h + T.matmul(inner, p[base + "mlp.w2"]) + p[base + "mlp.b2"]
+    normed = T.layer_norm(h, ones, zeros)
+    inner = T.gelu(T.matmul(normed, p[base + "mlp.w1"]))
+    return h + T.matmul(inner, p[base + "mlp.w2"])
 
 
 @pytest.mark.parametrize("readout", [False, True], ids=["full", "readout"])
@@ -315,10 +316,6 @@ def test_fused_block_matches_primitive_ops(heads, readout):
     # group's [count, length, d] batch: values and input gradients, group by group
     enc = make_encoder(num_heads=heads, num_layers=2)
     rng = np.random.default_rng(heads)
-    # non-trivial norms and biases, so every parameter of the block is exercised
-    for name, param in enc.parameters().items():
-        if name.startswith("layers.1.") and param.ndim == 1:
-            param.data = param.data + 0.3 * rng.standard_normal(param.shape)
     groups, d = ((3, 6), (2, 4)), enc.config.embed_dim
     xs = [rng.standard_normal((count, length, d)) for count, length in groups]
     targets = [rng.standard_normal((count, 1 if readout else length, d))
@@ -346,6 +343,16 @@ def test_fused_block_matches_primitive_ops(heads, readout):
 def test_all_encoder_weights_frozen():
     enc = make_encoder()
     assert all(not p.requires_grad for p in enc.parameters().values())
+
+
+def test_text_blocks_hold_no_identity_weights():
+    # a block's norms have no affine and its MLP no biases: five weights per block
+    enc = make_encoder()
+    names = set(enc.parameters())
+    assert enc.config.num_layers == 4 and len(names) == 29
+    for i in range(4):
+        block = {n.split(".", 2)[2] for n in names if n.startswith(f"layers.{i}.")}
+        assert block == {"attn.wqk", "attn.wv", "attn.wo", "mlp.w1", "mlp.w2"}
 
 
 def test_backward_through_encoder_leaves_weights_untouched():
@@ -475,4 +482,24 @@ def test_checkpoint_with_an_unknown_weight_names_the_file_and_the_weight(tmp_pat
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError,
                        match=f"^{re.escape(str(path))}: unknown weight layers.0.attn.wk$"):
+        DualEncoder.load(str(path))
+
+
+def test_checkpoint_with_block_norm_affines_and_mlp_biases_is_rejected(tmp_path):
+    # files written while the blocks still stored unit norms and zero biases
+    import json
+
+    path = tmp_path / "enc.json"
+    enc = make_encoder()
+    enc.save(str(path))
+    payload = json.loads(path.read_text())
+    d = enc.config.embed_dim
+    for i in range(enc.config.num_layers):
+        for name, value in (("ln1.gain", 1.0), ("ln1.bias", 0.0), ("ln2.gain", 1.0),
+                            ("ln2.bias", 0.0), ("mlp.b1", 0.0), ("mlp.b2", 0.0)):
+            width = enc.config.mlp_ratio * d if name == "mlp.b1" else d
+            payload["weights"][f"layers.{i}.{name}"] = [value] * width
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError,
+                       match=f"^{re.escape(str(path))}: unknown weight layers.0.ln1.bias$"):
         DualEncoder.load(str(path))

@@ -285,11 +285,10 @@ def test_grad_layer_norm():
 
 
 def sublayer_params(rng, d, make, hidden=None):
-    """LN gain and bias, then attention's wqk, wv and wo, or MLP (w1, b1, w2, b2)."""
-    gain, bias = make(rng, d), make(rng, d)
+    """Attention's wqk, wv and wo, or the MLP's w1 and w2."""
     if hidden is None:
-        return [gain, bias] + [make(rng, d, d) for _ in range(3)]
-    return [gain, bias, make(rng, d, hidden), make(rng, hidden), make(rng, hidden, d), make(rng, d)]
+        return [make(rng, d, d) for _ in range(3)]
+    return [make(rng, d, hidden), make(rng, hidden, d)]
 
 
 # row stacks: one prompt of 3 rows, or 2 prompts of 3 rows then 1 of 5 and 2 of 2
@@ -354,6 +353,18 @@ def test_attention_sublayer_rejects_bad_heads_and_rows():
             T.attention_sublayer(h, *params, heads, groups, False)
     with pytest.raises(ShapeError):
         T.attention_sublayer(frozen(rng, 2, 3, 4), *params, 1, ((2, 3),), True)
+
+
+def test_fused_sublayers_reject_weights_that_do_not_fit_the_rows():
+    rng = np.random.default_rng(45)
+    h = frozen(rng, 6, 4)
+    for wrong in range(3):  # each attention weight in turn 5 wide where the rows are 4
+        params = [frozen(rng, *((5, 5) if i == wrong else (4, 4))) for i in range(3)]
+        with pytest.raises(ShapeError, match="^attention_sublayer: weights must have shapes"):
+            T.attention_sublayer(h, *params, 2, ((2, 3),), False)
+    for w1, w2 in (((5, 3), (3, 4)), ((4, 3), (3, 5)), ((4, 3), (2, 4))):
+        with pytest.raises(ShapeError, match="^mlp_sublayer: weights must have shapes"):
+            T.mlp_sublayer(h, frozen(rng, *w1), frozen(rng, *w2))
 
 
 # -- frozen parents: no gradient computed, the trainable side still exact ---------------

@@ -11,6 +11,11 @@ def test_rejects_duplicate_words():
         Vocabulary([SOS, EOS, "cat", "cat"], np.zeros((4, 3)))
 
 
+def test_duplicate_words_are_named():
+    with pytest.raises(DataError, match="unique; repeated: cat, photo$"):
+        Vocabulary([SOS, EOS, "photo", "cat", "dog", "cat", "photo"], np.zeros((7, 3)))
+
+
 def test_requires_sentinels():
     with pytest.raises(DataError):
         Vocabulary(["cat", "dog"], np.zeros((2, 3)))

@@ -20,8 +20,8 @@ vectors = rng.standard_normal((len(words) + 2, 16))
 vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
 vocab = Vocabulary([SOS, EOS] + words, vectors)
 encoder = DualEncoder(
-    EncoderConfig(vocab_size=len(vocab), embed_dim=16, num_layers=3, num_heads=2,
-                  joint_dim=12, image_dim=8, image_hidden_dim=8),
+    EncoderConfig(embed_dim=16, num_layers=3, num_heads=2, joint_dim=12, image_dim=8,
+                  image_hidden_dim=8),
     vocab, seed=5,
 )
 

@@ -3,8 +3,9 @@
 Each command reads one JSON run config (``--config``), applies flag
 overrides (flags win), and writes versioned artifact files into the output
 directory. Commands are idempotent: identical config and seed produce
-byte-identical artifacts. On failure the process exits nonzero and the last
-line on standard error is a single machine-parseable summary of the form
+byte-identical artifacts. On failure, a failed allocation included (the
+machine's limit, not a fault), the process exits nonzero and the last line on
+standard error is a single machine-parseable summary of the form
 ``error: <ErrorType>: <message>``. Each command imports the modules it runs
 in its own body, so ``report`` loads no numpy and ``gen-data`` no encoder.
 """
@@ -23,7 +24,6 @@ from .config import (
     INIT_SCHEMES,
     POSITION_STYLES,
     RunConfig,
-    config_hash,
     load_run_config,
     save_run_config,
 )
@@ -148,14 +148,11 @@ def cmd_gen_data(args) -> int:
 
 def cmd_search_attrs(args) -> int:
     from .data import subseed
-    from .search import alternating_search, describe_config, export_result
+    from .search import alternating_search, export_result
     config, base, _, encoder = _run_inputs(args)
     bases = _resolve_bases(config, base)
     search_cfg = replace(config.search, seed=subseed(config.seed, "search"))
-    result = alternating_search(
-        base, bases, search_cfg, encoder,
-        config_hash=config_hash(describe_config(search_cfg)),
-    )
+    result = alternating_search(base, bases, search_cfg, encoder)
     export_result(result, _path(config, "search_result.txt"))
     print(f"pool size {len(result.candidates)} over bases: {', '.join(result.bases)}")
     print(f"selected: ({', '.join(result.selected)})")
@@ -345,7 +342,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PromptLabError, OSError) as exc:
+    except (PromptLabError, OSError, MemoryError) as exc:
         message = str(exc) or repr(exc)
         print(f"error: {type(exc).__name__}: {message}".replace("\n", " "), file=sys.stderr)
         return 1

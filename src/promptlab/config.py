@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 from typing import get_type_hints
 
 from .errors import ConfigError, DataError
-from .serialize import FORMAT_VERSION, JsonFields, check_fields, dump_json, dumps_json, load_json
+from .serialize import (FORMAT_VERSION, INT64_MAX, JsonFields, check_fields, dump_json, dumps_json,
+                        load_json)
 
 CLASS_POSITIONS = ("front", "middle", "end")
 POSITION_STYLES = ("interval", "adjacent_front", "adjacent_middle", "adjacent_end", "separate")
@@ -146,7 +147,6 @@ class TaskSpec(JsonFields):
 
 @dataclass(frozen=True)
 class EncoderConfig(JsonFields):
-    vocab_size: int
     embed_dim: int = 32
     num_layers: int = 4
     num_heads: int = 4
@@ -371,17 +371,17 @@ class RunConfig:
         self.attributes.validate()
         self.search.validate()
         self.train.validate()
-        # the dataset fixes the vocabulary's size and width and the image width
+        # the dataset fixes the vocabulary's width and the image width
         check_fields({k: v for k, v in get_type_hints(EncoderConfig).items()
-                      if k not in ("vocab_size", "embed_dim", "image_dim")},
+                      if k not in ("embed_dim", "image_dim")},
                      self.encoder_overrides, "encoder_overrides")
         if not self.out_dir:
             raise ConfigError("output directory must be set")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         for s in self.seeds:
-            if isinstance(s, bool) or not isinstance(s, int) or s < 0:
-                raise ConfigError(f"seeds must be non-negative integers, got {s!r}")
+            if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s <= INT64_MAX:
+                raise ConfigError(f"seeds must be non-negative 64-bit integers, got {s!r}")
         return self
 
     def seed_list(self) -> tuple:

@@ -31,13 +31,11 @@ import numpy as np
 from .config import LatentAttribute, TaskSpec, default_attributes  # re-exported
 from .errors import ConfigError, DataError
 from .serialize import check_fields, dump_artifact, load_artifact, numeric_array
-from .vocab import EOS, SOS, Vocabulary
+from .vocab import EOS, PHOTO_TEMPLATE, SOS, Vocabulary
 
 DATASET_KIND = "dataset"
 
 SPLITS = ("train", "val", "test")
-
-TEMPLATE_WORDS = ("a", "photo", "of")
 
 SUBSEED_NAMES = (
     "data", "encoder", "init", "search", "train", "search.banks", "search.order", "train.order",
@@ -156,7 +154,7 @@ def _build_vocabulary(spec: TaskSpec, id_words) -> Vocabulary:
     axis = _unit(keyed_rng(spec.seed, "attribute_axis").standard_normal(d))
     words = [SOS, EOS]
     vectors = [_unit(rng.standard_normal(d)), axis.copy()]
-    for word in TEMPLATE_WORDS:
+    for word in dict.fromkeys(PHOTO_TEMPLATE.split()):  # each distinct word once, in order
         words.append(word)
         vectors.append(_unit(rng.standard_normal(d)))
     for attr in spec.latent_attributes:

@@ -53,10 +53,6 @@ class DualEncoder:
 
     def __init__(self, config: EncoderConfig, vocabulary: Vocabulary, seed: int):
         config.validate()
-        if len(vocabulary) != config.vocab_size:
-            raise ConfigError(
-                f"config.vocab_size {config.vocab_size} != vocabulary size {len(vocabulary)}"
-            )
         if vocabulary.dim != config.embed_dim:
             raise ConfigError(
                 f"vocabulary dim {vocabulary.dim} != config.embed_dim {config.embed_dim}"
@@ -216,18 +212,10 @@ class DualEncoder:
         dump_artifact(CHECKPOINT_KIND, payload, path)
 
     @classmethod
-    def load(cls, path: str, expected_config: EncoderConfig = None) -> "DualEncoder":
+    def load(cls, path: str) -> "DualEncoder":
         payload = load_artifact(path, CHECKPOINT_KIND, {
             "config": EncoderConfig, "seed": int, "vocabulary": Vocabulary, "weights": dict})
-        config = payload["config"]
-        if expected_config is not None and config != expected_config:
-            diffs = [
-                f"{k}: checkpoint {v!r} != runtime {getattr(expected_config, k)!r}"
-                for k, v in config.to_dict().items()
-                if getattr(expected_config, k) != v
-            ]
-            raise CheckpointError(f"{path}: config mismatch ({'; '.join(diffs)})")
-        enc = cls(config, payload["vocabulary"], payload["seed"])
+        enc = cls(payload["config"], payload["vocabulary"], payload["seed"])
         weights = payload["weights"]
         unknown = sorted(set(weights) - set(enc._params))
         if unknown:
@@ -244,7 +232,6 @@ class DualEncoder:
 
 
 def build_config_for(vocabulary: Vocabulary, **overrides) -> EncoderConfig:
-    """EncoderConfig whose vocab fields match an existing vocabulary."""
-    overrides.setdefault("vocab_size", len(vocabulary))
+    """EncoderConfig whose embed_dim matches an existing vocabulary."""
     overrides.setdefault("embed_dim", vocabulary.dim)
     return EncoderConfig(**overrides).validate()

@@ -179,9 +179,9 @@ def init_soft_tokens(
     return bank
 
 
-def template_rows_for(encoder, phrase: str = PHOTO_TEMPLATE) -> np.ndarray:
-    """Embedding-table rows for a phrase, for phrase_init."""
-    ids = encoder.vocabulary.encode(phrase)
+def template_rows_for(encoder) -> np.ndarray:
+    """Embedding-table rows of ``PHOTO_TEMPLATE``, for phrase_init."""
+    ids = encoder.vocabulary.encode(PHOTO_TEMPLATE)
     return encoder.token_embedding.data[ids].copy()
 
 

@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from . import tensor as T
-from .config import SearchConfig
+from .config import SearchConfig, config_hash
 from .data import Task, subseed
 from .errors import ConfigError, DataError, NumericsError, ParameterError, ParseError
 from .optim import SGD, Adam
@@ -137,12 +137,12 @@ def search_step(encoder, plan: FeaturePlan, alpha: T.Tensor, alpha_opt, theta_op
                                   train_batch))
 
 
-def alternating_search(task: Task, bases, config: SearchConfig, encoder,
-                       config_hash: str = "") -> SearchResult:
+def alternating_search(task: Task, bases, config: SearchConfig, encoder) -> SearchResult:
     """First-order alternation: alpha on validation batches, theta on training ones.
 
     Each epoch walks the training split once; every theta batch is preceded by
-    one alpha step on the next validation batch (cycled independently).
+    one alpha step on the next validation batch (cycled independently). The
+    result carries the hash of ``describe_config(config)``.
     """
     config.validate()
     pool = enumerate_pool(bases)
@@ -176,7 +176,7 @@ def alternating_search(task: Task, bases, config: SearchConfig, encoder,
         candidates=tuple(pool),
         weights=weights,
         selected=select_candidate(pool, weights),
-        config_hash=config_hash,
+        config_hash=config_hash(describe_config(config)),
     ).validate()
 
 

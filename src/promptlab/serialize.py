@@ -23,6 +23,9 @@ from .errors import ConfigError, DataError
 # the version every artifact header carries; bump it when any format changes
 FORMAT_VERSION = 1
 
+# the range an ``int`` field takes: numpy reads no wider integer
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
 # the JSON type each Python field type is read from, named as errors print it
 JSON_TYPES = {str: "string", int: "integer", float: "number", bool: "boolean",
               tuple: "list", dict: "object"}
@@ -109,7 +112,7 @@ def check_fields(types: dict, payload, what: str, required=()) -> dict:
 
     Unknown keys, missing ``required`` keys and values of the wrong JSON type
     are ConfigErrors naming the key under ``what``. An ``int`` field takes an
-    int but not a bool; a ``float`` field takes an int or a float within
+    int64-range int but not a bool; a ``float`` field takes an int or a float within
     float64 range (not the ``NaN`` or ``Infinity`` Python's ``json`` reads),
     kept as written so no bytes move; a ``tuple`` field takes a list and returns a
     tuple; a field whose class has a ``from_dict`` (a ``JsonFields`` class,
@@ -131,6 +134,8 @@ def check_fields(types: dict, payload, what: str, required=()) -> dict:
             raise ConfigError(f"{where} must be a JSON {JSON_TYPES[kind]}, got {value!r}")
         if kind is float and not abs(value) <= sys.float_info.max:  # NaN compares false
             raise ConfigError(f"{where} must be a finite float64 number, got {value!r}")
+        if kind is int and not INT64_MIN <= value <= INT64_MAX:
+            raise ConfigError(f"{where} must be a 64-bit integer, got {value!r}")
         kwargs[key] = tuple(value) if kind is tuple else value
     missing = [f"{what}.{k}" if what else k for k in required if k not in kwargs]
     if missing:

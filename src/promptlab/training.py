@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .config import SCHEDULES, PromptLayout, PromptRunConfig, TrainConfig  # re-exported
 from .data import Task, subseed
-from .errors import CheckpointError, DataError, NumericsError
+from .errors import CapacityError, CheckpointError, DataError, NumericsError
 from .optim import SGD, cosine_lr
 from .prompts import FeaturePlan, SoftPromptBank, class_text_features, template_rows_for
 from .reports import EvalReport, harmonic_mean, load_report_records, save_report_records
@@ -29,7 +29,16 @@ CHECKPOINT_KIND = "prompt_checkpoint"
 
 
 def make_banks(config: PromptRunConfig, encoder, candidates, seed: int) -> list:
-    """One bank per attribute tuple, all sharing the first bank's class block."""
+    """One bank per attribute tuple, all sharing the first bank's class block.
+
+    The layout and soft lengths are checked against the encoder first, so a
+    depth or length no prompt can run is an error before any block is made.
+    """
+    config.layout.validate(encoder.config.num_layers)
+    for key in ("soft_len", "attr_soft_len"):
+        if getattr(config, key) > encoder.config.max_seq_len:
+            raise CapacityError(f"{key} {getattr(config, key)} exceeds max_seq_len "
+                                f"{encoder.config.max_seq_len}: no prompt can hold it")
     rows = template_rows_for(encoder)
     banks = [SoftPromptBank.create(
         embed_dim=encoder.config.embed_dim,

@@ -468,6 +468,14 @@ def _raw(section, key, text):
     return edit
 
 
+def run_cli_process(command, cfg, cwd, **kwargs):
+    """The finished ``promptlab`` child process of one command on config ``cfg``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return subprocess.run([sys.executable, "-m", "promptlab.cli", *command, "--config", cfg],
+                          cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120, **kwargs)
+
+
 # case -> (config edit, or None; the command that used to fail without naming the
 # input; a key, or other text, the last stderr line must name, or None). An edit
 # changes the payload in place, or returns the config file's new text.
@@ -520,7 +528,15 @@ BAD_INPUTS = {
     # past the JSON decoder's recursion limit
     "seeds_nested_too_deep": (_raw(None, "seeds", "[" * 100_000 + "0" + "]" * 100_000),
                               ["gen-data"], "DataError: not valid JSON"),
-    # the dataset fixes the vocabulary's size and width and the image width
+    # past int64, which numpy reads no wider than
+    "task_raw_feature_dim_past_int64": (_set("task", "raw_feature_dim", 10**30), ["gen-data"],
+                                        "task.raw_feature_dim must be a 64-bit integer"),
+    "encoder_overrides_max_seq_len_past_int64": (
+        _set("encoder_overrides", "max_seq_len", 10**30), ["search-attrs"],
+        "encoder_overrides.max_seq_len must be a 64-bit integer"),
+    "seeds_past_int64": (lambda payload: payload.update(seeds=[10**30]), ["train", "--classic"],
+                         "seeds must be non-negative 64-bit integers"),
+    # the dataset fixes the vocabulary's width and the image width; its size is no field
     "encoder_overrides_vocab_size": (_set("encoder_overrides", "vocab_size", 40), ["gen-data"],
                                      "vocab_size"),
     "encoder_overrides_embed_dim": (_set("encoder_overrides", "embed_dim", 32), ["gen-data"],
@@ -556,16 +572,54 @@ def test_bad_config_input_is_one_error_line(case, tmp_path):
         text = edit(payload)
         with open(cfg, "w") as fh:
             fh.write(json.dumps(payload) if text is None else text)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.run([sys.executable, "-m", "promptlab.cli", *command, "--config", cfg],
-                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=120)
+    proc = run_cli_process(command, cfg, tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert re.match(r"^error: \w+Error: ", proc.stderr.strip().splitlines()[-1]), proc.stderr
     if key is not None:
         assert key in proc.stderr.strip().splitlines()[-1], proc.stderr
     assert not os.path.exists(out) or os.listdir(out) == []  # rejected before any write
+
+
+def _limited_memory():
+    """Cap the child's address space, so an input that allocates without bound fails fast."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2_500_000 * 1024,) * 2)
+
+
+# case -> (config edit, the command that fails once gen-data has written the dataset,
+# the text the last stderr line must hold)
+AFTER_GEN_DATA = {
+    # deeper than the encoder: rejected before any deep block is made
+    "layout_depth_past_encoder_layers": (_set("layout", "depth", 10**9), ["search-attrs"],
+                                         "ConfigError: depth 1000000000 exceeds encoder layers 4"),
+    # longer than any prompt the encoder reads: rejected before any soft block is made
+    **{f"{section}_{key}_past_max_seq_len": (
+        _set(section, key, 10**9), command,
+        f"CapacityError: {key} 1000000000 exceeds max_seq_len 32")
+       for section, command in (("search", ["search-attrs"]), ("train", ["train", "--classic"]))
+       for key in ("soft_len", "attr_soft_len")},
+    # a positional table of 233 TiB: the machine's limit, reported as one error line
+    "encoder_overrides_max_seq_len_past_memory": (
+        _set("encoder_overrides", "max_seq_len", 10**12), ["train", "--classic"],
+        "MemoryError: Unable to allocate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AFTER_GEN_DATA))
+def test_input_too_large_to_run_is_one_error_line(case, tmp_path):
+    cfg, out = write_config(tmp_path)
+    assert main(["gen-data", "--config", cfg]) == 0
+    edit, command, text = AFTER_GEN_DATA[case]
+    with open(cfg) as fh:
+        payload = json.load(fh)
+    edit(payload)
+    with open(cfg, "w") as fh:
+        json.dump(payload, fh)
+    proc = run_cli_process(command, cfg, tmp_path, preexec_fn=_limited_memory)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines()[-1].startswith(f"error: {text}"), proc.stderr
 
 
 # artifact -> (the command that reads it, every top-level key, and the keys one level down)

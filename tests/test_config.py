@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from promptlab.attributes import LlmClientConfig
 from promptlab.config import (
+    RUN_CONFIG_TYPES,
     AttributeSource,
     RunConfig,
     config_hash,
@@ -123,7 +124,6 @@ def test_attribute_source_rejects_unknown_keys():
 @pytest.mark.parametrize("value, key", [
     (EvalReport.from_accuracies(80.0, 60.0, {"cat": 75.0}), "base_accuracy"),
     (EvalReport.from_accuracies(80.0, 60.0, {"cat": 75.0}), "per_class_accuracy"),
-    (EncoderConfig(vocab_size=10), "vocab_size"),
 ])
 def test_missing_required_key_is_a_config_error_naming_it(value, key):
     payload = value.to_dict()
@@ -224,6 +224,44 @@ def test_non_finite_float_is_a_config_error_naming_the_key(section, key, value, 
         load_run_config(str(path))
 
 
+# every int field a run config sets, as (section, key); "" is the top level. The
+# run config owns the search and train seeds, and the dataset the encoder's widths.
+INT_FIELDS = [
+    (section, key)
+    for section, types in (("", RUN_CONFIG_TYPES), ("task", get_type_hints(TaskSpec)),
+                           ("search", get_type_hints(SearchConfig)),
+                           ("train", get_type_hints(TrainConfig)),
+                           ("layout", get_type_hints(PromptLayout)),
+                           ("encoder_overrides", get_type_hints(EncoderConfig)),
+                           ("llm", get_type_hints(LlmClientConfig)))
+    for key, hint in types.items()
+    if hint is int and (section, key) not in {
+        ("search", "seed"), ("train", "seed"),
+        ("encoder_overrides", "embed_dim"), ("encoder_overrides", "image_dim")}
+]
+
+
+@pytest.mark.parametrize("value", [10**30, -(10**30)])
+@pytest.mark.parametrize("section, key", INT_FIELDS)
+def test_integer_past_int64_is_a_config_error_naming_the_key(section, key, value, tmp_path):
+    # numpy reads no wider integer: past int64 a value overflows where it is first used
+    payload = toy_config().validate().to_dict()
+    if section == "llm":
+        payload["attributes"] = {"llm": {key: value}}
+    else:
+        (payload[section] if section else payload)[key] = value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=rf"\b{key} must be a 64-bit integer, got"):
+        load_run_config(str(path))
+
+
+def test_seeds_past_int64_are_a_config_error():
+    with pytest.raises(ConfigError, match="^seeds must be non-negative 64-bit integers, got"):
+        replace(toy_config(), seeds=(3, 2**63)).validate()
+    assert replace(toy_config(), seeds=(2**63 - 1,)).validate().seeds == (2**63 - 1,)
+
+
 # -- serialized sections, pinned on the command-line pipeline's config --------------------
 
 PIPELINE_CONFIG = {
@@ -307,7 +345,7 @@ task_specs = st.builds(
     include_id_words=st.booleans(), seed=seeds,
 )
 encoder_configs = st.integers(1, 4).flatmap(lambda heads: st.builds(
-    EncoderConfig, vocab_size=st.integers(1, 99), embed_dim=st.integers(1, 8).map(heads.__mul__),
+    EncoderConfig, embed_dim=st.integers(1, 8).map(heads.__mul__),
     num_layers=st.integers(1, 4), num_heads=st.just(heads), max_seq_len=st.integers(1, 64),
     temperature=positive_numbers,
 ))

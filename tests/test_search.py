@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promptlab import tensor as T
+from promptlab.config import config_hash
 from promptlab.data import LatentAttribute, TaskSpec, generate_task, subseed
 from promptlab.encoders import DualEncoder, build_config_for
 from promptlab.errors import ConfigError, DataError, NumericsError, ParameterError, ParseError
@@ -228,6 +229,7 @@ def test_alternating_search_returns_valid_result():
     assert res.weights.shape == (3,)
     assert res.weights.sum() == pytest.approx(1.0, abs=1e-9)
     assert res.selected in res.candidates
+    assert res.config_hash == config_hash(describe_config(cfg))  # the search hashes its config
 
 
 def test_alternating_search_is_deterministic():

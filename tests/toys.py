@@ -23,7 +23,6 @@ def make_vocab(words=None, dim=32, seed=0):
 def make_encoder(vocab=None, seed=7, **overrides):
     vocab = vocab or make_vocab(dim=overrides.get("embed_dim", 32))
     cfg = EncoderConfig(
-        vocab_size=len(vocab),
         embed_dim=vocab.dim,
         **{k: v for k, v in overrides.items() if k != "embed_dim"},
     ).validate()
@@ -34,7 +33,7 @@ def tiny_encoder(seed=7):
     """Small config for finite-difference work: 2 layers, dim 8."""
     vocab = make_vocab(dim=8)
     cfg = EncoderConfig(
-        vocab_size=len(vocab), embed_dim=8, num_layers=2, num_heads=2,
+        embed_dim=8, num_layers=2, num_heads=2,
         max_seq_len=16, joint_dim=6, image_dim=5, image_hidden_dim=7,
     )
     return DualEncoder(cfg, vocab, seed)

@@ -18,15 +18,7 @@ import sys
 from dataclasses import replace
 from itertools import permutations
 
-from .config import (
-    CLASS_POSITIONS,
-    DROP_POLICIES,
-    INIT_SCHEMES,
-    POSITION_STYLES,
-    RunConfig,
-    load_run_config,
-    save_run_config,
-)
+from .config import CHOICES, RunConfig, load_run_config, save_run_config
 from .errors import CheckpointError, ConfigError, DataError, PromptLabError
 from .serialize import dump_artifact, file_sha256
 
@@ -222,10 +214,10 @@ def _ablation_cells(config: RunConfig, axis: str):
         for n in (1, 2, 4):
             yield f"soft_len={n}", replace(train, soft_len=n, attr_soft_len=n)
     elif axis == "class_position":
-        for pos in CLASS_POSITIONS:
+        for pos in CHOICES["class_token_position"]:
             yield pos, replace(train, layout=replace(train.layout, class_token_position=pos))
     elif axis == "drop_policy":
-        for policy in DROP_POLICIES:
+        for policy in CHOICES["drop_policy"]:
             yield policy, replace(
                 train, layout=replace(train.layout, drop_policy=policy, depth=2)
             )
@@ -235,12 +227,12 @@ def _ablation_cells(config: RunConfig, axis: str):
         for order in permutations(train.attributes):
             yield ", ".join(order), replace(train, attributes=order)
     elif axis == "attr_position":
-        for style in POSITION_STYLES:
+        for style in CHOICES["attribute_position_style"]:
             yield style, replace(
                 train, layout=replace(train.layout, attribute_position_style=style)
             )
     elif axis == "init":
-        for scheme in INIT_SCHEMES:
+        for scheme in CHOICES["init_scheme"]:
             yield scheme, replace(train, init_scheme=scheme)
 
 

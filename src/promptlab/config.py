@@ -16,14 +16,15 @@ a config loads no numpy, so a command that only reads files stays light.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
+import sys
 from dataclasses import dataclass, field, replace
-from typing import get_type_hints
 
 from .errors import ConfigError, DataError
 from .serialize import (FORMAT_VERSION, INT64_MAX, JsonFields, check_fields, dump_json, dumps_json,
-                        load_json)
+                        field_types, load_json)
 
 CLASS_POSITIONS = ("front", "middle", "end")
 POSITION_STYLES = ("interval", "adjacent_front", "adjacent_middle", "adjacent_end", "separate")
@@ -37,6 +38,56 @@ REENTERED_KINDS = {
 DROP_POLICIES = tuple(REENTERED_KINDS)
 INIT_SCHEMES = ("random_normal", "phrase_init")
 SCHEDULES = ("cosine", "constant")
+FEATURE_MAPS = ("random", "identity")
+# a field -> the values it takes, in every settings class that has it
+CHOICES = {"class_token_position": CLASS_POSITIONS, "attribute_position_style": POSITION_STYLES,
+           "drop_policy": DROP_POLICIES, "init_scheme": INIT_SCHEMES, "schedule": SCHEDULES,
+           "feature_map": FEATURE_MAPS}
+_ABOVE_ZERO = math.ulp(0.0)  # the least float above 0: x >= it is x > 0
+# an int field is at least 1 and a float field above 0, except these (low, high), inclusive;
+# NaN lies in no range
+RANGES = {"seed": (0, math.inf), "num_classes": (2, math.inf), "max_retries": (0, math.inf),
+          "noise_std": (0, math.inf), "attribute_signal": (0, 1),
+          "value_spread": (-math.inf, math.inf), "base_accuracy": (0, 100),
+          "novel_accuracy": (0, 100), "harmonic_mean": (0, 100)}
+# the fields whose product is the length of a float64 array the settings make: the task's
+# vocabulary (a row per class and more), feature map and split images, and the encoder's
+# positional table, MLP weight, text projection and image layers. Sizes whose array no
+# machine can address (more than sys.maxsize bytes) fail before any array is made.
+ARRAYS = (("num_classes", "embed_dim"), ("raw_feature_dim", "embed_dim"),
+          ("num_classes", "samples_per_class", "raw_feature_dim"), ("max_seq_len", "embed_dim"),
+          ("embed_dim", "mlp_ratio", "embed_dim"), ("embed_dim", "joint_dim"),
+          ("image_dim", "image_hidden_dim"), ("image_hidden_dim", "joint_dim"))
+
+# settings class -> its checks, and -> its section that last passed them (prompts recheck layouts)
+_RULES, _PASSED = {}, {}
+
+
+def check_settings(section, error=ConfigError) -> None:
+    """Check each field of ``section`` by the tables; a bad value is ``error`` naming the field."""
+    cls = type(section)
+    if _PASSED.get(cls) is section:
+        return
+    if cls not in _RULES:
+        types = field_types(cls)
+        ranges = [(name, *RANGES.get(name, (1 if kind is int else _ABOVE_ZERO, math.inf)))
+                  for name, kind in types.items() if kind in (int, float)]
+        _RULES[cls] = ([(name, CHOICES[name]) for name in types if name in CHOICES], ranges,
+                       [dims for dims in ARRAYS if set(dims) <= set(types)])
+    choices, ranges, arrays = _RULES[cls]
+    for name, allowed in choices:
+        if getattr(section, name) not in allowed:
+            raise error(f"unknown {name} {getattr(section, name)!r}; use one of {allowed}")
+    for name, low, high in ranges:
+        if not low <= getattr(section, name) <= high:
+            bound = ("above 0" if low == _ABOVE_ZERO else f"at least {low}" if high == math.inf
+                     else f"in [{low}, {high}]")
+            raise error(f"{name} must be {bound}, got {getattr(section, name)!r}")
+    for dims in arrays:
+        if 8 * math.prod(getattr(section, name) for name in dims) > sys.maxsize:
+            raise error(f"{' * '.join(dims)} makes an array of more than {sys.maxsize} bytes")
+    if cls.__hash__ is not None:  # a frozen dataclass: its fields keep the values checked
+        _PASSED[cls] = section
 
 
 # -- sections ---------------------------------------------------------------------
@@ -90,19 +141,7 @@ class TaskSpec(JsonFields):
         object.__setattr__(self, "informative_attributes", tuple(self.informative_attributes))
 
     def validate(self) -> "TaskSpec":
-        if self.num_classes < 2:
-            raise DataError(f"need at least 2 classes, got {self.num_classes}")
-        if self.samples_per_class < 1:
-            raise DataError("samples_per_class must be positive")
-        for key in ("raw_feature_dim", "embed_dim"):
-            if getattr(self, key) < 1:
-                raise DataError(f"{key} must be positive, got {getattr(self, key)}")
-        if self.noise_std < 0:
-            raise DataError(f"noise_std must be nonnegative, got {self.noise_std}")
-        if not 0.0 <= self.attribute_signal <= 1.0:
-            raise DataError(f"attribute_signal must lie in [0, 1], got {self.attribute_signal}")
-        if self.feature_map not in ("random", "identity"):
-            raise DataError(f"unknown feature_map {self.feature_map!r}")
+        check_settings(self, DataError)
         if self.feature_map == "identity" and self.raw_feature_dim != self.embed_dim:
             raise DataError(
                 "identity feature_map needs raw_feature_dim == embed_dim, got "
@@ -158,15 +197,11 @@ class EncoderConfig(JsonFields):
     temperature: float = 0.07
 
     def validate(self) -> "EncoderConfig":
-        for name, kind in get_type_hints(EncoderConfig).items():
-            if kind is int and getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        check_settings(self)
         if self.embed_dim % self.num_heads != 0:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
             )
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
         return self
 
 
@@ -184,14 +219,7 @@ class PromptLayout(JsonFields):
         object.__setattr__(self, "attribute_names", tuple(self.attribute_names))
 
     def validate(self, num_encoder_layers: int = None) -> "PromptLayout":
-        if self.class_token_position not in CLASS_POSITIONS:
-            raise ConfigError(f"unknown class_token_position {self.class_token_position!r}")
-        if self.attribute_position_style not in POSITION_STYLES:
-            raise ConfigError(f"unknown attribute_position_style {self.attribute_position_style!r}")
-        if self.drop_policy not in DROP_POLICIES:
-            raise ConfigError(f"unknown drop_policy {self.drop_policy!r}")
-        if self.depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {self.depth}")
+        check_settings(self)
         if num_encoder_layers is not None and self.depth > num_encoder_layers:
             raise ConfigError(
                 f"depth {self.depth} exceeds encoder layers {num_encoder_layers}"
@@ -222,17 +250,7 @@ class PromptRunConfig:
     init_scheme: str = "phrase_init"
 
     def validate(self) -> "PromptRunConfig":
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if min(self.soft_len, self.attr_soft_len) < 1:
-            raise ConfigError(f"soft lengths must be >= 1, got {self.soft_len}, "
-                              f"{self.attr_soft_len}")
-        if self.init_scheme not in INIT_SCHEMES:
-            raise ConfigError(f"unknown init_scheme {self.init_scheme!r}")
+        check_settings(self)
         self.layout.validate()
         return self
 
@@ -245,14 +263,6 @@ class TrainConfig(PromptRunConfig):
 
     def __post_init__(self):
         object.__setattr__(self, "attributes", tuple(self.attributes))
-
-    def validate(self) -> "TrainConfig":
-        super().validate()
-        if self.lr_init <= 0:
-            raise ConfigError(f"lr_init must be positive, got {self.lr_init}")
-        if self.schedule not in SCHEDULES:
-            raise ConfigError(f"unknown schedule {self.schedule!r}")
-        return self
 
     def effective_layout(self) -> PromptLayout:
         """Layout with the selected attribute combination substituted in."""
@@ -267,10 +277,6 @@ class SearchConfig(PromptRunConfig):
 
     def validate(self) -> "SearchConfig":
         super().validate()
-        if self.theta_lr <= 0 or self.alpha_lr <= 0:
-            raise ConfigError(
-                f"learning rates must be positive, got theta={self.theta_lr}, alpha={self.alpha_lr}"
-            )
         if self.layout.attribute_names:
             raise ConfigError("search layout must leave attribute_names empty; candidates fill it")
         return self
@@ -288,10 +294,7 @@ class LlmClientConfig(JsonFields):
     max_retries: int = 2
 
     def validate(self) -> "LlmClientConfig":
-        if self.timeout <= 0:
-            raise ConfigError(f"timeout must be positive, got {self.timeout}")
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
+        check_settings(self)
         if not _ENV_NAME_RE.match(self.credential_env):
             raise ConfigError(
                 "credential_env must name an environment variable "
@@ -312,7 +315,7 @@ def config_hash(payload) -> str:
 
 def _hyperparameter_types(section_type) -> dict:
     """A search/train section's field types, less the seed and layout the run config owns."""
-    return {k: v for k, v in get_type_hints(section_type).items() if k not in ("seed", "layout")}
+    return {k: v for k, v in field_types(section_type).items() if k not in ("seed", "layout")}
 
 
 def _hyperparameters(section) -> dict:
@@ -372,13 +375,12 @@ class RunConfig:
         self.search.validate()
         self.train.validate()
         # the dataset fixes the vocabulary's width and the image width
-        check_fields({k: v for k, v in get_type_hints(EncoderConfig).items()
+        check_fields({k: v for k, v in field_types(EncoderConfig).items()
                       if k not in ("embed_dim", "image_dim")},
                      self.encoder_overrides, "encoder_overrides")
         if not self.out_dir:
             raise ConfigError("output directory must be set")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        check_settings(self)
         for s in self.seeds:
             if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s <= INT64_MAX:
                 raise ConfigError(f"seeds must be non-negative 64-bit integers, got {s!r}")

@@ -61,7 +61,7 @@ class RemoteError(PromptLabError, RuntimeError):
 
 
 class ParseError(PromptLabError, ValueError):
-    """A remote response could not be parsed."""
+    """A search-result file could not be parsed."""
 
 
 class ExtractionError(PromptLabError, ValueError):

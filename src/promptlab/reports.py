@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import check_settings
 from .errors import ContractError
 from .serialize import JsonFields, check_fields, dump_artifact, load_artifact
 
@@ -33,10 +34,7 @@ class EvalReport(JsonFields):
     seeds_aggregated: int = 1
 
     def validate(self) -> "EvalReport":
-        for name in ("base_accuracy", "novel_accuracy", "harmonic_mean"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 100.0:
-                raise ContractError(f"{name} out of range: {value}")
+        check_settings(self, ContractError)
         expected = harmonic_mean(self.base_accuracy, self.novel_accuracy)
         if abs(expected - self.harmonic_mean) > 0.01:
             raise ContractError(

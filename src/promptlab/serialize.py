@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import MISSING, asdict, fields
+from functools import cache
 from typing import get_type_hints
 
 from .errors import ConfigError, DataError
@@ -25,6 +26,9 @@ FORMAT_VERSION = 1
 
 # the range an ``int`` field takes: numpy reads no wider integer
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+# a class's field types, read once: get_type_hints evaluates every annotation anew
+field_types = cache(get_type_hints)
 
 # the JSON type each Python field type is read from, named as errors print it
 JSON_TYPES = {str: "string", int: "integer", float: "number", bool: "boolean",
@@ -154,5 +158,5 @@ class JsonFields:
         """The validated instance a JSON object gives; a missing required key is a ConfigError."""
         required = [f.name for f in fields(cls)
                     if f.default is MISSING and f.default_factory is MISSING]
-        return cls(**check_fields(get_type_hints(cls), payload, what or cls.__name__,
+        return cls(**check_fields(field_types(cls), payload, what or cls.__name__,
                                   required)).validate()

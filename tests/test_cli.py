@@ -7,12 +7,15 @@ import shutil
 import socket
 import subprocess
 import sys
+from typing import get_type_hints
 
 import pytest
 
 from promptlab import encoders
 from promptlab.attributes import DESCRIBE_TEMPLATE, SUMMARIZE_TEMPLATE, ResponseCache
 from promptlab.cli import ABLATION_AXES, main
+from promptlab.config import (CHOICES, EncoderConfig, LlmClientConfig, PromptLayout, SearchConfig,
+                              TaskSpec, TrainConfig)
 from promptlab.search import load_result, parse_result
 from promptlab.serialize import FORMAT_VERSION, file_sha256, load_json
 from promptlab.training import EvalReport, load_report_records, save_report_records
@@ -354,6 +357,8 @@ BAD_RECORD_EDITS = [
     (lambda records: records[1].update(extra=1),
      "ConfigError: unknown key '{path}:records[1].extra'"),
     (lambda records: records.clear(), "DataError: {path}: no records"),
+    (lambda records: records[1]["report"].update(seeds_aggregated=0),
+     "ContractError: seeds_aggregated must be at least 1, got 0"),
 ]
 
 
@@ -491,7 +496,8 @@ BAD_INPUTS = {
     "seeds_bool": (lambda payload: payload.update(seeds=[True]), ["train", "--classic"], "seeds"),
     "train_negative_soft_len": (_set("train", "soft_len", -1), ["train", "--classic"], None),
     "search_negative_soft_len": (_set("search", "soft_len", -1), ["search-attrs"], None),
-    "train_zero_attr_soft_len": (_set("train", "attr_soft_len", 0), ["gen-data"], "soft lengths"),
+    "train_zero_attr_soft_len": (_set("train", "attr_soft_len", 0), ["gen-data"],
+                                 "attr_soft_len"),
     "encoder_overrides_string": (_set("encoder_overrides", "num_layers", "4"),
                                  ["search-attrs"], "num_layers"),
     "out_not_string": (lambda payload: payload.update(out=5), ["gen-data"], "out"),
@@ -531,6 +537,9 @@ BAD_INPUTS = {
     # past int64, which numpy reads no wider than
     "task_raw_feature_dim_past_int64": (_set("task", "raw_feature_dim", 10**30), ["gen-data"],
                                         "task.raw_feature_dim must be a 64-bit integer"),
+    # more bytes than any array can address: rejected before anything is allocated
+    "task_embed_dim_past_addressable": (_set("task", "embed_dim", 2**62), ["gen-data"],
+                                        "embed_dim makes an array of more than"),
     "encoder_overrides_max_seq_len_past_int64": (
         _set("encoder_overrides", "max_seq_len", 10**30), ["search-attrs"],
         "encoder_overrides.max_seq_len must be a 64-bit integer"),
@@ -599,6 +608,10 @@ AFTER_GEN_DATA = {
         f"CapacityError: {key} 1000000000 exceeds max_seq_len 32")
        for section, command in (("search", ["search-attrs"]), ("train", ["train", "--classic"]))
        for key in ("soft_len", "attr_soft_len")},
+    # a positional table of more bytes than any array can address: rejected before it is made
+    "encoder_overrides_max_seq_len_past_addressable": (
+        _set("encoder_overrides", "max_seq_len", 2**62), ["train", "--classic"],
+        "ConfigError: max_seq_len * embed_dim makes an array of more than"),
     # a positional table of 233 TiB: the machine's limit, reported as one error line
     "encoder_overrides_max_seq_len_past_memory": (
         _set("encoder_overrides", "max_seq_len", 10**12), ["train", "--classic"],
@@ -620,6 +633,54 @@ def test_input_too_large_to_run_is_one_error_line(case, tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().splitlines()[-1].startswith(f"error: {text}"), proc.stderr
+
+
+# every int, float and choice key of a config section, as (section, key); "" is the top
+# level. The run config owns the search and train seeds, and the dataset the encoder's widths.
+GRID_KEYS = [("", "seed")] + [
+    (section, key)
+    for section, kind in (("task", TaskSpec), ("search", SearchConfig), ("train", TrainConfig),
+                          ("layout", PromptLayout), ("llm", LlmClientConfig),
+                          ("encoder_overrides", EncoderConfig))
+    for key, hint in get_type_hints(kind).items()
+    if (hint in (int, float) or key in CHOICES) and (section, key) not in {
+        ("search", "seed"), ("train", "seed"), ("encoder_overrides", "embed_dim"),
+        ("encoder_overrides", "image_dim")}
+]
+CONFIG_GRID = [(section, key, value) for section, key in GRID_KEYS
+               for value in (0, -1, *(["bogus"] if key in CHOICES else []))]
+
+
+@pytest.fixture(scope="module")
+def grid_dataset(tmp_path_factory):
+    """An output directory gen-data has filled, for the encoder_overrides cases to read."""
+    cfg, out = write_config(tmp_path_factory.mktemp("grid"))
+    assert main(["gen-data", "--config", cfg]) == 0
+    return out
+
+
+def test_every_setting_at_a_bad_value_runs_or_is_one_error_line_naming_it(grid_dataset, tmp_path,
+                                                                          capsys):
+    # gen-data reads every section; encoder_overrides first meet the encoder, which eval builds
+    for section, key, value in CONFIG_GRID:
+        work = tmp_path / f"{section}.{key}.{value}"
+        work.mkdir()
+        cfg, _ = write_config(work)
+        with open(cfg) as fh:
+            payload = json.load(fh)
+        if section == "encoder_overrides":
+            payload.update(out=grid_dataset, encoder_overrides={key: value})
+        elif section == "llm":
+            payload["attributes"] = {"llm": {key: value}}
+        else:
+            (payload[section] if section else payload)[key] = value
+        with open(cfg, "w") as fh:
+            json.dump(payload, fh)
+        capsys.readouterr()
+        code = main(["eval" if section == "encoder_overrides" else "gen-data", "--config", cfg])
+        last = (capsys.readouterr().err.strip().splitlines() or [""])[-1]
+        assert code == 0 or (code == 1 and re.match(r"^error: \w+Error: ", last) and key in last), (
+            section, key, value, code, last)
 
 
 # artifact -> (the command that reads it, every top-level key, and the keys one level down)

@@ -1,16 +1,21 @@
 import json
 import os
 import re
+import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from promptlab import config
 from promptlab.attributes import LlmClientConfig
 from promptlab.config import (
+    ARRAYS,
+    CHOICES,
+    RANGES,
     RUN_CONFIG_TYPES,
     AttributeSource,
     RunConfig,
@@ -260,6 +265,59 @@ def test_seeds_past_int64_are_a_config_error():
     with pytest.raises(ConfigError, match="^seeds must be non-negative 64-bit integers, got"):
         replace(toy_config(), seeds=(3, 2**63)).validate()
     assert replace(toy_config(), seeds=(2**63 - 1,)).validate().seeds == (2**63 - 1,)
+
+
+# -- the one table of choices and ranges ---------------------------------------------------
+
+SETTINGS_CLASSES = [kind for kind in vars(config).values() if is_dataclass(kind)] + [EvalReport]
+
+
+def test_every_rule_names_a_field_of_some_settings_class():
+    # a renamed field must not leave a rule behind that checks nothing
+    types = [get_type_hints(kind) for kind in SETTINGS_CLASSES]
+    for key in CHOICES:
+        assert any(t.get(key) is str for t in types), key
+    for key in RANGES:
+        assert any(t.get(key) in (int, float) for t in types), key
+    for key in {name for dims in ARRAYS for name in dims}:
+        assert any(t.get(key) is int for t in types), key
+
+
+def test_negative_task_seed_is_a_data_error():
+    # numpy's generators take no negative seed: it used to end gen-data in a ValueError
+    with pytest.raises(DataError, match="^seed must be at least 0, got -1$"):
+        TaskSpec(seed=-1).validate()
+
+
+# section, key -> the sizes that make an array of more bytes than anything can address
+UNADDRESSABLE = [(TaskSpec, "embed_dim"), (TaskSpec, "raw_feature_dim"),
+                 (TaskSpec, "samples_per_class"), (EncoderConfig, "max_seq_len"),
+                 (EncoderConfig, "mlp_ratio"), (EncoderConfig, "joint_dim"),
+                 (EncoderConfig, "image_hidden_dim")]
+
+
+@pytest.mark.parametrize("kind, key", UNADDRESSABLE, ids=[k for _, k in UNADDRESSABLE])
+def test_sizes_no_array_can_address_are_rejected_naming_the_key(kind, key):
+    error = DataError if kind is TaskSpec else ConfigError
+    with pytest.raises(error, match=rf"\b{key}\b.* makes an array of more than {sys.maxsize}"):
+        kind(**{key: 2**62}).validate()
+
+
+def test_the_largest_addressable_positional_table_passes():
+    # 8 bytes a value; the positional table is max_seq_len * embed_dim values
+    longest = sys.maxsize // (8 * 32)
+    assert EncoderConfig(max_seq_len=longest).validate().max_seq_len == longest
+    with pytest.raises(ConfigError, match="^max_seq_len \\* embed_dim makes an array"):
+        EncoderConfig(max_seq_len=longest + 1).validate()
+
+
+def test_field_types_are_read_once_per_class(monkeypatch):
+    # compose_shallow checks its layout once per prompt, so a check reads no type hints
+    PromptLayout().validate(4)
+    monkeypatch.setattr(config, "field_types", None)
+    assert PromptLayout(depth=2).validate(4).depth == 2
+    with pytest.raises(ConfigError, match="^depth must be at least 1, got 0$"):
+        PromptLayout(depth=0).validate()
 
 
 # -- serialized sections, pinned on the command-line pipeline's config --------------------

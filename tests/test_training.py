@@ -64,9 +64,9 @@ BAD_SHARED_SETTINGS = {
     "epochs": ({"epochs": 0}, "epochs"),
     "batch_size": ({"batch_size": 0}, "batch_size"),
     "seed": ({"seed": -1}, "seed"),
-    "soft_len": ({"soft_len": -1}, "soft lengths"),
-    "soft_len_zero": ({"soft_len": 0}, "soft lengths"),
-    "attr_soft_len_zero": ({"attr_soft_len": 0}, "soft lengths"),
+    "soft_len": ({"soft_len": -1}, "soft_len"),
+    "soft_len_zero": ({"soft_len": 0}, "soft_len"),
+    "attr_soft_len_zero": ({"attr_soft_len": 0}, "attr_soft_len"),
     "init_scheme": ({"init_scheme": "bogus"}, "init_scheme"),
     "layout": ({"layout": PromptLayout(drop_policy="bogus")}, "drop_policy"),
 }
@@ -251,6 +251,20 @@ def test_eval_report_checks_its_own_arithmetic():
         EvalReport(80.0, 60.0, 70.0, {}).validate()
     with pytest.raises(ContractError):
         EvalReport(120.0, 60.0, harmonic_mean(120.0, 60.0), {}).validate()
+
+
+def test_eval_report_aggregates_at_least_one_seed():
+    payload = EvalReport.from_accuracies(80.0, 60.0, {}).to_dict()
+    with pytest.raises(ContractError, match="^seeds_aggregated must be at least 1, got -3$"):
+        EvalReport.from_dict({**payload, "seeds_aggregated": -3})
+
+
+def test_a_report_changed_after_its_check_is_checked_again():
+    # a report is mutable, so passing once does not make it pass again
+    report = EvalReport.from_accuracies(80.0, 60.0, {})
+    report.seeds_aggregated = 0
+    with pytest.raises(ContractError, match="^seeds_aggregated must be at least 1, got 0$"):
+        report.validate()
 
 
 def test_eval_report_round_trips():

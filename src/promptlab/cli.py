@@ -174,9 +174,9 @@ def cmd_train(args) -> int:
     for seed in config.seed_list():
         train_cfg = replace(config.train, attributes=attrs, seed=subseed(seed, "train"))
         bank, _ = train_prompts(base, train_cfg, make_bank(train_cfg, encoder), encoder)
-        save_checkpoint(_path(config, f"checkpoint_{tag}_s{seed}.json"), bank, train_cfg,
-                        config_hash=config.fingerprint(), tag=tag, seed=seed)
         layout = train_cfg.effective_layout()
+        save_checkpoint(_path(config, f"checkpoint_{tag}_s{seed}.json"), bank, layout,
+                        config_hash=config.fingerprint())
         reports.append((seed, base_novel_report(encoder, bank, layout, base, novel)))
     aggregate = _save_reports(config, reports, f"report_{tag}.json")
     print(

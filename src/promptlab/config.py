@@ -126,7 +126,7 @@ class TaskSpec(JsonFields):
     raw_feature_dim: int = 16
     embed_dim: int = 32
     latent_attributes: tuple = field(default_factory=default_attributes)
-    informative_attributes: tuple = ("color", "shape")
+    informative_attributes: tuple[str, ...] = ("color", "shape")
     samples_per_class: int = 16  # per split: train, val, and test each get this many
     noise_std: float = 0.1
     attribute_signal: float = 1.0  # 1: images carry only attribute content; 0: only offsets
@@ -209,7 +209,7 @@ class EncoderConfig(JsonFields):
 class PromptLayout(JsonFields):
     """Declarative description of how one text prompt is assembled."""
 
-    attribute_names: tuple = ()
+    attribute_names: tuple[str, ...] = ()
     class_token_position: str = "end"
     attribute_position_style: str = "interval"
     drop_policy: str = "retain_all"
@@ -259,7 +259,7 @@ class PromptRunConfig:
 class TrainConfig(PromptRunConfig):
     lr_init: float = 0.002
     schedule: str = "cosine"
-    attributes: tuple = ()  # selected combination; () trains the classic form
+    attributes: tuple[str, ...] = ()  # selected combination; () trains the classic form
 
     def __post_init__(self):
         object.__setattr__(self, "attributes", tuple(self.attributes))
@@ -328,7 +328,7 @@ class AttributeSource(JsonFields):
 
     fixture: str = None
     llm: LlmClientConfig = None
-    explicit: tuple = None
+    explicit: tuple[str, ...] = None
 
     def validate(self) -> "AttributeSource":
         modes = [m for m in (self.fixture, self.llm, self.explicit) if m is not None]

@@ -66,12 +66,8 @@ class Task:
     """One generated classification task (or one base/novel half of one)."""
 
     spec: TaskSpec
-    name: str
     vocabulary: Vocabulary
     class_names: list
-    class_signatures: list  # per class: {attribute name -> value word}
-    attribute_names: list  # base words, the search pool for this task
-    prototypes: np.ndarray  # [num_classes, raw_feature_dim]
     splits: dict  # split -> (x [n, raw], y [n])
 
     @property
@@ -88,12 +84,8 @@ class Task:
             DATASET_KIND,
             {
                 "spec": self.spec.to_dict(),
-                "name": self.name,
                 "vocabulary": self.vocabulary.to_dict(),
                 "class_names": self.class_names,
-                "class_signatures": self.class_signatures,
-                "attribute_names": self.attribute_names,
-                "prototypes": self.prototypes.tolist(),
                 "splits": {
                     k: {"x": x.tolist(), "y": y.tolist()} for k, (x, y) in self.splits.items()
                 },
@@ -106,31 +98,23 @@ class Task:
         body = load_artifact(path, DATASET_KIND, TASK_TYPES)
         if expected_spec is not None and body["spec"] != expected_spec.validate():
             raise DataError(f"{path}: dataset spec does not match the runtime spec")
-        where = f"{path}:{DATASET_KIND}"
-        splits = {}
-        for name, split in body["splits"].items():
-            xy = check_fields(SPLIT_TYPES, split, f"{where}.splits.{name}", SPLIT_TYPES)
-            splits[name] = (numeric_array(xy["x"], np.float64, f"{where}.splits.{name}.x"),
-                            numeric_array(xy["y"], np.int64, f"{where}.splits.{name}.y"))
-        for i, signature in enumerate(body["class_signatures"]):
-            if not isinstance(signature, dict):
-                raise DataError(
-                    f"{where}.class_signatures[{i}] must be a JSON object, got {signature!r}")
-        return cls(
-            spec=body["spec"],
-            name=body["name"],
-            vocabulary=body["vocabulary"],
-            class_names=list(body["class_names"]),
-            class_signatures=[dict(s) for s in body["class_signatures"]],
-            attribute_names=list(body["attribute_names"]),
-            prototypes=numeric_array(body["prototypes"], np.float64, f"{where}.prototypes"),
-            splits=splits,
-        )
+        where, class_names = f"{path}:{DATASET_KIND}", list(body["class_names"])
+        splits = check_fields(dict.fromkeys(SPLITS, dict), body["splits"], f"{where}.splits",
+                              SPLITS)
+        for name, split in splits.items():
+            at = f"{where}.splits.{name}"
+            xy = check_fields(SPLIT_TYPES, split, at, SPLIT_TYPES)
+            y = numeric_array(xy["y"], np.int64, f"{at}.y")
+            if ((y < 0) | (y >= len(class_names))).any():
+                raise DataError(f"{at}.y holds a label that is none of the "
+                                f"{len(class_names)} class names")
+            splits[name] = (numeric_array(xy["x"], np.float64, f"{at}.x"), y)
+        return cls(spec=body["spec"], vocabulary=body["vocabulary"], class_names=class_names,
+                   splits=splits)
 
 
 # the keys of a dataset file's body, and of each of its splits, all required
-TASK_TYPES = {"spec": TaskSpec, "name": str, "vocabulary": Vocabulary, "class_names": tuple,
-              "class_signatures": tuple, "attribute_names": tuple, "prototypes": tuple,
+TASK_TYPES = {"spec": TaskSpec, "vocabulary": Vocabulary, "class_names": tuple[str, ...],
               "splits": dict}
 SPLIT_TYPES = {"x": tuple, "y": tuple}
 
@@ -237,7 +221,10 @@ def _sample_split(spec: TaskSpec, prototypes: np.ndarray, split: str, task_tag: 
 
 
 def generate_task(spec: TaskSpec, name: str = "task0") -> Task:
-    """One task: vocabulary, classes with distinct informative signatures, splits."""
+    """One task: vocabulary, classes with distinct informative signatures, splits.
+
+    ``name`` keys the task's signature and sample streams.
+    """
     spec.validate()
     id_words = [f"id{c}" for c in range(spec.num_classes)]
     signatures = _draw_signatures(spec, name)
@@ -251,16 +238,7 @@ def generate_task(spec: TaskSpec, name: str = "task0") -> Task:
     )
     names = [_class_name(spec, sig, idw) for sig, idw in zip(signatures, id_words)]
     splits = {s: _sample_split(spec, prototypes, s, name) for s in SPLITS}
-    return Task(
-        spec=spec,
-        name=name,
-        vocabulary=vocab,
-        class_names=names,
-        class_signatures=signatures,
-        attribute_names=[a.name for a in spec.latent_attributes],
-        prototypes=prototypes,
-        splits=splits,
-    )
+    return Task(spec=spec, vocabulary=vocab, class_names=names, splits=splits)
 
 
 def make_base_novel_task(spec: TaskSpec, name: str = "task0"):
@@ -276,12 +254,10 @@ def make_base_novel_task(spec: TaskSpec, name: str = "task0"):
         raise DataError(f"base/novel construction needs >= 4 classes, got {spec.num_classes}")
     task = generate_task(spec, name)
     cut = (spec.num_classes + 1) // 2
-    return _slice_classes(task, range(0, cut), f"{name}.base"), _slice_classes(
-        task, range(cut, spec.num_classes), f"{name}.novel"
-    )
+    return _slice_classes(task, range(0, cut)), _slice_classes(task, range(cut, spec.num_classes))
 
 
-def _slice_classes(task: Task, class_ids, name: str) -> Task:
+def _slice_classes(task: Task, class_ids) -> Task:
     ids = list(class_ids)
     remap = {old: new for new, old in enumerate(ids)}
     splits = {}
@@ -289,14 +265,6 @@ def _slice_classes(task: Task, class_ids, name: str) -> Task:
         mask = np.isin(y, ids)
         kept_y = np.asarray([remap[int(c)] for c in y[mask]], dtype=np.int64)
         splits[split] = (x[mask], kept_y)
-    return Task(
-        spec=task.spec,
-        name=name,
-        vocabulary=task.vocabulary,
-        class_names=[task.class_names[i] for i in ids],
-        class_signatures=[task.class_signatures[i] for i in ids],
-        attribute_names=list(task.attribute_names),
-        prototypes=task.prototypes[ids],
-        splits=splits,
-    )
+    return Task(spec=task.spec, vocabulary=task.vocabulary,
+                class_names=[task.class_names[i] for i in ids], splits=splits)
 

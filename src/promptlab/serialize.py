@@ -17,9 +17,9 @@ import os
 import sys
 from dataclasses import MISSING, asdict, fields
 from functools import cache
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, PromptLabError
 
 # the version every artifact header carries; bump it when any format changes
 FORMAT_VERSION = 1
@@ -119,8 +119,9 @@ def check_fields(types: dict, payload, what: str, required=()) -> dict:
     int64-range int but not a bool; a ``float`` field takes an int or a float within
     float64 range (not the ``NaN`` or ``Infinity`` Python's ``json`` reads),
     kept as written so no bytes move; a ``tuple`` field takes a list and returns a
-    tuple; a field whose class has a ``from_dict`` (a ``JsonFields`` class,
-    ``Vocabulary``, ``SoftPromptBank``) takes an object, read by that method.
+    tuple, and a ``tuple[str, ...]`` field a list of strings; a field whose class
+    has a ``from_dict`` (a ``JsonFields`` class, ``Vocabulary``, ``SoftPromptBank``)
+    takes an object, read by that method.
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"{what or 'config'} must be a JSON object, got {payload!r}")
@@ -129,7 +130,9 @@ def check_fields(types: dict, payload, what: str, required=()) -> dict:
         where = f"{what}.{key}" if what else key
         if key not in types:
             raise ConfigError(f"unknown key {where!r}; known: {', '.join(sorted(types))}")
-        kind = types[key]
+        kind, item = types[key], None
+        if get_origin(kind) is tuple:  # tuple[str, ...]: a list of words
+            kind, item = tuple, get_args(kind)[0]
         if hasattr(kind, "from_dict"):
             kwargs[key] = kind.from_dict(value, where)
             continue
@@ -140,6 +143,9 @@ def check_fields(types: dict, payload, what: str, required=()) -> dict:
             raise ConfigError(f"{where} must be a finite float64 number, got {value!r}")
         if kind is int and not INT64_MIN <= value <= INT64_MAX:
             raise ConfigError(f"{where} must be a 64-bit integer, got {value!r}")
+        for i, entry in enumerate(value if item else ()):
+            if not isinstance(entry, item):
+                raise ConfigError(f"{where}[{i}] must be a JSON {JSON_TYPES[item]}, got {entry!r}")
         kwargs[key] = tuple(value) if kind is tuple else value
     missing = [f"{what}.{k}" if what else k for k in required if k not in kwargs]
     if missing:
@@ -155,8 +161,17 @@ class JsonFields:
 
     @classmethod
     def from_dict(cls, payload, what: str = None):
-        """The validated instance a JSON object gives; a missing required key is a ConfigError."""
+        """The validated instance a JSON object gives; a missing required key is a ConfigError.
+
+        A value that breaks a rule of the class raises that rule's error, with ``what``
+        in front when given.
+        """
         required = [f.name for f in fields(cls)
                     if f.default is MISSING and f.default_factory is MISSING]
-        return cls(**check_fields(field_types(cls), payload, what or cls.__name__,
-                                  required)).validate()
+        kwargs = check_fields(field_types(cls), payload, what or cls.__name__, required)
+        try:
+            return cls(**kwargs).validate()
+        except PromptLabError as exc:
+            if what is None:
+                raise
+            raise type(exc)(f"{what}: {exc}") from None

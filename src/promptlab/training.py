@@ -185,41 +185,33 @@ def aggregate_reports(reports) -> EvalReport:
 # -- checkpoints ----------------------------------------------------------------------
 
 
-def save_checkpoint(path: str, bank: SoftPromptBank, config: TrainConfig, *,
-                    config_hash: str, tag: str, seed: int) -> None:
-    """Trained prompts, with the attributes and layout they were trained under."""
+def save_checkpoint(path: str, bank: SoftPromptBank, layout: PromptLayout, *,
+                    config_hash: str) -> None:
+    """Trained prompts and the layout they were trained under, with the run config's hash.
+
+    The file name carries the run's tag and seed; the attributes are ``layout.attribute_names``.
+    """
     dump_artifact(
         CHECKPOINT_KIND,
-        {
-            "config_hash": config_hash,
-            "tag": tag,
-            "seed": seed,
-            "attributes": list(config.attributes),
-            "layout": config.effective_layout().to_dict(),
-            "bank": bank.to_dict(),
-        },
+        {"config_hash": config_hash, "layout": layout.to_dict(), "bank": bank.to_dict()},
         path,
     )
 
 
 # the keys of a checkpoint's body, all required
-CHECKPOINT_TYPES = {"config_hash": str, "tag": str, "seed": int, "attributes": tuple,
-                    "layout": PromptLayout, "bank": SoftPromptBank}
+CHECKPOINT_TYPES = {"config_hash": str, "layout": PromptLayout, "bank": SoftPromptBank}
 
 
 def load_checkpoint(path: str):
     """(bank, layout) from a checkpoint file; a wrong kind or version is a DataError.
 
-    A CheckpointError names the path and the key when the parts disagree: the
-    attributes must be layout.attribute_names, the bank's attribute blocks
-    must be exactly those, and its deep blocks must number layout.depth - 1.
+    A CheckpointError names the path and the key when the bank disagrees with
+    the layout: its attribute blocks must be exactly those of
+    layout.attribute_names, and its deep blocks must number layout.depth - 1.
     """
     body = load_artifact(path, CHECKPOINT_KIND, CHECKPOINT_TYPES)
     bank, layout = body["bank"], body["layout"]
     names = layout.attribute_names
-    if body["attributes"] != names:
-        raise CheckpointError(f"{path}: attributes {list(body['attributes'])} are not "
-                              f"layout.attribute_names {list(names)}")
     if set(bank.attribute_blocks) != set(names):
         raise CheckpointError(f"{path}: bank.attribute_blocks {sorted(bank.attribute_blocks)} "
                               f"are not the blocks of layout.attribute_names {list(names)}")
@@ -227,4 +219,3 @@ def load_checkpoint(path: str):
         raise CheckpointError(f"{path}: layout.depth {layout.depth} needs {layout.depth - 1} "
                               f"bank.deep_class_blocks, got {len(bank.deep_class_blocks)}")
     return bank, layout
-

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, ShapeError, TokenizationError
+from .errors import DataError, PromptLabError, ShapeError, TokenizationError
 from .serialize import check_fields, numeric_array
 
 SOS = "[SOS]"
@@ -21,12 +21,12 @@ EOS = "[EOS]"
 PHOTO_TEMPLATE = "a photo of a"
 
 # the keys of a vocabulary's JSON form, both required
-VOCABULARY_TYPES = {"words": tuple, "vectors": tuple}
+VOCABULARY_TYPES = {"words": tuple[str, ...], "vectors": tuple}
 
 
 class Vocabulary:
     def __init__(self, words, vectors):
-        words = [str(w) for w in words]
+        words = list(words)
         vectors = np.asarray(vectors, dtype=np.float64)
         if len(set(words)) != len(words):
             repeated = sorted({w for w in words if words.count(w) > 1})
@@ -83,4 +83,8 @@ class Vocabulary:
     def from_dict(cls, payload, what: str = "Vocabulary") -> "Vocabulary":
         """The vocabulary a JSON object gives; both keys are required."""
         body = check_fields(VOCABULARY_TYPES, payload, what, VOCABULARY_TYPES)
-        return cls(body["words"], numeric_array(body["vectors"], np.float64, f"{what}.vectors"))
+        vectors = numeric_array(body["vectors"], np.float64, f"{what}.vectors")
+        try:
+            return cls(body["words"], vectors)
+        except PromptLabError as exc:
+            raise type(exc)(f"{what}: {exc}") from None

@@ -7,15 +7,15 @@ import shutil
 import socket
 import subprocess
 import sys
-from typing import get_type_hints
+from typing import get_origin, get_type_hints
 
 import pytest
 
 from promptlab import encoders
 from promptlab.attributes import DESCRIBE_TEMPLATE, SUMMARIZE_TEMPLATE, ResponseCache
 from promptlab.cli import ABLATION_AXES, main
-from promptlab.config import (CHOICES, EncoderConfig, LlmClientConfig, PromptLayout, SearchConfig,
-                              TaskSpec, TrainConfig)
+from promptlab.config import (CHOICES, RUN_CONFIG_TYPES, AttributeSource, EncoderConfig,
+                              LlmClientConfig, PromptLayout, SearchConfig, TaskSpec, TrainConfig)
 from promptlab.search import load_result, parse_result
 from promptlab.serialize import FORMAT_VERSION, file_sha256, load_json
 from promptlab.training import EvalReport, load_report_records, save_report_records
@@ -188,7 +188,7 @@ def test_train_uses_searched_attributes_and_writes_reports(tmp_path):
     assert seeds == [3, -1]  # one run plus the aggregate row
     checkpoint = load_json(os.path.join(out, "checkpoint_atprompt_s3.json"))
     selected = load_result(os.path.join(out, "search_result.txt")).selected
-    assert tuple(checkpoint["attributes"]) == selected
+    assert tuple(checkpoint["layout"]["attribute_names"]) == selected
 
 
 def test_train_without_attributes_fails_with_guidance(tmp_path, capsys):
@@ -206,7 +206,7 @@ def test_classic_flag_skips_search_and_anchors_nothing(tmp_path):
     main(["gen-data", "--config", cfg])
     assert main(["train", "--config", cfg, "--classic"]) == 0
     checkpoint = load_json(os.path.join(out, "checkpoint_classic_s3.json"))
-    assert checkpoint["attributes"] == []
+    assert checkpoint["layout"]["attribute_names"] == []
     assert os.path.exists(os.path.join(out, "report_classic.json"))
 
 
@@ -358,7 +358,7 @@ BAD_RECORD_EDITS = [
      "ConfigError: unknown key '{path}:records[1].extra'"),
     (lambda records: records.clear(), "DataError: {path}: no records"),
     (lambda records: records[1]["report"].update(seeds_aggregated=0),
-     "ContractError: seeds_aggregated must be at least 1, got 0"),
+     "ContractError: {path}:records[1].report: seeds_aggregated must be at least 1, got 0"),
 ]
 
 
@@ -683,15 +683,91 @@ def test_every_setting_at_a_bad_value_runs_or_is_one_error_line_naming_it(grid_d
             section, key, value, code, last)
 
 
+# values of every JSON type, and past int64, that any key may be set to; a list key also
+# takes the lists after them
+RETYPED_VALUES = (True, "x", {}, None, 1.5, 10**30)
+RETYPED_LISTS = ([], [1], [[]])
+
+
+def _retyped_values(is_list):
+    return RETYPED_VALUES + (RETYPED_LISTS if is_list else ())
+
+
+def _section_keys(types, skip=()):
+    """A config section's keys, less ``skip``, each with whether it holds a list."""
+    types = types if isinstance(types, dict) else get_type_hints(types)
+    return {k: h is tuple or get_origin(h) is tuple for k, h in types.items() if k not in skip}
+
+
+# config section -> (its keys and whether each is a list, the command that reads it). The
+# run config owns the search and train seeds, and the dataset the encoder's widths. An llm
+# source is read only as far as the config, by gen-data, so that no case reaches for the
+# network.
+CONFIG_SECTIONS = {
+    "": (_section_keys(RUN_CONFIG_TYPES), ["gen-data"]),
+    "task": (_section_keys(TaskSpec), ["gen-data"]),
+    "attributes": (_section_keys(AttributeSource, ("llm",)), ["search-attrs"]),
+    "llm": (_section_keys(LlmClientConfig), ["gen-data"]),
+    "search": (_section_keys(SearchConfig, ("seed", "layout")), ["search-attrs"]),
+    "train": (_section_keys(TrainConfig, ("seed", "layout")), ["train"]),
+    "layout": (_section_keys(PromptLayout), ["train"]),
+    "encoder_overrides": (_section_keys(EncoderConfig, ("embed_dim", "image_dim")), ["eval"]),
+}
+
+
+def _outcome(argv, capsys, path=None):
+    """None when a command exits 0 or ends in one ``error:`` line naming ``path``; else why not."""
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except Exception as exc:  # a traceback, not an error line
+        return f"{type(exc).__name__}: {exc}"
+    err = capsys.readouterr().err.strip().splitlines()
+    if code == 0 or (code == 1 and len(err) == 1 and re.match(r"^error: \w+Error: ", err[0])
+                     and (path is None or path in err[0])):
+        return None
+    return f"exit {code}: {err}"
+
+
+@pytest.mark.parametrize("section", sorted(CONFIG_SECTIONS), ids=lambda s: s or "top_level")
+def test_every_config_key_retyped_runs_or_is_one_error_line(section, grid_dataset, tmp_path,
+                                                           capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # "out": "x" writes there
+    keys, command = CONFIG_SECTIONS[section]
+    failures = []
+    for key, is_list in keys.items():
+        for value in _retyped_values(is_list):
+            cfg, _ = write_config(tmp_path)
+            with open(cfg) as fh:
+                payload = json.load(fh)
+            if command != ["gen-data"]:
+                payload["out"] = grid_dataset
+            if section == "llm":
+                payload["attributes"] = {"llm": {key: value}}
+            elif section == "attributes":
+                payload["attributes"] = {key: value}
+            else:
+                (payload.setdefault(section, {}) if section else payload)[key] = value
+            with open(cfg, "w") as fh:
+                json.dump(payload, fh)
+            failure = _outcome([*command, "--config", cfg], capsys)
+            if failure:
+                failures.append((key, value, failure))
+    assert not failures, failures
+
+
 # artifact -> (the command that reads it, every top-level key, and the keys one level down)
 ARTIFACT_KEYS = {
     "base.json": (["train", "--classic"], {
-        "kind", "format_version", "spec", "name", "vocabulary", "class_names",
-        "class_signatures", "attribute_names", "prototypes", "splits"},
+        "kind", "format_version", "spec", "vocabulary", "class_names", "splits"},
+        {"vocabulary": {"words", "vectors"}}),
+    "novel.json": (["train", "--classic"], {
+        "kind", "format_version", "spec", "vocabulary", "class_names", "splits"},
         {"vocabulary": {"words", "vectors"}}),
     "checkpoint_classic_s3.json": (["eval", "--classic"], {
-        "kind", "format_version", "config_hash", "tag", "seed", "attributes", "layout", "bank"},
+        "kind", "format_version", "config_hash", "layout", "bank"},
         {"bank": {"class_block", "attribute_blocks", "deep_class_blocks"}}),
+    "report_classic.json": (["report"], {"kind", "format_version", "records"}, {}),
 }
 KEY_DELETIONS = sorted(
     (name, path)
@@ -731,9 +807,35 @@ def test_artifact_without_a_key_is_one_error_line(name, key, classic_pipeline_ou
     assert key == "kind" or last in line, line
 
 
+# keys that earlier dataset and prompt-checkpoint files held and no reader read, with a
+# value each held; such a file carries the same format_version and fails on the key
+REMOVED_KEYS = {
+    "base.json": {"name": "task0.base", "class_signatures": [{"color": "color0"}],
+                  "attribute_names": ["color", "shape"], "prototypes": [[0.0]]},
+    "checkpoint_classic_s3.json": {"attributes": [], "tag": "classic", "seed": 3},
+}
+
+
+@pytest.mark.parametrize("name, key", [(name, key) for name, keys in REMOVED_KEYS.items()
+                                       for key in keys])
+def test_artifact_with_a_removed_key_is_one_unknown_key_line(name, key, classic_pipeline_out,
+                                                             tmp_path, capsys):
+    cfg, out = write_config(tmp_path)
+    shutil.copytree(classic_pipeline_out, out)
+    path = os.path.join(out, name)
+    payload = load_json(path)
+    payload[key] = REMOVED_KEYS[name][key]
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    assert main([*ARTIFACT_KEYS[name][0], "--config", cfg]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    kind = payload["kind"]
+    assert line.startswith(f"error: ConfigError: unknown key '{path}:{kind}.{key}'; known: "), line
+
+
 # an element of an artifact replaced by a string, keyed by the name its error line must carry
 RETYPED_ELEMENTS = {
-    "class_signatures[0]": ("base.json", ("class_signatures", 0)),
     "splits.train.x": ("base.json", ("splits", "train", "x", 0, 0)),
     "vocabulary.vectors": ("base.json", ("vocabulary", "vectors", 0, 0)),
     "bank.class_block": ("checkpoint_classic_s3.json", ("bank", "class_block", 0, 0)),
@@ -755,6 +857,42 @@ def test_artifact_with_a_retyped_element_is_one_error_line(where, classic_pipeli
     assert main([*ARTIFACT_KEYS[name][0], "--config", cfg]) == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert re.match(r"^error: \w+Error: ", line) and path in line and where in line, line
+
+
+def _key_paths(payload):
+    """Each key at the top level and one level down, as a path; a record list's first record
+    and its report count as one level down."""
+    for key, value in payload.items():
+        yield (key,)
+        yield from ((key, inner) for inner in (value if isinstance(value, dict) else ()))
+    for key, value in payload.get("records", [{}])[0].items():
+        yield ("records", 0, key)
+        yield from (("records", 0, key, inner) for inner in (value if isinstance(value, dict)
+                                                              else ()))
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_KEYS))
+def test_every_artifact_key_retyped_runs_or_is_one_error_line_naming_the_file(
+        name, classic_pipeline_out, tmp_path, capsys):
+    cfg, out = write_config(tmp_path)
+    shutil.copytree(classic_pipeline_out, out)
+    path = os.path.join(out, name)
+    with open(path) as fh:
+        text = fh.read()
+    failures = []
+    for *outer, last in _key_paths(json.loads(text)):
+        for value in _retyped_values(isinstance(
+                functools.reduce(operator.getitem, [*outer, last], json.loads(text)), list)):
+            payload = json.loads(text)
+            functools.reduce(operator.getitem, outer, payload)[last] = value
+            with open(path, "w") as fh:
+                json.dump(payload, fh)
+            failure = _outcome([*ARTIFACT_KEYS[name][0], "--config", cfg], capsys, path)
+            if failure:
+                failures.append(([*outer, last], value, failure))
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert not failures, failures
 
 
 # a prompt-checkpoint soft block of the wrong shape -> (the error type of its one line, and
@@ -793,13 +931,11 @@ def test_checkpoint_block_of_the_wrong_shape_is_one_error_line(case, classic_pip
     assert path in line and where in line, line
 
 
-# the classic checkpoint's attribute names edited so that they disagree: (key, value) edits
-# and what the error line must name
+# the classic checkpoint's attribute names edited so that they disagree with its bank:
+# (key, value) edits and what the error line must name
 BAD_ATTRIBUTES = {
-    "attributes_not_the_layout": ([(("attributes",), ["shape"])], "attributes ['shape']"),
-    "layout_attribute_without_a_block": (
-        [(("attributes",), ["shape"]), (("layout", "attribute_names"), ["shape"])],
-        "bank.attribute_blocks []"),
+    "layout_attribute_without_a_block": ([(("layout", "attribute_names"), ["shape"])],
+                                         "bank.attribute_blocks []"),
 }
 
 

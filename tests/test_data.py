@@ -22,6 +22,19 @@ def small_spec(**kw):
     return TaskSpec(**defaults)
 
 
+def signatures(task):
+    """Each class's signature, read from its name: one value per latent attribute, in
+    declaration order, then the id word."""
+    names = [a.name for a in task.spec.latent_attributes]
+    return [dict(zip(names, class_name.split())) for class_name in task.class_names]
+
+
+def prototypes(spec):
+    """Each class's image prototype: its samples in the noise-free twin of ``spec``."""
+    x, y = generate_task(replace(spec, noise_std=0.0)).split("train")
+    return np.stack([x[y == c][0] for c in range(spec.num_classes)])
+
+
 # -- spec validation -----------------------------------------------------------
 
 
@@ -70,9 +83,17 @@ def test_spec_round_trip():
 
 
 def test_zero_noise_samples_equal_prototypes():
-    task = generate_task(small_spec(noise_std=0.0))
-    x, y = task.split("train")
-    np.testing.assert_array_equal(x, task.prototypes[y])
+    spec = small_spec()
+    protos = prototypes(spec)
+    np.testing.assert_allclose(np.linalg.norm(protos, axis=1), 1.0)
+    assert len({row.tobytes() for row in protos}) == spec.num_classes
+    twin = generate_task(replace(spec, noise_std=0.0))
+    for split in ("train", "val", "test"):
+        x, y = twin.split(split)
+        np.testing.assert_array_equal(x, protos[y])
+    # the noisy task scatters its samples around the same prototypes
+    x, y = generate_task(spec).split("train")
+    assert abs((x - protos[y]).std() - spec.noise_std) < 0.01
 
 
 def test_same_seed_bitwise_identical():
@@ -94,26 +115,24 @@ def test_different_seed_differs():
 def test_nearest_prototype_oracle_is_perfect_at_low_noise():
     task = generate_task(small_spec(noise_std=0.05))
     x, y = task.split("test")
-    d2 = ((x[:, None, :] - task.prototypes[None, :, :]) ** 2).sum(axis=2)
+    d2 = ((x[:, None, :] - prototypes(task.spec)[None, :, :]) ** 2).sum(axis=2)
     assert (d2.argmin(axis=1) == y).all()
 
 
 def test_informative_signatures_are_unique():
     task = generate_task(small_spec())
-    sigs = [
-        tuple(sig[n] for n in task.spec.informative_attributes)
-        for sig in task.class_signatures
-    ]
-    assert len(set(sigs)) == len(sigs)
+    sigs = [tuple(sig[n] for n in task.spec.informative_attributes) for sig in signatures(task)]
+    assert len(set(sigs)) == len(sigs) == task.num_classes
 
 
 def test_class_names_are_full_signatures_plus_id_and_equal_length():
     task = generate_task(small_spec())
     lengths = set()
-    for c, name in enumerate(task.class_names):
+    attrs = task.spec.latent_attributes
+    for name in task.class_names:
         words = name.split()
-        sig = task.class_signatures[c]
-        assert words[:-1] == [sig[a.name] for a in task.spec.latent_attributes]
+        assert len(words) == len(attrs) + 1
+        assert all(word in attr.values for word, attr in zip(words, attrs))
         assert words[-1].startswith("id")
         lengths.add(len(words))
     assert len(lengths) == 1
@@ -121,16 +140,18 @@ def test_class_names_are_full_signatures_plus_id_and_equal_length():
 
 def test_class_names_without_id_words_are_signature_values_only():
     task = generate_task(replace(small_spec(), include_id_words=False))
-    for c, name in enumerate(task.class_names):
-        sig = task.class_signatures[c]
-        assert name.split() == [sig[a.name] for a in task.spec.latent_attributes]
+    attrs = task.spec.latent_attributes
+    for name in task.class_names:
+        words = name.split()
+        assert len(words) == len(attrs)
+        assert all(word in attr.values for word, attr in zip(words, attrs))
     # prototypes still carry the id-keyed offset even when names omit the word
     assert len(set(task.class_names)) == task.num_classes
 
 
 def test_vocabulary_covers_all_emitted_words():
     task = generate_task(small_spec())
-    for name in task.class_names + task.attribute_names:
+    for name in task.class_names + [a.name for a in task.spec.latent_attributes]:
         task.vocabulary.encode(name)  # must not raise
 
 
@@ -170,12 +191,11 @@ def test_linear_probe_recovers_informative_values():
     task = generate_task(small_spec(noise_std=0.1, samples_per_class=24))
     x_train, y_train = task.split("train")
     x_test, y_test = task.split("test")
+    sigs = signatures(task)
     for attr_name in task.spec.informative_attributes:
-        values = sorted({sig[attr_name] for sig in task.class_signatures})
+        values = sorted({sig[attr_name] for sig in sigs})
         index = {v: i for i, v in enumerate(values)}
-        label = lambda ys: np.asarray(
-            [index[task.class_signatures[c][attr_name]] for c in ys]
-        )
+        label = lambda ys: np.asarray([index[sigs[c][attr_name]] for c in ys])
         onehot = np.eye(len(values))[label(y_train)]
         design = np.hstack([x_train, np.ones((len(x_train), 1))])
         w, *_ = np.linalg.lstsq(design, onehot, rcond=None)
@@ -191,8 +211,7 @@ def test_base_novel_names_and_signatures_disjoint():
     base, novel = make_base_novel_task(small_spec())
     assert not set(base.class_names) & set(novel.class_names)
     key = lambda task: {
-        tuple(sig[n] for n in task.spec.informative_attributes)
-        for sig in task.class_signatures
+        tuple(sig[n] for n in task.spec.informative_attributes) for sig in signatures(task)
     }
     assert not key(base) & key(novel)
 

@@ -279,7 +279,7 @@ def saved_checkpoint(tmp_path):
                          attributes=("shape", "color"))
     bank = make_bank(config, toy_encoder(task))
     path = str(tmp_path / "checkpoint.json")
-    save_checkpoint(path, bank, config, config_hash="abc", tag="atprompt", seed=3)
+    save_checkpoint(path, bank, config.effective_layout(), config_hash="abc")
     return path, bank, config
 
 

@@ -43,12 +43,6 @@ def _load_config(args) -> RunConfig:
     return load_run_config(args.config, {"seed": args.seed, "out": args.out, "seeds": seeds})
 
 
-def _data_spec(config: RunConfig):
-    """The task spec with its data sub-seed: what gen-data writes and commands expect."""
-    from .data import subseed
-    return replace(config.task_spec, seed=subseed(config.seed, "data"))
-
-
 def _tasks_for(config: RunConfig):
     """Base and novel halves, read from the dataset files gen-data wrote.
 
@@ -59,8 +53,8 @@ def _tasks_for(config: RunConfig):
     base_path = _path(config, "base.json")
     if not os.path.exists(base_path):
         raise DataError(f"no dataset at {base_path}; run gen-data first")
-    spec = _data_spec(config)
-    return Task.load(base_path, spec), Task.load(_path(config, "novel.json"), spec)
+    return (Task.load(base_path, config.task_spec),
+            Task.load(_path(config, "novel.json"), config.task_spec))
 
 
 def _run_inputs(args):
@@ -69,14 +63,12 @@ def _run_inputs(args):
     The encoder depends only on the run seed and stays frozen, so one
     instance serves every seed and ablation cell of the command.
     """
-    from .data import subseed
     from .encoders import DualEncoder, build_config_for
     config = _load_config(args)
     base, novel = _tasks_for(config)
     cfg = build_config_for(base.vocabulary, image_dim=base.spec.raw_feature_dim,
                            **config.encoder_overrides)
-    return config, base, novel, DualEncoder(cfg, base.vocabulary,
-                                            seed=subseed(config.seed, "encoder"))
+    return config, base, novel, DualEncoder(cfg, base.vocabulary, seed=config.seed)
 
 
 def _resolve_bases(config: RunConfig, task):
@@ -113,7 +105,7 @@ def cmd_gen_data(args) -> int:
     from .data import make_base_novel_task
     config = _load_config(args)
     os.makedirs(config.out_dir, exist_ok=True)
-    base, novel = make_base_novel_task(_data_spec(config))
+    base, novel = make_base_novel_task(config.task_spec)
     entries = []
     for task, name in ((base, "base.json"), (novel, "novel.json")):
         path = _path(config, name)
@@ -128,7 +120,6 @@ def cmd_gen_data(args) -> int:
         )
     manifest = {
         "config_hash": config.fingerprint(),
-        "seed": config.seed,
         "datasets": entries,
     }
     dump_artifact(MANIFEST_KIND, manifest, _path(config, "manifest.json"))
@@ -139,12 +130,10 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_search_attrs(args) -> int:
-    from .data import subseed
     from .search import alternating_search, export_result
     config, base, _, encoder = _run_inputs(args)
     bases = _resolve_bases(config, base)
-    search_cfg = replace(config.search, seed=subseed(config.seed, "search"))
-    result = alternating_search(base, bases, search_cfg, encoder)
+    result = alternating_search(base, bases, replace(config.search, seed=config.seed), encoder)
     export_result(result, _path(config, "search_result.txt"))
     print(f"pool size {len(result.candidates)} over bases: {', '.join(result.bases)}")
     print(f"selected: ({', '.join(result.selected)})")
@@ -165,14 +154,13 @@ def _save_reports(config: RunConfig, reports, name: str):
 
 
 def cmd_train(args) -> int:
-    from .data import subseed
     from .training import base_novel_report, make_bank, save_checkpoint, train_prompts
     config, base, novel, encoder = _run_inputs(args)
     tag = "classic" if args.classic else "atprompt"
     attrs = () if args.classic else _selected_attributes(config)
     reports = []
     for seed in config.seed_list():
-        train_cfg = replace(config.train, attributes=attrs, seed=subseed(seed, "train"))
+        train_cfg = replace(config.train, attributes=attrs, seed=seed)
         bank, _ = train_prompts(base, train_cfg, make_bank(train_cfg, encoder), encoder)
         layout = train_cfg.effective_layout()
         save_checkpoint(_path(config, f"checkpoint_{tag}_s{seed}.json"), bank, layout,
@@ -237,15 +225,13 @@ def _ablation_cells(config: RunConfig, axis: str):
 
 
 def cmd_ablate(args) -> int:
-    from .data import subseed
     from .training import aggregate_reports, run_base_to_novel
     config, base, novel, encoder = _run_inputs(args)
     rows = []
     for label, train_cfg in _ablation_cells(config, args.axis):
         reports = []
         for seed in config.seed_list():
-            cell_cfg = replace(train_cfg, seed=subseed(seed, "train"))
-            reports.append(run_base_to_novel(base, novel, cell_cfg, encoder))
+            reports.append(run_base_to_novel(base, novel, replace(train_cfg, seed=seed), encoder))
         agg = aggregate_reports(reports)
         rows.append(
             {

@@ -4,9 +4,9 @@ One JSON document drives every command: the task spec that gen-data
 generates the base/novel dataset files from, where attribute bases come from
 (bundled fixture, remote LLM, or an explicit list - exactly one), the
 search and train hyperparameters, the prompt layout, the output directory,
-and the seed list. Every source of randomness in a run flows from the
-single run seed through named sub-seeds so components stay independently
-reproducible.
+and the seeds. Each seed draws what it names, as in the library: ``task.seed``
+the datasets, ``seed`` the frozen encoder and the attribute search, and each
+of ``seeds`` (default: ``seed``) one training run.
 
 Each section's dataclass lives here, not in the module that runs it, and
 this module imports only ``errors`` and ``serialize``: reading and checking
@@ -59,35 +59,22 @@ ARRAYS = (("num_classes", "embed_dim"), ("raw_feature_dim", "embed_dim"),
           ("embed_dim", "mlp_ratio", "embed_dim"), ("embed_dim", "joint_dim"),
           ("image_dim", "image_hidden_dim"), ("image_hidden_dim", "joint_dim"))
 
-# settings class -> its checks, and -> its section that last passed them (prompts recheck layouts)
-_RULES, _PASSED = {}, {}
-
 
 def check_settings(section, error=ConfigError) -> None:
     """Check each field of ``section`` by the tables; a bad value is ``error`` naming the field."""
-    cls = type(section)
-    if _PASSED.get(cls) is section:
-        return
-    if cls not in _RULES:
-        types = field_types(cls)
-        ranges = [(name, *RANGES.get(name, (1 if kind is int else _ABOVE_ZERO, math.inf)))
-                  for name, kind in types.items() if kind in (int, float)]
-        _RULES[cls] = ([(name, CHOICES[name]) for name in types if name in CHOICES], ranges,
-                       [dims for dims in ARRAYS if set(dims) <= set(types)])
-    choices, ranges, arrays = _RULES[cls]
-    for name, allowed in choices:
-        if getattr(section, name) not in allowed:
-            raise error(f"unknown {name} {getattr(section, name)!r}; use one of {allowed}")
-    for name, low, high in ranges:
-        if not low <= getattr(section, name) <= high:
+    types = field_types(type(section))
+    for name in types:
+        if name in CHOICES and getattr(section, name) not in CHOICES[name]:
+            raise error(f"unknown {name} {getattr(section, name)!r}; use one of {CHOICES[name]}")
+    for name, kind in types.items():
+        low, high = RANGES.get(name, (1 if kind is int else _ABOVE_ZERO, math.inf))
+        if kind in (int, float) and not low <= getattr(section, name) <= high:
             bound = ("above 0" if low == _ABOVE_ZERO else f"at least {low}" if high == math.inf
                      else f"in [{low}, {high}]")
             raise error(f"{name} must be {bound}, got {getattr(section, name)!r}")
-    for dims in arrays:
+    for dims in (dims for dims in ARRAYS if set(dims) <= types.keys()):
         if 8 * math.prod(getattr(section, name) for name in dims) > sys.maxsize:
             raise error(f"{' * '.join(dims)} makes an array of more than {sys.maxsize} bytes")
-    if cls.__hash__ is not None:  # a frozen dataclass: its fields keep the values checked
-        _PASSED[cls] = section
 
 
 # -- sections ---------------------------------------------------------------------

@@ -37,13 +37,11 @@ DATASET_KIND = "dataset"
 
 SPLITS = ("train", "val", "test")
 
-SUBSEED_NAMES = (
-    "data", "encoder", "init", "search", "train", "search.banks", "search.order", "train.order",
-)
+SUBSEED_NAMES = ("init", "search.banks", "search.order", "train.order")
 
 
 def subseed(seed: int, name: str) -> int:
-    """Stable per-component seed drawn from a run seed; crc32 keying keeps streams order-free."""
+    """A prompt run's seed for one named stream; crc32 keying keeps streams order-free."""
     if name not in SUBSEED_NAMES:
         raise ConfigError(f"unknown sub-seed name {name!r}; use one of {SUBSEED_NAMES}")
     return int(
@@ -96,7 +94,8 @@ class Task:
     @classmethod
     def load(cls, path: str, expected_spec: TaskSpec = None) -> "Task":
         body = load_artifact(path, DATASET_KIND, TASK_TYPES)
-        if expected_spec is not None and body["spec"] != expected_spec.validate():
+        spec = body["spec"]
+        if expected_spec is not None and spec != expected_spec.validate():
             raise DataError(f"{path}: dataset spec does not match the runtime spec")
         where, class_names = f"{path}:{DATASET_KIND}", list(body["class_names"])
         splits = check_fields(dict.fromkeys(SPLITS, dict), body["splits"], f"{where}.splits",
@@ -104,19 +103,24 @@ class Task:
         for name, split in splits.items():
             at = f"{where}.splits.{name}"
             xy = check_fields(SPLIT_TYPES, split, at, SPLIT_TYPES)
-            y = numeric_array(xy["y"], np.int64, f"{at}.y")
-            if ((y < 0) | (y >= len(class_names))).any():
+            x, y = numeric_array(xy["x"], np.float64, f"{at}.x"), xy["y"]
+            if x.ndim != 2 or x.shape[1] != spec.raw_feature_dim:
+                raise DataError(f"{at}.x must be rows of {spec.raw_feature_dim} numbers, "
+                                f"got shape {x.shape}")
+            if len(y) != len(x):
+                raise DataError(f"{at}.y holds {len(y)} labels for the {len(x)} rows of x")
+            if not all(0 <= label < len(class_names) for label in y):
                 raise DataError(f"{at}.y holds a label that is none of the "
                                 f"{len(class_names)} class names")
-            splits[name] = (numeric_array(xy["x"], np.float64, f"{at}.x"), y)
-        return cls(spec=body["spec"], vocabulary=body["vocabulary"], class_names=class_names,
+            splits[name] = (x, np.asarray(y, dtype=np.int64))
+        return cls(spec=spec, vocabulary=body["vocabulary"], class_names=class_names,
                    splits=splits)
 
 
 # the keys of a dataset file's body, and of each of its splits, all required
 TASK_TYPES = {"spec": TaskSpec, "vocabulary": Vocabulary, "class_names": tuple[str, ...],
               "splits": dict}
-SPLIT_TYPES = {"x": tuple, "y": tuple}
+SPLIT_TYPES = {"x": tuple, "y": tuple[int, ...]}
 
 
 # -- vocabulary construction ---------------------------------------------------------

@@ -102,12 +102,12 @@ def load_artifact(path: str, kind: str, types: dict) -> dict:
 
 
 def numeric_array(value, dtype, where: str, error=DataError):
-    """``value`` as a ``dtype`` array; a ragged or non-numeric value is ``error`` at ``where``."""
+    """``value`` as a ``dtype`` array; a ragged, non-numeric or out-of-range value is ``error``."""
     import numpy as np  # here, not at the top: reading configs and reports loads no numpy
 
     try:
         return np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise error(f"{where} must be a rectangular array of numbers") from None
 
 
@@ -119,9 +119,9 @@ def check_fields(types: dict, payload, what: str, required=()) -> dict:
     int64-range int but not a bool; a ``float`` field takes an int or a float within
     float64 range (not the ``NaN`` or ``Infinity`` Python's ``json`` reads),
     kept as written so no bytes move; a ``tuple`` field takes a list and returns a
-    tuple, and a ``tuple[str, ...]`` field a list of strings; a field whose class
-    has a ``from_dict`` (a ``JsonFields`` class, ``Vocabulary``, ``SoftPromptBank``)
-    takes an object, read by that method.
+    tuple, and a ``tuple[str, ...]`` or ``tuple[int, ...]`` field a list of strings or of
+    ints (not bools); a field whose class has a ``from_dict`` (a ``JsonFields`` class,
+    ``Vocabulary``, ``SoftPromptBank``) takes an object, read by that method.
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"{what or 'config'} must be a JSON object, got {payload!r}")
@@ -144,7 +144,7 @@ def check_fields(types: dict, payload, what: str, required=()) -> dict:
         if kind is int and not INT64_MIN <= value <= INT64_MAX:
             raise ConfigError(f"{where} must be a 64-bit integer, got {value!r}")
         for i, entry in enumerate(value if item else ()):
-            if not isinstance(entry, item):
+            if isinstance(entry, bool) != (item is bool) or not isinstance(entry, item):
                 raise ConfigError(f"{where}[{i}] must be a JSON {JSON_TYPES[item]}, got {entry!r}")
         kwargs[key] = tuple(value) if kind is tuple else value
     missing = [f"{what}.{k}" if what else k for k in required if k not in kwargs]

@@ -7,6 +7,7 @@ import shutil
 import socket
 import subprocess
 import sys
+from dataclasses import replace
 from typing import get_origin, get_type_hints
 
 import pytest
@@ -15,10 +16,14 @@ from promptlab import encoders
 from promptlab.attributes import DESCRIBE_TEMPLATE, SUMMARIZE_TEMPLATE, ResponseCache
 from promptlab.cli import ABLATION_AXES, main
 from promptlab.config import (CHOICES, RUN_CONFIG_TYPES, AttributeSource, EncoderConfig,
-                              LlmClientConfig, PromptLayout, SearchConfig, TaskSpec, TrainConfig)
-from promptlab.search import load_result, parse_result
+                              LlmClientConfig, PromptLayout, SearchConfig, TaskSpec, TrainConfig,
+                              load_run_config)
+from promptlab.data import make_base_novel_task
+from promptlab.encoders import DualEncoder, build_config_for
+from promptlab.search import alternating_search, export_result, load_result, parse_result
 from promptlab.serialize import FORMAT_VERSION, file_sha256, load_json
-from promptlab.training import EvalReport, load_report_records, save_report_records
+from promptlab.training import (EvalReport, load_report_records, make_bank, save_checkpoint,
+                                save_report_records, train_prompts)
 
 
 def write_config(tmp_path, **overrides):
@@ -98,6 +103,50 @@ def test_train_on_datasets_of_a_changed_task_spec_is_a_data_error(tmp_path, caps
         json.dump(payload, fh)
     assert main(["train", "--config", cfg, "--classic"]) == 1
     assert capsys.readouterr().err.strip().splitlines()[-1].startswith("error: DataError:")
+
+
+def test_commands_write_what_the_library_recipe_writes_for_the_same_seeds(tmp_path):
+    # the criterion-8 config: task.seed 0 draws the datasets, seed 3 the encoder, the search
+    # and the one training run
+    cfg, out = write_config(
+        tmp_path, search={"epochs": 2, "batch_size": 16, "theta_lr": 0.05, "alpha_lr": 0.02},
+        train={"epochs": 3, "batch_size": 16, "lr_init": 0.05})
+    for command in (["gen-data"], ["search-attrs"], ["train"]):
+        assert main([*command, "--config", cfg]) == 0, command
+    config = load_run_config(cfg)
+    lib = tmp_path / "library"
+    lib.mkdir()
+    base, _ = make_base_novel_task(config.task_spec)
+    base.save(str(lib / "base.json"))
+    encoder = DualEncoder(build_config_for(base.vocabulary), base.vocabulary, seed=3)
+    found = alternating_search(base, ("color", "shape"), replace(config.search, seed=3), encoder)
+    export_result(found, str(lib / "search_result.txt"))
+    train = replace(config.train, attributes=found.selected, seed=3)
+    bank, _ = train_prompts(base, train, make_bank(train, encoder), encoder)
+    save_checkpoint(str(lib / "checkpoint_atprompt_s3.json"), bank, train.effective_layout(),
+                    config_hash=config.fingerprint())
+    for name in ("base.json", "search_result.txt", "checkpoint_atprompt_s3.json"):
+        assert file_sha256(os.path.join(out, name)) == file_sha256(str(lib / name)), name
+
+
+def test_task_seed_draws_the_datasets_and_seed_the_search(tmp_path):
+    hashes = {}
+    for run, task_seed, flags in (("given", 0, []), ("task_seed", 1, []),
+                                  ("seed_flag", 0, ["--seed", "4"])):
+        (tmp_path / run).mkdir()
+        cfg, out = write_config(tmp_path / run)
+        payload = load_json(cfg)
+        payload["task"]["seed"] = task_seed
+        with open(cfg, "w") as fh:
+            json.dump(payload, fh)
+        for command in ("gen-data", "search-attrs"):
+            assert main([command, "--config", cfg, *flags]) == 0, (run, command)
+        hashes[run] = {name: file_sha256(os.path.join(out, name))
+                       for name in ("base.json", "novel.json", "search_result.txt")}
+    assert hashes["task_seed"]["base.json"] != hashes["given"]["base.json"]
+    for name in ("base.json", "novel.json"):
+        assert hashes["seed_flag"][name] == hashes["given"][name], name
+    assert hashes["seed_flag"]["search_result.txt"] != hashes["given"]["search_result.txt"]
 
 
 def test_gen_data_out_flag_writes_there_and_nowhere_else(tmp_path):
@@ -834,11 +883,18 @@ def test_artifact_with_a_removed_key_is_one_unknown_key_line(name, key, classic_
     assert line.startswith(f"error: ConfigError: unknown key '{path}:{kind}.{key}'; known: "), line
 
 
-# an element of an artifact replaced by a string, keyed by the name its error line must carry
+# an element of an artifact replaced by a string, or by another value or what a function
+# makes of it, keyed by the name its error line must carry
 RETYPED_ELEMENTS = {
-    "splits.train.x": ("base.json", ("splits", "train", "x", 0, 0)),
-    "vocabulary.vectors": ("base.json", ("vocabulary", "vectors", 0, 0)),
-    "bank.class_block": ("checkpoint_classic_s3.json", ("bank", "class_block", 0, 0)),
+    "splits.train.x": ("base.json", ("splits", "train", "x", 0, 0), "x"),
+    "vocabulary.vectors": ("base.json", ("vocabulary", "vectors", 0, 0), "x"),
+    "bank.class_block": ("checkpoint_classic_s3.json", ("bank", "class_block", 0, 0), "x"),
+    # a number past float64's range, a label that is no integer, a label list one short of
+    # the rows, and rows narrower than the spec's raw_feature_dim
+    "splits.test.x": ("base.json", ("splits", "test", "x", 0, 0), 10**400),
+    "splits.test.y": ("base.json", ("splits", "test", "y", 0), 1.5),
+    "splits.train.y": ("base.json", ("splits", "train", "y"), lambda y: y[:-1]),
+    "splits.val.x": ("base.json", ("splits", "val", "x"), lambda x: [row[:3] for row in x]),
 }
 
 
@@ -847,16 +903,18 @@ def test_artifact_with_a_retyped_element_is_one_error_line(where, classic_pipeli
                                                            capsys):
     cfg, out = write_config(tmp_path)
     shutil.copytree(classic_pipeline_out, out)
-    name, (*outer, last) = RETYPED_ELEMENTS[where]
+    name, (*outer, last), value = RETYPED_ELEMENTS[where]
     path = os.path.join(out, name)
     payload = load_json(path)
-    functools.reduce(operator.getitem, outer, payload)[last] = "x"
+    element = functools.reduce(operator.getitem, outer, payload)
+    element[last] = value(element[last]) if callable(value) else value
     with open(path, "w") as fh:
         json.dump(payload, fh)
     capsys.readouterr()
     assert main([*ARTIFACT_KEYS[name][0], "--config", cfg]) == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
-    assert re.match(r"^error: \w+Error: ", line) and path in line and where in line, line
+    assert re.match(r"^error: \w+Error: ", line), line
+    assert f"{path}:{payload['kind']}.{where}" in line, line
 
 
 def _key_paths(payload):

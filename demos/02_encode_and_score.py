@@ -2,12 +2,13 @@
 
 The text tower is a tiny transformer read out at the end sentinel; the image
 tower is a two-layer MLP. Both land in one joint space, and classification is
-cosine similarity at a fixed low temperature. All weights are frozen at
+cosine similarity at the fixed temperature 0.07. All weights are frozen at
 construction: nothing here ever trains the encoder itself.
 """
 
 import numpy as np
 
+from promptlab.config import TEMPERATURE
 from promptlab.data import LatentAttribute, TaskSpec, generate_task
 from promptlab.encoders import DualEncoder, build_config_for
 
@@ -48,7 +49,7 @@ class_feats = encoder.encode_class_names(task.class_names)
 logits = encoder.class_logits(images, class_feats)
 
 pred = logits.data.argmax(axis=1)
-print("temperature:", encoder.config.temperature)
+print("temperature:", TEMPERATURE)
 print("true labels (first 8):     ", y_train[:8].tolist())
 print("zero-shot argmax (first 8):", pred[:8].tolist())
 print("zero-shot accuracy, no prompts trained:", float((pred == y_train).mean()))

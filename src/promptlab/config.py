@@ -37,12 +37,10 @@ REENTERED_KINDS = {
 }
 DROP_POLICIES = tuple(REENTERED_KINDS)
 INIT_SCHEMES = ("random_normal", "phrase_init")
-SCHEDULES = ("cosine", "constant")
 FEATURE_MAPS = ("random", "identity")
 # a field -> the values it takes, in every settings class that has it
 CHOICES = {"class_token_position": CLASS_POSITIONS, "attribute_position_style": POSITION_STYLES,
-           "drop_policy": DROP_POLICIES, "init_scheme": INIT_SCHEMES, "schedule": SCHEDULES,
-           "feature_map": FEATURE_MAPS}
+           "drop_policy": DROP_POLICIES, "init_scheme": INIT_SCHEMES, "feature_map": FEATURE_MAPS}
 _ABOVE_ZERO = math.ulp(0.0)  # the least float above 0: x >= it is x > 0
 # an int field is at least 1 and a float field above 0, except these (low, high), inclusive;
 # NaN lies in no range
@@ -50,13 +48,15 @@ RANGES = {"seed": (0, math.inf), "num_classes": (2, math.inf), "max_retries": (0
           "noise_std": (0, math.inf), "attribute_signal": (0, 1),
           "value_spread": (-math.inf, math.inf), "base_accuracy": (0, 100),
           "novel_accuracy": (0, 100), "harmonic_mean": (0, 100)}
-# the fields whose product is the length of a float64 array the settings make: the task's
-# vocabulary (a row per class and more), feature map and split images, and the encoder's
-# positional table, MLP weight, text projection and image layers. Sizes whose array no
-# machine can address (more than sys.maxsize bytes) fail before any array is made.
+# the encoder's MLP width per embedding dimension, and the temperature its logits divide by
+MLP_RATIO, TEMPERATURE = 2, 0.07
+# the fields and constants whose product is the length of a float64 array the settings
+# make: the task's vocabulary (a row per class and more), feature map and split images, and
+# the encoder's positional table, MLP weight, text projection and image layers. Sizes whose
+# array no machine can address (more than sys.maxsize bytes) fail before any array is made.
 ARRAYS = (("num_classes", "embed_dim"), ("raw_feature_dim", "embed_dim"),
           ("num_classes", "samples_per_class", "raw_feature_dim"), ("max_seq_len", "embed_dim"),
-          ("embed_dim", "mlp_ratio", "embed_dim"), ("embed_dim", "joint_dim"),
+          ("embed_dim", MLP_RATIO, "embed_dim"), ("embed_dim", "joint_dim"),
           ("image_dim", "image_hidden_dim"), ("image_hidden_dim", "joint_dim"))
 
 
@@ -72,9 +72,12 @@ def check_settings(section, error=ConfigError) -> None:
             bound = ("above 0" if low == _ABOVE_ZERO else f"at least {low}" if high == math.inf
                      else f"in [{low}, {high}]")
             raise error(f"{name} must be {bound}, got {getattr(section, name)!r}")
-    for dims in (dims for dims in ARRAYS if set(dims) <= types.keys()):
-        if 8 * math.prod(getattr(section, name) for name in dims) > sys.maxsize:
-            raise error(f"{' * '.join(dims)} makes an array of more than {sys.maxsize} bytes")
+    for dims in ARRAYS:  # a rule applies where the section has each field it names
+        sizes = [d if isinstance(d, int) else getattr(section, d) if d in types else None
+                 for d in dims]
+        if None not in sizes and 8 * math.prod(sizes) > sys.maxsize:
+            raise error(f"{' * '.join(map(str, dims))} makes an array of more than "
+                        f"{sys.maxsize} bytes")
 
 
 # -- sections ---------------------------------------------------------------------
@@ -89,12 +92,9 @@ class LatentAttribute:
         object.__setattr__(self, "values", tuple(self.values))
 
 
-def default_attributes(num_attributes: int = 4, values_per_attribute: int = 8):
-    names = ("color", "shape", "size", "texture", "material", "pattern")[:num_attributes]
-    return tuple(
-        LatentAttribute(n, tuple(f"{n}{j}" for j in range(values_per_attribute)))
-        for n in names
-    )
+def default_attributes():
+    names = ("color", "shape", "size", "texture")
+    return tuple(LatentAttribute(n, tuple(f"{n}{j}" for j in range(8))) for n in names)
 
 
 def _latent_attribute(entry) -> LatentAttribute:
@@ -180,8 +180,6 @@ class EncoderConfig(JsonFields):
     joint_dim: int = 16
     image_dim: int = 16
     image_hidden_dim: int = 32
-    mlp_ratio: int = 2
-    temperature: float = 0.07
 
     def validate(self) -> "EncoderConfig":
         check_settings(self)
@@ -245,7 +243,6 @@ class PromptRunConfig:
 @dataclass(frozen=True)
 class TrainConfig(PromptRunConfig):
     lr_init: float = 0.002
-    schedule: str = "cosine"
     attributes: tuple[str, ...] = ()  # selected combination; () trains the classic form
 
     def __post_init__(self):

@@ -162,9 +162,9 @@ def _build_vocabulary(spec: TaskSpec, id_words) -> Vocabulary:
 # -- class construction ------------------------------------------------------------------
 
 
-def _draw_signatures(spec: TaskSpec, stream: str):
+def _draw_signatures(spec: TaskSpec):
     """One signature per class, distinct over the informative attributes, free elsewhere."""
-    rng = keyed_rng(spec.seed, "signatures", stream)
+    rng = keyed_rng(spec.seed, "signatures", "task0")
     informative = [spec.attribute(n) for n in spec.informative_attributes]
     seen = set()
     signatures = []
@@ -211,41 +211,37 @@ def _prototype(spec: TaskSpec, vocab: Vocabulary, fmap: np.ndarray, signature: d
     return _unit(s * systematic + (1.0 - s) * offset)
 
 
-def _sample_split(spec: TaskSpec, prototypes: np.ndarray, split: str, task_tag: str):
+def _sample_split(spec: TaskSpec, prototypes: np.ndarray, split: str):
     xs, ys = [], []
     for c in range(len(prototypes)):
-        rng = keyed_rng(spec.seed, "samples", task_tag, split, c)
+        rng = keyed_rng(spec.seed, "samples", "task0", split, c)
         noise = rng.standard_normal((spec.samples_per_class, spec.raw_feature_dim))
         xs.append(prototypes[c] + spec.noise_std * noise)
         ys.append(np.full(spec.samples_per_class, c, dtype=np.int64))
     x = np.concatenate(xs)
     y = np.concatenate(ys)
-    order = keyed_rng(spec.seed, "order", task_tag, split).permutation(len(y))
+    order = keyed_rng(spec.seed, "order", "task0", split).permutation(len(y))
     return x[order], y[order]
 
 
-def generate_task(spec: TaskSpec, name: str = "task0") -> Task:
+def generate_task(spec: TaskSpec) -> Task:
     """One task: vocabulary, classes with distinct informative signatures, splits.
 
-    ``name`` keys the task's signature and sample streams.
+    The spec's seed, and the tag ``"task0"``, key the task's signature and sample streams.
     """
     spec.validate()
     id_words = [f"id{c}" for c in range(spec.num_classes)]
-    signatures = _draw_signatures(spec, name)
+    signatures = _draw_signatures(spec)
     vocab = _build_vocabulary(spec, id_words)
     fmap = _feature_map(spec)
-    prototypes = np.stack(
-        [
-            _prototype(spec, vocab, fmap, sig, idw)
-            for sig, idw in zip(signatures, id_words)
-        ]
-    )
+    prototypes = np.stack([_prototype(spec, vocab, fmap, sig, idw)
+                           for sig, idw in zip(signatures, id_words)])
     names = [_class_name(spec, sig, idw) for sig, idw in zip(signatures, id_words)]
-    splits = {s: _sample_split(spec, prototypes, s, name) for s in SPLITS}
+    splits = {s: _sample_split(spec, prototypes, s) for s in SPLITS}
     return Task(spec=spec, vocabulary=vocab, class_names=names, splits=splits)
 
 
-def make_base_novel_task(spec: TaskSpec, name: str = "task0"):
+def make_base_novel_task(spec: TaskSpec):
     """Split one task's classes into (base, novel) with disjoint signatures.
 
     Base gets the first ceil(C/2) classes of the generated task; novel gets
@@ -256,7 +252,7 @@ def make_base_novel_task(spec: TaskSpec, name: str = "task0"):
     spec.validate()
     if spec.num_classes < 4:
         raise DataError(f"base/novel construction needs >= 4 classes, got {spec.num_classes}")
-    task = generate_task(spec, name)
+    task = generate_task(spec)
     cut = (spec.num_classes + 1) // 2
     return _slice_classes(task, range(0, cut)), _slice_classes(task, range(cut, spec.num_classes))
 

@@ -6,7 +6,8 @@ length, read out at the end-sentinel position of each sequence. Its blocks'
 LayerNorms have no affine and their MLPs no biases: frozen, those would only
 ever hold ones and zeros; the final norm keeps its gain and bias. The image
 side is a 2-layer MLP over raw feature vectors [B, image_dim]. Both project into
-a shared joint space and L2-normalize; class logits [B, C] are temperature-scaled cosines.
+a shared joint space and L2-normalize; class logits [B, C] are cosines over the fixed
+``config.TEMPERATURE``, and each block's MLP is ``config.MLP_RATIO`` times d wide.
 
 All encoder weights are sampled once from a seeded generator at
 construction and are frozen (``requires_grad=False``): prompt learning only
@@ -24,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .config import EncoderConfig
+from .config import MLP_RATIO, TEMPERATURE, EncoderConfig
 from .errors import CapacityError, CheckpointError, ConfigError, ShapeError
 from .serialize import dump_artifact, load_artifact, numeric_array
 from .tensor import Tensor
@@ -66,7 +67,7 @@ class DualEncoder:
 
     def _init_params(self, rng) -> dict:
         cfg = self.config
-        d, hid = cfg.embed_dim, cfg.mlp_ratio * cfg.embed_dim
+        d, hid = cfg.embed_dim, MLP_RATIO * cfg.embed_dim
 
         def dense(rows, cols):
             # fan-in scaling keeps activations at unit order through the stack
@@ -193,12 +194,11 @@ class DualEncoder:
     # -- scoring ------------------------------------------------------------------------
 
     def class_logits(self, u: Tensor, class_features: Tensor) -> Tensor:
-        """cos(u_b, w_c) / temperature [B, N] for u [B, joint]; inputs must be normalized."""
+        """cos(u_b, w_c) / TEMPERATURE [B, N] for u [B, joint]; inputs must be normalized."""
         if u.ndim != 2 or class_features.ndim != 2:
             raise ShapeError(f"class_logits expects image features [B, joint] and class features "
                              f"[N, joint], got {u.shape} and {class_features.shape}")
-        return T.scale(T.matmul(u, T.transpose_last(class_features)),
-                       1.0 / self.config.temperature)
+        return T.scale(T.matmul(u, T.transpose_last(class_features)), 1.0 / TEMPERATURE)
 
     # -- persistence ----------------------------------------------------------------------
 
@@ -233,5 +233,4 @@ class DualEncoder:
 
 def build_config_for(vocabulary: Vocabulary, **overrides) -> EncoderConfig:
     """EncoderConfig whose embed_dim matches an existing vocabulary."""
-    overrides.setdefault("embed_dim", vocabulary.dim)
-    return EncoderConfig(**overrides).validate()
+    return EncoderConfig(embed_dim=vocabulary.dim, **overrides).validate()

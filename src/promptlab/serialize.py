@@ -105,10 +105,18 @@ def numeric_array(value, dtype, where: str, error=DataError):
     """``value`` as a ``dtype`` array; a ragged, non-numeric or out-of-range value is ``error``."""
     import numpy as np  # here, not at the top: reading configs and reports loads no numpy
 
+    bad = error(f"{where} must be a rectangular array of numbers")
+    pending = [value]
+    while pending:  # a loop, not recursion: JSON may nest deeper than Python recurses
+        item = pending.pop()
+        if isinstance(item, (list, tuple)):
+            pending.extend(item)
+        elif type(item) not in (int, float) or not abs(item) <= sys.float_info.max:
+            raise bad  # numpy reads true as 1.0, null as NaN and "2" as 2.0; NaN fails <=
     try:
         return np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError, OverflowError):
-        raise error(f"{where} must be a rectangular array of numbers") from None
+    except ValueError:  # ragged
+        raise bad from None
 
 
 def check_fields(types: dict, payload, what: str, required=()) -> dict:

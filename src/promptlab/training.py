@@ -4,7 +4,7 @@ The attribute search reuses the banks, batches and step defined here; the
 run settings both read are ``config.PromptRunConfig`` and its subclasses.
 Training minimizes batch-mean cross-entropy between image features and the
 composed per-class text features (encoder frozen, only soft tokens move),
-with an optional half-cosine learning-rate decay. Evaluation is top-1
+by SGD under CoOp's half-cosine learning-rate decay. Evaluation is top-1
 accuracy under the cosine/temperature scoring rule; base-to-novel runs
 train on the base half of a task's classes and score the held-out novel
 half zero-shot, summarized by the harmonic mean.
@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .config import SCHEDULES, PromptLayout, PromptRunConfig, TrainConfig  # re-exported
+from .config import PromptLayout, PromptRunConfig, TrainConfig  # re-exported
 from .data import Task, subseed
 from .errors import CapacityError, CheckpointError, DataError, NumericsError
 from .optim import SGD, cosine_lr
@@ -110,8 +110,7 @@ def train_prompts(task: Task, config: TrainConfig, bank: SoftPromptBank, encoder
     losses = [[] for _ in range(config.epochs)]
     for step, (epoch, b, rows) in enumerate(
             epoch_batches(rng, len(y), config.batch_size, config.epochs)):
-        if config.schedule == "cosine":
-            opt.lr = cosine_lr(step, total_steps, config.lr_init)
+        opt.lr = cosine_lr(step, total_steps, config.lr_init)
         try:
             loss = class_loss(encoder, plan.features(), (x[rows], y[rows]))
         except NumericsError as exc:

@@ -15,7 +15,7 @@ import pytest
 from promptlab import encoders
 from promptlab.attributes import DESCRIBE_TEMPLATE, SUMMARIZE_TEMPLATE, ResponseCache
 from promptlab.cli import ABLATION_AXES, main
-from promptlab.config import (CHOICES, RUN_CONFIG_TYPES, AttributeSource, EncoderConfig,
+from promptlab.config import (ARRAYS, CHOICES, RUN_CONFIG_TYPES, AttributeSource, EncoderConfig,
                               LlmClientConfig, PromptLayout, SearchConfig, TaskSpec, TrainConfig,
                               load_run_config)
 from promptlab.data import make_base_novel_task
@@ -601,6 +601,12 @@ BAD_INPUTS = {
                                     "embed_dim"),
     "encoder_overrides_image_dim": (_set("encoder_overrides", "image_dim", 16), ["gen-data"],
                                     "image_dim"),
+    # settings that became constants: the MLP width ratio, the temperature and the schedule
+    **{f"{section}_{key}_removed": (_set(section, key, value), ["gen-data"],
+                                    f"ConfigError: unknown key '{section}.{key}'; known: ")
+       for section, key, value in (("encoder_overrides", "mlp_ratio", 2),
+                                   ("encoder_overrides", "temperature", 0.07),
+                                   ("train", "schedule", "cosine"))},
     # words the vocabulary cannot tokenize, or one it already holds
     "latent_attribute_value_of_two_words": (
         _set("task", "latent_attributes", [["color", ["red car", "blue", "green"]],
@@ -657,10 +663,13 @@ AFTER_GEN_DATA = {
         f"CapacityError: {key} 1000000000 exceeds max_seq_len 32")
        for section, command in (("search", ["search-attrs"]), ("train", ["train", "--classic"]))
        for key in ("soft_len", "attr_soft_len")},
-    # a positional table of more bytes than any array can address: rejected before it is made
-    "encoder_overrides_max_seq_len_past_addressable": (
-        _set("encoder_overrides", "max_seq_len", 2**62), ["train", "--classic"],
-        "ConfigError: max_seq_len * embed_dim makes an array of more than"),
+    # an encoder array of more bytes than any array can address, for each size a run config
+    # sets: rejected by the first rule of config.ARRAYS that names it, before it is made
+    **{f"encoder_overrides_{key}_past_addressable": (
+        _set("encoder_overrides", key, 2**62), ["train", "--classic"],
+        f"ConfigError: {rule} makes an array of more than")
+       for key in get_type_hints(EncoderConfig) if key not in ("embed_dim", "image_dim")
+       for rule in [" * ".join(map(str, dims)) for dims in ARRAYS if key in dims][:1]},
     # a positional table of 233 TiB: the machine's limit, reported as one error line
     "encoder_overrides_max_seq_len_past_memory": (
         _set("encoder_overrides", "max_seq_len", 10**12), ["train", "--classic"],
@@ -884,11 +893,22 @@ def test_artifact_with_a_removed_key_is_one_unknown_key_line(name, key, classic_
 
 
 # an element of an artifact replaced by a string, or by another value or what a function
-# makes of it, keyed by the name its error line must carry
+# makes of it; the keys on its path name it in the error line
 RETYPED_ELEMENTS = {
     "splits.train.x": ("base.json", ("splits", "train", "x", 0, 0), "x"),
     "vocabulary.vectors": ("base.json", ("vocabulary", "vectors", 0, 0), "x"),
     "bank.class_block": ("checkpoint_classic_s3.json", ("bank", "class_block", 0, 0), "x"),
+    # a JSON bool, which numpy would read as 1.0 or 0.0
+    **{f"{'.'.join(at[:-2])}_{json.dumps(value)}": (name, at, value)
+       for name, at in (("base.json", ("splits", "test", "x", 0, 0)),
+                        ("base.json", ("vocabulary", "vectors", 0, 0)),
+                        ("checkpoint_classic_s3.json", ("bank", "class_block", 0, 0)))
+       for value in (True, False)},
+    # null and a numeric string, which numpy would read as NaN and as the number, and the
+    # NaN and Infinity tokens Python's json reads
+    **{f"splits.test.x_{case}": ("base.json", ("splits", "test", "x", 0, 0), value)
+       for case, value in (("null", None), ("numeric_string", "0.5"), ("nan", float("nan")),
+                           ("infinity", float("inf")))},
     # a number past float64's range, a label that is no integer, a label list one short of
     # the rows, and rows narrower than the spec's raw_feature_dim
     "splits.test.x": ("base.json", ("splits", "test", "x", 0, 0), 10**400),
@@ -898,12 +918,13 @@ RETYPED_ELEMENTS = {
 }
 
 
-@pytest.mark.parametrize("where", sorted(RETYPED_ELEMENTS))
-def test_artifact_with_a_retyped_element_is_one_error_line(where, classic_pipeline_out, tmp_path,
+@pytest.mark.parametrize("case", sorted(RETYPED_ELEMENTS))
+def test_artifact_with_a_retyped_element_is_one_error_line(case, classic_pipeline_out, tmp_path,
                                                            capsys):
     cfg, out = write_config(tmp_path)
     shutil.copytree(classic_pipeline_out, out)
-    name, (*outer, last), value = RETYPED_ELEMENTS[where]
+    name, (*outer, last), value = RETYPED_ELEMENTS[case]
+    where = ".".join(key for key in (*outer, last) if isinstance(key, str))
     path = os.path.join(out, name)
     payload = load_json(path)
     element = functools.reduce(operator.getitem, outer, payload)

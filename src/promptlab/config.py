@@ -368,6 +368,8 @@ class RunConfig:
         for s in self.seeds:
             if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s <= INT64_MAX:
                 raise ConfigError(f"seeds must be non-negative 64-bit integers, got {s!r}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must not repeat a seed, got {list(self.seeds)}")
         return self
 
     def seed_list(self) -> tuple:

@@ -162,7 +162,7 @@ class DualEncoder:
         if longest > cfg.max_seq_len:
             raise CapacityError(f"sequence length {longest} exceeds max_seq_len {cfg.max_seq_len}")
         positions = np.concatenate([np.tile(np.arange(length), count) for count, length in groups])
-        h = rows + T.gather_rows(self._params["pos_embedding"], positions)
+        h = rows + T.embedding(self._params["pos_embedding"], positions)
         last = cfg.num_layers - 1
         for i in range(cfg.num_layers):
             h = self._block(i, h, groups, readout=i == last)
@@ -177,7 +177,7 @@ class DualEncoder:
         lengths = {len(s) for s in seqs}
         if len(lengths) != 1:
             raise ShapeError(f"class names must tokenize to equal lengths, got {sorted(lengths)}")
-        rows = T.gather_rows(self.token_embedding, np.concatenate(seqs))
+        rows = self.embed_tokens(np.concatenate(seqs))
         return self.encode_text(RowStack(rows, ((len(seqs), lengths.pop()),)))
 
     # -- image branch -----------------------------------------------------------------

@@ -283,7 +283,7 @@ def apply_drop_policy(hidden: Tensor, table: Tensor, index: np.ndarray) -> Tenso
     hidden row, a larger one swaps in a table row (a deep block, or the
     prompt's own soft or hard rows, as the drop policy says).
     """
-    return T.gather_rows(T.concat([hidden, table], axis=0), index)
+    return T.embedding(T.concat([hidden, table], axis=0), index)
 
 
 def deep_forward(encoder, bank: SoftPromptBank, layout: PromptLayout, class_name: str):
@@ -383,6 +383,6 @@ class FeaturePlan:
             return (apply_drop_policy(hidden, table, self._index[i - 1])
                     if i <= len(self._index) else hidden)
 
-        stack = RowStack(T.gather_rows(table, self._rows), self._groups)
+        stack = RowStack(T.embedding(table, self._rows), self._groups)
         out = self.encoder.encode_text(stack, deep_hook=reenter if self._index else None)
-        return out if self._unsort is None else T.gather_rows(out, self._unsort)
+        return out if self._unsort is None else T.embedding(out, self._unsort)

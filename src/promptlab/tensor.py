@@ -26,6 +26,7 @@ from .errors import ContractError, IndexRangeError, NumericsError, ShapeError
 _FREED_MEMORY_KEPT = False
 
 _LN_EPS = 1e-5
+_L2_EPS = 1e-12
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
@@ -368,7 +369,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(y, (a,), vjp, "softmax")
 
 
-def _normalize(x: np.ndarray, eps: float):
+def _normalize(x: np.ndarray):
     """LayerNorm's normalization over the last axis of an array: (xhat, 1 / std).
 
     Row sums, here and in the VJP, are products with a ones column: on rows a
@@ -377,7 +378,7 @@ def _normalize(x: np.ndarray, eps: float):
     """
     d, ones = x.shape[-1], np.ones((x.shape[-1], 1))
     xhat = x - (x @ ones) / d
-    inv = 1.0 / np.sqrt(((xhat * xhat) @ ones) / d + eps)
+    inv = 1.0 / np.sqrt(((xhat * xhat) @ ones) / d + _LN_EPS)
     xhat *= inv
     return xhat, inv
 
@@ -402,13 +403,13 @@ def _sum_lead(g: np.ndarray) -> np.ndarray:
     return g.sum(axis=tuple(range(g.ndim - 1)))
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
     d = a.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
-    xhat, inv = _normalize(a.data, eps)
+    xhat, inv = _normalize(a.data)
     data = xhat * gain.data
     data += bias.data
 
@@ -421,11 +422,11 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> T
     return _make(data, (a, gain, bias), vjp, "layer_norm")
 
 
-def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """x / (||x|| + eps) along ``axis``; zero vectors map to zero, not NaN."""
+def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
+    """x / (||x|| + 1e-12) along ``axis``; zero vectors map to zero, not NaN."""
     a = _as_tensor(a)
     n = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=True))
-    s = 1.0 / (n + eps)
+    s = 1.0 / (n + _L2_EPS)
     y = a.data * s
 
     def vjp(g):
@@ -474,30 +475,14 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 def embedding(table: Tensor, ids) -> Tensor:
-    """Gather rows of ``table`` by integer index; gradient scatter-adds."""
-    ids = np.asarray(ids, dtype=np.int64)
+    """Gather rows of a 2D ``table`` by a 1D integer index; gradient scatter-adds."""
+    table, ids = _as_tensor(table), np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ShapeError(f"embedding: ids must be 1D, got shape {ids.shape}")
-    return _gather(_as_tensor(table), ids, "embedding")
-
-
-def gather_rows(src: Tensor, index) -> Tensor:
-    """``src[index]`` for a 2D ``src`` and an integer index array of any shape.
-
-    The result has shape ``index.shape + (src.shape[1],)``; rows may repeat,
-    and the gradient scatter-adds back into ``src``.
-    """
-    # recorded under narrow, an op the benchmark tracer (perfbench/spans.py)
-    # already knows: it is a row selection along axis 0 with a zero-fill VJP
-    return _gather(_as_tensor(src), np.asarray(index, dtype=np.int64), "narrow", "gather_rows")
-
-
-def _gather(table: Tensor, ids: np.ndarray, op: str, label: str = None) -> Tensor:
-    label = label or op
     if table.ndim != 2:
-        raise ShapeError(f"{label}: table must be 2D, got {table.shape}")
+        raise ShapeError(f"embedding: table must be 2D, got {table.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IndexRangeError(f"{label}: id out of range for table of {table.shape[0]} rows")
+        raise IndexRangeError(f"embedding: id out of range for table of {table.shape[0]} rows")
     data = table.data[ids]
 
     def vjp(g):
@@ -509,7 +494,7 @@ def _gather(table: Tensor, ids: np.ndarray, op: str, label: str = None) -> Tenso
         gt = np.bincount(cells, weights=g.reshape(-1), minlength=rows * width)
         return (gt.reshape(rows, width),)
 
-    return _make(data, (table,), vjp, op)
+    return _make(data, (table,), vjp, "embedding")
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -627,7 +612,7 @@ def attention_sublayer(h: Tensor, wqk: Tensor, wv: Tensor, wo: Tensor, num_heads
         raise ShapeError(f"attention_sublayer: {num_heads} heads and groups {list(groups)} "
                          f"for a row stack of shape {h.shape}")
     _check_frozen_params("attention_sublayer", (wqk, wv, wo), ((d, d),) * 3)
-    xhat, inv = _normalize(h.data, _LN_EPS)
+    xhat, inv = _normalize(h.data)
     # one product of the normalized rows with [wqk | wv]
     wkv = np.concatenate((wqk.data, wv.data), axis=1)
     kv = _row_products(xhat, wkv)
@@ -698,7 +683,7 @@ def mlp_sublayer(h: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     h, w1, w2 = map(_as_tensor, (h, w1, w2))
     d, hidden = h.shape[-1], w1.shape[-1]
     _check_frozen_params("mlp_sublayer", (w1, w2), ((d, hidden), (hidden, d)))
-    xhat, inv = _normalize(h.data, _LN_EPS)
+    xhat, inv = _normalize(h.data)
     z = _row_products(xhat, w1.data)
     s = _gelu_gate(z)
     slope = _gelu_slope(z, s) if h.requires_grad else None

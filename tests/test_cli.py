@@ -2,6 +2,7 @@ import functools
 import json
 import operator
 import os
+import platform
 import re
 import shutil
 import socket
@@ -10,6 +11,7 @@ import sys
 from dataclasses import replace
 from typing import get_origin, get_type_hints
 
+import numpy as np
 import pytest
 
 from promptlab import encoders
@@ -24,6 +26,7 @@ from promptlab.search import alternating_search, export_result, load_result, par
 from promptlab.serialize import FORMAT_VERSION, file_sha256, load_json
 from promptlab.training import (EvalReport, load_report_records, make_bank, save_checkpoint,
                                 save_report_records, train_prompts)
+from test_acceptance import PIPELINE_CONFIG
 
 
 def write_config(tmp_path, **overrides):
@@ -508,6 +511,43 @@ def test_artifact_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert hashes[0] == hashes[1]
 
 
+def _openblas_configuration() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):  # TypeError: numpy before 1.26 has no dict mode
+        return ""
+    return blas.get("openblas configuration", "")
+
+
+# the criterion-8 files whose bytes do not depend on the BLAS kernel (see README)
+PORTABLE_FILES = ("eval_report_atprompt.json", "report_atprompt.json", "report_classic.json",
+                  "run_config.json", "search_result.txt")
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
+                    or "DYNAMIC_ARCH" not in _openblas_configuration(),
+                    reason="OPENBLAS_CORETYPE picks kernels only in an x86-64 DYNAMIC_ARCH OpenBLAS")
+def test_portable_artifacts_hash_the_same_under_another_blas_kernel(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    hashes = []
+    for coretype in ("", "Prescott"):
+        work = tmp_path / (coretype or "default")
+        work.mkdir()
+        (work / "run.json").write_text(json.dumps(PIPELINE_CONFIG))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        for command in (["gen-data"], ["search-attrs"], ["train"], ["train", "--classic"],
+                        ["eval"], ["report"]):
+            proc = subprocess.run([sys.executable, "-m", "promptlab.cli", *command,
+                                   "--config", "run.json"],
+                                  cwd=work, env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        hashes.append({f: file_sha256(str(work / "out" / f)) for f in PORTABLE_FILES})
+    assert hashes[0] == hashes[1]
+
+
 def _set(section, key, value):
     def edit(payload):
         payload.setdefault(section, {})[key] = value
@@ -565,6 +605,10 @@ BAD_INPUTS = {
     "seed_negative": (lambda payload: payload.update(seed=-1), ["gen-data"], "seed"),
     "seed_flag_negative": (None, ["gen-data", "--seed", "-1"], "seed"),
     "seeds_flag_negative": (None, ["train", "--classic", "--seeds", "-1"], "seeds"),
+    # a repeated seed would run twice and count twice in the aggregate
+    "seeds_repeated": (lambda payload: payload.update(seeds=[3, 3]), ["train", "--classic"],
+                       "ConfigError: seeds"),
+    "seeds_flag_repeated": (None, ["train", "--classic", "--seeds", "3,3"], "ConfigError: seeds"),
     "train_init_scheme_unknown": (_set("train", "init_scheme", "bogus"), ["gen-data"],
                                   "init_scheme"),
     "task_embed_dim_negative": (_set("task", "embed_dim", -4), ["gen-data"], "embed_dim"),

@@ -441,7 +441,7 @@ def run_configs(draw):
     return RunConfig(
         task_spec=draw(task_specs), attributes=draw(attribute_sources), search=search,
         train=train, encoder_overrides=draw(encoder_overrides), out_dir=draw(names),
-        seed=draw(seeds), seeds=tuple(draw(st.lists(seeds, max_size=3))),
+        seed=draw(seeds), seeds=tuple(draw(st.lists(seeds, unique=True, max_size=3))),
     ).validate()
 
 

@@ -6,6 +6,7 @@ function, or an op name it does not list, makes ``perfbench/run.py --trace 1``
 fail with a ``KeyError``.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -60,6 +61,18 @@ def test_every_traced_name_exists():
             if owner is None or name not in vars(owner):
                 missing.append(f"{layer}.{attr}")
     assert not missing, missing
+
+
+def test_every_op_name_make_records_is_traced():
+    # checked in the source, so ops no toy run reaches are covered too
+    known = set(load_spans().TENSOR_OPS.values())
+    source = ROOT / "src" / "promptlab" / "tensor.py"
+    calls = [node for node in ast.walk(ast.parse(source.read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_make"]
+    unknown = [ast.unparse(call) for call in calls if len(call.args) < 4
+               or not (isinstance(call.args[3], ast.Constant) and call.args[3].value in known)]
+    assert calls
+    assert not unknown, unknown
 
 
 def test_traced_search_step_and_training_epoch_run():

@@ -739,7 +739,7 @@ def test_plan_table_is_the_pass_output_or_one_gather(monkeypatch):
     # "red fish" is one token longer, so its prompts sit in groups of their own
     names = ("cat", "red fish", "dog")
     table = FeaturePlan(enc, candidates, names).features()
-    assert ops == ["narrow"]  # one gather_rows, which records itself as narrow
+    assert ops == ["embedding"]  # one row gather
     monkeypatch.undo()
     expected = [deep_forward(enc, bank, layout, n).data for bank, layout in candidates
                 for n in names]

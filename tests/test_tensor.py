@@ -470,39 +470,31 @@ def test_grad_embedding_fd():
     assert_gradients_match(lambda: T.tsum(T.mul(T.embedding(table, ids), w)), [table])
 
 
-def test_grad_gather_rows_fd():
-    # a 2D index with repeated rows, within one index row and across rows
-    rng = np.random.default_rng(27)
-    src = leaf(rng, 5, 3)
-    index = [[0, 2, 2], [4, 0, 2]]
-    w = T.Tensor(rng.standard_normal((2, 3, 3)))
-    assert_gradients_match(lambda: T.tsum(T.mul(T.gather_rows(src, index), w)), [src])
-
-
-def test_gather_rows_values_scatter_and_range():
+def test_embedding_values_scatter_and_range():
     src = T.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    out = T.gather_rows(src, [[2, 0], [2, 2]])
-    np.testing.assert_array_equal(out.data, [[[4, 5], [0, 1]], [[4, 5], [4, 5]]])
+    out = T.embedding(src, [2, 0, 2, 2])
+    np.testing.assert_array_equal(out.data, [[4, 5], [0, 1], [4, 5], [4, 5]])
     T.tsum(out).backward()
     np.testing.assert_array_equal(src.grad, [[1, 1], [0, 0], [3, 3]])
     with pytest.raises(IndexRangeError):
-        T.gather_rows(src, [[0, 3]])
-    with pytest.raises(ShapeError):
-        T.gather_rows(T.Tensor(np.ones(3)), [0])
+        T.embedding(src, [0, 3])
+    with pytest.raises(ShapeError, match="embedding"):
+        T.embedding(T.Tensor(np.ones(3)), [0])
+    with pytest.raises(ShapeError, match="embedding"):
+        T.embedding(src, [[0, 2], [1, 1]])
 
 
-@pytest.mark.parametrize("gather, index, width", [
-    pytest.param(T.embedding, [3, 0, 3, 3, 5, 0, 1], 4, id="embedding-index0"),
-    pytest.param(T.gather_rows, [[3, 0, 3], [3, 5, 0], [1, 3, 3]], 4, id="gather_rows-index1"),
+@pytest.mark.parametrize("index, width", [
+    pytest.param([3, 0, 3, 3, 5, 0, 1], 4, id="embedding-index0"),
     # a search15 stack's row count and width, each id used about 250 times
-    pytest.param(T.gather_rows, np.random.default_rng(29).integers(0, 7, (54, 32)), 32,
-                 id="gather_rows-32_columns_repeated_ids"),
+    pytest.param(np.random.default_rng(29).integers(0, 7, 1728), 32,
+                 id="embedding-32_columns_repeated_ids"),
 ])
-def test_gather_vjp_bytes_match_add_at(gather, index, width):
+def test_gather_vjp_bytes_match_add_at(index, width):
     # repeated ids sum in index order from zero, as np.add.at sums them
     rng = np.random.default_rng(28)
     table = T.Tensor(rng.standard_normal((7, width)), requires_grad=True)
-    out = gather(table, index)
+    out = T.embedding(table, index)
     for _ in range(5):
         g = rng.standard_normal(out.shape) * 10.0 ** rng.integers(-8, 8, out.shape)
         expected = np.zeros_like(table.data)

@@ -37,9 +37,11 @@ def _path(config: RunConfig, name: str) -> str:
 
 def _load_config(args) -> RunConfig:
     try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()] if args.seeds else None
+        seeds = None if args.seeds is None else [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
         raise ConfigError(f"--seeds must be integers, got {args.seeds!r}") from None
+    if seeds == []:
+        raise ConfigError(f"--seeds names no seed, got {args.seeds!r}")
     return load_run_config(args.config, {"seed": args.seed, "out": args.out, "seeds": seeds})
 
 

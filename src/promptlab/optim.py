@@ -68,6 +68,19 @@ class Adam:
             v += (1.0 - ADAM_BETA2) * g * g
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
+    def narrowed(self, rows) -> "Adam":
+        """Adam over the entries ``rows`` of each parameter, as new leaves.
+
+        Those entries keep their moments and the step count carries on; the old
+        parameters are left as they are.
+        """
+        narrow = Adam([Tensor(p.data[rows], requires_grad=True, name=p.name)
+                       for p in self.params], lr=self.lr)
+        narrow.t = self.t
+        narrow._m = [m[rows] for m in self._m]
+        narrow._v = [v[rows] for v in self._v]
+        return narrow
+
 
 def cosine_lr(step: int, total_steps: int, lr_init: float) -> float:
     """Half-cosine decay from lr_init at step 0 to 0 at step == total_steps."""

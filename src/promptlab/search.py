@@ -6,6 +6,13 @@ own attribute soft blocks, all candidates share one class soft block, and a
 softmax over the mixture logits alpha weighs the candidates' class scores.
 Alternating first-order steps tune alpha on validation batches and the soft
 blocks on training batches; the argmax candidate wins, lowest index on ties.
+
+The pool shrinks as the search goes, as in P-DARTS (arXiv:1904.12760): at the
+start of epochs 2, 4, 6 and so on (0-based), the search keeps the ceil(n/2)
+active candidates with the highest alpha, never fewer than two, ties to the
+lower pool index. A pruned candidate's alpha stays as it was when pruned, so
+the result's weights, the softmax of every candidate's alpha, still cover the
+whole pool.
 """
 
 from __future__ import annotations
@@ -28,6 +35,9 @@ from .training import class_loss, descend, epoch_batches, make_banks
 RESULT_KIND = "search_result"
 
 MAX_BASES = 12  # 2^12 - 1 = 4095 candidates is already past desk scale
+
+PRUNE_EVERY = 2  # epochs per stage of the active pool
+MIN_ACTIVE = 2  # the active pool is never halved below this
 
 
 def enumerate_pool(bases) -> list:
@@ -118,6 +128,18 @@ def select_candidate(pool, weights) -> tuple:
     return tuple(pool[int(np.argmax(np.asarray(weights)))])
 
 
+def halve(alpha) -> list:
+    """Positions of the ceil(n/2) largest of n logits, at least MIN_ACTIVE, in order.
+
+    ``sorted`` is stable, so it ranks ties by position, which is the
+    tie-break rule of ``select_candidate``. It is Python's sort, not numpy's:
+    numpy's first sort call pages in about 0.4 MB of library code, which a
+    search's peak RSS would show.
+    """
+    keep = max(MIN_ACTIVE, -(-len(alpha) // 2))
+    return sorted(sorted(range(len(alpha)), key=lambda i: -alpha[i])[:keep])
+
+
 def search_step(encoder, plan: FeaturePlan, alpha: T.Tensor, alpha_opt, theta_opt,
                 val_batch, train_batch) -> None:
     """One alpha step on a validation batch, then one theta step on a training batch.
@@ -141,8 +163,13 @@ def alternating_search(task: Task, bases, config: SearchConfig, encoder) -> Sear
     """First-order alternation: alpha on validation batches, theta on training ones.
 
     Each epoch walks the training split once; every theta batch is preceded by
-    one alpha step on the next validation batch (cycled independently). The
-    result carries the hash of ``describe_config(config)``.
+    one alpha step on the next validation batch (cycled independently). Every
+    PRUNE_EVERY epochs the active pool is halved by ``halve``: one new
+    ``FeaturePlan`` over the survivors, in pool order, replaces the old one,
+    and the survivors keep their alpha and its Adam moments. A pruned
+    candidate's alpha is frozen and its bank gets no more gradient. The
+    result weighs every candidate by the softmax of all of alpha and carries
+    the hash of ``describe_config(config)``.
     """
     config.validate()
     pool = enumerate_pool(bases)
@@ -152,17 +179,29 @@ def alternating_search(task: Task, bases, config: SearchConfig, encoder) -> Sear
     theta_params = {id(p): p for bank in banks.values() for p in bank.parameters()}
     theta_opt = SGD(theta_params.values(), lr=config.theta_lr)
     alpha_opt = Adam([alpha], lr=config.alpha_lr)
+    active = np.arange(len(pool))  # the pool indices alpha holds, in pool order
+    logits = np.zeros(len(pool))  # every candidate's alpha; a pruned one's as it was pruned
 
     x_train, y_train = task.split("train")
     x_val, y_val = task.split("val")
     if len(y_train) == 0 or len(y_val) == 0:
         raise DataError("search needs non-empty train and val splits")
-    # composing validates each candidate's layout against the encoder
-    plan = FeaturePlan(encoder, [(banks[c], replace(config.layout, attribute_names=c))
-                                 for c in pool], task.class_names)
+
+    def plan_over(indices):  # composing validates each candidate's layout against the encoder
+        candidates = [pool[i] for i in indices]
+        return FeaturePlan(encoder, [(banks[c], replace(config.layout, attribute_names=c))
+                                     for c in candidates], task.class_names)
+
+    plan = plan_over(active)
     rng = np.random.default_rng(subseed(config.seed, "search.order"))
     val_batches = epoch_batches(rng, len(y_val), config.batch_size)  # its order is drawn first
     for epoch, b, rows in epoch_batches(rng, len(y_train), config.batch_size, config.epochs):
+        if b == 0 and epoch and epoch % PRUNE_EVERY == 0 and active.size > MIN_ACTIVE:
+            logits[active], keep = alpha.data, halve(alpha.data)
+            active, alpha_opt = active[keep], alpha_opt.narrowed(keep)
+            alpha = alpha_opt.params[0]
+            plan = None  # the old plan's arrays go before the new plan's are made
+            plan = plan_over(active)
         _, _, val_rows = next(val_batches)
         try:
             search_step(encoder, plan, alpha, alpha_opt, theta_opt,
@@ -170,7 +209,8 @@ def alternating_search(task: Task, bases, config: SearchConfig, encoder) -> Sear
         except NumericsError as exc:
             raise NumericsError(f"non-finite loss at epoch {epoch}, batch {b}: {exc}")
 
-    weights = T.softmax(alpha).data
+    logits[active] = alpha.data
+    weights = T.softmax(T.Tensor(logits)).data
     return SearchResult(
         bases=tuple(bases),
         candidates=tuple(pool),

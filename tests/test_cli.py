@@ -609,6 +609,10 @@ BAD_INPUTS = {
     "seeds_repeated": (lambda payload: payload.update(seeds=[3, 3]), ["train", "--classic"],
                        "ConfigError: seeds"),
     "seeds_flag_repeated": (None, ["train", "--classic", "--seeds", "3,3"], "ConfigError: seeds"),
+    # a list of no seed would fall back to the config's seed
+    **{f"seeds_flag_{name}": (None, ["train", "--classic", "--seeds", value],
+                              "ConfigError: --seeds names no seed")
+       for name, value in (("comma", ","), ("empty", ""), ("blank", " , "))},
     "train_init_scheme_unknown": (_set("train", "init_scheme", "bogus"), ["gen-data"],
                                   "init_scheme"),
     "task_embed_dim_negative": (_set("task", "embed_dim", -4), ["gen-data"], "embed_dim"),

@@ -37,6 +37,28 @@ def test_adam_converges_on_quadratic():
     assert abs(p.data[0]) < 1e-2
 
 
+def test_narrowed_adam_steps_its_entries_as_the_full_one_does():
+    rng = np.random.default_rng(0)
+    p = T.Tensor(rng.normal(size=5), requires_grad=True)
+    full = Adam([p], lr=0.05)
+
+    def step(opt, grad):
+        opt.params[0]._grad = grad
+        opt.step()
+
+    for _ in range(3):
+        step(full, rng.normal(size=5))
+    rows = np.array([0, 2, 3])
+    narrow = full.narrowed(rows)
+    assert narrow.t == 3
+    for _ in range(2):
+        grad, before = rng.normal(size=5), p.data.copy()
+        step(narrow, grad[rows])
+        np.testing.assert_array_equal(p.data, before)  # the old parameter is left as it is
+        step(full, grad)
+    np.testing.assert_array_equal(narrow.params[0].data, p.data[rows])
+
+
 def test_optimizer_rejects_constants():
     with pytest.raises(ParameterError):
         SGD([T.Tensor([1.0])], lr=0.1)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from promptlab import search
 from promptlab import tensor as T
 from promptlab.config import config_hash
 from promptlab.data import LatentAttribute, TaskSpec, generate_task, subseed
@@ -27,6 +28,7 @@ from promptlab.search import (
     enumerate_pool,
     export_result,
     format_result,
+    halve,
     load_result,
     mixture_logits,
     parse_result,
@@ -281,6 +283,74 @@ def test_non_finite_search_loss_names_its_step():
     with pytest.raises(NumericsError, match=r"^non-finite loss at epoch 0, batch 1: "
                                             r"\w+ produced non-finite values$"):
         alternating_search(task, ("color", "shape"), SearchConfig(epochs=1, batch_size=4), enc)
+
+
+# -- progressive halving of the pool --------------------------------------------
+
+FOUR_BASES = ("color", "shape", "size", "texture")
+
+
+def four_base_task():
+    attrs = (LatentAttribute("color", ("color0", "color1", "color2", "color3")),
+             *(LatentAttribute(name, (f"{name}0",)) for name in FOUR_BASES[1:]))
+    return generate_task(TaskSpec(latent_attributes=attrs, informative_attributes=("color",),
+                                  num_classes=4, samples_per_class=8, noise_std=0.1,
+                                  include_id_words=False, seed=0))
+
+
+def spy_plans(monkeypatch):
+    """The candidates of every plan the search builds, in the order built."""
+    plans = []
+
+    class Spy(FeaturePlan):
+        def __init__(self, encoder, candidates, class_names):
+            plans.append([layout.attribute_names for _, layout in candidates])
+            super().__init__(encoder, candidates, class_names)
+
+    monkeypatch.setattr(search, "FeaturePlan", Spy)
+    return plans
+
+
+@pytest.mark.parametrize("alpha, kept", [
+    ([0.3, -1.0, 0.3, 2.0, 0.0], [0, 2, 3]),  # ceil(5/2) of them, in pool order
+    ([0.0, 0.5, 0.5, 0.5], [1, 2]),  # a tie goes to the lower index
+    ([0.0, 5.0, 1.0], [1, 2]),
+    ([-2.0, 1.0], [0, 1]),  # never fewer than two
+])
+def test_halve_keeps_the_highest_alpha(alpha, kept):
+    np.testing.assert_array_equal(halve(np.array(alpha)), kept)
+
+
+def test_search_halves_its_pool_every_two_epochs(monkeypatch):
+    task = four_base_task()
+    plans = spy_plans(monkeypatch)
+    alternating_search(task, FOUR_BASES, SearchConfig(epochs=10, batch_size=8),
+                       search_encoder(task))
+    assert [len(plan) for plan in plans] == [15, 8, 4, 2]  # epochs 0, 2, 4 and 6; none at 8
+    assert plans[0] == enumerate_pool(FOUR_BASES)
+    for before, after in zip(plans, plans[1:]):
+        assert set(after) < set(before)
+        assert after == sorted(after, key=before.index)  # survivors stay in pool order
+
+
+def test_two_epoch_search_builds_one_plan(monkeypatch):
+    task = search_task()
+    plans = spy_plans(monkeypatch)
+    alternating_search(task, ("color", "shape"), SearchConfig(epochs=2, batch_size=8),
+                       search_encoder(task))
+    assert plans == [enumerate_pool(("color", "shape"))]
+
+
+def test_pruned_alpha_stays_as_it_was_when_pruned(monkeypatch):
+    task = four_base_task()
+    plans = spy_plans(monkeypatch)
+    # the first two epochs draw the same batches, so they end at the same alpha
+    long, short = (alternating_search(task, FOUR_BASES, SearchConfig(epochs=epochs, batch_size=8),
+                                      search_encoder(task)) for epochs in (10, 2))
+    i, j = [long.candidates.index(c) for c in plans[0] if c not in plans[1]][:2]
+    assert abs(long.weights[i] - short.weights[i]) > 1e-6  # the survivors took on mass
+    np.testing.assert_allclose(np.log(long.weights[i] / long.weights[j]),
+                               np.log(short.weights[i] / short.weights[j]), rtol=0, atol=1e-12)
 
 
 class ThetaSpy:

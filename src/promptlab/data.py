@@ -55,8 +55,10 @@ def keyed_rng(*keys):
     return np.random.default_rng(entropy)
 
 
+# the dataset's arithmetic uses element-wise products and np.add.reduce, not
+# BLAS (np.linalg.norm, @): its bytes then do not depend on the BLAS kernel
 def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+    return v / np.sqrt(np.add.reduce(v * v))
 
 
 @dataclass
@@ -205,7 +207,7 @@ def _prototype(spec: TaskSpec, vocab: Vocabulary, fmap: np.ndarray, signature: d
     content = sum(
         vocab.vectors[vocab.id_of(signature[n])] for n in spec.informative_attributes
     )
-    systematic = _unit(fmap @ content)
+    systematic = _unit(np.add.reduce(fmap * content, axis=1))
     offset = _unit(keyed_rng(spec.seed, "offset", id_word).standard_normal(spec.raw_feature_dim))
     s = spec.attribute_signal
     return _unit(s * systematic + (1.0 - s) * offset)

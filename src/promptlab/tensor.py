@@ -1,9 +1,15 @@
 """Minimal deterministic reverse-mode autodiff over dense float64 arrays.
 
-The computation graph is implicit: every tensor produced by an operation
-keeps references to its parents and a vector-Jacobian closure. ``backward``
-topologically sorts that graph once, visits each node exactly once, and
-accumulates gradients into leaf tensors that have ``requires_grad`` set.
+The graph is kept apart from the tensors' data. Every op output that needs a
+gradient gets a small node: the op's vector-Jacobian closure and one place per
+parent, which is the parent's own node, the parent itself when it is a
+gradient-carrying leaf, or None when the parent is frozen. A node never holds
+a parent tensor, so the data of interior tensors is freed as soon as the
+caller drops them; a closure holds only the arrays, shapes and flags its VJP
+reads. ``backward`` topologically sorts the nodes once, visits each exactly
+once, and accumulates gradients into the leaves. It drops each node's closure
+and places as soon as it has used them, so the graph is freed as backward
+walks it, and a second backward through the same graph is refused.
 
 Storage is always row-major float64. There are no views that alias mutable
 data: operations copy, and a tensor's ``data`` is only ever written in place
@@ -54,6 +60,21 @@ def _keep_freed_memory() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
+class _Node:
+    """One op output's place in the graph: its VJP and one place per parent.
+
+    A place is the parent's own node, the parent itself when it is a
+    gradient-carrying leaf, or None when the parent is frozen. ``backward``
+    sets both fields to None once it has used them.
+    """
+
+    __slots__ = ("vjp", "parents")
+
+    def __init__(self, vjp, parents: tuple):
+        self.vjp = vjp
+        self.parents = parents
+
+
 class Tensor:
     """Dense float64 array participating in a reverse-mode graph.
 
@@ -63,15 +84,14 @@ class Tensor:
     until ``zero_grad`` resets them.
     """
 
-    __slots__ = ("data", "requires_grad", "_grad", "_parents", "_vjp", "name")
+    __slots__ = ("data", "requires_grad", "_grad", "_node", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.name = name
         self._grad: Optional[np.ndarray] = None
-        self._parents: tuple = ()
-        self._vjp: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None
+        self._node: Optional[_Node] = None
 
     # -- basic introspection ------------------------------------------------
 
@@ -99,7 +119,16 @@ class Tensor:
         self._grad = None
 
     def is_leaf(self) -> bool:
-        return self._vjp is None
+        return self._node is None
+
+    @property
+    def _parents(self) -> tuple:
+        """The places of this op output's parents (see ``_Node``); () for a leaf."""
+        return () if self._node is None else self._node.parents
+
+    @property
+    def _vjp(self) -> Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]]:
+        return None if self._node is None else self._node.vjp
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -141,18 +170,21 @@ class Tensor:
         if not _FREED_MEMORY_KEPT:
             _keep_freed_memory()
 
-        order = _toposort(self)
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in order:
-            g = grads.pop(id(node))
-            if node._vjp is None:
-                if node._grad is None:
-                    node._grad = g.copy()
+        root = _place(self)
+        order = _toposort(root)
+        grads: dict[int, np.ndarray] = {id(root): np.ones_like(self.data)}
+        for place in order:
+            g = grads.pop(id(place))
+            if type(place) is not _Node:  # a gradient-carrying leaf
+                if place._grad is None:
+                    place._grad = g.copy()
                 else:
-                    node._grad += g
+                    place._grad += g
                 continue
-            for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None or not parent.requires_grad:
+            vjp, parents = place.vjp, place.parents
+            place.vjp = place.parents = None  # used once: free what the VJP holds
+            for parent, pg in zip(parents, vjp(g)):
+                if pg is None or parent is None:
                     continue
                 key = id(parent)
                 if key in grads:
@@ -161,22 +193,27 @@ class Tensor:
                     grads[key] = pg
 
 
-def _toposort(root: Tensor) -> list:
-    """Deterministic reverse-topological order over gradient-carrying nodes."""
+def _toposort(root) -> list:
+    """Deterministic reverse-topological order over the places below ``root``."""
     order: list = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        place, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(place)
             continue
-        if id(node) in visited:
+        if id(place) in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in visited:
+        visited.add(id(place))
+        stack.append((place, True))
+        if type(place) is not _Node:
+            continue
+        if place.parents is None:
+            raise ContractError("backward: the graph was freed by an earlier backward; "
+                                "run the forward again")
+        for parent in place.parents:
+            if parent is not None and id(parent) not in visited:
                 stack.append((parent, False))
     order.reverse()
     return order
@@ -190,9 +227,15 @@ def _make(data: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
     _check_finite(data, op)
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
-        out._parents = parents
-        out._vjp = vjp
+        out._node = _Node(vjp, tuple(_place(p) for p in parents))
     return out
+
+
+def _place(t: Tensor):
+    """A parent's place in the graph (see ``_Node``)."""
+    if not t.requires_grad:
+        return None
+    return t if t._node is None else t._node
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -215,10 +258,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}")
 
+    a_shape = a.shape if a.requires_grad else None
+    b_shape = b.shape if b.requires_grad else None
+
     def vjp(g):
         # a frozen operand (an encoder bias, most often) gets no gradient
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
+        return (None if a_shape is None else _unbroadcast(g, a_shape),
+                None if b_shape is None else _unbroadcast(g, b_shape))
 
     return _make(data, (a, b), vjp, "add")
 
@@ -230,9 +276,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}")
 
+    # each operand's gradient reads the other operand's data
+    a_shape, a_other = (a.shape, b.data) if a.requires_grad else (None, None)
+    b_shape, b_other = (b.shape, a.data) if b.requires_grad else (None, None)
+
     def vjp(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+        return (None if a_shape is None else _unbroadcast(g * a_other, a_shape),
+                None if b_shape is None else _unbroadcast(g * b_other, b_shape))
 
     return _make(data, (a, b), vjp, "mul")
 
@@ -266,8 +316,9 @@ def _gelu_slope(z: np.ndarray, s: np.ndarray) -> np.ndarray:
 def gelu(a: Tensor) -> Tensor:
     """QuickGELU, z sigmoid(1.702 z), the activation of CLIP's text encoder."""
     a = _as_tensor(a)
-    s = _gelu_gate(a.data)
-    return _make(a.data * s, (a,), lambda g: (g * _gelu_slope(a.data, s),), "gelu")
+    x = a.data
+    s = _gelu_gate(x)
+    return _make(x * s, (a,), lambda g: (g * _gelu_slope(x, s),), "gelu")
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -282,10 +333,11 @@ def tanh(a: Tensor) -> Tensor:
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
 
     def vjp(g):
         g_ = g if keepdims or axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_, a.shape).copy(),)
+        return (np.broadcast_to(g_, shape).copy(),)
 
     return _make(data, (a,), vjp, "sum")
 
@@ -309,15 +361,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim == 3 and b.ndim == 3 and a.shape[0] != b.shape[0]:
         raise ShapeError(f"matmul: batch extents differ, {a.shape} @ {b.shape}")
     data = a.data @ b.data
+    # each operand's gradient reads the other operand's data
+    b_for_a = b.data if a.requires_grad else None
+    a_for_b = a.data if b.requires_grad else None
+    shared_right = a.ndim == 3 and b.ndim == 2
 
     def vjp(g):
         # a frozen operand (an encoder weight, most often) gets no gradient
-        ga = g @ b.data.swapaxes(-1, -2) if a.requires_grad else None
-        if not b.requires_grad:
+        ga = None if b_for_a is None else g @ b_for_a.swapaxes(-1, -2)
+        if a_for_b is None:
             return ga, None
-        if a.ndim == 3 and b.ndim == 2:
-            return ga, np.einsum("bmk,bmn->kn", a.data, g)
-        return ga, a.data.swapaxes(-1, -2) @ g
+        if shared_right:
+            return ga, np.einsum("bmk,bmn->kn", a_for_b, g)
+        return ga, a_for_b.swapaxes(-1, -2) @ g
 
     return _make(data, (a, b), vjp, "matmul")
 
@@ -340,7 +396,8 @@ def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     if int(np.prod(shape, dtype=np.int64)) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),), "reshape")
+    a_shape = a.shape
+    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a_shape),), "reshape")
 
 
 def expand0(a: Tensor, n: int) -> Tensor:
@@ -412,12 +469,14 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat, inv = _normalize(a.data)
     data = xhat * gain.data
     data += bias.data
+    a_grad, gain_grad, bias_grad = a.requires_grad, gain.requires_grad, bias.requires_grad
+    gain_data = gain.data
 
     def vjp(g):
         # a frozen parent (the encoder's final norm, most often) gets no gradient
-        return (_normalize_vjp(g * gain.data, xhat, inv) if a.requires_grad else None,
-                _sum_lead(g * xhat) if gain.requires_grad else None,
-                _sum_lead(g) if bias.requires_grad else None)
+        return (_normalize_vjp(g * gain_data, xhat, inv) if a_grad else None,
+                _sum_lead(g * xhat) if gain_grad else None,
+                _sum_lead(g) if bias_grad else None)
 
     return _make(data, (a, gain, bias), vjp, "layer_norm")
 
@@ -425,14 +484,15 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
     """x / (||x|| + 1e-12) along ``axis``; zero vectors map to zero, not NaN."""
     a = _as_tensor(a)
-    n = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=True))
+    x = a.data
+    n = np.sqrt((x * x).sum(axis=axis, keepdims=True))
     s = 1.0 / (n + _L2_EPS)
-    y = a.data * s
+    y = x * s
 
     def vjp(g):
         n_safe = np.where(n > 0.0, n, 1.0)
-        inner = (g * a.data).sum(axis=axis, keepdims=True)
-        return (g * s - a.data * inner * (s * s) / n_safe,)
+        inner = (g * x).sum(axis=axis, keepdims=True)
+        return (g * s - x * inner * (s * s) / n_safe,)
 
     return _make(y, (a,), vjp, "l2_normalize")
 
@@ -484,12 +544,12 @@ def embedding(table: Tensor, ids) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexRangeError(f"embedding: id out of range for table of {table.shape[0]} rows")
     data = table.data[ids]
+    rows, width = table.shape
 
     def vjp(g):
         # one bincount over the cells (id, column) sums each cell's gradients
         # in index order from zero, as np.add.at does, so the bytes match it,
         # at less cost
-        rows, width = table.shape
         cells = (ids.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
         gt = np.bincount(cells, weights=g.reshape(-1), minlength=rows * width)
         return (gt.reshape(rows, width),)
@@ -505,13 +565,12 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
         data = np.concatenate([p.data for p in parts], axis=axis)
     except ValueError:
         raise ShapeError(f"concat: cannot join {[p.shape for p in parts]} along axis {axis}")
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
 
     def vjp(g):
         idx = [slice(None)] * g.ndim
         outs = []
-        for i in range(len(parts)):
+        for i in range(len(offsets) - 1):
             idx[axis] = slice(offsets[i], offsets[i + 1])
             outs.append(g[tuple(idx)])
         return tuple(outs)
@@ -528,9 +587,10 @@ def stack(tensors: Iterable[Tensor]) -> Tensor:
     if len(shapes) != 1:
         raise ShapeError(f"stack: shapes differ: {sorted(shapes)}")
     data = np.stack([p.data for p in parts], axis=0)
+    count = len(parts)
 
     def vjp(g):
-        return tuple(g[i] for i in range(len(parts)))
+        return tuple(g[i] for i in range(count))
 
     return _make(data, tuple(parts), vjp, "stack")
 
@@ -544,9 +604,10 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
+    shape = a.shape
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape)
         ga[idx] = g
         return (ga,)
 
@@ -643,10 +704,11 @@ def attention_sublayer(h: Tensor, wqk: Tensor, wv: Tensor, wo: Tensor, num_heads
         start, q_start = rows.stop, q_rows.stop
     data = _row_products(ctx, wo.data)
     data += h.data[query_rows]
+    num_rows, wo_data = h.shape[0], wo.data
 
     def kv_grad(gc):
         """[gk | gv] for every row, from the gradient of the merged heads at the query rows."""
-        gkv = np.empty((h.shape[0], 2 * d))
+        gkv = np.empty((num_rows, 2 * d))
         for rows, q_rows, k, v, y in saved:
             count, _, q_len, length = y.shape
             gc_heads = np.ascontiguousarray(
@@ -666,7 +728,7 @@ def attention_sublayer(h: Tensor, wqk: Tensor, wv: Tensor, wo: Tensor, num_heads
     def vjp(g):
         # the VJPs hold a step's peak memory: nested calls free each
         # temporary as soon as it has been used
-        gh = _normalize_vjp(_row_products(kv_grad(_row_products(g, wo.data.T)), wkv.T), xhat, inv)
+        gh = _normalize_vjp(_row_products(kv_grad(_row_products(g, wo_data.T)), wkv.T), xhat, inv)
         gh[query_rows] += g
         return (gh,)
 
@@ -690,11 +752,12 @@ def mlp_sublayer(h: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     z *= s  # the activation, in place
     data = _row_products(z, w2.data)
     data += h.data
+    w1_data, w2_data = w1.data, w2.data
 
     def vjp(g):
-        gz = _row_products(g, w2.data.T)
+        gz = _row_products(g, w2_data.T)
         gz *= slope
-        gh = _row_products(gz, w1.data.T)
+        gh = _row_products(gz, w1_data.T)
         del gz  # freed before the norm's VJP: the VJPs hold a step's peak memory
         gh = _normalize_vjp(gh, xhat, inv)
         gh += g

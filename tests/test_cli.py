@@ -520,8 +520,9 @@ def _openblas_configuration() -> str:
 
 
 # the criterion-8 files whose bytes do not depend on the BLAS kernel (see README)
-PORTABLE_FILES = ("eval_report_atprompt.json", "report_atprompt.json", "report_classic.json",
-                  "run_config.json", "search_result.txt")
+PORTABLE_FILES = ("base.json", "eval_report_atprompt.json", "manifest.json", "novel.json",
+                  "report_atprompt.json", "report_classic.json", "run_config.json",
+                  "search_result.txt")
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")

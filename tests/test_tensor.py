@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -180,6 +181,71 @@ def test_backward_deterministic_bitwise():
     assert first[2] == second[2]
     np.testing.assert_array_equal(first[0], second[0])
     np.testing.assert_array_equal(first[1], second[1])
+
+
+# -- what the graph keeps -------------------------------------------------------
+
+
+def test_second_backward_through_a_freed_graph_is_refused():
+    # backward frees each node it uses: running it again must fail, not add wrong gradients
+    x = T.Tensor([3.0], requires_grad=True)
+    y = x * x
+    loss = T.tsum(y)
+    loss.backward()
+    with pytest.raises(ContractError, match="freed"):
+        loss.backward()
+    with pytest.raises(ContractError, match="freed"):
+        T.tsum(y * 2.0).backward()  # a new graph over a freed node
+    np.testing.assert_array_equal(x.grad, [6.0])
+
+
+def test_scalar_leaf_backward_accumulates_ones():
+    x = T.Tensor(2.0, requires_grad=True)
+    x.backward()
+    x.backward()
+    assert x.is_leaf() and x.grad == 2.0
+
+
+def _shape_only_op(name, rng):
+    """``name`` applied to a [6, 4] tensor; its VJP reads the tensor's shape, not its data."""
+    if name == "attention_sublayer":
+        params = sublayer_params(rng, 4, frozen)
+        return lambda p: T.attention_sublayer(p, *params, 2, ((2, 3),), False)
+    if name == "mlp_sublayer":
+        params = sublayer_params(rng, 4, frozen, hidden=5)
+        return lambda p: T.mlp_sublayer(p, *params)
+    bias, other = frozen(rng, 4), frozen(rng, 6, 4)
+    return {
+        "add": lambda p: T.add(p, bias),
+        "embedding": lambda p: T.embedding(p, [5, 0, 2, 2]),
+        "concat": lambda p: T.concat([p, other, p], axis=1),
+        "stack": lambda p: T.stack([other, p]),
+        "narrow": lambda p: T.narrow(p, 0, 1, 4),
+        "reshape": lambda p: T.reshape(p, (4, 6)),  # a view of the parent's data
+        "tsum": lambda p: T.tsum(p, axis=0),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["add", "embedding", "concat", "stack", "narrow", "reshape",
+                                  "tsum", "attention_sublayer", "mlp_sublayer"])
+def test_graph_frees_a_parent_whose_data_no_vjp_reads(name):
+    rng = np.random.default_rng(50)
+    x = leaf(rng, 6, 4)
+    op = _shape_only_op(name, rng)
+    freed = []
+
+    def build():
+        parent = T.scale(x, 1.5)
+        parent_data = weakref.ref(parent.data)
+        out = op(parent)
+        weights = T.Tensor(np.cos(np.arange(out.size)).reshape(out.shape))
+        loss = T.tsum(T.mul(out, weights))
+        del parent, out
+        freed.append(parent_data() is None)
+        return loss
+
+    assert_gradients_match(build, [x])
+    assert freed and all(freed)
 
 
 # -- error paths --------------------------------------------------------------

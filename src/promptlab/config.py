@@ -15,7 +15,6 @@ a config loads no numpy, so a command that only reads files stays light.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import re
@@ -294,6 +293,7 @@ RUN_CONFIG_KIND = "run_config"
 
 def config_hash(payload) -> str:
     """Short content address of any JSON-serializable object."""
+    import hashlib  # here, not at the top: it loads OpenSSL, which `report` never needs
     return hashlib.sha256(dumps_json(payload).encode()).hexdigest()[:12]
 
 

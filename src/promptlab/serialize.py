@@ -11,7 +11,6 @@ Config sections and artifact bodies are read through one check, ``check_fields``
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -73,6 +72,7 @@ def load_json(path: str):
 
 
 def file_sha256(path: str) -> str:
+    import hashlib  # here, not at the top: it loads OpenSSL, which `report` never needs
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):

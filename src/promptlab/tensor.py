@@ -293,19 +293,19 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(a.data * c, (a,), lambda g: (g * c,), "scale")
 
 
-def _gelu_gate(z: np.ndarray) -> np.ndarray:
+def _gelu_gate(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """QuickGELU's gate of an array, s = sigmoid(1.702 z) = (1 + tanh(0.851 z)) / 2."""
     # the tanh form of the sigmoid cannot overflow, whatever z is
-    s = z * 0.851
+    s = np.multiply(z, 0.851, out=out)
     np.tanh(s, out=s)
     s += 1.0
     s *= 0.5
     return s
 
 
-def _gelu_slope(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _gelu_slope(z: np.ndarray, s: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """d gelu / dz from the forward's sigmoid: s + 1.702 z s (1 - s)."""
-    slope = 1.0 - s
+    slope = np.subtract(1.0, s, out=out)
     slope *= s
     slope *= z
     slope *= 1.702
@@ -624,25 +624,26 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 # large product over its threads, which costs more wall and CPU time than it
 # saves at these sizes; a 64-row product stays on one thread. OpenBLAS runs on
 # one thread by default anyway (promptlab/__init__.py), and the blocks stay:
-# on one thread too they take less time than one product at a search's rows
+# on one thread too they take less time than one product on a search's larger stacks
 _ROW_BLOCK = 64
+_MLP_BLOCK = 512  # rows per block of mlp_sublayer's forward
 
 
-def _row_products(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` for ``x`` [..., k], as a batch of 64-row products and the remainder.
+def _row_products(x: np.ndarray, w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``x @ w`` for ``x`` [..., k], into ``out`` if given: 64-row products and the remainder.
 
-    Fewer than two whole blocks of rows (a one-candidate stack in training,
-    say) are one product: it stays below OpenBLAS's threading threshold, and
-    one call costs less than two.
+    Up to seven blocks of rows (448) are one product: on one thread it took
+    less time than the blocks up to 448 rows and more from 504 rows on, for
+    a search's [R, 32] @ [32, 64] and [R, 64] @ [64, 32].
     """
     # numpy's stacked matmul takes a slow non-BLAS loop for a transposed right
     # operand, such as a weight's transpose in a VJP
     w = np.ascontiguousarray(w)
     k, m = w.shape
     rows = x.reshape(-1, k)
-    if rows.shape[0] < 2 * _ROW_BLOCK:
-        return x @ w
-    out = np.empty((rows.shape[0], m))
+    if rows.shape[0] <= 7 * _ROW_BLOCK:
+        return np.matmul(x, w, out=out)
+    out = np.empty((rows.shape[0], m)) if out is None else out.reshape(-1, m)
     full = rows.shape[0] - rows.shape[0] % _ROW_BLOCK
     np.matmul(rows[:full].reshape(-1, _ROW_BLOCK, k), w, out=out[:full].reshape(-1, _ROW_BLOCK, m))
     np.matmul(rows[full:], w, out=out[full:])
@@ -655,16 +656,17 @@ def attention_sublayer(h: Tensor, wqk: Tensor, wv: Tensor, wo: Tensor, num_heads
 
     ``groups`` lists (count, length) in row order: ``count`` prompts of
     ``length`` rows each, covering the R rows; each prompt attends within
-    itself. Everything row-wise runs once over the stack; scores, softmax
-    and the weighted sum run per group. Queries and keys share the tied
-    projection ``wqk``: one product with ``[wqk | wv]`` gives keys and values,
-    and the queries are the keys of the query rows, every row or, with
-    ``readout``, the last row of each prompt. Each of ``num_heads`` heads
-    scores with scaled dot products of width d / num_heads, each query's
-    score against its own row lowered by 1e9. The merged heads go through
-    ``wo`` and are added to the query rows of ``h``. The norm has no affine.
-    Only ``h`` is differentiated (the weights must be frozen); the forward
-    keeps xhat, 1 / std, the keys and values, and each group's attention weights.
+    itself. Everything row-wise runs once over the stack; keys and values,
+    scores, softmax and the weighted sum run per group. Queries and keys
+    share the tied projection ``wqk``: a group's keys and values are one
+    product with ``[wqk | wv]``, and its queries are the keys of the query
+    rows, every row or, with ``readout``, the last row of each prompt. Each
+    of ``num_heads`` heads scores with scaled dot products of width
+    d / num_heads, each query's score against its own row lowered by 1e9.
+    The merged heads go through ``wo`` and are added to the query rows of
+    ``h``. The norm has no affine. Only ``h`` is differentiated (the weights
+    must be frozen); the forward keeps xhat, 1 / std and each group's
+    attention weights, and the VJP recomputes the keys and values from xhat.
     """
     h, wqk, wv, wo = map(_as_tensor, (h, wqk, wv, wo))
     d = h.shape[-1]
@@ -674,23 +676,20 @@ def attention_sublayer(h: Tensor, wqk: Tensor, wv: Tensor, wo: Tensor, num_heads
                          f"for a row stack of shape {h.shape}")
     _check_frozen_params("attention_sublayer", (wqk, wv, wo), ((d, d),) * 3)
     xhat, inv = _normalize(h.data)
-    # one product of the normalized rows with [wqk | wv]
     wkv = np.concatenate((wqk.data, wv.data), axis=1)
-    kv = _row_products(xhat, wkv)
     query_rows = slice(None)
     if readout:  # the last row of each prompt
         query_rows = np.cumsum(np.repeat([length for _, length in groups],
                                          [count for count, _ in groups])) - 1
     ctx = np.empty((len(query_rows) if readout else h.shape[0], d))
     inv_sqrt = 1.0 / math.sqrt(d // num_heads)
-    saved = []  # per group: its rows, its query rows, k, v and the attention weights y
+    saved = []  # per group: its rows, its query rows and the attention weights y
     start = q_start = 0
     for count, length in groups:
         q_len = 1 if readout else length
         rows, q_rows = slice(start, start + count * length), slice(q_start, q_start + count * q_len)
-        heads = kv[rows].reshape(count, length, 2, num_heads, -1)
-        k = heads[:, :, 0].swapaxes(1, 2)  # [count, H, length, d / H], views of kv
-        v = heads[:, :, 1].swapaxes(1, 2)
+        heads = _row_products(xhat[rows], wkv).reshape(count, length, 2, num_heads, -1)
+        k, v = heads[:, :, 0].swapaxes(1, 2), heads[:, :, 1].swapaxes(1, 2)  # [count, H, L, d/H]
         # right operands are contiguous (see _row_products): the k-transpose
         # here and the v-transpose in the VJP are copies
         y = k[:, :, length - q_len:] @ np.ascontiguousarray(k.swapaxes(-1, -2))
@@ -700,17 +699,21 @@ def attention_sublayer(h: Tensor, wqk: Tensor, wv: Tensor, wo: Tensor, num_heads
         np.exp(y, out=y)
         y /= y.sum(axis=-1, keepdims=True)
         ctx[q_rows].reshape(count, q_len, num_heads, -1)[...] = (y @ v).swapaxes(1, 2)
-        saved.append((rows, q_rows, k, v, y))
+        saved.append((rows, q_rows, y))
         start, q_start = rows.stop, q_rows.stop
     data = _row_products(ctx, wo.data)
     data += h.data[query_rows]
-    num_rows, wo_data = h.shape[0], wo.data
+    wqk_data, wv_data, wo_data = wqk.data, wv.data, wo.data
 
-    def kv_grad(gc):
-        """[gk | gv] for every row, from the gradient of the merged heads at the query rows."""
-        gkv = np.empty((num_rows, 2 * d))
-        for rows, q_rows, k, v, y in saved:
+    def vjp(g):
+        # keys and values are recomputed, and live one group at a time
+        wkv = np.concatenate((wqk_data, wv_data), axis=1)
+        gc = _row_products(g, wo_data.T)
+        gx = np.empty_like(xhat)
+        for rows, q_rows, y in saved:
             count, _, q_len, length = y.shape
+            heads = _row_products(xhat[rows], wkv).reshape(count, length, 2, num_heads, -1)
+            k, v = heads[:, :, 0].swapaxes(1, 2), heads[:, :, 1].swapaxes(1, 2)
             gc_heads = np.ascontiguousarray(
                 gc[q_rows].reshape(count, q_len, num_heads, -1).swapaxes(1, 2))
             gv = y.swapaxes(-1, -2) @ gc_heads
@@ -720,15 +723,11 @@ def attention_sublayer(h: Tensor, wqk: Tensor, wv: Tensor, wo: Tensor, num_heads
             gs *= inv_sqrt
             gk = (k[:, :, length - q_len:].swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
             gk[:, :, length - q_len:] += gs @ k  # the tied queries' gradient
-            heads = gkv[rows].reshape(count, length, 2, num_heads, -1)
+            heads = np.empty((count, length, 2, num_heads, d // num_heads))  # [gk | gv] by row
             heads[:, :, 0] = gk.swapaxes(1, 2)
             heads[:, :, 1] = gv.swapaxes(1, 2)
-        return gkv
-
-    def vjp(g):
-        # the VJPs hold a step's peak memory: nested calls free each
-        # temporary as soon as it has been used
-        gh = _normalize_vjp(_row_products(kv_grad(_row_products(g, wo_data.T)), wkv.T), xhat, inv)
+            _row_products(heads.reshape(-1, 2 * d), wkv.T, out=gx[rows])
+        gh = _normalize_vjp(gx, xhat, inv)
         gh[query_rows] += g
         return (gh,)
 
@@ -746,11 +745,20 @@ def mlp_sublayer(h: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     d, hidden = h.shape[-1], w1.shape[-1]
     _check_frozen_params("mlp_sublayer", (w1, w2), ((d, hidden), (hidden, d)))
     xhat, inv = _normalize(h.data)
-    z = _row_products(xhat, w1.data)
-    s = _gelu_gate(z)
-    slope = _gelu_slope(z, s) if h.requires_grad else None
-    z *= s  # the activation, in place
-    data = _row_products(z, w2.data)
+    data = np.empty(h.shape)
+    slope = np.empty(h.shape[:-1] + (hidden,)) if h.requires_grad else None
+    # a block of rows at a time, through two buffers the blocks reuse: neither
+    # the pre-activation nor its gate is ever a whole-stack array
+    x, y = xhat.reshape(-1, d), data.reshape(-1, d)
+    z, s = np.empty((2, min(len(x), _MLP_BLOCK), hidden))
+    for start in range(0, len(x), _MLP_BLOCK):
+        rows = slice(start, min(start + _MLP_BLOCK, len(x)))
+        zb = _row_products(x[rows], w1.data, out=z[:rows.stop - start])
+        sb = _gelu_gate(zb, out=s[:len(zb)])
+        if slope is not None:
+            _gelu_slope(zb, sb, out=slope.reshape(-1, hidden)[rows])
+        zb *= sb  # the activation, in place
+        _row_products(zb, w2.data, out=y[rows])
     data += h.data
     w1_data, w2_data = w1.data, w2.data
 

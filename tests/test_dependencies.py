@@ -134,12 +134,15 @@ def test_gen_data_loads_none_of_the_encoder_modules(tmp_path):
     assert json.loads(out.stdout.splitlines()[-1]) == [0, []], out.stderr
 
 
-# a child in which any import of numpy fails
+# a child in which any import of numpy fails, and which fails if the command
+# loaded OpenSSL (hashlib's _hashlib maps libcrypto, a few MB)
 REPORT_WITHOUT_NUMPY = "\n".join([
     "import sys",
     "sys.modules['numpy'] = None",
     "from promptlab.cli import main",
-    "sys.exit(main(sys.argv[1:]))",
+    "code = main(sys.argv[1:])",
+    "assert '_hashlib' not in sys.modules, 'report loaded _hashlib'",
+    "sys.exit(code)",
 ])
 
 

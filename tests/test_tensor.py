@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -400,13 +401,66 @@ def test_grad_mlp_sublayer(lead):
     assert_gradients_match(lambda: T.tsum(T.mul(T.mlp_sublayer(h, *params), w)), [h])
 
 
-@pytest.mark.parametrize("rows", [1, 63, 64, 65, 130])
+def closure_arrays(fn):
+    """Every array a function's closure reaches, through lists, tuples, functions and bases."""
+    pending, seen = [cell.cell_contents for cell in fn.__closure__ or ()], set()
+    while pending:
+        obj = pending.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            yield obj
+            pending.append(obj.base)
+        elif isinstance(obj, (list, tuple)):
+            pending.extend(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            pending.extend(cell.cell_contents for cell in obj.__closure__)
+
+
+@pytest.mark.parametrize("readout", [False, True], ids=["full", "readout"])
+def test_attention_vjp_holds_no_keys_or_values(readout):
+    # the VJP recomputes each group's keys and values from xhat: no array of
+    # [k | v] rows, nor [wqk | wv], outlives the forward
+    rng = np.random.default_rng(45)
+    d = 4
+    h = leaf(rng, 2 * 3 + 1 * 5, d)
+    out = T.attention_sublayer(h, *sublayer_params(rng, d, frozen), 2, ((2, 3), (1, 5)), readout)
+    held = list(closure_arrays(out._node.vjp))
+    assert any(a.shape == h.shape for a in held)  # xhat
+    assert [a.shape for a in held if a.ndim > 1 and a.shape[-1] == 2 * d] == []
+
+
+def test_mlp_forward_holds_the_pre_activation_and_gate_of_one_block_of_rows():
+    # beside xhat, the slope and the output, the forward holds two buffers of
+    # one block of rows (the pre-activation and its gate) and row vectors:
+    # neither is ever a whole-stack array
+    rng = np.random.default_rng(46)
+    rows, d, hidden = 4 * T._MLP_BLOCK, 8, 32
+    h = leaf(rng, rows, d)
+    params = sublayer_params(rng, d, frozen, hidden)
+    tracemalloc.start()
+    try:
+        out = T.mlp_sublayer(h, *params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    xhat_slope_out, block = 8 * rows * (d + hidden + d), 8 * T._MLP_BLOCK * hidden
+    assert xhat_slope_out < peak < xhat_slope_out + 3 * block
+    assert out.shape == h.shape
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 130, 224, 225, 260])
 def test_row_products_match_one_product(rows):
-    # whole 64-row blocks, then the remainder; a leading axis is flattened
+    # one product up to 448 flattened rows, then whole 64-row blocks and the
+    # remainder; a leading axis is flattened
     rng = np.random.default_rng(44)
     x, w = rng.standard_normal((rows, 2, 5)), rng.standard_normal((5, 3))
     np.testing.assert_allclose(T._row_products(x, w), x @ w, rtol=0, atol=1e-12)
     np.testing.assert_allclose(T._row_products(x, w.T.copy().T), x @ w, rtol=0, atol=1e-12)
+    out = np.empty((rows, 2, 3))
+    T._row_products(x, w, out=out)
+    np.testing.assert_array_equal(out, T._row_products(x, w))
 
 
 def test_attention_sublayer_rejects_bad_heads_and_rows():

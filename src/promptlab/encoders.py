@@ -2,10 +2,12 @@
 
 Every entry point takes a batch. The text side is a small pre-norm transformer
 over a row stack, the rows of many composed sequences [R, d] in groups of one
-length, read out at the end-sentinel position of each sequence. Its blocks'
-LayerNorms have no affine and their MLPs no biases: frozen, those would only
-ever hold ones and zeros; the final norm keeps its gain and bias. The image
-side is a 2-layer MLP over raw feature vectors [B, image_dim]. Both project into
+length, read out at the end-sentinel position of each sequence. Its
+LayerNorms, the final one too, have no affine and its MLPs no biases: frozen,
+those would only ever hold ones and zeros. Each block keeps four weights: the
+tied q/k projection and the value projection are one ``attn.wkv`` [d, 2d],
+the form the fused attention reads, then ``attn.wo``, ``mlp.w1`` and ``mlp.w2``.
+The image side is a 2-layer MLP over raw feature vectors [B, image_dim]. Both project into
 a shared joint space and L2-normalize; class logits [B, C] are cosines over the fixed
 ``config.TEMPERATURE``, and each block's MLP is ``config.MLP_RATIO`` times d wide.
 
@@ -87,16 +89,14 @@ class DualEncoder:
             base = f"layers.{i}."
             # one projection for queries and keys: random projections preserve
             # inner products, so tied q/k makes attention scores track
-            # embedding similarity; independent projections are similarity-blind
-            p[base + "attn.wqk"] = dense(d, d)
-            p[base + "attn.wv"] = transport(d, d)
+            # embedding similarity; independent projections are similarity-blind.
+            # It is stored beside the value projection, as [wqk | wv]
+            p[base + "attn.wkv"] = np.concatenate((dense(d, d), transport(d, d)), axis=1)
             p[base + "attn.wo"] = transport(d, d)
             # the feed-forward path stays a mild perturbation so it cannot
             # overwrite transported content
             p[base + "mlp.w1"] = dense(d, hid)
             p[base + "mlp.w2"] = dense(hid, d) * 0.25
-        p["ln_final.gain"] = np.ones(d)
-        p["ln_final.bias"] = np.zeros(d)
         p["text_proj"] = transport(d, cfg.joint_dim, noise=0.1)
         p["image.w1"] = transport(cfg.image_dim, cfg.image_hidden_dim)
         p["image.b1"] = rng.standard_normal(cfg.image_hidden_dim) * 0.02
@@ -135,7 +135,7 @@ class DualEncoder:
         # projections the diagonal always wins the softmax, which starves
         # cross-token routing; the residual stream already carries each
         # token's own content
-        h = T.attention_sublayer(h, p[base + "attn.wqk"], p[base + "attn.wv"], p[base + "attn.wo"],
+        h = T.attention_sublayer(h, p[base + "attn.wkv"], p[base + "attn.wo"],
                                  self.config.num_heads, groups, readout)
         return T.mlp_sublayer(h, p[base + "mlp.w1"], p[base + "mlp.w2"])
 
@@ -168,7 +168,7 @@ class DualEncoder:
             h = self._block(i, h, groups, readout=i == last)
             if deep_hook is not None and i < last:
                 h = deep_hook(i + 1, h)
-        h = T.layer_norm(h, self._params["ln_final.gain"], self._params["ln_final.bias"])
+        h = T.layer_norm(h, np.ones(cfg.embed_dim), np.zeros(cfg.embed_dim))
         return T.l2_normalize(T.matmul(h, self._params["text_proj"]))
 
     def encode_class_names(self, names) -> Tensor:

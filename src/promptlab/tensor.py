@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -120,15 +120,6 @@ class Tensor:
 
     def is_leaf(self) -> bool:
         return self._node is None
-
-    @property
-    def _parents(self) -> tuple:
-        """The places of this op output's parents (see ``_Node``); () for a leaf."""
-        return () if self._node is None else self._node.parents
-
-    @property
-    def _vjp(self) -> Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]]:
-        return None if self._node is None else self._node.vjp
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -650,33 +641,33 @@ def _row_products(x: np.ndarray, w: np.ndarray, out: Optional[np.ndarray] = None
     return out.reshape(x.shape[:-1] + (m,))
 
 
-def attention_sublayer(h: Tensor, wqk: Tensor, wv: Tensor, wo: Tensor, num_heads: int, groups,
+def attention_sublayer(h: Tensor, wkv: Tensor, wo: Tensor, num_heads: int, groups,
                        readout: bool) -> Tensor:
     """Pre-norm self-attention with its residual over a row stack ``h`` [R, d].
 
     ``groups`` lists (count, length) in row order: ``count`` prompts of
     ``length`` rows each, covering the R rows; each prompt attends within
     itself. Everything row-wise runs once over the stack; keys and values,
-    scores, softmax and the weighted sum run per group. Queries and keys
-    share the tied projection ``wqk``: a group's keys and values are one
-    product with ``[wqk | wv]``, and its queries are the keys of the query
-    rows, every row or, with ``readout``, the last row of each prompt. Each
-    of ``num_heads`` heads scores with scaled dot products of width
-    d / num_heads, each query's score against its own row lowered by 1e9.
-    The merged heads go through ``wo`` and are added to the query rows of
-    ``h``. The norm has no affine. Only ``h`` is differentiated (the weights
-    must be frozen); the forward keeps xhat, 1 / std and each group's
-    attention weights, and the VJP recomputes the keys and values from xhat.
+    scores, softmax and the weighted sum run per group. ``wkv`` [d, 2d] is
+    ``[wqk | wv]``, the tied query/key projection beside the value
+    projection: a group's keys and values are one product with it, and its
+    queries are the keys of the query rows, every row or, with ``readout``,
+    the last row of each prompt. Each of ``num_heads`` heads scores with
+    scaled dot products of width d / num_heads, each query's score against
+    its own row lowered by 1e9. The merged heads go through ``wo`` and are
+    added to the query rows of ``h``. The norm has no affine. Only ``h`` is
+    differentiated (the weights must be frozen); the forward keeps xhat,
+    1 / std and each group's attention weights, and the VJP recomputes the
+    keys and values from xhat.
     """
-    h, wqk, wv, wo = map(_as_tensor, (h, wqk, wv, wo))
+    h, wkv, wo = map(_as_tensor, (h, wkv, wo))
     d = h.shape[-1]
     if (h.ndim != 2 or d % num_heads or min((min(g) for g in groups), default=0) < 1
             or sum(count * length for count, length in groups) != h.shape[0]):
         raise ShapeError(f"attention_sublayer: {num_heads} heads and groups {list(groups)} "
                          f"for a row stack of shape {h.shape}")
-    _check_frozen_params("attention_sublayer", (wqk, wv, wo), ((d, d),) * 3)
+    _check_frozen_params("attention_sublayer", (wkv, wo), ((d, 2 * d), (d, d)))
     xhat, inv = _normalize(h.data)
-    wkv = np.concatenate((wqk.data, wv.data), axis=1)
     query_rows = slice(None)
     if readout:  # the last row of each prompt
         query_rows = np.cumsum(np.repeat([length for _, length in groups],
@@ -688,7 +679,7 @@ def attention_sublayer(h: Tensor, wqk: Tensor, wv: Tensor, wo: Tensor, num_heads
     for count, length in groups:
         q_len = 1 if readout else length
         rows, q_rows = slice(start, start + count * length), slice(q_start, q_start + count * q_len)
-        heads = _row_products(xhat[rows], wkv).reshape(count, length, 2, num_heads, -1)
+        heads = _row_products(xhat[rows], wkv.data).reshape(count, length, 2, num_heads, -1)
         k, v = heads[:, :, 0].swapaxes(1, 2), heads[:, :, 1].swapaxes(1, 2)  # [count, H, L, d/H]
         # right operands are contiguous (see _row_products): the k-transpose
         # here and the v-transpose in the VJP are copies
@@ -703,16 +694,15 @@ def attention_sublayer(h: Tensor, wqk: Tensor, wv: Tensor, wo: Tensor, num_heads
         start, q_start = rows.stop, q_rows.stop
     data = _row_products(ctx, wo.data)
     data += h.data[query_rows]
-    wqk_data, wv_data, wo_data = wqk.data, wv.data, wo.data
+    wkv_data, wo_data = wkv.data, wo.data
 
     def vjp(g):
         # keys and values are recomputed, and live one group at a time
-        wkv = np.concatenate((wqk_data, wv_data), axis=1)
         gc = _row_products(g, wo_data.T)
         gx = np.empty_like(xhat)
         for rows, q_rows, y in saved:
             count, _, q_len, length = y.shape
-            heads = _row_products(xhat[rows], wkv).reshape(count, length, 2, num_heads, -1)
+            heads = _row_products(xhat[rows], wkv_data).reshape(count, length, 2, num_heads, -1)
             k, v = heads[:, :, 0].swapaxes(1, 2), heads[:, :, 1].swapaxes(1, 2)
             gc_heads = np.ascontiguousarray(
                 gc[q_rows].reshape(count, q_len, num_heads, -1).swapaxes(1, 2))
@@ -726,7 +716,7 @@ def attention_sublayer(h: Tensor, wqk: Tensor, wv: Tensor, wo: Tensor, num_heads
             heads = np.empty((count, length, 2, num_heads, d // num_heads))  # [gk | gv] by row
             heads[:, :, 0] = gk.swapaxes(1, 2)
             heads[:, :, 1] = gv.swapaxes(1, 2)
-            _row_products(heads.reshape(-1, 2 * d), wkv.T, out=gx[rows])
+            _row_products(heads.reshape(-1, 2 * d), wkv_data.T, out=gx[rows])
         gh = _normalize_vjp(gx, xhat, inv)
         gh[query_rows] += g
         return (gh,)

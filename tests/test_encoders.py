@@ -256,9 +256,11 @@ def oracle_block(enc, layer, h, readout):
     q_len = 1 if readout else seq_len
     ones, zeros = T.Tensor(np.ones(cfg.embed_dim)), T.Tensor(np.zeros(cfg.embed_dim))
     normed = T.layer_norm(h, ones, zeros)  # the blocks' norms have no affine
-    q = T.matmul(T.narrow(normed, -2, seq_len - q_len, seq_len), p[base + "attn.wqk"])
-    k = T.matmul(normed, p[base + "attn.wqk"])
-    v = T.matmul(normed, p[base + "attn.wv"])
+    wkv, d = p[base + "attn.wkv"], cfg.embed_dim  # [wqk | wv]
+    wqk, wv = T.narrow(wkv, -1, 0, d), T.narrow(wkv, -1, d, 2 * d)
+    q = T.matmul(T.narrow(normed, -2, seq_len - q_len, seq_len), wqk)
+    k = T.matmul(normed, wqk)
+    v = T.matmul(normed, wv)
     head_dim = cfg.embed_dim // cfg.num_heads
     mask = T.Tensor(np.diag(np.full(seq_len, -1e9))[seq_len - q_len:])
     heads = []
@@ -273,14 +275,20 @@ def oracle_block(enc, layer, h, readout):
     return h + T.matmul(inner, p[base + "mlp.w2"])
 
 
+# two-group row stacks: 26 rows, and 624 rows, past the 448 rows up to which
+# _row_products makes one product (the first group's 480 rows too)
+BLOCK_STACKS = (("", ((3, 6), (2, 4))), ("-624_rows", ((40, 12), (16, 9))))
+
+
 @pytest.mark.parametrize("readout", [False, True], ids=["full", "readout"])
-@pytest.mark.parametrize("heads", [1, 4])
-def test_fused_block_matches_primitive_ops(heads, readout):
+@pytest.mark.parametrize("heads, groups", [pytest.param(heads, groups, id=f"{heads}{rows}")
+                                           for rows, groups in BLOCK_STACKS for heads in (1, 4)])
+def test_fused_block_matches_primitive_ops(heads, groups, readout):
     # the fused block over a row stack of two groups against the oracle on each
     # group's [count, length, d] batch: values and input gradients, group by group
     enc = make_encoder(num_heads=heads, num_layers=2)
     rng = np.random.default_rng(heads)
-    groups, d = ((3, 6), (2, 4)), enc.config.embed_dim
+    d = enc.config.embed_dim
     xs = [rng.standard_normal((count, length, d)) for count, length in groups]
     targets = [rng.standard_normal((count, 1 if readout else length, d))
                for count, length in groups]
@@ -310,13 +318,15 @@ def test_all_encoder_weights_frozen():
 
 
 def test_text_blocks_hold_no_identity_weights():
-    # a block's norms have no affine and its MLP no biases: five weights per block
+    # no norm has an affine and no MLP biases, and [wqk | wv] is one weight:
+    # four weights per block
     enc = make_encoder()
     names = set(enc.parameters())
-    assert enc.config.num_layers == 4 and len(names) == 29
+    assert enc.config.num_layers == 4 and len(names) == 23
+    assert not any(n.startswith("ln_final.") for n in names)
     for i in range(4):
         block = {n.split(".", 2)[2] for n in names if n.startswith(f"layers.{i}.")}
-        assert block == {"attn.wqk", "attn.wv", "attn.wo", "mlp.w1", "mlp.w2"}
+        assert block == {"attn.wkv", "attn.wo", "mlp.w1", "mlp.w2"}
 
 
 def test_backward_through_encoder_leaves_weights_untouched():
@@ -417,18 +427,22 @@ def test_checkpoint_with_a_bad_weight_names_the_file_and_the_weight(value, tmp_p
 
 
 def test_checkpoint_with_an_unknown_weight_names_the_file_and_the_weight(tmp_path):
-    # a file with its own key projection must not load as if it were tied
+    # a file with its own key projection must not load as if it were tied, nor
+    # one that stores [wqk | wv] as two weights or the final norm's affine
     import json
 
     path = tmp_path / "enc.json"
     enc = make_encoder()
     enc.save(str(path))
-    payload = json.loads(path.read_text())
-    payload["weights"]["layers.0.attn.wk"] = payload["weights"]["layers.0.attn.wqk"]
-    path.write_text(json.dumps(payload))
-    with pytest.raises(CheckpointError,
-                       match=f"^{re.escape(str(path))}: unknown weight layers.0.attn.wk$"):
-        DualEncoder.load(str(path))
+    saved, d = path.read_text(), enc.config.embed_dim
+    for name in ("layers.0.attn.wk", "layers.0.attn.wqk", "layers.0.attn.wv", "ln_final.gain",
+                 "ln_final.bias"):
+        payload = json.loads(saved)
+        payload["weights"][name] = [1.0] * d if name.startswith("ln_final.") else [[0.0] * d] * d
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError,
+                           match=f"^{re.escape(str(path))}: unknown weight {name}$"):
+            DualEncoder.load(str(path))
 
 
 def test_checkpoint_with_block_norm_affines_and_mlp_biases_is_rejected(tmp_path):

@@ -572,6 +572,23 @@ def test_parse_of_format_returns_the_result(bases, config_hash, data):
     np.testing.assert_array_equal(back.weights, result.weights)
 
 
+@pytest.mark.parametrize("n", range(1, MAX_BASES + 1))
+def test_format_then_parse_round_trips_at_every_base_count(n):
+    # each stored row is rounded to 3 decimals, so from a few hundred rows on
+    # the column read back can sum more than 0.02 away from 1
+    bases = tuple(f"b{i}" for i in range(n))
+    pool = tuple(enumerate_pool(bases))
+    rng = np.random.default_rng(n)
+    near_uniform, dominant = 1.0 + 0.1 * rng.random(len(pool)), np.ones(len(pool))
+    dominant[rng.integers(len(pool))] = len(pool)
+    for raw in (near_uniform, dominant):
+        weights = raw / raw.sum()
+        result = SearchResult(bases, pool, weights, select_candidate(pool, weights))
+        back = parse_result(format_result(result), path="w.txt")
+        assert (back.bases, back.candidates, back.selected) == (bases, pool, result.selected)
+        assert np.abs(back.weights - weights).max() <= 5e-4 + 1e-12
+
+
 def test_parse_rejects_malformed_rows_with_location():
     res = toy_result()
     text = format_result(res).replace("selected:", "chosen:", 1)
@@ -590,6 +607,11 @@ def test_parse_rejects_wrong_kind_version_and_pool_size():
         parse_result(text.replace("# format_version: 1", "# format_version: 9"))
     with pytest.raises(ParseError):
         parse_result(text.replace("# pool_size: 7", "# pool_size: 5"))
+    # a bases header that repeats a base or names too many
+    for bases, message in (("x, y, x", "duplicate base words: x"),
+                           (", ".join(f"b{i}" for i in range(13)), "need between 1 and 12")):
+        with pytest.raises(ParseError, match=f"^w.txt: {message}"):
+            parse_result(text.replace("# bases: x, y, z", f"# bases: {bases}"), path="w.txt")
 
 
 def test_load_missing_file_is_data_error(tmp_path):

@@ -352,9 +352,9 @@ def test_grad_layer_norm():
 
 
 def sublayer_params(rng, d, make, hidden=None):
-    """Attention's wqk, wv and wo, or the MLP's w1 and w2."""
+    """Attention's wkv = [wqk | wv] and wo, or the MLP's w1 and w2."""
     if hidden is None:
-        return [make(rng, d, d) for _ in range(3)]
+        return [make(rng, d, 2 * d), make(rng, d, d)]
     return [make(rng, d, hidden), make(rng, hidden, d)]
 
 
@@ -421,14 +421,15 @@ def closure_arrays(fn):
 @pytest.mark.parametrize("readout", [False, True], ids=["full", "readout"])
 def test_attention_vjp_holds_no_keys_or_values(readout):
     # the VJP recomputes each group's keys and values from xhat: no array of
-    # [k | v] rows, nor [wqk | wv], outlives the forward
+    # [k | v] rows, nor a copy of [wqk | wv], outlives the forward
     rng = np.random.default_rng(45)
     d = 4
     h = leaf(rng, 2 * 3 + 1 * 5, d)
-    out = T.attention_sublayer(h, *sublayer_params(rng, d, frozen), 2, ((2, 3), (1, 5)), readout)
+    wkv, wo = sublayer_params(rng, d, frozen)
+    out = T.attention_sublayer(h, wkv, wo, 2, ((2, 3), (1, 5)), readout)
     held = list(closure_arrays(out._node.vjp))
     assert any(a.shape == h.shape for a in held)  # xhat
-    assert [a.shape for a in held if a.ndim > 1 and a.shape[-1] == 2 * d] == []
+    assert all(a is wkv.data for a in held if a.ndim > 1 and a.shape[-1] == 2 * d)
 
 
 def test_mlp_forward_holds_the_pre_activation_and_gate_of_one_block_of_rows():
@@ -478,10 +479,11 @@ def test_attention_sublayer_rejects_bad_heads_and_rows():
 def test_fused_sublayers_reject_weights_that_do_not_fit_the_rows():
     rng = np.random.default_rng(45)
     h = frozen(rng, 6, 4)
-    for wrong in range(3):  # each attention weight in turn 5 wide where the rows are 4
-        params = [frozen(rng, *((5, 5) if i == wrong else (4, 4))) for i in range(3)]
+    # each attention weight in turn sized for rows 5 wide where they are 4, and a
+    # [wqk | wv] as wide as the rows
+    for wkv, wo in (((5, 10), (4, 4)), ((4, 8), (5, 5)), ((4, 4), (4, 4))):
         with pytest.raises(ShapeError, match="^attention_sublayer: weights must have shapes"):
-            T.attention_sublayer(h, *params, 2, ((2, 3),), False)
+            T.attention_sublayer(h, frozen(rng, *wkv), frozen(rng, *wo), 2, ((2, 3),), False)
     for w1, w2 in (((5, 3), (3, 4)), ((4, 3), (3, 5)), ((4, 3), (2, 4))):
         with pytest.raises(ShapeError, match="^mlp_sublayer: weights must have shapes"):
             T.mlp_sublayer(h, frozen(rng, *w1), frozen(rng, *w2))
@@ -524,21 +526,21 @@ def test_frozen_parent_vjp_slot_is_none():
     rng = np.random.default_rng(33)
     x, w = leaf(rng, 2, 3, 4), frozen(rng, 4, 5)
     out = T.matmul(x, w)
-    gx, gw = out._vjp(np.ones(out.shape))
+    gx, gw = out._node.vjp(np.ones(out.shape))
     assert gx.shape == x.shape and gw is None
     out = T.matmul(frozen(rng, 3, 4), leaf(rng, 4, 2))
-    assert out._vjp(np.ones(out.shape))[0] is None
+    assert out._node.vjp(np.ones(out.shape))[0] is None
     gain, bias = leaf(rng, 4), frozen(rng, 4)
     out = T.layer_norm(frozen(rng, 3, 4), gain, bias)
-    gx, ggain, gbias = out._vjp(np.ones(out.shape))
+    gx, ggain, gbias = out._node.vjp(np.ones(out.shape))
     assert gx is None and gbias is None and ggain.shape == (4,)
     for op in (T.add, T.mul):
         x, b = leaf(rng, 2, 3, 4), frozen(rng, 4)
         out = op(x, b)
-        gx, gb = out._vjp(np.ones(out.shape))
+        gx, gb = out._node.vjp(np.ones(out.shape))
         assert gx.shape == x.shape and gb is None
         out = op(b, x)
-        gb, gx = out._vjp(np.ones(out.shape))
+        gb, gx = out._node.vjp(np.ones(out.shape))
         assert gb is None and gx.shape == x.shape
     # fused sub-layers: the input is the only parent, and a trainable weight is refused
     sublayers = (lambda h, ps: T.attention_sublayer(h, *ps, 2, ((2, 3),), True),
@@ -547,8 +549,8 @@ def test_frozen_parent_vjp_slot_is_none():
         x = leaf(rng, 6, 4)
         params = sublayer_params(rng, 4, frozen, hidden)
         out = op(x, params)
-        (gx,) = out._vjp(np.ones(out.shape))
-        assert out._parents == (x,) and gx.shape == x.shape
+        (gx,) = out._node.vjp(np.ones(out.shape))
+        assert out._node.parents == (x,) and gx.shape == x.shape
         for p in params:
             p.requires_grad = True
             with pytest.raises(ContractError):
@@ -619,7 +621,7 @@ def test_gather_vjp_bytes_match_add_at(index, width):
         g = rng.standard_normal(out.shape) * 10.0 ** rng.integers(-8, 8, out.shape)
         expected = np.zeros_like(table.data)
         np.add.at(expected, np.ravel(index), g.reshape(-1, width))
-        (got,) = out._vjp(g)
+        (got,) = out._node.vjp(g)
         assert got.tobytes() == expected.tobytes()
 
 

@@ -49,14 +49,23 @@ def _tasks_for(config: RunConfig):
     """Base and novel halves, read from the dataset files gen-data wrote.
 
     The files must have been generated from this config's task spec; a stale
-    pair (the spec changed since gen-data) is a DataError.
+    pair (the spec changed since gen-data) is a DataError. So is a class name
+    that names two classes, in one file or across the two: accuracies are
+    reported per class name, and one class's entry would replace the other's.
     """
-    from .data import Task
+    from .data import DATASET_KIND, Task
     base_path = _path(config, "base.json")
     if not os.path.exists(base_path):
         raise DataError(f"no dataset at {base_path}; run gen-data first")
-    return (Task.load(base_path, config.task_spec),
-            Task.load(_path(config, "novel.json"), config.task_spec))
+    paths = (base_path, _path(config, "novel.json"))
+    base, novel = (Task.load(path, config.task_spec) for path in paths)
+    seen = set()
+    for path, task in zip(paths, (base, novel)):
+        for name in task.class_names:
+            if name in seen:
+                raise DataError(f"{path}:{DATASET_KIND}.class_names: {name!r} names two classes")
+            seen.add(name)
+    return base, novel
 
 
 def _run_inputs(args):

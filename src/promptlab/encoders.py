@@ -168,7 +168,7 @@ class DualEncoder:
             h = self._block(i, h, groups, readout=i == last)
             if deep_hook is not None and i < last:
                 h = deep_hook(i + 1, h)
-        h = T.layer_norm(h, np.ones(cfg.embed_dim), np.zeros(cfg.embed_dim))
+        h = T.layer_norm(h, Tensor(np.ones(cfg.embed_dim)), Tensor(np.zeros(cfg.embed_dim)))
         return T.l2_normalize(T.matmul(h, self._params["text_proj"]))
 
     def encode_class_names(self, names) -> Tensor:
@@ -184,7 +184,7 @@ class DualEncoder:
 
     def encode_image(self, x) -> Tensor:
         """L2-normalized joint features [B, joint] for a batch of raw vectors [B, image_dim]."""
-        t = x if isinstance(x, Tensor) else Tensor(x)
+        t = Tensor(x)
         if t.ndim != 2 or t.shape[1] != self.config.image_dim:
             raise ShapeError(f"encode_image expects [B, {self.config.image_dim}], got {t.shape}")
         p = self._params

@@ -230,7 +230,12 @@ _SELECTED_RE = re.compile(r"^selected: \((?P<names>[^()]*)\)$")
 
 
 def format_result(result: SearchResult) -> str:
-    """Plain-text table: header comments, one weight row per candidate, argmax footer."""
+    """Plain-text table: header comments, one weight row per candidate, argmax footer.
+
+    Weights keep 3 decimals, the paper's table format (see the caltech101 fixture);
+    the rounding hides BLAS kernels' last-bit differences, so the bytes are portable.
+    From 10 bases on most rows read 0.000: only ``selected`` round-trips exactly.
+    """
     result.validate()
     lines = [
         f"# kind: {RESULT_KIND}",
@@ -259,10 +264,14 @@ def parse_result(text: str, path: str = "<string>") -> SearchResult:
             key, _, value = (s.strip() for s in line.lstrip("# ").partition(":"))
             if key == "pool_size" and not re.fullmatch(r"[0-9]+", value):
                 raise ParseError(f"{path}:{lineno}: pool_size must be a count, got {value!r}")
+            if key in header:
+                raise ParseError(f"{path}:{lineno}: repeated {key} header")
             header[key] = value
             continue
         m = _SELECTED_RE.match(line)
         if m:
+            if selected is not None:
+                raise ParseError(f"{path}:{lineno}: a second selected footer")
             selected = tuple(n.strip() for n in m.group("names").split(","))
             continue
         m = _ROW_RE.match(line)

@@ -11,9 +11,11 @@ once, and accumulates gradients into the leaves. It drops each node's closure
 and places as soon as it has used them, so the graph is freed as backward
 walks it, and a second backward through the same graph is refused.
 
-Storage is always row-major float64. There are no views that alias mutable
-data: operations copy, and a tensor's ``data`` is only ever written in place
-by an optimizer between forward passes.
+Ops take Tensors and coerce no operand (``embedding``'s ids and
+``cross_entropy``'s labels are integer arrays): ``Tensor(...)`` is where an
+array enters the engine, and its storage is always row-major float64. There
+are no views that alias mutable data: operations copy, and a tensor's ``data``
+is only ever written in place by an optimizer between forward passes.
 
 The first ``backward`` call sets the C allocator's policy for the process,
 once: see ``_keep_freed_memory``.
@@ -135,14 +137,10 @@ class Tensor:
     # -- operators ----------------------------------------------------------
 
     def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    __radd__ = __add__
+        return add(self, other)
 
     def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    __rmul__ = __mul__
+        return mul(self, other)
 
     def __neg__(self):
         return scale(self, -1.0)
@@ -210,10 +208,6 @@ def _toposort(root) -> list:
     return order
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _make(data: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
     _check_finite(data, op)
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
@@ -243,7 +237,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     try:
         data = a.data + b.data
     except ValueError:
@@ -261,7 +254,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     try:
         data = a.data * b.data
     except ValueError:
@@ -279,8 +271,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    a = _as_tensor(a)
-    c = float(c)
     return _make(a.data * c, (a,), lambda g: (g * c,), "scale")
 
 
@@ -306,14 +296,12 @@ def _gelu_slope(z: np.ndarray, s: np.ndarray, out: Optional[np.ndarray] = None) 
 
 def gelu(a: Tensor) -> Tensor:
     """QuickGELU, z sigmoid(1.702 z), the activation of CLIP's text encoder."""
-    a = _as_tensor(a)
     x = a.data
     s = _gelu_gate(x)
     return _make(x * s, (a,), lambda g: (g * _gelu_slope(x, s),), "gelu")
 
 
 def tanh(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     t = np.tanh(a.data)
     return _make(t, (a,), lambda g: (g * (1.0 - t * t),), "tanh")
 
@@ -322,7 +310,6 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
     shape = a.shape
 
@@ -334,7 +321,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
     count = a.size if axis is None else a.shape[axis]
     return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
@@ -344,7 +330,6 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product for 2D x 2D, 3D x 2D (shared right operand) and 3D x 3D."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim not in (2, 3) or b.ndim not in (2, 3) or (a.ndim == 2 and b.ndim == 3):
         raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -371,7 +356,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def transpose_last(a: Tensor) -> Tensor:
     """Swap the last two axes."""
-    a = _as_tensor(a)
     if a.ndim < 2:
         raise ShapeError(f"transpose_last requires rank >= 2, got {a.shape}")
     return _make(
@@ -383,8 +367,6 @@ def transpose_last(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    a = _as_tensor(a)
-    shape = tuple(shape)
     if int(np.prod(shape, dtype=np.int64)) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
     a_shape = a.shape
@@ -393,7 +375,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def expand0(a: Tensor, n: int) -> Tensor:
     """Repeat a tensor along a new leading axis; gradient sums back."""
-    a = _as_tensor(a)
     data = np.broadcast_to(a.data[None], (n,) + a.shape).copy()
     return _make(data, (a,), lambda g: (g.sum(axis=0),), "expand0")
 
@@ -403,7 +384,6 @@ def expand0(a: Tensor, n: int) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis`` (max-subtracted)."""
-    a = _as_tensor(a)
     if a.shape == () or a.shape[axis] == 0:
         raise ShapeError(f"softmax: empty reduction axis {axis} for shape {a.shape}")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -453,7 +433,6 @@ def _sum_lead(g: np.ndarray) -> np.ndarray:
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
     d = a.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
@@ -474,7 +453,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
     """x / (||x|| + 1e-12) along ``axis``; zero vectors map to zero, not NaN."""
-    a = _as_tensor(a)
     x = a.data
     n = np.sqrt((x * x).sum(axis=axis, keepdims=True))
     s = 1.0 / (n + _L2_EPS)
@@ -498,7 +476,6 @@ def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over the batch of -log softmax(logits)[label]."""
-    logits = _as_tensor(logits)
     if logits.ndim != 2:
         raise ShapeError(f"cross_entropy: logits must be 2D, got {logits.shape}")
     labels = np.asarray(labels, dtype=np.int64)
@@ -527,7 +504,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 def embedding(table: Tensor, ids) -> Tensor:
     """Gather rows of a 2D ``table`` by a 1D integer index; gradient scatter-adds."""
-    table, ids = _as_tensor(table), np.asarray(ids, dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ShapeError(f"embedding: ids must be 1D, got shape {ids.shape}")
     if table.ndim != 2:
@@ -549,7 +526,7 @@ def embedding(table: Tensor, ids) -> Tensor:
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    parts = [_as_tensor(t) for t in tensors]
+    parts = list(tensors)
     if not parts:
         raise ContractError("concat: need at least one tensor")
     try:
@@ -571,7 +548,7 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 def stack(tensors: Iterable[Tensor]) -> Tensor:
     """Stack equal-shape tensors along a new leading axis."""
-    parts = [_as_tensor(t) for t in tensors]
+    parts = list(tensors)
     if not parts:
         raise ContractError("stack: need at least one tensor")
     shapes = {p.shape for p in parts}
@@ -588,7 +565,6 @@ def stack(tensors: Iterable[Tensor]) -> Tensor:
 
 def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     """Contiguous slice [start, stop) along ``axis``; gradient zero-pads."""
-    a = _as_tensor(a)
     extent = a.shape[axis]
     if not (0 <= start <= stop <= extent):
         raise ShapeError(f"narrow: [{start}, {stop}) outside axis of extent {extent}")
@@ -660,7 +636,6 @@ def attention_sublayer(h: Tensor, wkv: Tensor, wo: Tensor, num_heads: int, group
     1 / std and each group's attention weights, and the VJP recomputes the
     keys and values from xhat.
     """
-    h, wkv, wo = map(_as_tensor, (h, wkv, wo))
     d = h.shape[-1]
     if (h.ndim != 2 or d % num_heads or min((min(g) for g in groups), default=0) < 1
             or sum(count * length for count, length in groups) != h.shape[0]):
@@ -731,7 +706,6 @@ def mlp_sublayer(h: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     keeps xhat, 1 / std and the GELU's slope, not the pre-activation and its
     sigmoid, so the VJP recomputes nothing.
     """
-    h, w1, w2 = map(_as_tensor, (h, w1, w2))
     d, hidden = h.shape[-1], w1.shape[-1]
     _check_frozen_params("mlp_sublayer", (w1, w2), ((d, hidden), (hidden, d)))
     xhat, inv = _normalize(h.data)

@@ -987,6 +987,31 @@ def test_artifact_with_a_retyped_element_is_one_error_line(case, classic_pipelin
     assert f"{path}:{payload['kind']}.{where}" in line, line
 
 
+# the dataset file whose last class name becomes the first name of base.json
+REPEATED_CLASS_NAMES = {"in_base": "base.json", "across_base_and_novel": "novel.json"}
+
+
+@pytest.mark.parametrize("command", [["train", "--classic"], ["eval", "--classic"],
+                                     ["ablate", "--axis", "init"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("case", sorted(REPEATED_CLASS_NAMES))
+def test_dataset_class_name_that_names_two_classes_is_one_error_line(
+        case, command, classic_pipeline_out, tmp_path, capsys):
+    # per-class accuracies are keyed by name: one class's entry would replace the other's
+    cfg, out = write_config(tmp_path)
+    shutil.copytree(classic_pipeline_out, out)
+    first = load_json(os.path.join(out, "base.json"))["class_names"][0]
+    path = os.path.join(out, REPEATED_CLASS_NAMES[case])
+    payload = load_json(path)
+    payload["class_names"][-1] = first
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    assert main([*command, "--config", cfg]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    expected = f"error: DataError: {path}:dataset.class_names: {first!r} names two classes"
+    assert line == expected, line
+
+
 def _key_paths(payload):
     """Each key at the top level and one level down, as a path; a record list's first record
     and its report count as one level down."""

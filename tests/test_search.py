@@ -597,6 +597,15 @@ def test_parse_rejects_malformed_rows_with_location():
     bad = format_result(res) + "garbage line\n"
     with pytest.raises(ParseError, match="w.txt:"):
         parse_result(bad, path="w.txt")
+    # a line said twice: (a) and (b) tie, so either footer alone is valid, and a parser
+    # that kept the last of two would read this file as ('b',) without a word
+    pool = tuple(enumerate_pool(("a", "b")))
+    tie = format_result(SearchResult(("a", "b"), pool, np.array([0.35, 0.35, 0.3]), ("a",)))
+    for line, repeat, message in (
+            ("selected: (a)", "selected: (b)", "10: a second selected footer"),
+            ("# config_hash: none", "# config_hash: 0a1b", "6: repeated config_hash header")):
+        with pytest.raises(ParseError, match=f"^w.txt:{message}$"):
+            parse_result(tie.replace(line, f"{line}\n{repeat}"), path="w.txt")
 
 
 def test_parse_rejects_wrong_kind_version_and_pool_size():

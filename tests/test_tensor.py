@@ -122,12 +122,12 @@ def test_grad_accumulates_additively():
     data = rng.standard_normal(4)
 
     x = T.Tensor(data, requires_grad=True)
-    (T.tsum(x * x) + T.tsum(x * 3.0)).backward()
+    (T.tsum(x * x) + T.tsum(T.scale(x, 3.0))).backward()
     combined = x.grad.copy()
 
     y = T.Tensor(data, requires_grad=True)
     T.tsum(y * y).backward()
-    T.tsum(y * 3.0).backward()
+    T.tsum(T.scale(y, 3.0)).backward()
     np.testing.assert_allclose(y.grad, combined, atol=1e-15)
 
 
@@ -141,7 +141,7 @@ def test_zero_grad_resets():
 def test_leaf_off_path_gets_zero_grad():
     x = T.Tensor([1.0], requires_grad=True)
     y = T.Tensor([1.0], requires_grad=True)
-    T.tsum(x * 2.0).backward()
+    T.tsum(T.scale(x, 2.0)).backward()
     np.testing.assert_array_equal(y.grad, [0.0])
 
 
@@ -196,7 +196,7 @@ def test_second_backward_through_a_freed_graph_is_refused():
     with pytest.raises(ContractError, match="freed"):
         loss.backward()
     with pytest.raises(ContractError, match="freed"):
-        T.tsum(y * 2.0).backward()  # a new graph over a freed node
+        T.tsum(T.scale(y, 2.0)).backward()  # a new graph over a freed node
     np.testing.assert_array_equal(x.grad, [6.0])
 
 

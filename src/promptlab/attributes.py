@@ -28,7 +28,7 @@ from .errors import (
     RemoteError,
 )
 from .search import SearchResult, parse_result
-from .serialize import FORMAT_VERSION, check_fields, dump_json, load_json
+from .serialize import check_fields, dump_json, load_artifact, load_json
 
 PROVENANCES = ("fixture", "llm", "manual")
 
@@ -78,11 +78,8 @@ class AttributeBases:
 
 
 def _fixture_payload() -> dict:
-    text = resources.files("promptlab.fixtures").joinpath("attribute_bases.json").read_text()
-    payload = json.loads(text)
-    if payload.get("kind") != FIXTURE_KIND or payload.get("format_version") != FORMAT_VERSION:
-        raise DataError("bundled attribute fixture has an unexpected header")
-    return payload["datasets"]
+    with resources.as_file(resources.files("promptlab.fixtures") / "attribute_bases.json") as path:
+        return load_artifact(path, FIXTURE_KIND, {"datasets": dict})["datasets"]
 
 
 def fixture_datasets() -> tuple:

@@ -144,7 +144,7 @@ def cmd_search_attrs(args) -> int:
     from .search import alternating_search, export_result
     config, base, _, encoder = _run_inputs(args)
     bases = _resolve_bases(config, base)
-    result = alternating_search(base, bases, replace(config.search, seed=config.seed), encoder)
+    result = alternating_search(base, bases, config.search, encoder)
     export_result(result, _path(config, "search_result.txt"))
     print(f"pool size {len(result.candidates)} over bases: {', '.join(result.bases)}")
     print(f"selected: ({', '.join(result.selected)})")
@@ -280,10 +280,9 @@ def cmd_report(args) -> int:
             if not os.path.exists(path):
                 continue
             found = True
-            records = load_report_records(path)
-            if not records:
-                raise DataError(f"{path}: no records")
-            agg = next((r["report"] for r in records if r["seed"] == -1), records[-1]["report"])
+            agg = next((r["report"] for r in load_report_records(path) if r["seed"] == -1), None)
+            if agg is None:  # an empty file too: each report file ends in its aggregate
+                raise DataError(f"{path}: no records hold the aggregate (seed -1)")
             name = tag if prefix == "report" else f"{tag} (eval)"
             print(
                 f"{name:<12} {agg.base_accuracy:>7.2f} {agg.novel_accuracy:>7.2f} "

@@ -236,6 +236,9 @@ class PromptRunConfig:
     def validate(self) -> "PromptRunConfig":
         check_settings(self)
         self.layout.validate()
+        if self.layout.attribute_names:
+            raise ConfigError("layout.attribute_names must stay empty: train.attributes chooses "
+                              "the anchored attributes, and a search fills it per candidate")
         return self
 
 
@@ -257,12 +260,6 @@ class SearchConfig(PromptRunConfig):
     epochs: int = 10
     theta_lr: float = 0.002
     alpha_lr: float = 0.02
-
-    def validate(self) -> "SearchConfig":
-        super().validate()
-        if self.layout.attribute_names:
-            raise ConfigError("search layout must leave attribute_names empty; candidates fill it")
-        return self
 
 
 _ENV_NAME_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
@@ -350,6 +347,10 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(self.seeds))
+        # both sections run under the run's seed and layout, the only ones to_dict writes
+        object.__setattr__(self, "search",
+                           replace(self.search, seed=self.seed, layout=self.train.layout))
+        object.__setattr__(self, "train", replace(self.train, seed=self.seed))
 
     def validate(self) -> "RunConfig":
         if self.task_spec is None:
@@ -400,9 +401,6 @@ class RunConfig:
         if version != FORMAT_VERSION:
             raise ConfigError(f"unsupported run config version {version!r}")
         layout = given.pop("layout", PromptLayout())
-        if layout.attribute_names:
-            raise ConfigError("layout.attribute_names must stay empty; "
-                              "set train.attributes to choose the anchored attributes")
         sections = {
             name: section(layout=layout, **check_fields(
                 _hyperparameter_types(section), given.pop(name, {}), name))

@@ -75,8 +75,9 @@ class Task:
         return len(self.class_names)
 
     def split(self, name: str):
-        if name not in self.splits:
-            raise DataError(f"task has no split {name!r}")
+        """(x, y) of a split that holds rows; a missing or empty split is a DataError."""
+        if name not in self.splits or len(self.splits[name][1]) == 0:
+            raise DataError(f"task has no rows in split {name!r}")
         return self.splits[name]
 
     def save(self, path: str) -> None:

@@ -185,8 +185,6 @@ def alternating_search(task: Task, bases, config: SearchConfig, encoder) -> Sear
 
     x_train, y_train = task.split("train")
     x_val, y_val = task.split("val")
-    if len(y_train) == 0 or len(y_val) == 0:
-        raise DataError("search needs non-empty train and val splits")
 
     def plan_over(indices):  # composing validates each candidate's layout against the encoder
         candidates = [pool[i] for i in indices]
@@ -227,6 +225,8 @@ def alternating_search(task: Task, bases, config: SearchConfig, encoder) -> Sear
 _WEIGHT = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
 _ROW_RE = re.compile(rf"^\((?P<names>[^()]*)\), weight: (?P<weight>{_WEIGHT})$")
 _SELECTED_RE = re.compile(r"^selected: \((?P<names>[^()]*)\)$")
+# the header keys format_result writes, the only ones parse_result reads
+_HEADERS = ("kind", "format_version", "bases", "pool_size", "config_hash")
 
 
 def format_result(result: SearchResult) -> str:
@@ -262,6 +262,9 @@ def parse_result(text: str, path: str = "<string>") -> SearchResult:
             continue
         if line.startswith("#"):
             key, _, value = (s.strip() for s in line.lstrip("# ").partition(":"))
+            if key not in _HEADERS:
+                raise ParseError(f"{path}:{lineno}: unknown header {key!r}; known: "
+                                 f"{', '.join(_HEADERS)}")
             if key == "pool_size" and not re.fullmatch(r"[0-9]+", value):
                 raise ParseError(f"{path}:{lineno}: pool_size must be a count, got {value!r}")
             if key in header:

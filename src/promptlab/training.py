@@ -101,8 +101,6 @@ def train_prompts(task: Task, config: TrainConfig, bank: SoftPromptBank, encoder
     """
     config.validate()
     x, y = task.split("train")
-    if len(y) == 0:
-        raise DataError("empty training split")
     opt = SGD(bank.parameters(), lr=config.lr_init)
     rng = np.random.default_rng(subseed(config.seed, "train.order"))
     total_steps = config.epochs * math.ceil(len(y) / config.batch_size)
@@ -123,8 +121,6 @@ def train_prompts(task: Task, config: TrainConfig, bank: SoftPromptBank, encoder
 def _score(encoder, bank: SoftPromptBank, layout: PromptLayout, task: Task, split: str):
     """Top-1 and per-class accuracy in percent, both from one forward and one argmax."""
     x, y = task.split(split)
-    if len(y) == 0:
-        raise DataError(f"empty split {split!r}")
     feats = class_text_features(encoder, bank, layout, task.class_names)
     # np.argmax: ties go to the lowest index
     pred = encoder.class_logits(encoder.encode_image(x), feats).data.argmax(axis=1)

@@ -409,6 +409,8 @@ BAD_RECORD_EDITS = [
     (lambda records: records[1].update(extra=1),
      "ConfigError: unknown key '{path}:records[1].extra'"),
     (lambda records: records.clear(), "DataError: {path}: no records"),
+    # the helper's file holds two seed-3 records and no aggregate: neither stands for the run
+    (lambda records: None, "DataError: {path}: no records hold the aggregate (seed -1)"),
     (lambda records: records[1]["report"].update(seeds_aggregated=0),
      "ContractError: {path}:records[1].report: seeds_aggregated must be at least 1, got 0"),
 ]

@@ -426,17 +426,20 @@ eval_reports = st.builds(
 
 @st.composite
 def run_configs(draw):
-    layout = draw(layouts())
+    # each section draws its own seed and layout: the run config sets both seeds to its seed
+    # and the search's layout to the train section's, the only ones its file holds
     search = draw(st.builds(
         SearchConfig, epochs=st.integers(1, 20), batch_size=st.integers(1, 64),
         theta_lr=positive_numbers, alpha_lr=positive_numbers, soft_len=sizes,
-        attr_soft_len=sizes, init_scheme=st.sampled_from(INIT_SCHEMES), layout=st.just(layout),
+        attr_soft_len=sizes, init_scheme=st.sampled_from(INIT_SCHEMES), seed=seeds,
+        layout=layouts(),
     ))
     train = draw(st.builds(
         TrainConfig, epochs=st.integers(1, 20), batch_size=st.integers(1, 64),
         lr_init=positive_numbers,
         attributes=st.lists(names, unique=True, max_size=3).map(tuple), soft_len=sizes,
-        attr_soft_len=sizes, init_scheme=st.sampled_from(INIT_SCHEMES), layout=st.just(layout),
+        attr_soft_len=sizes, init_scheme=st.sampled_from(INIT_SCHEMES), seed=seeds,
+        layout=layouts(),
     ))
     return RunConfig(
         task_spec=draw(task_specs), attributes=draw(attribute_sources), search=search,
@@ -448,6 +451,8 @@ def run_configs(draw):
 @settings(max_examples=60, deadline=None)
 @given(run_configs())
 def test_run_config_round_trips_and_keeps_its_fingerprint(config):
+    assert config.search.seed == config.train.seed == config.seed
+    assert config.search.layout == config.train.layout
     assert RunConfig.from_dict(config.to_dict()) == config
     assert RunConfig.from_dict(json.loads(dumps_json(config.to_dict()))) == config
     with tempfile.TemporaryDirectory() as tmp:

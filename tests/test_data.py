@@ -186,6 +186,16 @@ def test_splits_are_disjoint_and_balanced():
             seen.add(key)
 
 
+def test_a_missing_or_empty_split_is_a_data_error_naming_it():
+    task = generate_task(small_spec())
+    x, y = task.split("val")
+    starved = replace(task, splits={"train": task.splits["train"], "val": (x[:0], y[:0])})
+    assert starved.split("train") is task.splits["train"]
+    for name in ("test", "val"):  # missing, then empty
+        with pytest.raises(DataError, match=f"^task has no rows in split '{name}'$"):
+            starved.split(name)
+
+
 def test_linear_probe_recovers_informative_values():
     # least-squares probe on raw features must read informative values at >= 95%
     task = generate_task(small_spec(noise_std=0.1, samples_per_class=24))

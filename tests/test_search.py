@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from promptlab import search
 from promptlab import tensor as T
-from promptlab.config import config_hash
+from promptlab.config import TrainConfig, config_hash
 from promptlab.data import LatentAttribute, TaskSpec, generate_task, subseed
 from promptlab.encoders import DualEncoder, build_config_for
 from promptlab.errors import ConfigError, DataError, NumericsError, ParameterError, ParseError
@@ -157,9 +157,12 @@ def test_mixture_shape_and_emptiness_errors():
 
 
 def test_search_config_rejects_prefilled_attribute_names():
+    # a search's candidates and a training's attributes fill the names; TrainConfig would
+    # otherwise anchor on its attributes while its layout named others
     layout = PromptLayout(attribute_names=("color",))
-    with pytest.raises(ConfigError):
-        SearchConfig(layout=layout).validate()
+    for section in (SearchConfig(layout=layout), TrainConfig(layout=layout, attributes=("shape",))):
+        with pytest.raises(ConfigError, match="train.attributes"):
+            section.validate()
 
 
 def test_search_config_rejects_bad_rates_and_epochs():
@@ -606,6 +609,9 @@ def test_parse_rejects_malformed_rows_with_location():
             ("# config_hash: none", "# config_hash: 0a1b", "6: repeated config_hash header")):
         with pytest.raises(ParseError, match=f"^w.txt:{message}$"):
             parse_result(tie.replace(line, f"{line}\n{repeat}"), path="w.txt")
+    # a misspelt header: the optional pool_size check would be skipped without a word
+    with pytest.raises(ParseError, match="^w.txt:4: unknown header 'pool_sise'"):
+        parse_result(tie.replace("# pool_size:", "# pool_sise:"), path="w.txt")
 
 
 def test_parse_rejects_wrong_kind_version_and_pool_size():

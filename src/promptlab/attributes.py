@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 
-from .config import LlmClientConfig
+from .config import LlmClientConfig, check_words
 from .errors import (
     ConfigError,
     DataError,
@@ -69,8 +69,7 @@ class AttributeBases:
             raise ConfigError(f"unknown provenance {self.provenance!r}")
         if not self.bases:
             raise DataError(f"dataset {self.dataset_name!r} has an empty base list")
-        if len(set(self.bases)) != len(self.bases):
-            raise DataError(f"duplicate bases for {self.dataset_name!r}: {self.bases}")
+        check_words(self.bases, f"bases for {self.dataset_name!r}", DataError)
         return self
 
 
@@ -236,14 +235,15 @@ def describe_categories(class_names, client: LlmClient) -> dict:
     return out
 
 
-def _parse_bases(reply: str, n: int):
+def _parse_bases(reply: str, n: int, dataset_name: str) -> AttributeBases:
+    """The n bases a comma-separated reply names; DataError unless n distinct words of letters."""
     tokens = [t.strip().lower() for t in reply.split(",")]
-    tokens = [t for t in tokens if t]
-    if len(tokens) != n or len(set(tokens)) != n:
-        return None
-    if any(not t.isalpha() for t in tokens):
-        return None
-    return tuple(tokens)
+    bases = tuple(t for t in tokens if t)
+    if len(bases) != n:
+        raise DataError(f"expected {n} bases, got {len(bases)}")
+    if not all(t.isalpha() for t in bases):
+        raise DataError(f"bases must be words of letters, got {bases}")
+    return AttributeBases(dataset_name=dataset_name, bases=bases, provenance="llm").validate()
 
 
 def summarize_bases(descriptions, n: int, client: LlmClient,
@@ -261,16 +261,14 @@ def summarize_bases(descriptions, n: int, client: LlmClient,
     joined = "\n".join(f"- {name}: {text}" for name, text in sorted(descriptions.items()))
     prompt = SUMMARIZE_TEMPLATE.format(descriptions=joined, n=n)
     reply = client.ask(prompt)
-    bases = _parse_bases(reply, n)
-    if bases is None:
-        retry = prompt + REPROMPT_SUFFIX.format(reply=reply, n=n)
-        reply = client.ask(retry)
-        bases = _parse_bases(reply, n)
-        if bases is None:
-            raise ExtractionError(
-                f"could not extract {n} attribute bases after one reprompt; "
-                f"last reply: {reply!r}"
-            )
-    return AttributeBases(
-        dataset_name=dataset_name, bases=bases, provenance="llm"
-    ).validate()
+    try:
+        return _parse_bases(reply, n, dataset_name)
+    except DataError:
+        reply = client.ask(prompt + REPROMPT_SUFFIX.format(reply=reply, n=n))
+    try:
+        return _parse_bases(reply, n, dataset_name)
+    except DataError as exc:
+        raise ExtractionError(
+            f"could not extract {n} attribute bases after one reprompt ({exc}); "
+            f"last reply: {reply!r}"
+        ) from None

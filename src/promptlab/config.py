@@ -79,6 +79,16 @@ def check_settings(section, error=ConfigError) -> None:
                         f"{sys.maxsize} bytes")
 
 
+def check_words(words, what: str, error=ConfigError) -> None:
+    """Each entry is one lowercase word and none repeats; else ``error`` naming the words."""
+    for word in words:  # the vocabulary reads text as lowercased, whitespace-split words
+        if not isinstance(word, str) or word.split() != [word.lower()]:
+            raise error(f"{what} must be one lowercase word, got {word!r}")
+    repeated = sorted({w for w in words if words.count(w) > 1})
+    if repeated:
+        raise error(f"duplicate {what}: {', '.join(repeated)}")
+
+
 # -- sections ---------------------------------------------------------------------
 
 
@@ -133,15 +143,9 @@ class TaskSpec(JsonFields):
                 "identity feature_map needs raw_feature_dim == embed_dim, got "
                 f"{self.raw_feature_dim} != {self.embed_dim}"
             )
-        for word in [w for a in self.latent_attributes for w in (a.name, *a.values)]:
-            # the vocabulary reads text as lowercased, whitespace-split words
-            if not isinstance(word, str) or word.split() != [word.lower()]:
-                raise DataError(f"attribute names and values must be one lowercase word, "
-                                f"got {word!r}")
-        names = [a.name for a in self.latent_attributes]
-        if len(set(names)) != len(names):
-            raise DataError(f"duplicate attribute names: {names}")
-        missing = set(self.informative_attributes) - set(names)
+        check_words([w for a in self.latent_attributes for w in (a.name, *a.values)],
+                    "attribute names and values", DataError)
+        missing = set(self.informative_attributes) - {a.name for a in self.latent_attributes}
         if missing:
             raise DataError(f"informative attributes not declared: {sorted(missing)}")
         if not self.informative_attributes:
@@ -208,8 +212,7 @@ class PromptLayout(JsonFields):
             raise ConfigError(
                 f"depth {self.depth} exceeds encoder layers {num_encoder_layers}"
             )
-        if len(set(self.attribute_names)) != len(self.attribute_names):
-            raise ConfigError(f"duplicate attribute names: {self.attribute_names}")
+        check_words(self.attribute_names, "attribute_names")
         if (
             self.class_token_position != "end"
             and self.attribute_position_style != "interval"

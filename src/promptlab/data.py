@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import LatentAttribute, TaskSpec, default_attributes  # re-exported
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, TokenizationError
 from .serialize import check_fields, dump_artifact, load_artifact, numeric_array
 from .vocab import EOS, PHOTO_TEMPLATE, SOS, Vocabulary
 
@@ -101,6 +101,11 @@ class Task:
         if expected_spec is not None and spec != expected_spec.validate():
             raise DataError(f"{path}: dataset spec does not match the runtime spec")
         where, class_names = f"{path}:{DATASET_KIND}", list(body["class_names"])
+        for name in class_names:  # a prompt reads each class name word by word
+            try:
+                body["vocabulary"].encode(name)
+            except TokenizationError as exc:
+                raise TokenizationError(f"{where}.class_names: {exc}") from None
         splits = check_fields(dict.fromkeys(SPLITS, dict), body["splits"], f"{where}.splits",
                               SPLITS)
         for name, split in splits.items():

@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from . import tensor as T
-from .config import SearchConfig, config_hash
+from .config import SearchConfig, check_words, config_hash
 from .data import Task, subseed
 from .errors import ConfigError, DataError, NumericsError, ParameterError, ParseError
 from .optim import SGD, Adam
@@ -49,9 +49,7 @@ def enumerate_pool(bases) -> list:
     bases = tuple(bases)
     if not 1 <= len(bases) <= MAX_BASES:
         raise ConfigError(f"need between 1 and {MAX_BASES} bases, got {len(bases)}")
-    if len(set(bases)) != len(bases):
-        dupes = sorted({b for b in bases if bases.count(b) > 1})
-        raise ParameterError(f"duplicate base words: {', '.join(dupes)}")
+    check_words(bases, "base words", ParameterError)
     pool = []
     for size in range(1, len(bases) + 1):
         for idx in combinations(range(len(bases)), size):

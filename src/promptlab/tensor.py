@@ -137,10 +137,10 @@ class Tensor:
     # -- operators ----------------------------------------------------------
 
     def __add__(self, other):
-        return add(self, other)
+        return add(self, other) if isinstance(other, Tensor) else NotImplemented
 
     def __mul__(self, other):
-        return mul(self, other)
+        return mul(self, other) if isinstance(other, Tensor) else NotImplemented
 
     def __neg__(self):
         return scale(self, -1.0)

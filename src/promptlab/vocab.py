@@ -66,8 +66,10 @@ class Vocabulary:
             raise TokenizationError(f"word not in vocabulary: {word!r}")
 
     def encode(self, text: str) -> np.ndarray:
-        """Whitespace-split, lowercased word ids. Unknown words are an error."""
+        """Whitespace-split, lowercased word ids. Unknown words, or none, are an error."""
         ids = [self.id_of(w) for w in text.lower().split()]
+        if not ids:
+            raise TokenizationError(f"text holds no word: {text!r}")
         return np.asarray(ids, dtype=np.int64)
 
     def encode_with_sentinels(self, text: str) -> np.ndarray:

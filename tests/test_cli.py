@@ -966,6 +966,9 @@ RETYPED_ELEMENTS = {
     "splits.test.y": ("base.json", ("splits", "test", "y", 0), 1.5),
     "splits.train.y": ("base.json", ("splits", "train", "y"), lambda y: y[:-1]),
     "splits.val.x": ("base.json", ("splits", "val", "x"), lambda x: [row[:3] for row in x]),
+    # a class name that holds no word, which would give its class no prompt rows
+    **{f"class_names_{case}": ("base.json", ("class_names", 0), value)
+       for case, value in (("empty", ""), ("blank", " "))},
 }
 
 
@@ -1142,3 +1145,43 @@ def test_search_result_with_a_bad_number_is_one_error_line(line, fields, classic
     assert main(["train", "--config", cfg]) == 1
     (err,) = capsys.readouterr().err.strip().splitlines()
     assert err.startswith(f"error: ParseError: {path}:{line}: "), err
+
+
+# a search result over one base that is the empty word, as export_result writes it
+EMPTY_BASE_RESULT = "".join(f"{line}\n" for line in (
+    "# kind: search_result", "# format_version: 1", "# bases: ", "# pool_size: 1",
+    "# config_hash: none", "(), weight: 1.000", "selected: ()"))
+# an empty word handed to a command as the words a prompt anchors on -> (the config edit,
+# the search result file's text or None, the command, the artifact it must not write, and
+# the end of its one error line)
+EMPTY_ANCHORS = {
+    "train_attributes": (_set("train", "attributes", [""]), None, ["train"],
+                         "checkpoint_atprompt_s3.json",
+                         "ConfigError: attribute_names must be one lowercase word, got ''"),
+    "explicit_bases": (_set("attributes", "explicit", ["color", ""]), None, ["search-attrs"],
+                       "search_result.txt",
+                       "ParameterError: base words must be one lowercase word, got ''"),
+    "search_result_bases": (None, EMPTY_BASE_RESULT, ["train"], "checkpoint_atprompt_s3.json",
+                            "search_result.txt: base words must be one lowercase word, got ''"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_ANCHORS))
+def test_an_empty_anchor_word_is_one_error_line_and_no_artifact(case, classic_pipeline_out,
+                                                               tmp_path, capsys):
+    edit, result, command, artifact, message = EMPTY_ANCHORS[case]
+    cfg, out = write_config(tmp_path)
+    shutil.copytree(classic_pipeline_out, out)
+    if edit is not None:
+        payload = load_json(cfg)
+        edit(payload)
+        with open(cfg, "w") as fh:
+            json.dump(payload, fh)
+    if result is not None:
+        with open(os.path.join(out, "search_result.txt"), "w") as fh:
+            fh.write(result)
+    capsys.readouterr()
+    assert main([*command, "--config", cfg]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("error: ") and line.endswith(message), line
+    assert not os.path.exists(os.path.join(out, artifact))

@@ -8,11 +8,11 @@ from dataclasses import is_dataclass, replace
 from typing import get_type_hints
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from promptlab import config
-from promptlab.attributes import LlmClientConfig
+from promptlab.attributes import AttributeBases, LlmClientConfig
 from promptlab.config import (
     ARRAYS,
     CHOICES,
@@ -27,7 +27,7 @@ from promptlab.config import (
 )
 from promptlab.data import SUBSEED_NAMES, LatentAttribute, TaskSpec, subseed
 from promptlab.encoders import EncoderConfig
-from promptlab.errors import ConfigError, DataError
+from promptlab.errors import ConfigError, DataError, ParameterError, PromptLabError
 from promptlab.prompts import (
     CLASS_POSITIONS,
     DROP_POLICIES,
@@ -35,7 +35,7 @@ from promptlab.prompts import (
     POSITION_STYLES,
     PromptLayout,
 )
-from promptlab.search import SearchConfig, describe_config
+from promptlab.search import SearchConfig, describe_config, enumerate_pool
 from promptlab.serialize import dumps_json, file_sha256
 from promptlab.training import EvalReport, TrainConfig
 
@@ -478,3 +478,42 @@ def test_json_fields_round_trip(name, data):
     value = data.draw(JSON_FIELDS[name])
     assert type(value).__name__ == name
     assert type(value).from_dict(json.loads(dumps_json(value.to_dict()))) == value
+
+
+# -- the anchor-word rule ----------------------------------------------------------------
+
+
+# each check of the words a prompt anchors on, fed a word list, and the error it raises
+ANCHOR_WORD_CHECKS = {
+    "TaskSpec": (lambda words: TaskSpec(num_classes=2, latent_attributes=[("color", words)],
+                                        informative_attributes=("color",)).validate(),
+                 DataError),
+    "PromptLayout": (lambda words: PromptLayout(attribute_names=words).validate(), ConfigError),
+    "enumerate_pool": (enumerate_pool, ParameterError),
+    "AttributeBases": (lambda words: AttributeBases("d", words).validate(), DataError),
+}
+# empty or blank, two words, capitalised, padded
+non_words = st.one_of(st.text(" \t\n", max_size=2), st.tuples(names, names).map(" ".join),
+                      names.map(str.capitalize), names.map(" {}".format))
+
+
+@pytest.mark.parametrize("check", sorted(ANCHOR_WORD_CHECKS))
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(words=st.one_of(st.tuples(names, non_words), names.map(lambda word: (word, word))))
+@example(words=("blue", "red car")).via("two words")
+@example(words=("blue", "Color")).via("capitalised")
+@example(words=("blue", "")).via("empty")
+@example(words=("blue", " red")).via("padded")
+@example(words=("blue", 7)).via("a number")
+@example(words=("color", "color")).via("a repeat")
+def test_every_anchor_word_check_rejects_a_non_word_or_a_repeat_naming_it(check, words):
+    run, error = ANCHOR_WORD_CHECKS[check]
+    with pytest.raises(PromptLabError) as info:
+        run(words)
+    assert type(info.value) is error
+    first, last = words
+    message = str(info.value)
+    if first == last:
+        assert message.startswith("duplicate ") and message.endswith(f": {last}"), message
+    else:
+        assert message.endswith(f"one lowercase word, got {last!r}"), message

@@ -159,6 +159,14 @@ def test_backward_requires_scalar():
         (x * x).backward()
 
 
+def test_operators_take_only_tensors():
+    # a plain number is no operand: Python's own TypeError names both types
+    x = T.Tensor([1.0, 2.0])
+    for apply in (lambda: x * 2.0, lambda: x + 2.0, lambda: 2.0 * x):
+        with pytest.raises(TypeError, match="unsupported operand type.*'Tensor'"):
+            apply()
+
+
 def test_constant_graph_backward_is_noop():
     x = T.Tensor([1.0])
     out = T.tsum(x * x)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,12 @@ def test_encode_unknown_word_names_it():
     with pytest.raises(TokenizationError) as err:
         v.encode("glowing cat")
     assert "glowing" in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["", " ", "\t\n"])
+def test_encode_rejects_text_that_holds_no_word(text):
+    with pytest.raises(TokenizationError, match=f"holds no word: {re.escape(repr(text))}$"):
+        make_vocab().encode(text)
 
 
 def test_encode_with_sentinels_wraps():

@@ -52,6 +52,8 @@ def _tasks_for(config: RunConfig):
     pair (the spec changed since gen-data) is a DataError. So is a class name
     that names two classes, in one file or across the two: accuracies are
     reported per class name, and one class's entry would replace the other's.
+    And so is a novel vocabulary that is not the base one, word for word and
+    vector for vector: the encoder is built from the base vocabulary alone.
     """
     from .data import DATASET_KIND, Task
     base_path = _path(config, "base.json")
@@ -59,6 +61,10 @@ def _tasks_for(config: RunConfig):
         raise DataError(f"no dataset at {base_path}; run gen-data first")
     paths = (base_path, _path(config, "novel.json"))
     base, novel = (Task.load(path, config.task_spec) for path in paths)
+    if (novel.vocabulary.words != base.vocabulary.words
+            or novel.vocabulary.vectors.tobytes() != base.vocabulary.vectors.tobytes()):
+        raise DataError(f"{paths[1]}:{DATASET_KIND}.vocabulary is not the vocabulary of "
+                        f"{base_path}")
     seen = set()
     for path, task in zip(paths, (base, novel)):
         for name in task.class_names:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, DataError
 from .serialize import (FORMAT_VERSION, INT64_MAX, JsonFields, check_fields, dump_json, dumps_json,
-                        field_types, load_json)
+                        field_types, load_json, named)
 
 CLASS_POSITIONS = ("front", "middle", "end")
 POSITION_STYLES = ("interval", "adjacent_front", "adjacent_middle", "adjacent_end", "separate")
@@ -253,6 +253,11 @@ class TrainConfig(PromptRunConfig):
     def __post_init__(self):
         object.__setattr__(self, "attributes", tuple(self.attributes))
 
+    def validate(self) -> "TrainConfig":
+        super().validate()
+        check_words(self.attributes, "attributes")
+        return self
+
     def effective_layout(self) -> PromptLayout:
         """Layout with the selected attribute combination substituted in."""
         return replace(self.layout, attribute_names=tuple(self.attributes))
@@ -323,6 +328,7 @@ class AttributeSource(JsonFields):
             )
         if self.explicit is not None and len(self.explicit) == 0:
             raise ConfigError("explicit attribute list is empty")
+        check_words(self.explicit or (), "explicit")
         if self.llm is not None:
             self.llm.validate()
         return self
@@ -358,10 +364,11 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.task_spec is None:
             raise ConfigError("config must set a task spec")
-        self.task_spec.validate()
-        self.attributes.validate()
-        self.search.validate()
-        self.train.validate()
+        # a rule a section breaks names the section, as when the config file is read
+        for key, section in (("task", self.task_spec), ("attributes", self.attributes),
+                             ("train", self.train), ("search", self.search)):
+            with named(key):
+                section.validate()
         # the dataset fixes the vocabulary's width and the image width
         check_fields({k: v for k, v in field_types(EncoderConfig).items()
                       if k not in ("embed_dim", "image_dim")},

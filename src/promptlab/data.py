@@ -111,7 +111,7 @@ class Task:
         for name, split in splits.items():
             at = f"{where}.splits.{name}"
             xy = check_fields(SPLIT_TYPES, split, at, SPLIT_TYPES)
-            x, y = numeric_array(xy["x"], np.float64, f"{at}.x"), xy["y"]
+            x, y = numeric_array(xy["x"], f"{at}.x"), xy["y"]
             if x.ndim != 2 or x.shape[1] != spec.raw_feature_dim:
                 raise DataError(f"{at}.x must be rows of {spec.raw_feature_dim} numbers, "
                                 f"got shape {x.shape}")

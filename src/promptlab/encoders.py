@@ -223,7 +223,7 @@ class DualEncoder:
         for name, tens in enc._params.items():
             if name not in weights:
                 raise CheckpointError(f"{path}: missing weight {name}")
-            stored = numeric_array(weights[name], np.float64, f"{path}: weight {name}",
+            stored = numeric_array(weights[name], f"{path}: weight {name}",
                                    CheckpointError)
             if stored.shape != tens.data.shape:
                 raise CheckpointError(f"{path}: weight {name} has shape {stored.shape}, expected {tens.data.shape}")

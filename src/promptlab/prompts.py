@@ -114,7 +114,7 @@ class SoftPromptBank:
         body = check_fields(BANK_TYPES, payload, what, BANK_TYPES)
 
         def block(rows, name: str, key: str, width: int = None) -> Tensor:
-            data = numeric_array(rows, np.float64, f"{what}.{key}")
+            data = numeric_array(rows, f"{what}.{key}")
             if data.ndim != 2 or (width is not None and data.shape[1] != width):
                 expected = "rows" if width is None else f"rows of width {width}"
                 raise DataError(f"{what}.{key} must be a 2-D block of {expected}, "

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
@@ -101,8 +102,8 @@ def load_artifact(path: str, kind: str, types: dict) -> dict:
     return check_fields(types, body, f"{path}:{kind}", types)
 
 
-def numeric_array(value, dtype, where: str, error=DataError):
-    """``value`` as a ``dtype`` array; a ragged, non-numeric or out-of-range value is ``error``."""
+def numeric_array(value, where: str, error=DataError):
+    """``value`` as a float64 array; a ragged, non-numeric or out-of-range value is ``error``."""
     import numpy as np  # here, not at the top: reading configs and reports loads no numpy
 
     bad = error(f"{where} must be a rectangular array of numbers")
@@ -114,7 +115,7 @@ def numeric_array(value, dtype, where: str, error=DataError):
         elif type(item) not in (int, float) or not abs(item) <= sys.float_info.max:
             raise bad  # numpy reads true as 1.0, null as NaN and "2" as 2.0; NaN fails <=
     try:
-        return np.asarray(value, dtype=dtype)
+        return np.asarray(value, dtype=np.float64)
     except ValueError:  # ragged
         raise bad from None
 
@@ -177,9 +178,16 @@ class JsonFields:
         required = [f.name for f in fields(cls)
                     if f.default is MISSING and f.default_factory is MISSING]
         kwargs = check_fields(field_types(cls), payload, what or cls.__name__, required)
-        try:
+        with named(what):
             return cls(**kwargs).validate()
-        except PromptLabError as exc:
-            if what is None:
-                raise
-            raise type(exc)(f"{what}: {exc}") from None
+
+
+@contextmanager
+def named(what: str = None):
+    """A PromptLabError raised inside is raised again with ``what`` in front, when given."""
+    try:
+        yield
+    except PromptLabError as exc:
+        if what is None:
+            raise
+        raise type(exc)(f"{what}: {exc}") from None

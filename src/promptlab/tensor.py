@@ -374,9 +374,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def expand0(a: Tensor, n: int) -> Tensor:
-    """Repeat a tensor along a new leading axis; gradient sums back."""
-    data = np.broadcast_to(a.data[None], (n,) + a.shape).copy()
-    return _make(data, (a,), lambda g: (g.sum(axis=0),), "expand0")
+    """Repeat a tensor along a new leading axis: ``n`` gathers of its one flattened row."""
+    row = embedding(reshape(a, (1, a.size)), np.zeros(n, dtype=np.int64))
+    return reshape(row, (n,) + a.shape)
 
 
 # -- normalization and similarity -------------------------------------------------
@@ -554,13 +554,7 @@ def stack(tensors: Iterable[Tensor]) -> Tensor:
     shapes = {p.shape for p in parts}
     if len(shapes) != 1:
         raise ShapeError(f"stack: shapes differ: {sorted(shapes)}")
-    data = np.stack([p.data for p in parts], axis=0)
-    count = len(parts)
-
-    def vjp(g):
-        return tuple(g[i] for i in range(count))
-
-    return _make(data, tuple(parts), vjp, "stack")
+    return concat([reshape(p, (1,) + p.shape) for p in parts], axis=0)
 
 
 def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -710,7 +704,7 @@ def mlp_sublayer(h: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     _check_frozen_params("mlp_sublayer", (w1, w2), ((d, hidden), (hidden, d)))
     xhat, inv = _normalize(h.data)
     data = np.empty(h.shape)
-    slope = np.empty(h.shape[:-1] + (hidden,)) if h.requires_grad else None
+    slope = np.empty(h.shape[:-1] + (hidden,))
     # a block of rows at a time, through two buffers the blocks reuse: neither
     # the pre-activation nor its gate is ever a whole-stack array
     x, y = xhat.reshape(-1, d), data.reshape(-1, d)
@@ -719,8 +713,7 @@ def mlp_sublayer(h: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
         rows = slice(start, min(start + _MLP_BLOCK, len(x)))
         zb = _row_products(x[rows], w1.data, out=z[:rows.stop - start])
         sb = _gelu_gate(zb, out=s[:len(zb)])
-        if slope is not None:
-            _gelu_slope(zb, sb, out=slope.reshape(-1, hidden)[rows])
+        _gelu_slope(zb, sb, out=slope.reshape(-1, hidden)[rows])
         zb *= sb  # the activation, in place
         _row_products(zb, w2.data, out=y[rows])
     data += h.data

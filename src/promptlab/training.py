@@ -185,7 +185,9 @@ def save_checkpoint(path: str, bank: SoftPromptBank, layout: PromptLayout, *,
     """Trained prompts and the layout they were trained under, with the run config's hash.
 
     The file name carries the run's tag and seed; the attributes are ``layout.attribute_names``.
+    A bank and layout that ``load_checkpoint`` would reject are refused, and no file is written.
     """
+    _check_agreement(path, bank, layout)
     dump_artifact(
         CHECKPOINT_KIND,
         {"config_hash": config_hash, "layout": layout.to_dict(), "bank": bank.to_dict()},
@@ -206,6 +208,12 @@ def load_checkpoint(path: str):
     """
     body = load_artifact(path, CHECKPOINT_KIND, CHECKPOINT_TYPES)
     bank, layout = body["bank"], body["layout"]
+    _check_agreement(path, bank, layout)
+    return bank, layout
+
+
+def _check_agreement(path: str, bank: SoftPromptBank, layout: PromptLayout) -> None:
+    """The checkpoint rule that ``save_checkpoint`` and ``load_checkpoint`` both apply."""
     names = layout.attribute_names
     if set(bank.attribute_blocks) != set(names):
         raise CheckpointError(f"{path}: bank.attribute_blocks {sorted(bank.attribute_blocks)} "
@@ -213,4 +221,3 @@ def load_checkpoint(path: str):
     if len(bank.deep_class_blocks) != layout.depth - 1:
         raise CheckpointError(f"{path}: layout.depth {layout.depth} needs {layout.depth - 1} "
                               f"bank.deep_class_blocks, got {len(bank.deep_class_blocks)}")
-    return bank, layout

@@ -85,7 +85,7 @@ class Vocabulary:
     def from_dict(cls, payload, what: str = "Vocabulary") -> "Vocabulary":
         """The vocabulary a JSON object gives; both keys are required."""
         body = check_fields(VOCABULARY_TYPES, payload, what, VOCABULARY_TYPES)
-        vectors = numeric_array(body["vectors"], np.float64, f"{what}.vectors")
+        vectors = numeric_array(body["vectors"], f"{what}.vectors")
         try:
             return cls(body["words"], vectors)
         except PromptLabError as exc:

@@ -601,6 +601,11 @@ BAD_INPUTS = {
     "top_level_misspelled_key": (lambda payload: payload.update(trian={"epochs": 1}),
                                  ["gen-data"], "trian"),
     "search_epochs_string": (_set("search", "epochs", "3"), ["gen-data"], "epochs"),
+    # a rule a section's value breaks names the section, which the two sections share
+    "train_epochs_zero": (_set("train", "epochs", 0), ["gen-data"],
+                          "ConfigError: train: epochs must be at least 1, got 0"),
+    "search_epochs_zero": (_set("search", "epochs", 0), ["gen-data"],
+                           "ConfigError: search: epochs must be at least 1, got 0"),
     "llm_timeout_string": (lambda payload: payload.update(attributes={"llm": {"timeout": "5"}}),
                            ["gen-data"], "timeout"),
     "latent_attribute_without_values": (_set("task", "latent_attributes", [["color"]]),
@@ -1017,6 +1022,41 @@ def test_dataset_class_name_that_names_two_classes_is_one_error_line(
     assert line == expected, line
 
 
+def _rename_a_class_word(dataset):
+    """The last word of the first class name becomes 'zzz', in the name and the vocabulary."""
+    words, name = dataset["vocabulary"]["words"], dataset["class_names"][0].split()
+    words[words.index(name[-1])] = name[-1] = "zzz"
+    dataset["class_names"][0] = " ".join(name)
+
+
+# an edit after which novel.json's vocabulary is not base.json's, though the file is valid
+NOVEL_VOCABULARY_EDITS = {
+    "vector": lambda dataset: operator.setitem(dataset["vocabulary"]["vectors"][-1], 0, 0.5),
+    "renamed_word": _rename_a_class_word,
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOVEL_VOCABULARY_EDITS))
+def test_novel_vocabulary_that_is_not_the_base_one_is_one_error_line(case, classic_pipeline_out,
+                                                                     tmp_path, capsys):
+    # the encoder is built from base.json's vocabulary, and it encodes the novel class names
+    cfg, out = write_config(tmp_path)
+    shutil.copytree(classic_pipeline_out, out)
+    path, report = os.path.join(out, "novel.json"), os.path.join(out, "report_classic.json")
+    payload = load_json(path)
+    NOVEL_VOCABULARY_EDITS[case](payload)
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    before = file_sha256(report)
+    capsys.readouterr()
+    assert main(["train", "--classic", "--config", cfg]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    base = os.path.join(out, "base.json")
+    assert line == (f"error: DataError: {path}:dataset.vocabulary is not the vocabulary of "
+                    f"{base}"), line
+    assert file_sha256(report) == before
+
+
 def _key_paths(payload):
     """Each key at the top level and one level down, as a path; a record list's first record
     and its report count as one level down."""
@@ -1157,10 +1197,22 @@ EMPTY_BASE_RESULT = "".join(f"{line}\n" for line in (
 EMPTY_ANCHORS = {
     "train_attributes": (_set("train", "attributes", [""]), None, ["train"],
                          "checkpoint_atprompt_s3.json",
-                         "ConfigError: attribute_names must be one lowercase word, got ''"),
+                         "ConfigError: train: attributes must be one lowercase word, got ''"),
+    "train_attributes_gen_data": (_set("train", "attributes", [""]), None, ["gen-data"],
+                                  "base.json",
+                                  "ConfigError: train: attributes must be one lowercase word, "
+                                  "got ''"),
+    "train_attributes_search": (_set("train", "attributes", [""]), None, ["search-attrs"],
+                                "search_result.txt",
+                                "ConfigError: train: attributes must be one lowercase word, "
+                                "got ''"),
     "explicit_bases": (_set("attributes", "explicit", ["color", ""]), None, ["search-attrs"],
                        "search_result.txt",
-                       "ParameterError: base words must be one lowercase word, got ''"),
+                       "ConfigError: attributes: explicit must be one lowercase word, got ''"),
+    "explicit_bases_gen_data": (_set("attributes", "explicit", ["color", ""]), None,
+                                ["gen-data"], "base.json",
+                                "ConfigError: attributes: explicit must be one lowercase word, "
+                                "got ''"),
     "search_result_bases": (None, EMPTY_BASE_RESULT, ["train"], "checkpoint_atprompt_s3.json",
                             "search_result.txt: base words must be one lowercase word, got ''"),
 }
@@ -1171,7 +1223,8 @@ def test_an_empty_anchor_word_is_one_error_line_and_no_artifact(case, classic_pi
                                                                tmp_path, capsys):
     edit, result, command, artifact, message = EMPTY_ANCHORS[case]
     cfg, out = write_config(tmp_path)
-    shutil.copytree(classic_pipeline_out, out)
+    if command != ["gen-data"]:  # the other commands read what gen-data and train wrote
+        shutil.copytree(classic_pipeline_out, out)
     if edit is not None:
         payload = load_json(cfg)
         edit(payload)

@@ -402,7 +402,8 @@ llm_configs = st.builds(
 attribute_sources = st.one_of(
     st.builds(AttributeSource, fixture=names),
     st.builds(AttributeSource, llm=llm_configs),
-    st.builds(AttributeSource, explicit=st.lists(names, min_size=1, max_size=3).map(tuple)),
+    st.builds(AttributeSource,
+              explicit=st.lists(names, min_size=1, max_size=3, unique=True).map(tuple)),
 )
 task_specs = st.builds(
     TaskSpec, num_classes=st.integers(2, 4), raw_feature_dim=st.integers(1, 32),
@@ -491,6 +492,8 @@ ANCHOR_WORD_CHECKS = {
     "PromptLayout": (lambda words: PromptLayout(attribute_names=words).validate(), ConfigError),
     "enumerate_pool": (enumerate_pool, ParameterError),
     "AttributeBases": (lambda words: AttributeBases("d", words).validate(), DataError),
+    "TrainConfig": (lambda words: TrainConfig(attributes=words).validate(), ConfigError),
+    "AttributeSource": (lambda words: AttributeSource(explicit=words).validate(), ConfigError),
 }
 # empty or blank, two words, capitalised, padded
 non_words = st.one_of(st.text(" \t\n", max_size=2), st.tuples(names, names).map(" ".join),

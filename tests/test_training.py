@@ -330,6 +330,22 @@ def test_checkpoint_deep_blocks_must_fit_the_layout_depth(tmp_path, case):
         load_checkpoint(path)
 
 
+def test_save_checkpoint_refuses_what_load_checkpoint_rejects(tmp_path):
+    task = toy_task()
+    encoder = toy_encoder(task)
+    config = TrainConfig(epochs=1, batch_size=8, attributes=("color",))
+    superset = make_bank(replace(config, attributes=("color", "shape")), encoder)
+    train_prompts(task, config, superset, encoder)  # composition may read a subset of the blocks
+    deep = make_bank(replace(config, layout=PromptLayout(depth=2)), encoder)
+    path = tmp_path / "checkpoint.json"
+    for bank, named in ((superset, "bank.attribute_blocks ['color', 'shape'] are not the blocks "
+                                   "of layout.attribute_names ['color']"),
+                        (deep, "layout.depth 1 needs 0 bank.deep_class_blocks, got 1")):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {named}')}$"):
+            save_checkpoint(str(path), bank, config.effective_layout(), config_hash="abc")
+        assert not path.exists()
+
+
 def test_aggregate_recomputes_hm_from_mean_accuracies():
     r1 = EvalReport(90.0, 30.0, harmonic_mean(90.0, 30.0), {"a": 90.0})
     r2 = EvalReport(30.0, 90.0, harmonic_mean(30.0, 90.0), {"a": 30.0, "b": 10.0})
